@@ -7,8 +7,8 @@ registry (`comitant verify`) re-deriving every certified statement."""
 from .associated import (AssociatedFormError, AssociatedFormResult,
                          associated_form, associated_selfmap_degree,
                          associated_slice_map, congruence_holds)
-from .comitants import (BinaryForm, FormError, TernaryForm, hessian,
-                        jacobian, polar, restrict_to_line, transvectant)
+from .comitants import (Form, FormError, hessian, jacobian, polar,
+                        restrict_to_line, transvectant)
 from .fibers import FiberCensus, FiberError, fiber_count, sample_report
 from .geometry import (Conic, GeometryError, PointPair, ProjectivePoint,
                        coble_identity_check, conic_fit, conic_through,
@@ -23,34 +23,33 @@ from .invariants import (InvariantDescriptor, InvariantError,
 from .linalg import LinearSubstitution, Matrix, poly_det
 from .maps import (HammondQuintic, MapError, QuinticImage, RationalMapP1,
                    compose, descend_map, hammond_c35, hammond_relations,
-                   hesse_cover, hesse_self_map, map_degree, quartic_cover,
+                   hesse_cover, hesse_self_map, quartic_cover,
                    quartic_self_map)
 from .poly import Poly, poly_ring
-from .quartic import (DualTernaryForm, QuarticError, clebsch_covariant,
-                      clebsch_pencil, salmon_contravariant)
+from .quartic import (QuarticError, clebsch_covariant, clebsch_pencil,
+                      salmon_contravariant)
 from .scalars import GF, QQ, Fp
 from .verify import VerificationReport, run_verifications
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssociatedFormError", "AssociatedFormResult", "BinaryForm", "Conic",
-    "DualTernaryForm", "FiberCensus", "FiberError", "FormError", "Fp",
-    "GF", "GeometryError", "HammondQuintic", "InvariantDescriptor",
-    "InvariantError", "LinearSubstitution", "MapError", "Matrix",
-    "ParseError", "PointPair", "Poly", "ProjectivePoint", "QQ",
-    "QuarticError", "QuinticImage", "RationalMapP1", "TernaryForm",
-    "VerificationReport", "associated_form", "associated_selfmap_degree",
-    "associated_slice_map", "clebsch_covariant", "clebsch_pencil",
-    "coble_identity_check", "compose", "congruence_holds", "conic_fit",
-    "conic_through", "descend_map", "evaluate_invariant", "fiber_count",
-    "find_invariants", "hammond_c35", "hammond_relations",
+    "AssociatedFormError", "AssociatedFormResult", "Conic", "FiberCensus",
+    "FiberError", "Form", "FormError", "Fp", "GF", "GeometryError",
+    "HammondQuintic", "InvariantDescriptor", "InvariantError",
+    "LinearSubstitution", "MapError", "Matrix", "ParseError", "PointPair",
+    "Poly", "ProjectivePoint", "QQ", "QuarticError", "QuinticImage",
+    "RationalMapP1", "VerificationReport", "associated_form",
+    "associated_selfmap_degree", "associated_slice_map", "clebsch_covariant",
+    "clebsch_pencil", "coble_identity_check", "compose", "congruence_holds",
+    "conic_fit", "conic_through", "descend_map", "evaluate_invariant",
+    "fiber_count", "find_invariants", "hammond_c35", "hammond_relations",
     "harmonic_partner", "hesse_cover", "hesse_self_map", "hessian",
     "invariant_I2", "invariant_I3", "invariant_S", "invariant_T",
-    "is_harmonic", "jacobian", "map_degree", "named_invariant",
-    "parse_poly", "parse_poly_file", "polar", "poly_det", "poly_ring",
-    "q_construction", "quartic_cover", "quartic_self_map",
-    "quintic_invariants", "restrict_to_line", "richelot_forward",
-    "richelot_inverse", "run_verifications", "salmon_contravariant",
-    "sample_report", "sigma_map", "transvectant", "triple_invariants",
+    "is_harmonic", "jacobian", "named_invariant", "parse_poly",
+    "parse_poly_file", "polar", "poly_det", "poly_ring", "q_construction",
+    "quartic_cover", "quartic_self_map", "quintic_invariants",
+    "restrict_to_line", "richelot_forward", "richelot_inverse",
+    "run_verifications", "salmon_contravariant", "sample_report", "sigma_map",
+    "transvectant", "triple_invariants",
 ]

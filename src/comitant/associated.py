@@ -18,8 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
 
-from .comitants import BinaryForm, TernaryForm, hessian
-from .invariants import canonical_quartic
+from .comitants import DUAL_VARS, Form, hessian
+from .invariants import _exponents, canonical_quartic
 from .linalg import Matrix, poly_solve_cramer
 from .maps import (PENCIL_VARS, RationalMapP1, compose, descend_map,
                    quartic_cover)
@@ -32,7 +32,8 @@ class AssociatedFormError(ValueError):
 
 
 DUAL_BINARY = ("u", "v")
-DUAL_TERNARY = ("u", "v", "w")
+# variable count -> (form degree, dual variables)
+_SPACES = {2: (4, DUAL_BINARY), 3: (3, DUAL_VARS)}
 
 
 class AssociatedFormResult:
@@ -51,13 +52,6 @@ class AssociatedFormResult:
                 f"scale={self.scale})")
 
 
-def _degree_monomials(n, N):
-    if n == 2:
-        return [(N - i, i) for i in range(N + 1)]
-    return [(N - i - j, i, j) for i in range(N + 1)
-            for j in range(N + 1 - i)]
-
-
 def _coeff_vector(p: Poly, monomials):
     return [p.terms.get(e, Fraction(0)) for e in monomials]
 
@@ -72,7 +66,7 @@ def _multinomial(N, e):
 def _jacobian_columns(f: Poly, n, d, N, monomials):
     """Degree-N spanning set of J(f): multiplier monomials times partials."""
     cols = []
-    for mult in _degree_monomials(n, N - (d - 1)):
+    for mult in _exponents(n, N - (d - 1)):
         mono = Poly.monomial(1, mult, f.vars, f.ring)
         for i in range(n):
             gen = mono * f.partial(i)
@@ -82,13 +76,11 @@ def _jacobian_columns(f: Poly, n, d, N, monomials):
 
 def associated_form(form) -> AssociatedFormResult:
     """as(f) for a binary quartic or ternary cubic with rational coefficients."""
-    if isinstance(form, BinaryForm):
-        n, d, dual = 2, 4, DUAL_BINARY
-    elif isinstance(form, TernaryForm):
-        n, d, dual = 3, 3, DUAL_TERNARY
-    else:
+    n = len(form.indices) if isinstance(form, Form) else 0
+    if n not in _SPACES:
         raise AssociatedFormError(
             "expected a binary quartic or a ternary cubic")
+    d, dual = _SPACES[n]
     if form.degree != d:
         raise AssociatedFormError(f"form degree must be {d}")
     f = form.poly
@@ -96,7 +88,7 @@ def associated_form(form) -> AssociatedFormResult:
         raise AssociatedFormError(
             "associated_form needs a parameter-free form over QQ")
     N = n * (d - 2)
-    monomials = _degree_monomials(n, N)
+    monomials = _exponents(n, N)
     dim = len(monomials)
 
     he = hessian(f)
@@ -138,7 +130,7 @@ def congruence_holds(result: AssociatedFormResult, form, ell) -> bool:
     n, d = result.space
     f = form.poly
     N = n * (d - 2)
-    monomials = _degree_monomials(n, N)
+    monomials = _exponents(n, N)
     ell_poly = Poly.zero(f.vars, QQ)
     for i, c in enumerate(ell):
         ell_poly = ell_poly + Poly.variable(f.vars[i], f.vars, QQ) * c
@@ -165,7 +157,7 @@ def associated_slice_map() -> RationalMapP1:
     cq = canonical_quartic()          # vars (alpha, x, y), indices (1, 2)
     f = cq.poly
     d, N = 4, 4
-    monomials = _degree_monomials(2, N)
+    monomials = _exponents(2, N)
     var_idx = cq.indices
     alpha_vars = ("alpha",)
 
@@ -175,7 +167,7 @@ def associated_slice_map() -> RationalMapP1:
 
     he = hessian(f, var_idx)
     cols = [vec(he)]
-    for mult in _degree_monomials(2, N - (d - 1)):
+    for mult in _exponents(2, N - (d - 1)):
         mono = Poly.monomial(1, (0,) + mult, f.vars, QQ)
         for i in var_idx:
             cols.append(vec(mono * f.partial(i)))

@@ -22,21 +22,21 @@ import sys
 from fractions import Fraction
 
 from .associated import associated_form, associated_slice_map
-from .comitants import BinaryForm, TernaryForm
+from .comitants import Form
 from .fibers import sample_report
 from .geometry import (Conic, PointPair, coble_identity_check,
                        q_construction, richelot_forward, richelot_inverse,
                        sigma_map)
 from .grammar import parse_poly_file
-from .invariants import evaluate_invariant, named_invariant
+from .invariants import (BINARY_VARS, TERNARY_VARS, evaluate_invariant,
+                         named_invariant)
 from .maps import (compose, descend_map, hesse_cover, hesse_self_map,
                    hammond_image_polys, quartic_cover, quartic_self_map)
 from .quartic import clebsch_covariant, salmon_contravariant
+from .scalars import is_prime
 from .verify import (DEFAULT_PRIMES, DEFAULT_SEED, DEFAULT_TRIALS,
                      run_verifications)
 
-BINARY_VARS = ("x", "y")
-TERNARY_VARS = ("X", "Y", "Z")
 PAIR_VARS = ("s", "t")
 
 _SELF_MAPS = {"hesse": hesse_self_map, "quartic": quartic_self_map}
@@ -67,9 +67,7 @@ def _read_form(path: str, space: tuple, params=()):
     active = BINARY_VARS if n == 2 else TERNARY_VARS
     names = tuple(params) + active
     poly = parse_poly_file(path, names)
-    indices = tuple(range(len(params), len(params) + n))
-    cls = BinaryForm if n == 2 else TernaryForm
-    return cls(poly, d, indices)
+    return Form(poly, d, range(len(params), len(names)))
 
 
 def _read_pairs(path: str):
@@ -83,7 +81,7 @@ def _read_pairs(path: str):
     pairs = []
     for ln in lines:
         poly = parse_poly(ln, PAIR_VARS)
-        pairs.append(PointPair(BinaryForm(poly, 2, (0, 1))))
+        pairs.append(PointPair(Form(poly, 2)))
     return pairs
 
 
@@ -92,17 +90,6 @@ def _fractions(text: str, count: int) -> list:
     if len(parts) != count:
         raise ValueError(f"expected {count} comma-separated values")
     return [Fraction(p) for p in parts]
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    q = 2
-    while q * q <= p:
-        if p % q == 0:
-            return False
-        q += 1
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +130,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_fiber_count(args) -> int:
-    if not _is_prime(args.prime):
+    if not is_prime(args.prime):
         raise ValueError(f"{args.prime} is not prime")
     if args.map == "hammond":
         target_map = list(hammond_image_polys())

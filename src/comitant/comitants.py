@@ -10,26 +10,28 @@ transvectants, and chart restrictions without a coefficient-field tower.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
-from .poly import Poly, binomial
-from .scalars import QQ
+from .poly import Poly
 
 
 class FormError(ValueError):
     pass
 
 
-class BinaryForm:
-    """Homogeneous form of known degree in two designated variables.
+class Form:
+    """Homogeneous form of known degree in designated variables.
 
-    The zero polynomial is allowed (degree still declared); extra variables
-    of the underlying Poly act as symbolic coefficients.
+    indices selects the form variables (all by default, as in `hessian`);
+    the variable count of the form is len(indices).  The zero polynomial is
+    allowed (degree still declared); extra variables of the underlying Poly
+    act as symbolic coefficients.
     """
 
-    def __init__(self, poly: Poly, degree: int, indices=(0, 1)):
-        if len(indices) != 2:
-            raise FormError("a binary form needs exactly 2 form variables")
+    def __init__(self, poly: Poly, degree: int, indices=None):
+        if indices is None:
+            indices = range(len(poly.vars))
+        indices = tuple(indices)
         if not poly.is_homogeneous(indices):
             raise FormError("polynomial is not homogeneous in the form variables")
         if poly.terms and poly.degree_in(indices) != degree:
@@ -38,35 +40,15 @@ class BinaryForm:
                 f"{poly.degree_in(indices)}")
         self.poly = poly
         self.degree = degree
-        self.indices = tuple(indices)
+        self.indices = indices
 
     def __eq__(self, other):
-        return (isinstance(other, BinaryForm) and self.poly == other.poly
+        return (isinstance(other, Form) and self.poly == other.poly
                 and self.degree == other.degree
                 and self.indices == other.indices)
 
     def __repr__(self):
-        return f"BinaryForm({self.poly!r}, degree={self.degree})"
-
-
-class TernaryForm:
-    """Homogeneous form of known degree in three designated variables."""
-
-    def __init__(self, poly: Poly, degree: int, indices=(0, 1, 2)):
-        if len(indices) != 3:
-            raise FormError("a ternary form needs exactly 3 form variables")
-        if not poly.is_homogeneous(indices):
-            raise FormError("polynomial is not homogeneous in the form variables")
-        if poly.terms and poly.degree_in(indices) != degree:
-            raise FormError(
-                f"declared degree {degree} but polynomial has degree "
-                f"{poly.degree_in(indices)}")
-        self.poly = poly
-        self.degree = degree
-        self.indices = tuple(indices)
-
-    def __repr__(self):
-        return f"TernaryForm({self.poly!r}, degree={self.degree})"
+        return f"Form({self.poly!r}, degree={self.degree})"
 
 
 def hessian(p: Poly, indices=None) -> Poly:
@@ -101,7 +83,7 @@ def jacobian(polys: list, indices=None) -> Poly:
     return poly_det(rows)
 
 
-def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
+def transvectant(f: Form, g: Form, k: int) -> Form:
     """The k-th transvectant (f, g)_k in the factorial normalization.
 
     (f,g)_k = (m-k)!(n-k)!/(m! n!) * sum_i (-1)^i C(k,i)
@@ -110,6 +92,8 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     """
     if f.indices != g.indices or f.poly.vars != g.poly.vars:
         raise FormError("transvectant arguments live in different rings")
+    if len(f.indices) != 2:
+        raise FormError("transvectants are taken of binary forms")
     m, n = f.degree, g.degree
     if k < 0 or k > min(m, n):
         raise FormError(f"transvectant index {k} out of range for degrees "
@@ -128,12 +112,12 @@ def transvectant(f: BinaryForm, g: BinaryForm, k: int) -> BinaryForm:
     acc = Poly.zero(f.poly.vars, f.poly.ring)
     for i in range(k + 1):
         term = dk(f.poly, k - i, i) * dk(g.poly, i, k - i)
-        c = binomial(k, i)
+        c = comb(k, i)
         acc = acc + (term * c if i % 2 == 0 else term * (-c))
-    return BinaryForm(acc * scale, m + n - 2 * k, f.indices)
+    return Form(acc * scale, m + n - 2 * k, f.indices)
 
 
-def polar(f: TernaryForm, point_vars=("p1", "p2", "p3")) -> Poly:
+def polar(f: Form, point_vars=("p1", "p2", "p3")) -> Poly:
     """First polar: sum_i p_i * df/dx_i in the 6-variable ring.
 
     The result is degree d-1 in the form variables and linear in the fresh
@@ -155,8 +139,8 @@ def polar(f: TernaryForm, point_vars=("p1", "p2", "p3")) -> Poly:
 DUAL_VARS = ("u", "v", "w")
 
 
-def restrict_to_line(f: TernaryForm, chart: int,
-                     line_vars=("x", "y"), dual_vars=DUAL_VARS) -> BinaryForm:
+def restrict_to_line(f: Form, chart: int,
+                     line_vars=("x", "y"), dual_vars=DUAL_VARS) -> Form:
     """Restrict f to the general line u*X + v*Y + w*Z = 0 in one chart.
 
     chart=2 substitutes (X,Y,Z) = (w*x, w*y, -u*x - v*y); charts 0 and 1 are
@@ -191,4 +175,4 @@ def restrict_to_line(f: TernaryForm, chart: int,
         else:
             images.append(Poly.variable(name, out_vars, ring))
     n = len(params)
-    return BinaryForm(f.poly.substitute(images), f.degree, (n, n + 1))
+    return Form(f.poly.substitute(images), f.degree, (n, n + 1))

@@ -11,6 +11,7 @@ generic-fiber claims at desk scale.
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import numpy as np
 
@@ -184,8 +185,8 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
     """Census plus fiber sizes at the images of seeded random source points.
 
     Returns {"lines": [...], "max_fiber": n, "indeterminate": n,
-    "fractions": fraction of samples with fiber exactly 1}.  Sampled source
-    points landing on the indeterminacy locus are redrawn.
+    "fraction_ones": the exact Fraction of samples with fiber exactly 1}.
+    Sampled source points landing on the indeterminacy locus are redrawn.
     """
     if samples < 1:
         raise FiberError("need at least one sample")
@@ -209,6 +210,6 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
         "lines": lines,
         "max_fiber": census.max_fiber,
         "indeterminate": census.indeterminate,
-        "fraction_ones": ones / samples,
+        "fraction_ones": Fraction(ones, samples),
         "census": census,
     }

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .comitants import BinaryForm
+from .comitants import Form
 from .linalg import Matrix, poly_det
 from .maps import normalize_point
 from .poly import Poly, poly_ring
-from .scalars import QQ, ring_zero
+from .scalars import QQ, ring_one, ring_zero
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
 
@@ -43,9 +43,9 @@ class PointPair:
     quadratic A*s^2 + B*s*t + C*t^2 (double points allowed, but flagged
     by is_double_point)."""
 
-    def __init__(self, form: BinaryForm):
-        if form.degree != 2:
-            raise GeometryError("point pair needs a degree-2 form")
+    def __init__(self, form: Form):
+        if form.degree != 2 or len(form.indices) != 2:
+            raise GeometryError("point pair needs a degree-2 binary form")
         if form.poly.is_zero():
             raise GeometryError("zero form does not cut a point pair")
         self.form = form
@@ -54,7 +54,7 @@ class PointPair:
     def from_coefficients(cls, A, B, C, vars=("t0", "t1"),
                           ring=QQ) -> "PointPair":
         s, t = poly_ring(vars, ring)
-        return cls(BinaryForm(s * s * A + s * t * B + t * t * C, 2, (0, 1)))
+        return cls(Form(s * s * A + s * t * B + t * t * C, 2, (0, 1)))
 
     def coefficients(self):
         """(A, B, C) — scalars, or polynomials in the parameter variables."""
@@ -107,13 +107,12 @@ def harmonic_pairing(b1: PointPair, b2: PointPair):
     """
     A, B, C = b1.coefficients()
     A2, B2, C2 = b2.coefficients()
-    return A * C2 + A2 * C - B * B2 * Fraction(1, 2)
+    half = ring_one(b1.form.poly.ring) / 2
+    return A * C2 + A2 * C - B * B2 * half
 
 
 def is_harmonic(b1: PointPair, b2: PointPair) -> bool:
-    A, B, C = b1.coefficients()
-    A2, B2, C2 = b2.coefficients()
-    return _is_zero_val((A * C2 + A2 * C) * 2 - B * B2)
+    return _is_zero_val(harmonic_pairing(b1, b2))
 
 
 def harmonic_partner(pair: PointPair, pt):
@@ -209,7 +208,7 @@ class Conic:
             t = Poly.variable(line_vars[1], big, A.ring)
             poly = (s * s * A.extend_to(big) + s * t * B.extend_to(big)
                     + t * t * C.extend_to(big))
-            return PointPair(BinaryForm(poly, 2, (n, n + 1)))
+            return PointPair(Form(poly, 2, (n, n + 1)))
         return PointPair.from_coefficients(A, B, C, line_vars)
 
     def __repr__(self):

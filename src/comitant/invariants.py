@@ -24,9 +24,9 @@ from itertools import combinations_with_replacement
 from math import comb
 import random
 
-from .comitants import BinaryForm, TernaryForm, transvectant
+from .comitants import Form, transvectant
 from .linalg import LinearSubstitution, Matrix, int_nullspace_mod_p
-from .poly import Poly, binomial, divexact, poly_ring
+from .poly import Poly, divexact, poly_ring
 from .scalars import QQ, rational_reconstruct, rational_to_fp, ring_zero
 
 _PRIME = 2**31 - 1
@@ -91,7 +91,7 @@ class _FormSpace:
             key=lambda e: (sum(e), e), reverse=True)
         if n == 2:
             self.names = tuple(f"a{e[1]}" for e in self.monomials)
-            self.weights = tuple(binomial(d, e[1]) for e in self.monomials)
+            self.weights = tuple(comb(d, e[1]) for e in self.monomials)
             self.basis = "binomial"
         else:
             self.names = tuple("a" + "".join(map(str, e))
@@ -303,22 +303,22 @@ def _find_invariants_exact(space, candidates, col_of, derivs):
 
 
 def _as_form(f, n, d):
-    if isinstance(f, (BinaryForm, TernaryForm)):
-        want = BinaryForm if n == 2 else TernaryForm
-        if not isinstance(f, want):
-            raise InvariantError("space mismatch: wrong kind of form")
-        if f.degree != d:
-            raise InvariantError(
-                f"space mismatch: degree {f.degree}, descriptor wants {d}")
-        return f
     if isinstance(f, Poly):
         if len(f.vars) != n:
             raise InvariantError(
                 "space mismatch: bare polynomial must use exactly the form "
                 "variables; wrap parameterized forms")
-        cls = BinaryForm if n == 2 else TernaryForm
-        return cls(f, d, tuple(range(n)))  # constructor rejects a bad degree
-    raise InvariantError(f"cannot interpret {type(f).__name__} as a form")
+        f = Form(f, d)  # the constructor rejects a bad degree
+    elif not isinstance(f, Form):
+        raise InvariantError(f"cannot interpret {type(f).__name__} as a form")
+    if len(f.indices) != n:
+        raise InvariantError(
+            f"space mismatch: {len(f.indices)} form variables, descriptor "
+            f"wants {n}")
+    if f.degree != d:
+        raise InvariantError(
+            f"space mismatch: degree {f.degree}, descriptor wants {d}")
+    return f
 
 
 def evaluate_invariant(inv: InvariantDescriptor, f):
@@ -329,9 +329,6 @@ def evaluate_invariant(inv: InvariantDescriptor, f):
     """
     n, d = inv.space
     form = _as_form(f, n, d)
-    if form.degree != d:
-        raise InvariantError(
-            f"space mismatch: degree {form.degree}, descriptor wants {d}")
     space = _space(n, d)
     ring = form.poly.ring
     coeffs = form.poly.coefficients_in(form.indices)
@@ -354,26 +351,26 @@ def evaluate_invariant(inv: InvariantDescriptor, f):
 # pencils with known values, used to pin scalars
 
 
-def hesse_pencil() -> TernaryForm:
+def hesse_pencil() -> Form:
     """t0*(X^3+Y^3+Z^3) + 6*t1*X*Y*Z over (t0, t1, X, Y, Z)."""
     vars = ("t0", "t1") + TERNARY_VARS
     t0, t1, X, Y, Z = poly_ring(vars, QQ)
-    return TernaryForm(t0 * (X**3 + Y**3 + Z**3) + t1 * (X * Y * Z) * 6, 3,
-                       (2, 3, 4))
+    return Form(t0 * (X**3 + Y**3 + Z**3) + t1 * (X * Y * Z) * 6, 3,
+                (2, 3, 4))
 
 
-def quartic_pencil() -> BinaryForm:
+def quartic_pencil() -> Form:
     """t0*(x^4+y^4) + 6*t1*x^2*y^2 over (t0, t1, x, y)."""
     vars = ("t0", "t1") + BINARY_VARS
     t0, t1, x, y = poly_ring(vars, QQ)
-    return BinaryForm(t0 * (x**4 + y**4) + t1 * (x**2 * y**2) * 6, 4, (2, 3))
+    return Form(t0 * (x**4 + y**4) + t1 * (x**2 * y**2) * 6, 4, (2, 3))
 
 
-def canonical_quartic() -> BinaryForm:
+def canonical_quartic() -> Form:
     """x^4 + 6*alpha*x^2*y^2 + y^4 with a free parameter alpha."""
     vars = ("alpha",) + BINARY_VARS
     alpha, x, y = poly_ring(vars, QQ)
-    return BinaryForm(x**4 + alpha * (x**2 * y**2) * 6 + y**4, 4, (1, 2))
+    return Form(x**4 + alpha * (x**2 * y**2) * 6 + y**4, 4, (1, 2))
 
 
 def _pin_scalar(raw: InvariantDescriptor, form, target: Poly, name: str):
@@ -453,7 +450,7 @@ def named_invariant(name: str, space) -> InvariantDescriptor:
 # quintic invariants by transvectant chain
 
 
-def _strip_form_vars(b: BinaryForm, names) -> Poly:
+def _strip_form_vars(b: Form, names) -> Poly:
     groups = b.poly.coefficients_in(b.indices)
     if set(groups) - {(0, 0)}:
         raise InvariantError("expected a form of degree 0")
@@ -473,7 +470,7 @@ def quintic_invariants():
     """
     space = _space(2, 5)
     k = len(space.names)
-    f = BinaryForm(space.generic_poly(), 5, (k, k + 1))
+    f = Form(space.generic_poly(), 5, (k, k + 1))
     i = transvectant(f, f, 4)
     j = transvectant(f, i, 2)
     m = transvectant(j, j, 2)
@@ -517,8 +514,7 @@ def _check_independent(descs, seed=1729):
 
 def substituted_form(form, g: LinearSubstitution):
     """Apply a linear change of the form variables only."""
-    cls = type(form)
-    return cls(g.apply(form.poly, form.indices), form.degree, form.indices)
+    return Form(g.apply(form.poly, form.indices), form.degree, form.indices)
 
 
 def measured_weight(inv: InvariantDescriptor, g: LinearSubstitution,

@@ -271,11 +271,6 @@ class LinearSubstitution:
         return p.substitute(images)
 
 
-def substitute(p: Poly, s: LinearSubstitution, indices=None) -> Poly:
-    """Module-level alias for LinearSubstitution.apply."""
-    return s.apply(p, indices)
-
-
 # -- polynomial matrices -----------------------------------------------
 
 def poly_det(rows: list) -> Poly:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .comitants import BinaryForm, hessian, jacobian, transvectant
+from .comitants import Form, hessian, jacobian, transvectant
 from .invariants import (evaluate_invariant, hesse_pencil, invariant_I2,
                          invariant_I3, invariant_S, invariant_T,
                          quartic_pencil)
@@ -123,10 +123,6 @@ def normalize_point(coords, ring):
 def identity_map(ring=QQ) -> RationalMapP1:
     t0, t1 = poly_ring(PENCIL_VARS, ring)
     return RationalMapP1(t0, t1)
-
-
-def map_degree(m: RationalMapP1) -> int:
-    return m.degree
 
 
 def compose(outer: RationalMapP1, inner: RationalMapP1) -> RationalMapP1:
@@ -331,13 +327,13 @@ def hammond_image_polys() -> tuple:
             -(k1 * f))
 
 
-def c35_jacobian(form: BinaryForm) -> BinaryForm:
+def c35_jacobian(form: Form) -> Form:
     """The quintic covariant J(f, (f,f)_4), defined on all of V(2,5)."""
     if form.degree != 5:
         raise MapError("this covariant is defined on binary quintics")
     t4 = transvectant(form, form, 4)
     jac = jacobian([form.poly, t4.poly], form.indices)
-    return BinaryForm(jac, 5, form.indices)
+    return Form(jac, 5, form.indices)
 
 
 _T_MONOMIAL_EXPS = ((5, 0), (4, 1), (3, 2), (2, 3), (1, 4), (0, 5))
@@ -363,7 +359,7 @@ def hammond_path_comparison() -> dict:
     a, b, e, f, t0, t1 = poly_ring(vars, QQ)
     slice_poly = (t0**5 * a + t0**4 * t1 * (b * 5) + t0 * t1**4 * (e * 5)
                   + t1**5 * f)
-    path2 = c35_jacobian(BinaryForm(slice_poly, 5, (4, 5))).poly
+    path2 = c35_jacobian(Form(slice_poly, 5, (4, 5))).poly
     coeffs2 = path2.coefficients_in((4, 5))
     scalar = None
     flipped = []
@@ -392,16 +388,6 @@ def hammond_path_comparison() -> dict:
         scalar, flipped = -scalar, [x for x in _T_MONOMIAL_EXPS
                                     if x not in flipped]
     return {"scalar": scalar, "flipped": tuple(flipped)}
-
-
-def hammond_path_scalar() -> Fraction:
-    """The global path scalar; errors unless the agreement is sign-perfect."""
-    cmp = hammond_path_comparison()
-    if cmp["flipped"]:
-        raise MapError(
-            "C_{3,5} paths agree only up to a sign flip at t-monomials "
-            f"{cmp['flipped']} (formula-check failure)")
-    return cmp["scalar"]
 
 
 def hammond_c35(B: HammondQuintic) -> QuinticImage:

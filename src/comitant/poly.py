@@ -453,15 +453,15 @@ def univariate_gcd(p: Poly, q: Poly) -> Poly:
         core = Poly.constant(1, p.vars, p.ring)
         if used:
             i = used[0]
-            u = _to_univariate(p1, i)
-            v = _to_univariate(q1, i)
+            u = _dehomogenize(p1, i)
+            v = _dehomogenize(q1, i)
             g = _euclid(u, v, p.ring)
             core = _from_univariate(g, i, len(p.vars), p.vars, p.ring,
                                     homogenize_at=None)
     else:
         i, j = used
-        u = _dehomogenize(p1, i, j)
-        v = _dehomogenize(q1, i, j)
+        u = _dehomogenize(p1, i)
+        v = _dehomogenize(q1, i)
         g = _euclid(u, v, p.ring)
         core = _from_univariate(g, i, len(p.vars), p.vars, p.ring,
                                 homogenize_at=j)
@@ -476,16 +476,9 @@ def _gcd_normalize(p: Poly) -> Poly:
     return p.scale_div(lc)
 
 
-def _to_univariate(p: Poly, i: int) -> list:
-    d = max(e[i] for e in p.terms)
-    out = [ring_zero(p.ring)] * (d + 1)
-    for e, c in p.terms.items():
-        out[e[i]] = c
-    return out
-
-
-def _dehomogenize(p: Poly, i: int, j: int) -> list:
-    """Coefficient list of p(x, 1) where x is variable i and 1 replaces j."""
+def _dehomogenize(p: Poly, i: int) -> list:
+    """Coefficient list of p as a polynomial in variable i, with every other
+    variable set to 1."""
     d = max(e[i] for e in p.terms)
     out = [ring_zero(p.ring)] * (d + 1)
     for e, c in p.terms.items():
@@ -531,12 +524,3 @@ def _euclid(u: list, v: list, ring) -> list:
     if not u:
         return [ring_one(ring)]
     return u
-
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

@@ -11,48 +11,15 @@ Two constructions, both reductions to already-calibrated invariants:
 
 from __future__ import annotations
 
-from .comitants import (DUAL_VARS, TernaryForm, polar, restrict_to_line)
+from .comitants import DUAL_VARS, Form, polar, restrict_to_line
 from .invariants import (evaluate_invariant, invariant_I2, invariant_S,
                          invariant_S_quartic)
 from .linalg import LinearSubstitution
 from .poly import Poly, divexact
-from .scalars import QQ
 
 
 class QuarticError(ValueError):
     pass
-
-
-class DualTernaryForm:
-    """Homogeneous form in the three dual (line) coordinates."""
-
-    def __init__(self, poly: Poly, degree: int, indices=(0, 1, 2)):
-        if len(indices) != 3:
-            raise QuarticError("a dual ternary form needs 3 variables")
-        if not poly.is_homogeneous(indices):
-            raise QuarticError(
-                "polynomial is not homogeneous in the dual variables")
-        if poly.terms and poly.degree_in(indices) != degree:
-            raise QuarticError(
-                f"declared degree {degree} but polynomial has degree "
-                f"{poly.degree_in(indices)}")
-        self.poly = poly
-        self.degree = degree
-        self.indices = tuple(indices)
-
-    def value_at(self, coords):
-        """Evaluate on a line (a dual point); parameter-free forms only."""
-        if len(self.poly.vars) != 3:
-            raise QuarticError("evaluation needs a parameter-free form")
-        return self.poly.evaluate(list(coords))
-
-    def __eq__(self, other):
-        return (isinstance(other, DualTernaryForm)
-                and self.poly == other.poly and self.degree == other.degree
-                and self.indices == other.indices)
-
-    def __repr__(self):
-        return f"DualTernaryForm({self.poly!r}, degree={self.degree})"
 
 
 def _fresh_point_vars(taken):
@@ -63,22 +30,21 @@ def _fresh_point_vars(taken):
     raise QuarticError("could not pick fresh point variable names")
 
 
-def clebsch_covariant(F: TernaryForm) -> TernaryForm:
+def clebsch_covariant(F: Form) -> Form:
     """The order-4 covariant: S of the polar cubic, as a form in the point.
 
     Vanishes exactly where the polar cubic is equianharmonic; degree 4 in
     the coefficients of F.
     """
-    if F.degree != 4:
+    if F.degree != 4 or len(F.indices) != 3:
         raise QuarticError("expected a ternary quartic")
     pv = _fresh_point_vars(F.poly.vars)
-    cubic = TernaryForm(polar(F, pv), 3, F.indices)
+    cubic = Form(polar(F, pv), 3, F.indices)
     val = evaluate_invariant(invariant_S(), cubic)
     active = tuple(F.poly.vars[i] for i in F.indices)
     renamed = val.rename_vars(tuple(
         active[pv.index(v)] if v in pv else v for v in val.vars))
-    return TernaryForm(renamed, 4,
-                       tuple(renamed.vars.index(v) for v in active))
+    return Form(renamed, 4, tuple(renamed.vars.index(v) for v in active))
 
 
 # Degree bookkeeping for the line-restriction contravariant: restricting a
@@ -90,7 +56,7 @@ def clebsch_covariant(F: TernaryForm) -> TernaryForm:
 CHART_DIVISOR_POWER = 4
 
 
-def _omega_in_chart(F: TernaryForm, chart: int) -> Poly:
+def _omega_in_chart(F: Form, chart: int) -> Poly:
     restricted = restrict_to_line(F, chart)
     val = evaluate_invariant(invariant_I2(), restricted)
     pos = val.vars.index(DUAL_VARS[chart])
@@ -105,13 +71,13 @@ def _omega_in_chart(F: TernaryForm, chart: int) -> Poly:
             f"{DUAL_VARS[chart]}^{CHART_DIVISOR_POWER} is not exact") from exc
 
 
-def salmon_contravariant(F: TernaryForm) -> DualTernaryForm:
+def salmon_contravariant(F: Form) -> Form:
     """The order-4 contravariant: I2 of the restriction to a moving line.
 
     Computed independently in the three dual charts; exact agreement of the
     three results is the correctness certificate, enforced per call.
     """
-    if F.degree != 4:
+    if F.degree != 4 or len(F.indices) != 3:
         raise QuarticError("expected a ternary quartic")
     w2 = _omega_in_chart(F, 2)
     w0 = _omega_in_chart(F, 0)
@@ -119,11 +85,10 @@ def salmon_contravariant(F: TernaryForm) -> DualTernaryForm:
     if not (w0 == w1 and w1 == w2):
         raise QuarticError("cross-chart disagreement in the line "
                            "restriction invariant")
-    return DualTernaryForm(
-        w2, 4, tuple(w2.vars.index(v) for v in DUAL_VARS))
+    return Form(w2, 4, tuple(w2.vars.index(v) for v in DUAL_VARS))
 
 
-def clebsch_pencil(F: TernaryForm, c, c2) -> TernaryForm:
+def clebsch_pencil(F: Form, c, c2) -> Form:
     """c * (covariant of F) + c2 * (degree-3 invariant of F) * F.
 
     Members of the 2-dimensional space of degree-4, order-4 covariants.
@@ -135,7 +100,7 @@ def clebsch_pencil(F: TernaryForm, c, c2) -> TernaryForm:
         base = base * s4.extend_to(cov.poly.vars)
     else:
         base = base * s4
-    return TernaryForm(cov.poly * c + base * c2, 4, cov.indices)
+    return Form(cov.poly * c + base * c2, 4, cov.indices)
 
 
 def contragredient(g: LinearSubstitution) -> LinearSubstitution:

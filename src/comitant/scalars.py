@@ -10,6 +10,7 @@ tag: ``QQ`` for the rationals, ``GF(p)`` for a prime field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, isqrt
 
 
 class RingMismatchError(TypeError):
@@ -114,6 +115,18 @@ class Fp:
         return str(self.val)
 
 
+def is_prime(p: int) -> bool:
+    """Trial division; meant for the small moduli a user passes in."""
+    if p < 2:
+        return False
+    q = 2
+    while q * q <= p:
+        if p % q == 0:
+            return False
+        q += 1
+    return True
+
+
 def ring_of(c) -> tuple:
     """Ring tag of a scalar value."""
     if isinstance(c, Fp):
@@ -161,7 +174,7 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     Returns None when no such fraction exists.
     """
     a %= m
-    bound = int((m // 2) ** 0.5)
+    bound = isqrt(m // 2)
     r0, r1 = m, a
     s0, s1 = 0, 1
     while r1 > bound:
@@ -173,7 +186,6 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
     num, den = r1, s1
     if den < 0:
         num, den = -num, -den
-    from math import gcd
     if gcd(num, den) != 1:
         return None
     return Fraction(num, den)

@@ -31,13 +31,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .associated import (DUAL_BINARY, DUAL_TERNARY, associated_form,
+from .associated import (DUAL_BINARY, associated_form,
                          associated_selfmap_degree, associated_slice_map,
                          congruence_holds)
-from .comitants import BinaryForm, TernaryForm, hessian, transvectant
+from .comitants import DUAL_VARS, Form, hessian, transvectant
 from .fibers import sample_report
 from .geometry import (GeometryError, PointPair, ProjectivePoint, bracket,
-                       bracket_factorizations, chord, coble_matrix,
+                       chord, coble_identity_check, coble_matrix,
                        conic_through, is_tangency_pair, pair_triples_match,
                        pair_vertex, q_construction, richelot_forward,
                        richelot_inverse, symbolic_conic)
@@ -46,13 +46,14 @@ from .invariants import (canonical_quartic, evaluate_invariant, generic_form,
                          invariant_S, invariant_T, quartic_pencil,
                          quintic_invariants, random_substitution,
                          substituted_form)
+from .linalg import LinearSubstitution
 from .maps import (PENCIL_VARS, c35_jacobian, compose, descend_map,
                    hammond_image_polys, hammond_path_comparison,
                    hammond_relations_symbolic, hesse_cover, hesse_self_map,
                    quartic_cover, quartic_self_map)
 from .poly import Poly, divexact, poly_ring
 from .quartic import clebsch_covariant, contragredient, salmon_contravariant
-from .scalars import QQ
+from .scalars import QQ, is_prime
 
 PASS = "pass"
 FAIL = "fail"
@@ -73,11 +74,12 @@ class VerifyContext:
     seed: int
     primes: tuple
     trials: int
+    claim_id: str
 
-    def rng(self, claim_id: str) -> random.Random:
+    def rng(self) -> random.Random:
         # string seeding hashes all bits deterministically (seed version 2),
         # so per-claim streams are independent of the filter in effect
-        return random.Random(f"{self.seed}:{claim_id}")
+        return random.Random(f"{self.seed}:{self.claim_id}")
 
 
 @dataclass
@@ -139,24 +141,25 @@ def _nonsquare_substitution(n: int, rng: random.Random):
             return g
 
 
-def _covariance_series(ctx, claim_id, n, degree, comitant, redraw_ok=True):
+def _covariance_series(rng, probes, n, degree, comitant, arity=1,
+                       act_out=LinearSubstitution.apply):
     """Measure the determinant weight once, then assert it exactly on
-    ctx.trials fresh (form, substitution) probes.  Returns (weight, count)."""
-    rng = ctx.rng(claim_id)
+    `probes` fresh probes.  A probe draws `arity` random forms f and a
+    substitution g, and checks comitant(g.f, ...) == det(g)^w *
+    act_out(g, comitant(f, ...)).  Returns (weight, probes)."""
     names = ("x", "y") if n == 2 else ("X", "Y", "Z")
     weight = None
     checked = 0
-    while checked < ctx.trials:
-        f = _random_form(rng, names, degree, bound=5)
-        base = comitant(f)
+    while checked < probes:
+        forms = [_random_form(rng, names, degree, bound=5)
+                 for _ in range(arity)]
+        base = comitant(*forms)
         if base.is_zero():
-            if not redraw_ok:
-                raise VerifyError("comitant vanished on a random form")
             continue
         g = (_nonsquare_substitution(n, rng) if weight is None
              else random_substitution(n, rng))
-        moved = comitant(g.apply(f))
-        target = g.apply(base)
+        moved = comitant(*(g.apply(f) for f in forms))
+        target = act_out(g, base)
         if weight is None:
             ratio = _constant_ratio(target, moved)
             weight = _det_power(g.matrix.det(), ratio)
@@ -195,23 +198,29 @@ def _c_aronhold_calibration(ctx):
                   "T = t0^6 - 20*t0^3*t1^3 - 8*t1^6, exact")
 
 
-def _c_hesse_map_degrees(ctx):
-    h = hesse_self_map()
-    cov = hesse_cover()
-    comp = compose(cov, h)
-    if (h.degree, cov.degree, comp.degree) != (3, 12, 36):
-        return FAIL, (f"degrees: self-map {h.degree}, cover {cov.degree}, "
-                      f"composite {comp.degree}")
-    down = descend_map(cov, comp, 3)
-    if down.degree != 3 or compose(down, cov) != comp:
+def _map_degrees(ctx, selfmap, cover, degree, cover_degree):
+    """Self-map and cover degrees, exact descent of the composite, and a
+    fiber bound from one sampled census."""
+    comp = compose(cover, selfmap)
+    want = (degree, cover_degree, degree * cover_degree)
+    if (selfmap.degree, cover.degree, comp.degree) != want:
+        return FAIL, (f"degrees: self-map {selfmap.degree}, cover "
+                      f"{cover.degree}, composite {comp.degree}")
+    down = descend_map(cover, comp, degree)
+    if down.degree != degree or compose(down, cover) != comp:
         return FAIL, f"descent gave degree {down.degree}"
     p = ctx.primes[1]
-    census = sample_report(h, p, samples=1, seed=ctx.seed)
-    if census["max_fiber"] > 3:
+    census = sample_report(selfmap, p, samples=1, seed=ctx.seed)
+    if census["max_fiber"] > degree:
         return FAIL, f"a fiber of size {census['max_fiber']} over F_{p}"
-    return PASS, ("self-map degree 3, invariant cover degree 12, composite "
-                  "36, descended quotient degree 3 (round-trip exact); "
+    return PASS, (f"self-map degree {degree}, invariant cover degree "
+                  f"{cover_degree}, composite {degree * cover_degree}, "
+                  f"descended quotient degree {degree} (round-trip exact); "
                   f"max fiber {census['max_fiber']} over F_{p}")
+
+
+def _c_hesse_map_degrees(ctx):
+    return _map_degrees(ctx, hesse_self_map(), hesse_cover(), 3, 12)
 
 
 def _c_quartic_calibration(ctx):
@@ -226,22 +235,7 @@ def _c_quartic_calibration(ctx):
 
 
 def _c_quartic_map_degrees(ctx):
-    h = quartic_self_map()
-    cov = quartic_cover()
-    comp = compose(cov, h)
-    if (h.degree, cov.degree, comp.degree) != (2, 6, 12):
-        return FAIL, (f"degrees: self-map {h.degree}, cover {cov.degree}, "
-                      f"composite {comp.degree}")
-    down = descend_map(cov, comp, 2)
-    if down.degree != 2 or compose(down, cov) != comp:
-        return FAIL, f"descent gave degree {down.degree}"
-    p = ctx.primes[1]
-    census = sample_report(h, p, samples=1, seed=ctx.seed)
-    if census["max_fiber"] > 2:
-        return FAIL, f"a fiber of size {census['max_fiber']} over F_{p}"
-    return PASS, ("self-map degree 2, invariant cover degree 6, composite "
-                  "12, descended quotient degree 2 (round-trip exact); "
-                  f"max fiber {census['max_fiber']} over F_{p}")
+    return _map_degrees(ctx, quartic_self_map(), quartic_cover(), 2, 6)
 
 
 def _c_quartic_hessian_middle_term(ctx):
@@ -289,8 +283,9 @@ def _c_quintic_image_fibers(ctx):
     samples = max(100, ctx.trials * 5)
     rep = sample_report(hammond_image_polys(), p, samples, ctx.seed)
     frac = rep["fraction_ones"]
+    tenths = round(frac * 1000)  # of a percent, rounded exactly
     witness = (f"P^3(F_{p}) census: {samples} sampled image points, "
-               f"{frac:.1%} with fiber size 1; max_fiber="
+               f"{tenths // 10}.{tenths % 10}% with fiber size 1; max_fiber="
                f"{rep['max_fiber']} indeterminate={rep['indeterminate']}")
     if frac < Fraction(95, 100):
         return FAIL, witness
@@ -302,16 +297,9 @@ def _c_quintic_image_fibers(ctx):
 
 
 def _c_coble_bracket_identity(ctx):
-    m = coble_matrix()
-    for (i, j, k), expected in bracket_factorizations().items():
-        if bracket(m, i, j, k) != expected:
-            return FAIL, f"minor ({i}{j}{k}) does not match its closed form"
-    lhs = (bracket(m, 1, 2, 3) * bracket(m, 1, 4, 5)
-           * bracket(m, 2, 4, 6) * bracket(m, 3, 5, 6))
-    rhs = (bracket(m, 1, 2, 4) * bracket(m, 1, 3, 5)
-           * bracket(m, 2, 3, 6) * bracket(m, 4, 5, 6))
-    if lhs != rhs:
-        return FAIL, "(123)(145)(246)(356) != (124)(135)(236)(456)"
+    if not coble_identity_check():
+        return FAIL, ("a minor misses its closed form, or "
+                      "(123)(145)(246)(356) != (124)(135)(236)(456)")
     return PASS, ("(123)(145)(246)(356) == (124)(135)(236)(456) as an "
                   "exact identity in QQ[a..f]; all eight minors match "
                   "their closed-form factorizations")
@@ -355,79 +343,49 @@ def _c_six_point_conic_table(ctx):
 
 
 def _c_equivariance_hessian(ctx):
-    w, n = _covariance_series(ctx, "13", 3, 3,
-                              lambda p: hessian(p))
+    w, n = _covariance_series(ctx.rng(), ctx.trials, 3, 3, hessian)
     return PASS, (f"He(g.F) == det(g)^{w} * g.He(F) for {n} random "
                   "substitutions on random ternary cubics, exact")
 
 
 def _c_equivariance_transvectant(ctx):
-    rng = ctx.rng("14")
-    weight = {2: None, 4: None}
-    counts = {2: 0, 4: 0}
-    for t in range(ctx.trials):
-        k = 2 if t % 2 == 0 else 4
-        f = BinaryForm(_random_form(rng, ("x", "y"), 4, 5), 4, (0, 1))
-        h = BinaryForm(_random_form(rng, ("x", "y"), 4, 5), 4, (0, 1))
-        base = transvectant(f, h, k)
-        if base.poly.is_zero():
-            continue
-        g = (_nonsquare_substitution(2, rng) if weight[k] is None
-             else random_substitution(2, rng))
-        moved = transvectant(substituted_form(f, g),
-                             substituted_form(h, g), k)
-        target = substituted_form(base, g)
-        if weight[k] is None:
-            ratio = _constant_ratio(target.poly, moved.poly)
-            weight[k] = _det_power(g.matrix.det(), ratio)
-        elif moved.poly != target.poly * g.matrix.det()**weight[k]:
-            return FAIL, f"det^{weight[k]} covariance failed for k={k}"
-        counts[k] += 1
-    if min(counts.values()) == 0:
-        return FAIL, "no nonzero probes for one transvectant index"
+    rng = ctx.rng()
+    probes = (ctx.trials + 1) // 2
+    series = []
+    for k in (2, 4):
+        def comitant(f, h):
+            return transvectant(Form(f, 4), Form(h, 4), k).poly
+        series.append(_covariance_series(rng, probes, 2, 4, comitant, arity=2))
+    (w2, n2), (w4, n4) = series
     return PASS, (f"(g.f, g.h)_k == det(g)^k * g.(f,h)_k exactly: "
-                  f"{counts[2]} probes at k=2 (weight {weight[2]}), "
-                  f"{counts[4]} probes at k=4 (weight {weight[4]})")
+                  f"{n2} probes at k=2 (weight {w2}), "
+                  f"{n4} probes at k=4 (weight {w4})")
 
 
 def _c_equivariance_quintic_covariant(ctx):
     def comitant(p):
-        return c35_jacobian(BinaryForm(p, 5, (0, 1))).poly
-    w, n = _covariance_series(ctx, "15", 2, 5, comitant)
+        return c35_jacobian(Form(p, 5)).poly
+    w, n = _covariance_series(ctx.rng(), ctx.trials, 2, 5, comitant)
     return PASS, (f"J(g.f, (g.f, g.f)_4) == det(g)^{w} * g.J(f, (f,f)_4) "
                   f"for {n} random substitutions on full binary quintics")
 
 
 def _c_equivariance_clebsch_quartic(ctx):
     def comitant(p):
-        return clebsch_covariant(TernaryForm(p, 4, (0, 1, 2))).poly
-    w, n = _covariance_series(ctx, "16", 3, 4, comitant)
+        return clebsch_covariant(Form(p, 4)).poly
+    w, n = _covariance_series(ctx.rng(), ctx.trials, 3, 4, comitant)
     return PASS, (f"degree-4 covariant of ternary quartics transforms with "
                   f"det(g)^{w} on {n} random substitutions, exact")
 
 
 def _c_equivariance_salmon_dual(ctx):
-    rng = ctx.rng("17")
-    weight = None
-    checked = 0
-    while checked < ctx.trials:
-        p = _random_form(rng, ("X", "Y", "Z"), 4, 5)
-        base = salmon_contravariant(TernaryForm(p, 4, (0, 1, 2)))
-        if base.poly.is_zero():
-            continue
-        g = (_nonsquare_substitution(3, rng) if weight is None
-             else random_substitution(3, rng))
-        moved = salmon_contravariant(
-            TernaryForm(g.apply(p), 4, (0, 1, 2)))
-        target = substituted_form(base, contragredient(g))
-        if weight is None:
-            ratio = _constant_ratio(target.poly, moved.poly)
-            weight = _det_power(g.matrix.det(), ratio)
-        elif moved.poly != target.poly * g.matrix.det()**weight:
-            return FAIL, f"det^{weight} contravariance failed"
-        checked += 1
-    return PASS, (f"Omega(g.F) == det(g)^{weight} * Omega(F) o g^(-T) for "
-                  f"{checked} random substitutions: the dual form "
+    def comitant(p):
+        return salmon_contravariant(Form(p, 4)).poly
+    w, n = _covariance_series(
+        ctx.rng(), ctx.trials, 3, 4, comitant,
+        act_out=lambda g, p: contragredient(g).apply(p))
+    return PASS, (f"Omega(g.F) == det(g)^{w} * Omega(F) o g^(-T) for "
+                  f"{n} random substitutions: the dual form "
                   "transforms contragrediently, exact")
 
 
@@ -436,15 +394,15 @@ def _c_equivariance_salmon_dual(ctx):
 
 
 def _c_quintic_invariant_basis(ctx):
-    rng = ctx.rng("18")
+    rng = ctx.rng()
     trio = quintic_invariants()  # self-validates: degrees, sl2, rank 3
     x, y = poly_ring(("x", "y"), QQ)
-    x5 = BinaryForm(x**5, 5, (0, 1))
+    x5 = Form(x**5, 5)
     for desc in trio:
         if evaluate_invariant(desc, x5) != 0:
             return FAIL, f"{desc.name} does not vanish on x^5"
     while True:
-        sample = BinaryForm(_random_form(rng, ("x", "y"), 5, 5), 5, (0, 1))
+        sample = Form(_random_form(rng, ("x", "y"), 5, 5), 5)
         vals = [evaluate_invariant(d, sample) for d in trio]
         if all(vals):
             break
@@ -465,16 +423,16 @@ def _c_quintic_invariant_basis(ctx):
 
 
 def _c_associated_form_values(ctx):
-    rng = ctx.rng("19")
+    rng = ctx.rng()
     x, y = poly_ring(("x", "y"), QQ)
-    bform = BinaryForm(x**4 + y**4, 4, (0, 1))
+    bform = Form(x**4 + y**4, 4)
     bres = associated_form(bform)
     u, v = poly_ring(DUAL_BINARY, QQ)
     c2 = _constant_ratio(u**2 * v**2, bres.form)
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
-    tform = TernaryForm(X**3 + Y**3 + Z**3, 3, (0, 1, 2))
+    tform = Form(X**3 + Y**3 + Z**3, 3)
     tres = associated_form(tform)
-    u3, v3, w3 = poly_ring(DUAL_TERNARY, QQ)
+    u3, v3, w3 = poly_ring(DUAL_VARS, QQ)
     c3 = _constant_ratio(u3 * v3 * w3, tres.form)
     for res, form, n in ((bres, bform, 2), (tres, tform, 3)):
         done = 0
@@ -522,7 +480,7 @@ def _random_pair_triple(rng):
 
 
 def _c_richelot_roundtrip(ctx):
-    rng = ctx.rng("21")
+    rng = ctx.rng()
     s, t = poly_ring(("s", "t"), QQ)
     fixture = [PointPair.from_coefficients(0, 1, 0, ("s", "t")),
                PointPair.from_coefficients(1, 0, -1, ("s", "t")),
@@ -554,7 +512,7 @@ def _c_richelot_roundtrip(ctx):
 
 
 def _c_richelot_tangency_duality(ctx):
-    rng = ctx.rng("22")
+    rng = ctx.rng()
     done = 0
     attempts = 0
     while done < ctx.trials:
@@ -586,10 +544,10 @@ def _c_richelot_tangency_duality(ctx):
 # dual-quartic claims
 
 
-def _generic_ternary_quartic() -> TernaryForm:
+def _generic_ternary_quartic() -> Form:
     p = generic_form(3, 4)
     k = len(p.vars) - 3
-    return TernaryForm(p, 4, (k, k + 1, k + 2))
+    return Form(p, 4, (k, k + 1, k + 2))
 
 
 def _c_salmon_chart_consistency(ctx):
@@ -608,15 +566,14 @@ def _c_salmon_chart_consistency(ctx):
 
 def _c_salmon_fermat_values(ctx):
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
-    u, v, w = poly_ring(DUAL_TERNARY, QQ)
-    om0 = salmon_contravariant(TernaryForm(X**4, 4, (0, 1, 2)))
+    u, v, w = poly_ring(DUAL_VARS, QQ)
+    om0 = salmon_contravariant(Form(X**4, 4))
     if not om0.poly.is_zero():
         return FAIL, f"Omega(x^4) computed as {om0.poly}"
-    om1 = salmon_contravariant(
-        TernaryForm(X**4 + Y**4 + Z**4, 4, (0, 1, 2)))
+    om1 = salmon_contravariant(Form(X**4 + Y**4 + Z**4, 4))
     if om1.poly != u**4 + v**4 + w**4:
         return FAIL, f"Omega(x^4+y^4+z^4) computed as {om1.poly}"
-    if om1.value_at((0, 0, 1)) != 1:
+    if om1.poly.evaluate([0, 0, 1]) != 1:
         return FAIL, "evaluation at [0,0,1] is off"
     return PASS, ("Omega(x^4) == 0 and Omega(x^4+y^4+z^4) == "
                   "u^4+v^4+w^4 exactly; value 1 at the dual point [0,0,1]")
@@ -811,8 +768,9 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
                       trials: int = DEFAULT_TRIALS) -> VerificationReport:
     """Run the registry (or the `only` subset, by claim id) and report."""
     primes = tuple(primes)
-    if len(primes) < 2 or any(p < 3 for p in primes):
-        raise VerifyError("need two odd primes")
+    if len(primes) < 2 or not all(p > 2 and is_prime(p) for p in primes):
+        raise VerifyError(
+            f"need two odd primes, got {', '.join(map(str, primes))}")
     if trials < 1:
         raise VerifyError("trials must be positive")
     selected = list(_REGISTRY)
@@ -824,9 +782,9 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
             raise VerifyError(f"unknown claim ids: {', '.join(unknown)}")
         keep = set(wanted)
         selected = [c for c in selected if c.claim_id in keep]
-    ctx = VerifyContext(seed=seed, primes=primes, trials=trials)
     entries = []
     for claim in selected:
+        ctx = VerifyContext(seed, primes, trials, claim.claim_id)
         start = time.perf_counter()
         try:
             status, witness = claim.fn(ctx)

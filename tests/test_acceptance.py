@@ -7,6 +7,7 @@ prints a single `criterion NN PASS/FAIL` line on the real stdout so the
 run log shows the checklist even under output capture.
 """
 
+import hashlib
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import pytest
 
 from comitant.associated import (associated_form, associated_selfmap_degree,
                                  associated_slice_map)
-from comitant.comitants import BinaryForm, TernaryForm, hessian
+from comitant.comitants import Form, hessian
 from comitant.geometry import (PointPair, ProjectivePoint, coble_identity_check,
                                conic_through, pair_triples_match,
                                q_construction, richelot_forward,
@@ -32,10 +33,19 @@ from comitant.verify import (FAIL, NOTED, OUT_OF_SCOPE, PASS,
                              run_verifications)
 
 
+# SHA-256 of run_verifications().canonical() at the default parameters
+CANONICAL_SHA256 = (
+    "a91c8789c574129141d4c4a99fa8eabbb925cd8f30dadb78c146490f3972082f")
+
+
 @pytest.fixture(scope="module")
-def registry():
-    rep = run_verifications()
-    return {r["claim_id"]: r for r in rep.records()}
+def report():
+    return run_verifications()
+
+
+@pytest.fixture(scope="module")
+def registry(report):
+    return {r["claim_id"]: r for r in report.records()}
 
 
 @pytest.fixture
@@ -157,7 +167,7 @@ def test_criterion_09_quintic_invariants(registry, criterion):
         trio = quintic_invariants()
         assert [d.degree for d in trio] == [4, 8, 12]
         x, y = poly_ring(("x", "y"), QQ)
-        power = BinaryForm(x**5, 5)
+        power = Form(x**5, 5)
         assert all(evaluate_invariant(d, power) == 0 for d in trio)
         # invariance and algebraic independence live in the registry entry
         assert registry["18-quintic-invariant-basis"]["status"] == PASS
@@ -167,11 +177,11 @@ def test_criterion_10_associated_forms(registry, criterion):
     with criterion(10, "associated forms and the induced degree-1 map"):
         x, y = poly_ring(("x", "y"), QQ)
         u, v = poly_ring(("u", "v"), QQ)
-        assert associated_form(BinaryForm(x**4 + y**4, 4)).form == u**2 * v**2
+        assert associated_form(Form(x**4 + y**4, 4)).form == u**2 * v**2
         X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
         U, V, W = poly_ring(("u", "v", "w"), QQ)
         assert associated_form(
-            TernaryForm(X**3 + Y**3 + Z**3, 3)).form == U * V * W
+            Form(X**3 + Y**3 + Z**3, 3)).form == U * V * W
         assert associated_slice_map().degree == 1
         assert associated_selfmap_degree() == 1
         assert registry["19-associated-form-values"]["status"] == PASS
@@ -191,12 +201,12 @@ def test_criterion_12_line_restriction_contravariant(registry, criterion):
     with criterion(12, "dual quartic: cross-chart agreement and values"):
         gen = generic_form(3, 4)
         k = len(gen.vars) - 3
-        om = salmon_contravariant(TernaryForm(gen, 4, (k, k + 1, k + 2)))
+        om = salmon_contravariant(Form(gen, 4, (k, k + 1, k + 2)))
         assert len(om.poly.terms) == 63
         X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
         u, v, w = poly_ring(("u", "v", "w"), QQ)
-        assert salmon_contravariant(TernaryForm(X**4, 4)).poly.is_zero()
-        fermat = salmon_contravariant(TernaryForm(X**4 + Y**4 + Z**4, 4))
+        assert salmon_contravariant(Form(X**4, 4)).poly.is_zero()
+        fermat = salmon_contravariant(Form(X**4 + Y**4 + Z**4, 4))
         assert fermat.poly == u**4 + v**4 + w**4
         assert registry["23-salmon-chart-consistency"]["status"] == PASS
         assert registry["24-salmon-fermat-values"]["status"] == PASS
@@ -217,3 +227,8 @@ def test_no_registry_failures_and_runtime_budget(registry):
     assert FAIL not in statuses.values(), statuses
     total_ms = sum(r["millis"] for r in registry.values())
     assert total_ms < 600_000  # the whole registry in under ten minutes
+
+
+def test_canonical_report_is_byte_identical(report):
+    digest = hashlib.sha256(report.canonical().encode("utf-8")).hexdigest()
+    assert digest == CANONICAL_SHA256

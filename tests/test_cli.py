@@ -246,6 +246,13 @@ def test_verify_only_subset(tmp_path, capsys):
     assert data["parameters"]["seed"] == 0
 
 
+def test_verify_rejects_composite_moduli(capsys):
+    code, out, err = run(capsys, "verify", "--primes", "9,15")
+    assert code == 2
+    assert "need two odd primes, got 9, 15" in err
+    assert out == ""
+
+
 def test_verify_unknown_id(capsys):
     code, out, err = run(capsys, "verify", "--only", "nope")
     assert code == 2

@@ -2,31 +2,32 @@ from fractions import Fraction
 
 import pytest
 
+from comitant.associated import AssociatedFormError, associated_form
 from comitant.comitants import (
-    BinaryForm,
+    Form,
     FormError,
-    TernaryForm,
     hessian,
     jacobian,
     polar,
     restrict_to_line,
     transvectant,
 )
+from comitant.invariants import (InvariantError, evaluate_invariant,
+                                 invariant_S)
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import QQ
 
 
 def bform(text, degree, variables=("x", "y")):
     from comitant.grammar import parse_poly
-    return BinaryForm(parse_poly(text, variables), degree,
-                      (len(variables) - 2, len(variables) - 1))
+    return Form(parse_poly(text, variables), degree,
+                (len(variables) - 2, len(variables) - 1))
 
 
 def tform(text, degree, variables=("X", "Y", "Z")):
     from comitant.grammar import parse_poly
-    return TernaryForm(parse_poly(text, variables), degree,
-                       (len(variables) - 3, len(variables) - 2,
-                        len(variables) - 1))
+    return Form(parse_poly(text, variables), degree,
+                (len(variables) - 3, len(variables) - 2, len(variables) - 1))
 
 
 # ---------------------------------------------------------------- form types
@@ -34,31 +35,34 @@ def tform(text, degree, variables=("X", "Y", "Z")):
 def test_binary_form_rejects_inhomogeneous():
     x, y = poly_ring(("x", "y"), QQ)
     with pytest.raises(FormError, match="not homogeneous"):
-        BinaryForm(x**2 + y, 2)
+        Form(x**2 + y, 2)
 
 
 def test_binary_form_rejects_wrong_declared_degree():
     x, y = poly_ring(("x", "y"), QQ)
     with pytest.raises(FormError, match="declared degree"):
-        BinaryForm(x**2, 3)
+        Form(x**2, 3)
 
 
 def test_zero_form_keeps_declared_degree():
-    f = BinaryForm(Poly.zero(("x", "y"), QQ), 5)
+    f = Form(Poly.zero(("x", "y"), QQ), 5)
     assert f.degree == 5
     assert f.poly.is_zero()
 
 
 def test_ternary_form_needs_three_indices():
+    # a 2-index Form is a binary form; ternary consumers reject it
     x, y = poly_ring(("x", "y"), QQ)
-    with pytest.raises(FormError, match="3 form variables"):
-        TernaryForm(x * y, 2, (0, 1))
+    with pytest.raises(InvariantError, match="2 form variables"):
+        evaluate_invariant(invariant_S(), Form(x**3 + y**3, 3, (0, 1)))
+    with pytest.raises(AssociatedFormError, match="degree must be 4"):
+        associated_form(Form(x**3 + y**3, 3, (0, 1)))
 
 
 def test_extra_variables_act_as_coefficients():
     # a*x^2 + y^2 is a perfectly good binary quadric in (x, y).
     a, x, y = poly_ring(("a", "x", "y"), QQ)
-    f = BinaryForm(a * x**2 + y**2, 2, (1, 2))
+    f = Form(a * x**2 + y**2, 2, (1, 2))
     assert f.degree == 2
 
 
@@ -163,7 +167,7 @@ def test_polar_point_variable_collision():
 
 
 def test_polar_of_constant_rejected():
-    f = TernaryForm(Poly.constant(1, ("X", "Y", "Z"), QQ), 0)
+    f = Form(Poly.constant(1, ("X", "Y", "Z"), QQ), 0)
     with pytest.raises(FormError, match="constant"):
         polar(f)
 

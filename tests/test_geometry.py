@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from comitant.comitants import BinaryForm
+from comitant.comitants import Form
 from comitant.geometry import (
     Conic,
     GeometryError,
@@ -32,7 +32,7 @@ from comitant.geometry import (
     triple_invariants,
 )
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import QQ
+from comitant.scalars import GF, QQ, Fp
 
 P = PointPair.from_coefficients
 
@@ -56,9 +56,9 @@ def test_point_pair_roundtrip_and_equality():
 def test_point_pair_guards():
     t0, t1 = poly_ring(("t0", "t1"), QQ)
     with pytest.raises(GeometryError, match="degree-2"):
-        PointPair(BinaryForm(t0**3, 3))
+        PointPair(Form(t0**3, 3))
     with pytest.raises(GeometryError, match="zero form"):
-        PointPair(BinaryForm(Poly.zero(("t0", "t1"), QQ), 2))
+        PointPair(Form(Poly.zero(("t0", "t1"), QQ), 2))
     with pytest.raises(TypeError, match="unhashable"):
         hash(P(1, 0, -1))
 
@@ -76,6 +76,10 @@ def test_harmonic_pairing_values():
     # {0, oo} against itself: the pairing is -B*B'/2 = -1/2
     assert harmonic_pairing(P(0, 1, 0), P(0, 1, 0)) == Fraction(-1, 2)
     assert not is_harmonic(P(0, 1, 0), P(0, 1, 0))
+    # the same pairs over F_7, where 1/2 = 4
+    F7 = [P(*c, ring=GF(7)) for c in ((0, 1, 0), (1, 0, -1))]
+    assert is_harmonic(*F7)
+    assert harmonic_pairing(F7[0], F7[0]) == Fp(-4, 7)
 
 
 def test_harmonic_partner():
@@ -263,7 +267,7 @@ def test_sigma_commutes_with_reparametrization():
 
     def reparam(p, a, b, c, d):
         q = p.form.poly.substitute([t0 * a + t1 * b, t0 * c + t1 * d])
-        return PointPair(BinaryForm(q, 2, (0, 1)))
+        return PointPair(Form(q, 2, (0, 1)))
 
     base = triple_invariants(sigma_map(sigma_probe()))
     for g in ((1, 2, 1, -1), (0, 1, 1, 0), (3, 1, 5, 2)):

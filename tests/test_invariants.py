@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from comitant.grammar import parse_poly
-from comitant.comitants import BinaryForm, TernaryForm
+from comitant.comitants import Form
 from comitant.invariants import (
     InvariantError,
     canonical_quartic,
@@ -67,12 +67,12 @@ def test_I2_I3_on_the_canonical_quartic():
 
 def test_I2_I3_on_plain_forms():
     x, y = poly_ring(("x", "y"), QQ)
-    f = BinaryForm(x**4 + y**4, 4)
+    f = Form(x**4 + y**4, 4)
     assert evaluate_invariant(named_invariant("I2", (2, 4)), f) == 1
     assert evaluate_invariant(named_invariant("I3", (2, 4)), f) == 0
     # x^3*y has a1 as its only nonzero binomial coefficient, which kills
     # every monomial of both invariants
-    g = BinaryForm(x**3 * y, 4)
+    g = Form(x**3 * y, 4)
     assert evaluate_invariant(named_invariant("I2", (2, 4)), g) == 0
     assert evaluate_invariant(named_invariant("I3", (2, 4)), g) == 0
 
@@ -87,7 +87,7 @@ def test_S_and_T_on_the_hesse_pencil():
 
 def test_S_T_on_fermat_cubic():
     # the pencil at (t0, t1) = (1, 0)
-    f = TernaryForm(parse_poly("X^3 + Y^3 + Z^3", ("X", "Y", "Z")), 3)
+    f = Form(parse_poly("X^3 + Y^3 + Z^3", ("X", "Y", "Z")), 3)
     assert evaluate_invariant(named_invariant("S", (3, 3)), f) == 0
     assert evaluate_invariant(named_invariant("T", (3, 3)), f) == 1
 
@@ -109,7 +109,7 @@ def test_named_invariant_unknown():
 
 def test_degree_mismatch_rejected():
     x, y = poly_ring(("x", "y"), QQ)
-    f = BinaryForm(x**3, 3)
+    f = Form(x**3, 3)
     with pytest.raises(InvariantError, match="space mismatch"):
         evaluate_invariant(named_invariant("I2", (2, 4)), f)
 
@@ -125,7 +125,7 @@ def test_quintic_trio_degrees_and_names():
 
 def test_quintic_invariants_vanish_on_pure_power():
     x, y = poly_ring(("x", "y"), QQ)
-    f = BinaryForm(x**5, 5)
+    f = Form(x**5, 5)
     for name in ("I4", "I8", "I12"):
         assert evaluate_invariant(named_invariant(name, (2, 5)), f) == 0
 
@@ -133,7 +133,7 @@ def test_quintic_invariants_vanish_on_pure_power():
 def test_quintic_invariants_unimodular_invariance():
     rng = random.Random(20240)
     x, y = poly_ring(("x", "y"), QQ)
-    f = BinaryForm(x**5 - 2 * x**3 * y**2 + 3 * x * y**4 + y**5, 5)
+    f = Form(x**5 - 2 * x**3 * y**2 + 3 * x * y**4 + y**5, 5)
     trio = quintic_invariants()
     base = [evaluate_invariant(d, f) for d in trio]
     for _ in range(3):
@@ -148,7 +148,7 @@ def test_quintic_invariants_unimodular_invariance():
 def test_measured_weight_matches_declared():
     rng = random.Random(7)
     x, y = poly_ring(("x", "y"), QQ)
-    sample = BinaryForm(x**4 + x * y**3 - y**4, 4)
+    sample = Form(x**4 + x * y**3 - y**4, 4)
     for name, expect in (("I2", 4), ("I3", 6)):
         inv = named_invariant(name, (2, 4))
         assert inv.weight() == expect
@@ -163,12 +163,12 @@ def test_measured_weight_rejects_zero_locus():
     inv = named_invariant("I3", (2, 4))
     g = random_substitution(2, random.Random(1))
     with pytest.raises(InvariantError, match="zero locus"):
-        measured_weight(inv, g, BinaryForm(x**4 + y**4, 4))
+        measured_weight(inv, g, Form(x**4 + y**4, 4))
 
 
 def test_ternary_quartic_degree_three_invariant():
     inv = invariant_S_quartic()
     assert inv.degree == 3 and inv.space == (3, 4)
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
-    fermat = TernaryForm(X**4 + Y**4 + Z**4, 4)
+    fermat = Form(X**4 + Y**4 + Z**4, 4)
     assert evaluate_invariant(inv, fermat) != 0

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from comitant.poly import Poly, binomial, divexact, poly_ring, univariate_gcd
+from comitant.invariants import generic_form
+from comitant.poly import Poly, divexact, poly_ring, univariate_gcd
 from comitant.scalars import GF, QQ, Fp
 
 
@@ -115,7 +116,11 @@ def test_str_ordering_is_stable():
 
 
 def test_binomial():
-    assert [binomial(4, k) for k in range(5)] == [1, 4, 6, 4, 1]
+    # the binary universal form carries the binomial weights 1, 4, 6, 4, 1
+    a0, a1, a2, a3, a4, x, y = poly_ring(generic_form(2, 4).vars, QQ)
+    assert generic_form(2, 4) == (a0 * x**4 + 4 * a1 * x**3 * y
+                                  + 6 * a2 * x**2 * y**2 + 4 * a3 * x * y**3
+                                  + a4 * y**4)
 
 
 def test_rename_vars():

@@ -2,13 +2,12 @@ import random
 
 import pytest
 
-from comitant.comitants import TernaryForm
+from comitant.comitants import Form, FormError
 from comitant.invariants import (generic_form, random_substitution,
                                  substituted_form)
 from comitant.linalg import LinearSubstitution, Matrix
 from comitant.poly import Poly, poly_ring
 from comitant.quartic import (
-    DualTernaryForm,
     QuarticError,
     clebsch_covariant,
     clebsch_pencil,
@@ -20,12 +19,12 @@ from comitant.scalars import QQ
 
 def fermat():
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
-    return TernaryForm(X**4 + Y**4 + Z**4, 4)
+    return Form(X**4 + Y**4 + Z**4, 4)
 
 
 def perturbed():
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
-    return TernaryForm(X**4 + Y**4 + Z**4 + 6 * X**2 * Y * Z, 4)
+    return Form(X**4 + Y**4 + Z**4 + 6 * X**2 * Y * Z, 4)
 
 
 # ---------------------------------------------------------------- covariant
@@ -44,7 +43,7 @@ def test_clebsch_on_perturbed_fermat():
 def test_clebsch_rejects_non_quartic():
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
     with pytest.raises(QuarticError, match="ternary quartic"):
-        clebsch_covariant(TernaryForm(X**3 + Y**3 + Z**3, 3))
+        clebsch_covariant(Form(X**3 + Y**3 + Z**3, 3))
 
 
 def test_clebsch_covariance_spot_check():
@@ -85,19 +84,19 @@ def test_salmon_on_fermat():
     om = salmon_contravariant(fermat())
     assert om.poly == u**4 + v**4 + w**4
     assert om.degree == 4
-    assert om.value_at((0, 0, 1)) == 1
+    assert om.poly.evaluate([0, 0, 1]) == 1
 
 
 def test_salmon_vanishes_on_pure_power():
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
-    om = salmon_contravariant(TernaryForm(X**4, 4))
+    om = salmon_contravariant(Form(X**4, 4))
     assert om.poly.is_zero()
 
 
 def test_salmon_on_generic_quartic():
     gen = generic_form(3, 4)
     k = len(gen.vars) - 3
-    F = TernaryForm(gen, 4, (k, k + 1, k + 2))
+    F = Form(gen, 4, (k, k + 1, k + 2))
     om = salmon_contravariant(F)
     assert len(om.poly.terms) == 63
     # quadratic in the quartic's coefficients, quartic in the line
@@ -122,20 +121,20 @@ def test_salmon_contragredience_spot_check():
 def test_salmon_rejects_non_quartic():
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
     with pytest.raises(QuarticError, match="ternary quartic"):
-        salmon_contravariant(TernaryForm(X**2 + Y * Z, 2))
+        salmon_contravariant(Form(X**2 + Y * Z, 2))
 
 
 # ----------------------------------------------------------------- plumbing
 
 def test_dual_form_validation():
     u, v, w = poly_ring(("u", "v", "w"), QQ)
-    with pytest.raises(QuarticError, match="not homogeneous"):
-        DualTernaryForm(u**2 + v, 2)
-    with pytest.raises(QuarticError, match="declared degree"):
-        DualTernaryForm(u**2, 3)
-    f = DualTernaryForm(u * v - w**2, 2)
-    assert f.value_at((1, 1, 1)) == 0
-    assert f == DualTernaryForm(u * v - w**2, 2)
+    with pytest.raises(FormError, match="not homogeneous"):
+        Form(u**2 + v, 2)
+    with pytest.raises(FormError, match="declared degree"):
+        Form(u**2, 3)
+    f = Form(u * v - w**2, 2)
+    assert f.poly.evaluate([1, 1, 1]) == 0
+    assert f == Form(u * v - w**2, 2)
 
 
 def test_contragredient_is_inverse_transpose():

@@ -74,3 +74,10 @@ def test_rational_reconstruct_round_trip(num, den):
 def test_rational_reconstruct_failure_is_none():
     # 37 mod 101 is not congruent to any p/q with |p|, q <= sqrt(101/2)
     assert rational_reconstruct(37, 101) is None
+
+
+def test_rational_reconstruct_bound_is_exact():
+    # m // 2 = k^2 - 1 rounds up to k^2 as a float, but the bound is k - 1,
+    # so the residue k itself (k/1 with k > bound) must not come back
+    k = 2**30 + 1
+    assert rational_reconstruct(k, 2 * (k * k - 1)) is None

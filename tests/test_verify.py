@@ -1,9 +1,12 @@
 """The claim registry itself: ids, statuses, determinism, filtering."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
+from comitant import verify
 from comitant.verify import (
     FAIL,
     NOTED,
@@ -60,6 +63,8 @@ def test_parameter_validation():
         run_verifications(only=CHEAP[:1], primes=(101,))
     with pytest.raises(VerifyError, match="odd primes"):
         run_verifications(only=CHEAP[:1], primes=(2, 101))
+    with pytest.raises(VerifyError, match="odd primes"):
+        run_verifications(only=CHEAP[:1], primes=(9, 15))
     with pytest.raises(VerifyError, match="trials"):
         run_verifications(only=CHEAP[:1], trials=0)
 
@@ -109,3 +114,38 @@ def test_seed_changes_probe_streams_not_outcomes():
     b = run_verifications(only=["13-equivariance-hessian"], seed=99)
     (ra,), (rb,) = a.records(), b.records()
     assert ra["status"] == rb["status"] == PASS
+
+
+def test_claim_rng_is_keyed_by_registry_id(monkeypatch):
+    drawn = {}
+
+    def probe(ctx):
+        drawn[ctx.claim_id] = ctx.rng().random()
+        return PASS, "probe"
+
+    monkeypatch.setattr(verify, "_REGISTRY", tuple(
+        c._replace(fn=probe) for c in verify._REGISTRY))
+    run_verifications(seed=3)
+    assert drawn == {cid: random.Random(f"3:{cid}").random()
+                     for cid in claim_ids()}
+
+
+def test_transvectant_claim_with_one_trial():
+    rep = run_verifications(only=["14-equivariance-transvectant"], trials=1)
+    (rec,) = rep.records()
+    assert rec["status"] == PASS
+    assert "1 probes at k=2" in rec["witness"]
+    assert "1 probes at k=4" in rec["witness"]
+
+
+@pytest.mark.parametrize("ones, status", [(95, PASS), (94, FAIL)])
+def test_census_gate_is_exact_at_95_percent(monkeypatch, ones, status):
+    def census(m, p, samples, seed):
+        return {"fraction_ones": Fraction(ones, samples), "max_fiber": 2,
+                "indeterminate": 0}
+
+    monkeypatch.setattr(verify, "sample_report", census)
+    (rec,) = run_verifications(only=["09-quintic-image-fibers"]).records()
+    assert rec["status"] == status
+    assert f"100 sampled image points, {ones}.0% with fiber size 1" \
+        in rec["witness"]
