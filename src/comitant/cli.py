@@ -33,7 +33,6 @@ from .invariants import (BINARY_VARS, TERNARY_VARS, evaluate_invariant,
 from .maps import (compose, descend_map, hesse_cover, hesse_self_map,
                    hammond_image_polys, quartic_cover, quartic_self_map)
 from .quartic import clebsch_covariant, salmon_contravariant
-from .scalars import is_prime
 from .verify import (DEFAULT_PRIMES, DEFAULT_SEED, DEFAULT_TRIALS,
                      run_verifications)
 
@@ -130,8 +129,6 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_fiber_count(args) -> int:
-    if not is_prime(args.prime):
-        raise ValueError(f"{args.prime} is not prime")
     if args.map == "hammond":
         target_map = list(hammond_image_polys())
     else:

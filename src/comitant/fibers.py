@@ -6,6 +6,17 @@ the whole point cloud, images are normalized the same way, and a sort-based
 census gives every fiber size at once.  Degree conclusions are never drawn
 from these counts -- they corroborate the exact P^1 computations and the
 generic-fiber claims at desk scale.
+
+Each normalized image row of m coordinates is keyed by one int64 in mixed
+radix p, sum(v_i * p^(m-1-i)), whenever p^m < 2^63 (every P^1 census, and
+the six-coordinate P^3(F_101) census); the keys sort in lexicographic row
+order, so one int64 sort counts every fiber.  Wider rows fall back to a
+structured view of the row, compared field by field.
+
+Guards, each raising FiberError before anything is allocated:
+the source P^k(F_p) may have at most MAX_POINTS points; a product of two
+residues must fit in int64, i.e. (p-1)^2 < 2^63; and the modulus of a
+census must be prime (normalization uses Fermat inverses).
 """
 
 from __future__ import annotations
@@ -16,11 +27,34 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Poly
-from .scalars import GF, QQ, rational_to_fp
+from .scalars import GF, QQ, is_prime, rational_to_fp
+
+# Largest source P^k(F_p) a census enumerates: P^3(F_p) up to p = 251.
+MAX_POINTS = 2**24
 
 
 class FiberError(ValueError):
     pass
+
+
+def _point_count(k: int, p: int) -> int:
+    """|P^k(F_p)| = (p^(k+1) - 1)/(p - 1), checked against MAX_POINTS."""
+    if k < 0 or k > 3:
+        raise FiberError("source dimension out of the supported range 0..3")
+    if p < 2:
+        raise FiberError(f"modulus must be a prime, got {p}")
+    n = (p ** (k + 1) - 1) // (p - 1)
+    if n > MAX_POINTS:
+        raise FiberError(f"P^{k}(F_{p}) has {n} points, more than "
+                         f"MAX_POINTS = {MAX_POINTS}")
+    return n
+
+
+def _check_products(p: int) -> None:
+    """Residues are multiplied in int64: (p-1)^2 must not wrap."""
+    if (p - 1) ** 2 >= 2**63:
+        raise FiberError(f"modulus {p} is too large: products of residues "
+                         "overflow int64 once (p-1)^2 >= 2^63")
 
 
 def _int_terms(poly: Poly, p: int):
@@ -43,10 +77,9 @@ def projective_points(k: int, p: int) -> np.ndarray:
     """All points of P^k(F_p), one canonical representative per row.
 
     Stratified by position of the first nonzero coordinate; the count is
-    (p^(k+1) - 1) / (p - 1).
+    (p^(k+1) - 1) / (p - 1), at most MAX_POINTS.
     """
-    if k < 0 or k > 3:
-        raise FiberError("source dimension out of the supported range 0..3")
+    _point_count(k, p)
     blocks = []
     for lead in range(k + 1):
         free = k - lead
@@ -62,6 +95,7 @@ def projective_points(k: int, p: int) -> np.ndarray:
 
 def _evaluate(polys, pts: np.ndarray, p: int) -> np.ndarray:
     """Evaluate each polynomial mod p on every row of pts."""
+    _check_products(p)
     nvars = pts.shape[1]
     # power tables, built lazily up to the degrees that actually occur
     tables = [[np.ones(pts.shape[0], dtype=np.int64), pts[:, i] % p]
@@ -87,21 +121,54 @@ def _evaluate(polys, pts: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise, by square-and-multiply: the inverse of
+    every nonzero residue of x modulo the prime p."""
+    out = np.ones_like(x)
+    base = x % p
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
 def _normalize_rows(vals: np.ndarray, p: int):
     """Scale rows so the first nonzero entry is 1; returns (vals, zero mask)."""
     nonzero = vals != 0
     any_nonzero = nonzero.any(axis=1)
-    lead_idx = nonzero.argmax(axis=1)
-    inv = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)],
-                   dtype=np.int64)
-    lead = vals[np.arange(vals.shape[0]), lead_idx]
-    scale = np.where(any_nonzero, inv[lead], 0)
+    lead = vals[np.arange(vals.shape[0]), nonzero.argmax(axis=1)]
+    # invert through a table of all residues when there are at least as
+    # many rows as residues, so no call does work of size p for few rows
+    if p <= vals.shape[0]:
+        inv = _fermat_inverse(np.arange(p, dtype=np.int64), p)[lead]
+    else:
+        inv = _fermat_inverse(lead, p)
+    scale = np.where(any_nonzero, inv, 0)
     return vals * scale[:, None] % p, ~any_nonzero
 
 
 def _void_view(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     return arr.view([("", arr.dtype)] * arr.shape[1]).ravel()
+
+
+def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
+    """One sort key per row of residues mod p, in lexicographic row order.
+
+    The int64 sum(v_i * p^(m-1-i)) when p^m < 2^63; otherwise the row as a
+    structured (void) scalar, compared field by field.
+    """
+    m = rows.shape[1]
+    if p**m >= 2**63:
+        return _void_view(rows)
+    keys = np.zeros(rows.shape[0], dtype=np.int64)
+    for j in range(m):
+        keys *= p
+        keys += rows[:, j]
+    return keys
 
 
 class FiberCensus:
@@ -111,19 +178,24 @@ class FiberCensus:
         polys = list(polys)
         if not polys:
             raise FiberError("a map needs at least one coordinate")
+        k = len(polys[0].vars) - 1
+        _point_count(k, p)
+        _check_products(p)
+        if not is_prime(p):
+            raise FiberError(f"modulus {p} is not prime")
         self.p = p
         self.polys = polys
-        k = len(polys[0].vars) - 1
         self.source_dim = k
         pts = projective_points(k, p)
         vals = _evaluate(polys, pts, p)
         vals, indeterminate = _normalize_rows(vals, p)
+        # the benchmark's per-layer byte counter (perfbench/shim.py) reads
+        # source, images and indeterminate_mask; nothing else does
         self.source = pts
         self.images = vals
         self.indeterminate_mask = indeterminate
         self.indeterminate = int(indeterminate.sum())
-        defined = vals[~indeterminate]
-        keys = _void_view(defined)
+        keys = _row_keys(vals, p)[~indeterminate]
         self._uniq, self._counts = np.unique(keys, return_counts=True)
         self.total = pts.shape[0]
 
@@ -139,6 +211,9 @@ class FiberCensus:
         return int(self._counts.sum()) + self.indeterminate == self.total
 
     def normalize_target(self, target):
+        if len(target) != len(self.polys):
+            raise FiberError(f"target has {len(target)} coordinates, the map "
+                             f"has {len(self.polys)}")
         row = np.array([[int(c) % self.p for c in target]], dtype=np.int64)
         row, zero = _normalize_rows(row, self.p)
         if zero[0]:
@@ -147,7 +222,7 @@ class FiberCensus:
 
     def fiber_size(self, target) -> int:
         row = np.array([self.normalize_target(target)], dtype=np.int64)
-        key = _void_view(row)[0]
+        key = _row_keys(row, self.p)[0]
         i = np.searchsorted(self._uniq, key)
         if i < self._uniq.size and self._uniq[i] == key:
             return int(self._counts[i])

@@ -115,15 +115,39 @@ class Fp:
         return str(self.val)
 
 
+# Miller-Rabin to the first 13 prime bases (2..41) decides primality
+# exactly below this bound (Sorenson and Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(p: int) -> bool:
-    """Trial division; meant for the small moduli a user passes in."""
+    """Exact primality of p < 3.3e24 by deterministic Miller-Rabin.
+
+    Raises ValueError for larger p, where these bases no longer decide.
+    """
+    if p >= _MR_BOUND:
+        raise ValueError(f"{p} is beyond the exact primality range "
+                         f"(below {_MR_BOUND})")
     if p < 2:
         return False
-    q = 2
-    while q * q <= p:
+    for q in _MR_BASES:
         if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        q += 1
     return True
 
 

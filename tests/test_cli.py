@@ -123,6 +123,14 @@ def test_fiber_count_rejects_composite_modulus(capsys):
     assert "not prime" in err
 
 
+def test_fiber_count_rejects_prime_past_point_bound(capsys):
+    # 2^61 - 1 is prime; P^1 over it is far past MAX_POINTS
+    code, out, err = run(capsys, "fiber-count", "--map", "quartic",
+                         "--prime", str(2**61 - 1), "--samples", "4")
+    assert code == 2
+    assert "MAX_POINTS" in err
+
+
 def test_fiber_count_hammond(capsys):
     code, out, err = run(capsys, "fiber-count", "--map", "hammond",
                          "--prime", "11", "--samples", "3", "--seed", "0")

@@ -1,16 +1,21 @@
+from itertools import product
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comitant.fibers import (
+    MAX_POINTS,
     FiberCensus,
     FiberError,
+    _evaluate,
     fiber_count,
     projective_points,
     sample_report,
 )
-from comitant.maps import RationalMapP1, quartic_self_map
-from comitant.poly import poly_ring
-from comitant.scalars import GF, QQ
+from comitant.maps import RationalMapP1, hammond_image_polys, quartic_self_map
+from comitant.poly import Poly, poly_ring
+from comitant.scalars import GF, QQ, Fp
 
 
 def test_projective_point_counts():
@@ -133,3 +138,123 @@ def test_sample_report_needs_samples():
     with pytest.raises(FiberError, match="at least one sample"):
         t0, t1 = poly_ring(("t0", "t1"), QQ)
         sample_report([t0, t1], 7, samples=0, seed=0)
+
+
+def test_point_count_guard():
+    # P^3(F_251) has 15,876,504 points, P^3(F_257) 17,040,900 > 2^24;
+    # the guard fires on the count alone, before any array exists
+    assert (251**4 - 1) // 250 <= MAX_POINTS < (257**4 - 1) // 256
+    with pytest.raises(FiberError, match="MAX_POINTS"):
+        projective_points(3, 257)
+    with pytest.raises(FiberError, match="MAX_POINTS"):
+        projective_points(1, 2**24)
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    with pytest.raises(FiberError, match="MAX_POINTS"):
+        FiberCensus([t0, t1], 2**61 - 1)
+
+
+def test_int64_product_guard():
+    # (p-1)^2 < 2^63 holds up to p = 3037000500; beyond it t0^2 would wrap
+    (t0,) = poly_ring(("t0",), QQ)
+    p = 3037000493  # the largest prime below that bound
+    assert _evaluate([t0**2], np.array([[p - 1]]), p)[0, 0] == 1
+    with pytest.raises(FiberError, match="overflow int64"):
+        _evaluate([t0**2], np.array([[4294967310]]), 4294967311)
+    # P^0 has one point, so only the product guard stops this census
+    with pytest.raises(FiberError, match="overflow int64"):
+        FiberCensus([t0**2], 4294967311)
+
+
+def test_census_rejects_composite_modulus():
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    with pytest.raises(FiberError, match="not prime"):
+        FiberCensus([t0, t1], 9)
+    with pytest.raises(FiberError, match="not prime"):
+        fiber_count([t0, t1], (1, 1), 561)
+    # the size guards come first: is_prime never sees a p past its range
+    with pytest.raises(FiberError, match="MAX_POINTS"):
+        FiberCensus([t0, t1], 10**30)
+
+
+def test_target_length_must_match_map():
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    census = FiberCensus([t0**2, t1**2], 11)
+    with pytest.raises(FiberError, match="3 coordinates, the map has 2"):
+        census.fiber_size((1, 1, 1))
+
+
+def _oracle_census(polys, k, p):
+    """Fiber sizes by exact Fp evaluation and a dict, one point at a time."""
+    fibers, indeterminate = {}, 0
+    for pt in projective_points(k, p):
+        vals = [poly.evaluate([Fp(int(c), p) for c in pt]).val
+                for poly in polys]
+        lead = next((v for v in vals if v), 0)
+        if not lead:
+            indeterminate += 1
+            continue
+        inv = pow(lead, -1, p)
+        img = tuple(v * inv % p for v in vals)
+        fibers[img] = fibers.get(img, 0) + 1
+    return fibers, indeterminate
+
+
+def _random_map(draw, k, m, p):
+    """m random homogeneous polynomials of one degree on P^k over F_p."""
+    names = tuple(f"t{i}" for i in range(k + 1))
+    d = draw(st.integers(1, 3))
+    monos = [e for e in product(range(d + 1), repeat=k + 1) if sum(e) == d]
+    polys = []
+    for _ in range(m):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(monos),
+                               max_size=len(monos)))
+        polys.append(Poly(names, {e: Fp(c, p) for e, c in zip(monos, coeffs)
+                                  if c}, GF(p)))
+    return polys
+
+
+def _assert_matches_oracle(polys, k, p):
+    census = FiberCensus(polys, p)
+    fibers, indeterminate = _oracle_census(polys, k, p)
+    assert census.indeterminate == indeterminate
+    assert census.image_size == len(fibers)
+    assert census.max_fiber == max(fibers.values(), default=0)
+    assert census.conservation_holds()
+    for img, n in fibers.items():
+        assert census.fiber_size(img) == n
+    return census
+
+
+@st.composite
+def _small_maps(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    k = draw(st.integers(0, 2))
+    m = draw(st.integers(1, 4))
+    return _random_map(draw, k, m, p), k, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_maps())
+def test_packed_census_matches_dict_oracle(case):
+    polys, k, p = case
+    census = _assert_matches_oracle(polys, k, p)
+    assert census._uniq.dtype == np.int64
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_structured_fallback_matches_dict_oracle(data):
+    # 1009^7 > 2^63, so seven coordinates cannot be packed into one int64
+    polys = _random_map(data.draw, 1, 7, 1009)
+    census = _assert_matches_oracle(polys, 1, 1009)
+    assert census._uniq.dtype.kind == "V"
+
+
+def test_quintic_image_census():
+    # the census behind claim 09: P^3(F_101), 1,040,604 source points
+    census = FiberCensus(hammond_image_polys(), 101)
+    assert census.total == 1_040_604
+    assert census.indeterminate == 204
+    assert census.image_size == 1_035_202
+    assert census.max_fiber == 100
+    assert census.conservation_holds()

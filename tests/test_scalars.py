@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comitant.scalars import (GF, Fp, QQ, RingMismatchError, as_scalar,
-                              rational_reconstruct, rational_to_fp, ring_of,
-                              ring_one, ring_zero)
+                              is_prime, rational_reconstruct, rational_to_fp,
+                              ring_of, ring_one, ring_zero)
 
 
 def test_field_arithmetic_mod_seven():
@@ -81,3 +81,32 @@ def test_rational_reconstruct_bound_is_exact():
     # so the residue k itself (k/1 with k > bound) must not come back
     k = 2**30 + 1
     assert rational_reconstruct(k, 2 * (k * k - 1)) is None
+
+
+def _trial_division(n):
+    if n < 2:
+        return False
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            return False
+        q += 1
+    return True
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 30) if is_prime(n)] == [
+        2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    assert all(is_prime(n) == _trial_division(n) for n in range(20000))
+
+
+def test_is_prime_is_exact_on_hard_cases():
+    # Carmichael numbers fool the Fermat test, not Miller-Rabin
+    assert not is_prime(561) and not is_prime(41041)
+    assert is_prime(2**61 - 1)
+    assert not is_prime((2**61 - 1) * (2**13 - 1))
+    # the least strong pseudoprime to the twelve bases 2..37: base 41 is
+    # what makes the test exact up to 3.3e24
+    assert not is_prime(318665857834031151167461)
+    with pytest.raises(ValueError, match="exact primality range"):
+        is_prime(3317044064679887385961981)
