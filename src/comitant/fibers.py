@@ -7,16 +7,25 @@ census gives every fiber size at once.  Degree conclusions are never drawn
 from these counts -- they corroborate the exact P^1 computations and the
 generic-fiber claims at desk scale.
 
+The polynomials are evaluated on the stratified grid of the points, not
+row by row: the points whose first nonzero coordinate sits at position
+`lead` are the grid (p,)*free of their free = k - lead trailing
+coordinates.  There a term with a positive exponent before `lead` is zero,
+and every other term is an outer product of 1-D length-p power vectors
+t^e mod p, broadcast over the grid.  A single point (`image_of`) is
+evaluated with Python ints.
+
 Each normalized image row of m coordinates is keyed by one int64 in mixed
 radix p, sum(v_i * p^(m-1-i)), whenever p^m < 2^63 (every P^1 census, and
 the six-coordinate P^3(F_101) census); the keys sort in lexicographic row
 order, so one int64 sort counts every fiber.  Wider rows fall back to a
 structured view of the row, compared field by field.
 
-Guards, each raising FiberError before anything is allocated:
-the source P^k(F_p) may have at most MAX_POINTS points; a product of two
-residues must fit in int64, i.e. (p-1)^2 < 2^63; and the modulus of a
-census must be prime (normalization uses Fermat inverses).
+Guards, each raising FiberError before anything is allocated, checked
+together by `check_census`: the source P^k(F_p) may have at most
+MAX_POINTS points; a product of two residues must fit in int64, i.e.
+(p-1)^2 < 2^63; and the modulus of a census must be prime (normalization
+uses Fermat inverses).
 """
 
 from __future__ import annotations
@@ -93,32 +102,61 @@ def projective_points(k: int, p: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
-def _evaluate(polys, pts: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate each polynomial mod p on every row of pts."""
+def _evaluate(polys, k: int, p: int) -> np.ndarray:
+    """Each polynomial mod p at every point of projective_points(k, p).
+
+    One stratum at a time: the points whose first nonzero coordinate is at
+    `lead` form the grid (p,)*free, free = k - lead, of their trailing
+    coordinates.  A term with a positive exponent before `lead` vanishes
+    there; every other term is c times an outer product of 1-D power
+    vectors t^e mod p of length p, broadcast over the grid with one % p per
+    factor.  Power vectors are built on first use, so a stratum with no
+    free coordinate (all of P^0) allocates nothing of size p.
+    """
+    total = _point_count(k, p)
     _check_products(p)
-    nvars = pts.shape[1]
-    # power tables, built lazily up to the degrees that actually occur
-    tables = [[np.ones(pts.shape[0], dtype=np.int64), pts[:, i] % p]
-              for i in range(nvars)]
-
-    def power(i, e):
-        while len(tables[i]) <= e:
-            tables[i].append(tables[i][-1] * tables[i][1] % p)
-        return tables[i][e]
-
-    out = np.zeros((pts.shape[0], len(polys)), dtype=np.int64)
-    for j, poly in enumerate(polys):
-        if len(poly.vars) != nvars:
+    terms = []
+    for poly in polys:
+        if len(poly.vars) != k + 1:
             raise FiberError("variable count does not match the source space")
-        acc = np.zeros(pts.shape[0], dtype=np.int64)
-        for e, c in _int_terms(poly, p):
-            term = np.full(pts.shape[0], c, dtype=np.int64)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k) % p
-            acc = (acc + term) % p
-        out[:, j] = acc
-    return out
+        terms.append(_int_terms(poly, p))
+    powers = {}
+
+    def power(e):
+        vec = powers.get(e)
+        if vec is None:
+            vec = np.arange(p, dtype=np.int64)
+            if e > 1:
+                vec = power(e - 1) * vec % p
+            powers[e] = vec
+        return vec
+
+    # one contiguous row per polynomial, returned transposed: a column of
+    # the result is written and read in one sweep
+    out = np.empty((len(polys), total), dtype=np.int64)
+    row = 0
+    for lead in range(k + 1):
+        free = k - lead
+        shape = (p,) * free
+        n = p**free
+        for j, poly_terms in enumerate(terms):
+            acc = np.zeros(shape, dtype=np.int64)
+            for e, c in poly_terms:
+                if any(e[:lead]):
+                    continue
+                term = np.int64(c)
+                for axis, x in enumerate(e[lead + 1:]):
+                    if x:
+                        vec = power(x).reshape(
+                            (1,) * axis + (p,) + (1,) * (free - 1 - axis))
+                        term = term * vec % p
+                acc += term
+            # each term is below p, so the sum wraps only past 2^63/(p-1)
+            # > 3*10^9 terms, far more than a polynomial held in memory has
+            acc %= p
+            out[j, row:row + n] = acc.reshape(n)
+        row += n
+    return out.T
 
 
 def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
@@ -137,17 +175,21 @@ def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
 
 def _normalize_rows(vals: np.ndarray, p: int):
     """Scale rows so the first nonzero entry is 1; returns (vals, zero mask)."""
-    nonzero = vals != 0
-    any_nonzero = nonzero.any(axis=1)
-    lead = vals[np.arange(vals.shape[0]), nonzero.argmax(axis=1)]
+    # the first nonzero entry of each row, found one column at a time
+    lead = vals[:, -1]
+    for j in range(vals.shape[1] - 2, -1, -1):
+        col = vals[:, j]
+        lead = np.where(col != 0, col, lead)
+    zero = lead == 0
     # invert through a table of all residues when there are at least as
     # many rows as residues, so no call does work of size p for few rows
     if p <= vals.shape[0]:
         inv = _fermat_inverse(np.arange(p, dtype=np.int64), p)[lead]
     else:
         inv = _fermat_inverse(lead, p)
-    scale = np.where(any_nonzero, inv, 0)
-    return vals * scale[:, None] % p, ~any_nonzero
+    scaled = vals * np.where(zero, 0, inv)[:, None]
+    scaled %= p
+    return scaled, zero
 
 
 def _void_view(arr: np.ndarray) -> np.ndarray:
@@ -171,6 +213,17 @@ def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
     return keys
 
 
+def check_census(k: int, p: int) -> None:
+    """Raise FiberError unless a census of P^k(F_p) can run: at most
+    MAX_POINTS source points, residue products within int64, and a prime
+    modulus.  The size guards come first, so is_prime never sees a p past
+    its range."""
+    _point_count(k, p)
+    _check_products(p)
+    if not is_prime(p):
+        raise FiberError(f"modulus {p} is not prime")
+
+
 class FiberCensus:
     """Fiber sizes of a polynomial map P^k -> P^m over F_p, all at once."""
 
@@ -179,25 +232,23 @@ class FiberCensus:
         if not polys:
             raise FiberError("a map needs at least one coordinate")
         k = len(polys[0].vars) - 1
-        _point_count(k, p)
-        _check_products(p)
-        if not is_prime(p):
-            raise FiberError(f"modulus {p} is not prime")
+        check_census(k, p)
         self.p = p
         self.polys = polys
         self.source_dim = k
-        pts = projective_points(k, p)
-        vals = _evaluate(polys, pts, p)
+        vals = _evaluate(polys, k, p)
+        self._terms = [_int_terms(poly, p) for poly in polys]
         vals, indeterminate = _normalize_rows(vals, p)
         # the benchmark's per-layer byte counter (perfbench/shim.py) reads
-        # source, images and indeterminate_mask; nothing else does
-        self.source = pts
+        # source, images and indeterminate_mask; nothing else does, and
+        # the grid evaluation needs no source array
+        self.source = projective_points(k, p)
         self.images = vals
         self.indeterminate_mask = indeterminate
         self.indeterminate = int(indeterminate.sum())
         keys = _row_keys(vals, p)[~indeterminate]
         self._uniq, self._counts = np.unique(keys, return_counts=True)
-        self.total = pts.shape[0]
+        self.total = vals.shape[0]
 
     @property
     def max_fiber(self) -> int:
@@ -230,13 +281,26 @@ class FiberCensus:
 
     def image_of(self, source_point):
         """Map value at one source point; None if indeterminate there."""
-        row = np.array([[int(c) % self.p for c in source_point]],
-                       dtype=np.int64)
-        vals = _evaluate(self.polys, row, self.p)
-        vals, zero = _normalize_rows(vals, self.p)
-        if zero[0]:
+        p = self.p
+        if len(source_point) != self.source_dim + 1:
+            raise FiberError(f"source point has {len(source_point)} "
+                             f"coordinates, P^{self.source_dim} needs "
+                             f"{self.source_dim + 1}")
+        pt = [int(c) % p for c in source_point]
+        vals = []
+        for terms in self._terms:
+            acc = 0
+            for e, c in terms:
+                for x, k in zip(pt, e):
+                    if k:
+                        c = c * pow(x, k, p) % p
+                acc += c
+            vals.append(acc % p)
+        lead = next((v for v in vals if v), 0)
+        if not lead:
             return None
-        return tuple(int(c) for c in vals[0])
+        inv = pow(lead, -1, p)
+        return tuple(v * inv % p for v in vals)
 
 
 def _map_polys(m):
@@ -266,6 +330,10 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
     if samples < 1:
         raise FiberError("need at least one sample")
     census = FiberCensus(_map_polys(m), p)
+    if census.indeterminate == census.total:
+        raise FiberError(f"the map is undefined at every point of "
+                         f"P^{census.source_dim}(F_{p}), so no sample has "
+                         "an image")
     rng = random.Random(seed)
     k = census.source_dim
     lines = []

@@ -10,7 +10,7 @@ deterministic and byte-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _lcm
 
 from .scalars import QQ, Fp, RingMismatchError, as_scalar, ring_of, ring_one, ring_zero
 
@@ -208,6 +208,18 @@ class Poly:
 
         The result lives in the images' variable set, so this also performs
         ring/variable migration.
+
+        The work is done on plain integers.  Over QQ each image is scaled to
+        integer numerators N_i = D_i * images[i], D_i the lcm of its
+        denominators; over GF(p) its residues are used.  A target exponent
+        vector is packed into one int in radix B = 1 + max over the terms of
+        sum(k_i * deg(images[i])), which bounds every exponent of every
+        product, so a monomial product is one integer add and no digit
+        carries.  Each term's prod(N_i^k_i) is built from cached powers of
+        the images and cached products of shared exponent prefixes, and is
+        accumulated as c * (L / (den(c) * prod(D_i^k_i))) over one common
+        denominator L.  Every surviving monomial becomes one Fraction(num, L)
+        (or Fp) at the end.
         """
         if len(images) != len(self.vars):
             raise ValueError(
@@ -216,26 +228,104 @@ class Poly:
         for im in images:
             if im.vars != tvars or im.ring != tring:
                 raise RingMismatchError("substitution images disagree on ring")
-        pow_cache: dict = {}
+        p = None if tring == QQ else tring[1]
+        nums, dens, degs = [], [], []
+        for im in images:
+            d = 1
+            if p is None:
+                for c in im.terms.values():
+                    d = _lcm(d, c.denominator)
+                nums.append({e: c.numerator * (d // c.denominator)
+                             for e, c in im.terms.items()})
+            else:
+                nums.append({e: c.val for e, c in im.terms.items()})
+            dens.append(d)
+            degs.append(im.total_degree())
+        # the formula's terms as (exponents, numerator, den(c)*prod(D_i^k_i))
+        # in the target ring; a term raising a zero image to a power is 0
+        terms = []
+        common = 1
+        for e, c in self.terms.items():
+            if p is None:
+                c = as_scalar(c, QQ)
+                num, den = c.numerator, c.denominator
+            else:
+                if self.ring == QQ:
+                    c = as_scalar(c.numerator, tring) / c.denominator
+                num, den = as_scalar(c, tring).val, 1
+            if any(k and deg < 0 for k, deg in zip(e, degs)):
+                continue
+            for d, k in zip(dens, e):
+                if k and d != 1:
+                    den *= d**k
+            terms.append((e, num, den))
+            common = _lcm(common, den)
+        radix = 1 + max((sum(k * deg for k, deg in zip(e, degs) if k)
+                         for e, _, _ in terms), default=0)
+
+        def pack(f):
+            key = 0
+            for x in f:
+                key = key * radix + x
+            return key
+
+        powers = [[{0: 1}, {pack(f): c for f, c in num.items()}]
+                  for num in nums]
 
         def power(i, k):
-            key = (i, k)
-            got = pow_cache.get(key)
-            if got is None:
-                got = images[i] ** k
-                pow_cache[key] = got
-            return got
+            pw = powers[i]
+            while len(pw) <= k:
+                pw.append(_packed_mul(pw[-1], pw[1], p))
+            return pw[k]
 
-        acc = Poly.zero(tvars, tring)
-        for e, c in self.terms.items():
-            if self.ring == QQ and tring != QQ:
-                c = as_scalar(c.numerator, tring) / c.denominator
-            term = Poly.constant(c, tvars, tring)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            acc = acc + term
-        return acc
+        # prefix[e[:j]] = prod_{i<j} N_i^e_i, shared by every term that
+        # starts with e[:j]; a term's last nonzero factor is multiplied
+        # straight into the accumulator
+        prefix = {(): {0: 1}}
+        acc: dict = {}
+        get = acc.get
+        for e, num, den in terms:
+            mult = num * (common // den)
+            last = len(e)
+            while last and not e[last - 1]:
+                last -= 1
+            if not last:
+                acc[0] = get(0, 0) + mult
+                continue
+            head = e[:last - 1]
+            prod = prefix.get(head)
+            if prod is None:
+                j = last - 2
+                while e[:j] not in prefix:
+                    j -= 1
+                prod = prefix[e[:j]]
+                for i in range(j, last - 1):
+                    if e[i]:
+                        prod = _packed_mul(prod, power(i, e[i]), p)
+                    prefix[e[:i + 1]] = prod
+            factor = power(last - 1, e[last - 1])
+            for ea, ca in prod.items():
+                ca *= mult
+                for eb, cb in factor.items():
+                    key = ea + eb
+                    acc[key] = get(key, 0) + ca * cb
+        out = {}
+        m = len(tvars)
+        for key, c in acc.items():
+            if p is None:
+                if not c:
+                    continue
+                c = Fraction(c, common)
+            else:
+                c %= p
+                if not c:
+                    continue
+                c = Fp(c, p)
+            f = [0] * m
+            for j in range(m - 1, -1, -1):
+                key, f[j] = divmod(key, radix)
+            out[tuple(f)] = c
+        return Poly(tvars, out, tring)
 
     def rename_vars(self, new_vars) -> "Poly":
         new_vars = tuple(new_vars)
@@ -379,6 +469,20 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({str(self)!r}, vars={self.vars})"
+
+
+def _packed_mul(a: dict, b: dict, p) -> dict:
+    """Product of two polynomials held as {packed exponent: int}, reduced
+    mod p unless p is None (integers)."""
+    out: dict = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    if p is None:
+        return {e: c for e, c in out.items() if c}
+    return {e: r for e, c in out.items() if (r := c % p)}
 
 
 def _order_key(e: tuple):

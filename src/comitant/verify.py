@@ -35,7 +35,7 @@ from .associated import (DUAL_BINARY, associated_form,
                          associated_selfmap_degree, associated_slice_map,
                          congruence_holds)
 from .comitants import DUAL_VARS, Form, hessian, transvectant
-from .fibers import sample_report
+from .fibers import FiberError, check_census, sample_report
 from .geometry import (GeometryError, PointPair, ProjectivePoint, bracket,
                        chord, coble_identity_check, coble_matrix,
                        conic_through, is_tangency_pair, pair_triples_match,
@@ -771,6 +771,13 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
     if len(primes) < 2 or not all(p > 2 and is_prime(p) for p in primes):
         raise VerifyError(
             f"need two odd primes, got {', '.join(map(str, primes))}")
+    # claim 09 takes a census of P^3 at primes[0], claims 03 and 05 one of
+    # P^1 at primes[1]: refuse a prime the census would refuse
+    for k, p in ((3, primes[0]), (1, primes[1])):
+        try:
+            check_census(k, p)
+        except FiberError as exc:
+            raise VerifyError(f"census prime {p}: {exc}") from None
     if trials < 1:
         raise VerifyError("trials must be positive")
     selected = list(_REGISTRY)

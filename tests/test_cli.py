@@ -261,6 +261,14 @@ def test_verify_rejects_composite_moduli(capsys):
     assert out == ""
 
 
+def test_verify_rejects_census_prime_past_point_bound(capsys):
+    code, out, err = run(capsys, "verify", "--primes",
+                         "101,2305843009213693951")
+    assert code == 2
+    assert "census prime 2305843009213693951" in err
+    assert out == ""
+
+
 def test_verify_unknown_id(capsys):
     code, out, err = run(capsys, "verify", "--only", "nope")
     assert code == 2

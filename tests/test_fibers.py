@@ -9,6 +9,7 @@ from comitant.fibers import (
     FiberCensus,
     FiberError,
     _evaluate,
+    check_census,
     fiber_count,
     projective_points,
     sample_report,
@@ -140,6 +141,25 @@ def test_sample_report_needs_samples():
         sample_report([t0, t1], 7, samples=0, seed=0)
 
 
+def test_sample_report_refuses_map_undefined_everywhere():
+    # every sampled point would be redrawn forever; the census shows it
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    with pytest.raises(FiberError, match="undefined at every point"):
+        sample_report([t0 - t0, t1 - t1], 7, samples=1, seed=0)
+
+
+def test_check_census_guards():
+    check_census(3, 251)
+    with pytest.raises(FiberError, match="MAX_POINTS"):
+        check_census(3, 257)
+    with pytest.raises(FiberError, match="overflow int64"):
+        check_census(0, 4294967311)
+    with pytest.raises(FiberError, match="not prime"):
+        check_census(1, 561)
+    with pytest.raises(FiberError, match="0..3"):
+        check_census(4, 3)
+
+
 def test_point_count_guard():
     # P^3(F_251) has 15,876,504 points, P^3(F_257) 17,040,900 > 2^24;
     # the guard fires on the count alone, before any array exists
@@ -157,12 +177,23 @@ def test_int64_product_guard():
     # (p-1)^2 < 2^63 holds up to p = 3037000500; beyond it t0^2 would wrap
     (t0,) = poly_ring(("t0",), QQ)
     p = 3037000493  # the largest prime below that bound
-    assert _evaluate([t0**2], np.array([[p - 1]]), p)[0, 0] == 1
+    assert FiberCensus([t0**2], p).image_of([p - 1]) == (1,)
+    # a second coordinate keeps the value of t0^2 visible after scaling
+    assert FiberCensus([t0, t0**2], p).image_of([p - 1]) == (1, p - 1)
     with pytest.raises(FiberError, match="overflow int64"):
-        _evaluate([t0**2], np.array([[4294967310]]), 4294967311)
+        _evaluate([t0**2], 0, 4294967311)
     # P^0 has one point, so only the product guard stops this census
     with pytest.raises(FiberError, match="overflow int64"):
         FiberCensus([t0**2], 4294967311)
+
+
+def test_image_of_rejects_wrong_point_length():
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    census = FiberCensus([t0**2, t1**2], 11)
+    with pytest.raises(FiberError, match="3 coordinates, P\\^1 needs 2"):
+        census.image_of((1, 2, 3))
+    with pytest.raises(FiberError, match="1 coordinates, P\\^1 needs 2"):
+        census.image_of((1,))
 
 
 def test_census_rejects_composite_modulus():
@@ -248,6 +279,36 @@ def test_structured_fallback_matches_dict_oracle(data):
     polys = _random_map(data.draw, 1, 7, 1009)
     census = _assert_matches_oracle(polys, 1, 1009)
     assert census._uniq.dtype.kind == "V"
+
+
+@st.composite
+def _grid_case(draw):
+    """Random sparse, not necessarily homogeneous, polynomials on P^k."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.integers(1, 3))
+    names = tuple(f"t{i}" for i in range(k + 1))
+    exps = st.tuples(*[st.integers(0, 4)] * (k + 1))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(st.dictionaries(exps, st.integers(1, p - 1),
+                                     max_size=6))
+        polys.append(Poly(names, {e: Fp(c, p) for e, c in terms.items()},
+                          GF(p)))
+    return polys, k, p
+
+
+@settings(max_examples=40, deadline=None)
+@given(_grid_case())
+def test_grid_evaluator_matches_pointwise_fp(case):
+    # every stratum of P^1, P^2, P^3, against exact Fp evaluation per point
+    polys, k, p = case
+    pts = projective_points(k, p)
+    vals = _evaluate(polys, k, p)
+    assert vals.shape == (pts.shape[0], len(polys))
+    for row, pt in zip(vals, pts):
+        point = [Fp(int(c), p) for c in pt]
+        assert [int(v) for v in row] == [poly.evaluate(point).val
+                                         for poly in polys]
 
 
 def test_quintic_image_census():

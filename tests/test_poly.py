@@ -1,10 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comitant.invariants import generic_form
 from comitant.poly import Poly, divexact, poly_ring, univariate_gcd
-from comitant.scalars import GF, QQ, Fp
+from comitant.scalars import GF, QQ, Fp, as_scalar
 
 
 def test_ring_construction_and_repr():
@@ -129,3 +130,133 @@ def test_rename_vars():
     q = p.rename_vars(("u", "v"))
     u, v = poly_ring(("u", "v"), QQ)
     assert q == (u + v) ** 2
+
+
+# ---------------------------------------------------------------------------
+# differential tests of substitute
+
+
+def _substitute_reference(f, images):
+    """Term-by-term substitution with Poly products, the algorithm the
+    integer kernel of Poly.substitute replaced."""
+    tvars, tring = images[0].vars, images[0].ring
+    acc = Poly.zero(tvars, tring)
+    for e, c in f.terms.items():
+        if f.ring == QQ and tring != QQ:
+            c = as_scalar(c.numerator, tring) / c.denominator
+        term = Poly.constant(c, tvars, tring)
+        for im, k in zip(images, e):
+            if k:
+                term = term * im**k
+        acc = acc + term
+    return acc
+
+
+SOURCE = ("x0", "x1", "x2")
+TARGET = ("u0", "u1", "u2")
+
+
+def _coefficients(ring):
+    if ring == QQ:
+        # denominators 1..4 stay invertible mod the primes used below
+        return st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    return st.builds(Fp, st.integers(0, ring[1] - 1), st.just(ring[1]))
+
+
+def _polys(names, ring, max_exp=3, max_terms=5):
+    exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
+    return st.dictionaries(exps, _coefficients(ring), max_size=max_terms).map(
+        lambda terms: Poly(names, {e: c for e, c in terms.items() if c},
+                           ring))
+
+
+@st.composite
+def _substitutions(draw, source_ring, target_ring):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    f = draw(_polys(SOURCE[:n], source_ring))
+    image = st.one_of(
+        _polys(TARGET[:m], target_ring, max_exp=2, max_terms=3),
+        _coefficients(target_ring).map(       # constant (or zero) images
+            lambda c: Poly.constant(c, TARGET[:m], target_ring)))
+    images = [draw(image) for _ in range(n)]
+    return f, images
+
+
+@settings(max_examples=80, deadline=None)
+@given(_substitutions(QQ, QQ))
+def test_substitute_matches_reference_over_qq(case):
+    f, images = case
+    assert f.substitute(images) == _substitute_reference(f, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3, 7, 101]).flatmap(
+    lambda p: _substitutions(GF(p), GF(p))))
+def test_substitute_matches_reference_over_gfp(case):
+    f, images = case
+    assert f.substitute(images) == _substitute_reference(f, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, 11, 101]).flatmap(
+    lambda p: _substitutions(QQ, GF(p))))
+def test_substitute_migrates_qq_to_gfp(case):
+    f, images = case
+    got = f.substitute(images)
+    assert got.ring == images[0].ring
+    assert got == _substitute_reference(f, images)
+
+
+def test_substitute_cancels_to_zero():
+    x0, x1, x2 = poly_ring(SOURCE, QQ)
+    u0, u1, u2 = poly_ring(TARGET, QQ)
+    f = x0**2 * x1 * Fraction(1, 3) - x1**2 * x0 * Fraction(1, 3) + x2
+    got = f.substitute([u0 + u1, u0 + u1, Poly.zero(TARGET, QQ)])
+    assert got.is_zero() and got.vars == TARGET
+    # a surviving term next to cancelling ones keeps its exact coefficient
+    got = (f + Fraction(2, 7)).substitute([u1 * Fraction(1, 2)] * 2 + [u2])
+    assert got == u2 + Fraction(2, 7)
+
+
+def test_substitute_reaches_the_packing_radix():
+    # images of degree 2 and 3: x0^2*x1 has sum(k_i * deg) = 7, so the
+    # radix is 8 and u2^7 carries the largest digit the packing allows,
+    # in the last (least significant) position, next to a mixed term
+    x0, x1 = poly_ring(SOURCE[:2], QQ)
+    u0, u1, u2 = poly_ring(TARGET, QQ)
+    f = x0**2 * x1 + x1 * Fraction(1, 2)
+    images = [u2**2, u2**3 + u0 * u1]
+    got = f.substitute(images)
+    assert got == u2**7 + u0 * u1 * u2**4 + (u2**3 + u0 * u1) * Fraction(1, 2)
+    assert max(e[2] for e in got.terms) == 7
+    assert got == _substitute_reference(f, images)
+    # over GF(p) the same digits, with residues
+    g = f.to_ring(GF(5))
+    images5 = [im.to_ring(GF(5)) for im in images]
+    assert g.substitute(images5) == _substitute_reference(g, images5)
+
+
+def _to_sympy(sympy, poly, syms):
+    return sympy.Add(*[
+        sympy.Rational(c.numerator, c.denominator)
+        * sympy.Mul(*[s**k for s, k in zip(syms, e)])
+        for e, c in poly.terms.items()])
+
+
+def test_substitute_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=40, deadline=None)
+    @given(_substitutions(QQ, QQ))
+    def check(case):
+        f, images = case
+        src = sympy.symbols(f.vars)
+        tgt = sympy.symbols(images[0].vars)
+        expr = _to_sympy(sympy, f, src).xreplace(
+            {s: _to_sympy(sympy, im, tgt) for s, im in zip(src, images)})
+        want = sympy.Poly(sympy.expand(expr), *tgt, domain="QQ").as_dict()
+        assert f.substitute(images).terms == {
+            e: Fraction(int(c.p), int(c.q)) for e, c in want.items() if c}
+
+    check()

@@ -69,6 +69,21 @@ def test_parameter_validation():
         run_verifications(only=CHEAP[:1], trials=0)
 
 
+def test_census_primes_are_checked_up_front():
+    # claim 03 takes a P^1 census at primes[1], claim 09 a P^3 census at
+    # primes[0]; a prime either census refuses is a parameter error, not a
+    # failed claim
+    with pytest.raises(VerifyError, match="census prime 2305843009213693951"
+                                          ".*MAX_POINTS"):
+        run_verifications(only=["03-hesse-map-degrees"],
+                          primes=(101, 2**61 - 1))
+    # P^1(F_257) is small, P^3(F_257) has 17,040,900 points
+    with pytest.raises(VerifyError, match="census prime 257.*MAX_POINTS"):
+        run_verifications(only=CHEAP[:1], primes=(257, 101))
+    rep = run_verifications(only=CHEAP[:1], primes=(251, 257))
+    assert rep.ok
+
+
 def test_record_fields():
     rep = run_verifications(only=CHEAP[:1])
     (rec,) = rep.records()
