@@ -109,7 +109,7 @@ def associated_form(form) -> AssociatedFormResult:
     system = Matrix([[he_vec[r]] + [col[r] for col in jcols]
                      for r in range(dim)], QQ)
     rhs = [Poly.monomial(_multinomial(N, e), e, dual, QQ) for e in monomials]
-    sol = system.solve_poly_rhs(rhs)
+    sol = system.solve(rhs)
     if sol is None:
         raise AssociatedFormError("socle solve is inconsistent (bug?)")
     raw = sol[0]

@@ -179,8 +179,11 @@ def _raising_ops(n):
     return [(i, i + 1) for i in range(n - 1)]
 
 
-def _all_ops(n):
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+def _is_invariant(space: _FormSpace, p: Poly) -> bool:
+    """Whether every off-diagonal derivation kills the coefficient poly p."""
+    n = space.n
+    return all(_derivation_on_poly(space, space.derivation(i, j), p).is_zero()
+               for i in range(n) for j in range(n) if i != j)
 
 
 def _balanced_monomials(space: _FormSpace, r: int):
@@ -204,18 +207,22 @@ def _balanced_monomials(space: _FormSpace, r: int):
     return out
 
 
-def _operator_rows_mod_p(space, deriv, candidates, col_of, p):
-    """Rows of the derivation matrix on span(candidates), entries mod p."""
-    row_of: dict = {}
+def _operator_rows(space, derivs, candidates, p=None):
+    """Stacked rows of the derivations on span(candidates): Fractions, or
+    residues mod p when p is given."""
+    col_of = {e: i for i, e in enumerate(candidates)}
+    zero = Fraction(0) if p is None else 0
     rows: list = []
-    for e in candidates:
-        col = col_of[e]
-        for e2, c in _apply_derivation(space, deriv, e, Fraction(1)):
-            i = row_of.get(e2)
-            if i is None:
-                i = row_of[e2] = len(rows)
-                rows.append([0] * len(candidates))
-            rows[i][col] = (rows[i][col] + rational_to_fp(c, p).val) % p
+    for deriv in derivs:
+        row_of: dict = {}
+        for e in candidates:
+            col = col_of[e]
+            for e2, c in _apply_derivation(space, deriv, e, Fraction(1)):
+                i = row_of.get(e2)
+                if i is None:
+                    i = row_of[e2] = len(rows)
+                    rows.append([zero] * len(candidates))
+                rows[i][col] += c if p is None else rational_to_fp(c, p).val
     return rows
 
 
@@ -239,63 +246,28 @@ def find_invariants(n: int, d: int, r: int) -> list:
     candidates = _balanced_monomials(space, r)
     if not candidates:
         return []
-    col_of = {e: i for i, e in enumerate(candidates)}
     derivs = [space.derivation(i, j) for i, j in _raising_ops(n)]
 
-    stacked = []
-    for deriv in derivs:
-        stacked.extend(
-            _operator_rows_mod_p(space, deriv, candidates, col_of, _PRIME))
-    kernel = int_nullspace_mod_p(stacked, len(candidates), _PRIME)
-
+    rows = _operator_rows(space, derivs, candidates, _PRIME)
     basis = []
-    ok = True
-    for vec in kernel:
+    for vec in int_nullspace_mod_p(rows, len(candidates), _PRIME):
         lifted = [rational_reconstruct(c, _PRIME) for c in vec]
-        if any(v is None for v in lifted):
-            ok = False
+        if None in lifted:
+            basis = None
             break
         basis.append(_vector_to_poly(lifted, candidates, space.names))
-    if ok:
-        all_derivs = [space.derivation(i, j) for i, j in _all_ops(n)]
-        for p in basis:
-            if any(not _derivation_on_poly(space, dv, p).is_zero()
-                   for dv in all_derivs):
-                ok = False
-                break
-    if not ok:
-        basis = _find_invariants_exact(space, candidates, col_of, derivs)
+    if basis is None or not all(_is_invariant(space, p) for p in basis):
+        rows = (_operator_rows(space, derivs, candidates)
+                or [[Fraction(0)] * len(candidates)])
+        basis = [_vector_to_poly(vec, candidates, space.names)
+                 for vec in Matrix(rows, QQ).nullspace()]
+        if not all(_is_invariant(space, p) for p in basis):
+            raise InvariantError("exact kernel failed operator check")
     return [
         InvariantDescriptor((n, d), r, f"inv({n},{d})deg{r}#{i}", p,
                             space.basis)
         for i, p in enumerate(basis)
     ]
-
-
-def _find_invariants_exact(space, candidates, col_of, derivs):
-    rows = []
-    for deriv in derivs:
-        row_of: dict = {}
-        block: list = []
-        for e in candidates:
-            col = col_of[e]
-            for e2, c in _apply_derivation(space, deriv, e, Fraction(1)):
-                i = row_of.get(e2)
-                if i is None:
-                    i = row_of[e2] = len(block)
-                    block.append([Fraction(0)] * len(candidates))
-                block[i][col] += c
-        rows.extend(block)
-    if not rows:
-        rows = [[Fraction(0)] * len(candidates)]
-    kernel = Matrix(rows, QQ).nullspace()
-    basis = [_vector_to_poly(vec, candidates, space.names) for vec in kernel]
-    all_derivs = [space.derivation(i, j) for i, j in _all_ops(space.n)]
-    for p in basis:
-        for dv in all_derivs:
-            if not _derivation_on_poly(space, dv, p).is_zero():
-                raise InvariantError("exact kernel failed operator check")
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +453,12 @@ def quintic_invariants():
     }
     degs = {"I4": 4, "I8": 8, "I12": 12}
     out = []
-    all_derivs = [space.derivation(a, b) for a, b in _all_ops(2)]
     for name, form in chain.items():
         p = _strip_form_vars(form, space.names).primitive()
         if p.is_zero() or p.total_degree() != degs[name]:
             raise InvariantError(f"{name}: chain produced a wrong degree")
-        for dv in all_derivs:
-            if not _derivation_on_poly(space, dv, p).is_zero():
-                raise InvariantError(f"{name}: chain output is not invariant")
+        if not _is_invariant(space, p):
+            raise InvariantError(f"{name}: chain output is not invariant")
         out.append(InvariantDescriptor((2, 5), degs[name], name, p, "binomial"))
     _check_independent(out)
     return tuple(out)
@@ -525,9 +495,8 @@ def measured_weight(inv: InvariantDescriptor, g: LinearSubstitution,
         raise InvariantError("probe form lies on the zero locus; pick another")
     moved = evaluate_invariant(inv, substituted_form(sample, g))
     ratio = moved / base
-    det = g.matrix.det()
     for w in range(0, 200):
-        if det**w == ratio:
+        if g.det**w == ratio:
             return w
     raise InvariantError("value ratio is not a power of det(g)")
 
@@ -537,14 +506,12 @@ def random_substitution(n, rng, unimodular=False) -> LinearSubstitution:
     while True:
         rows = [[Fraction(rng.randint(-5, 5)) for _ in range(n)]
                 for _ in range(n)]
-        m = Matrix(rows, QQ)
-        dt = m.det()
-        if not dt:
+        try:
+            g = LinearSubstitution(Matrix(rows, QQ))
+        except ValueError:  # a singular draw
             continue
-        if not unimodular:
-            return LinearSubstitution(m)
-        if dt in (1, -1):
-            return LinearSubstitution(m)
+        if not unimodular or g.det in (1, -1):
+            return g
         # rescale one row to force det = 1
-        rows[0] = [c / dt for c in rows[0]]
+        rows[0] = [c / g.det for c in rows[0]]
         return LinearSubstitution(Matrix(rows, QQ))

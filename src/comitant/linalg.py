@@ -1,15 +1,18 @@
 """Exact dense linear algebra over QQ and GF(p), plus polynomial matrices.
 
-Gaussian elimination is plain fraction arithmetic (Fraction/Fp both divide
-exactly); nullspace bases follow the reduced-echelon convention so results
-are deterministic.  Polynomial matrices get a division-free determinant
-(Laplace expansion memoized over column subsets) and Cramer solves, which is
-all the symbolic work here needs.
+Every exact elimination runs through one Gauss-Jordan kernel,
+`_gauss_jordan`: on Fraction/Fp entries (both divide exactly, so a pivot is
+inverted as 1 / x), or on plain ints mod p for the modular kernels of the
+invariant finder.  It yields the reduced echelon form, the pivot columns and
+the determinant, and mirrors its row operations onto a scalar or Poly
+right-hand side for `Matrix.solve`.  Nullspace bases follow the
+reduced-echelon convention so results are deterministic.  Polynomial
+matrices get a division-free determinant (Laplace expansion memoized over
+column subsets) and Cramer solves, which is all the symbolic work here
+needs.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .poly import Poly
 from .scalars import QQ, as_scalar, ring_one, ring_zero
@@ -63,36 +66,12 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (new Matrix, pivot columns)."""
-        m = [row[:] for row in self.entries]
-        pivots = []
-        r = 0
-        one = ring_one(self.ring)
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            inv = (Fraction(1) / m[r][c]) if self.ring == QQ \
-                else m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            m[r][c] = one
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
         out = Matrix.__new__(Matrix)
-        out.entries = m
+        out.entries = [row[:] for row in self.entries]
         out.ring = self.ring
         out.rows = self.rows
         out.cols = self.cols
+        pivots, _ = _gauss_jordan(out.entries, self.cols)
         return out, pivots
 
     def rank(self) -> int:
@@ -106,104 +85,38 @@ class Matrix:
         free columns left to right.
         """
         red, pivots = self.rref()
-        pivset = set(pivots)
-        free = [c for c in range(self.cols) if c not in pivset]
-        basis = []
-        one = ring_one(self.ring)
-        zero = ring_zero(self.ring)
-        for fc in free:
-            v = [zero] * self.cols
-            v[fc] = one
-            for r, pc in enumerate(pivots):
-                v[pc] = -red.entries[r][fc]
-            basis.append(v)
-        return basis
+        return _kernel_basis(red.entries, pivots, self.cols,
+                             ring_zero(self.ring), ring_one(self.ring))
 
     def det(self):
         """Determinant by elimination; square matrices only."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        m = [row[:] for row in self.entries]
-        n = self.rows
-        result = ring_one(self.ring)
-        for c in range(n):
-            pr = None
-            for i in range(c, n):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                return ring_zero(self.ring)
-            if pr != c:
-                m[c], m[pr] = m[pr], m[c]
-                result = -result
-            result = result * m[c][c]
-            inv = (Fraction(1) / m[c][c]) if self.ring == QQ \
-                else m[c][c].inverse()
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return result
+        pivots, det = _gauss_jordan([row[:] for row in self.entries],
+                                    self.cols)
+        if len(pivots) < self.rows:
+            return ring_zero(self.ring)
+        return as_scalar(det, self.ring)
 
     def solve(self, rhs: list):
         """One solution of Ax = b, or None if inconsistent.
 
-        Free variables are set to zero, so the answer is deterministic.
+        b holds scalars or Polys; the row operations on A are mirrored onto
+        it.  Free variables are set to zero, so the answer is deterministic.
         """
-        aug = Matrix([row + [b] for row, b in
-                      zip(self.entries, [as_scalar(b, self.ring) for b in rhs])],
-                     self.ring)
-        red, pivots = aug.rref()
-        if self.cols in pivots:
+        if len(rhs) != self.rows:
+            raise ValueError("dimension mismatch in solve")
+        b = [c if isinstance(c, Poly) else as_scalar(c, self.ring)
+             for c in rhs]
+        pivots, _ = _gauss_jordan([row[:] for row in self.entries],
+                                  self.cols, rhs=b)
+        if any(b[len(pivots):]):
             return None
-        x = [ring_zero(self.ring)] * self.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = red.entries[r][self.cols]
-        return x
-
-    def solve_poly_rhs(self, rhs: list):
-        """Solve Ax = b where A is scalar but b has Poly entries.
-
-        Elimination runs on A with the row operations mirrored onto the
-        polynomial right-hand side.  Returns a list of Polys (free variables
-        pinned to zero) or None if the system is inconsistent.
-        """
-        proto = rhs[0]
-        zero = Poly.zero(proto.vars, proto.ring)
-        m = [row[:] for row in self.entries]
-        b = list(rhs)
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pr = None
-            for i in range(r, self.rows):
-                if m[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            m[r], m[pr] = m[pr], m[r]
-            b[r], b[pr] = b[pr], b[r]
-            inv = (Fraction(1) / m[r][c]) if self.ring == QQ \
-                else m[r][c].inverse()
-            m[r] = [x * inv for x in m[r]]
-            b[r] = b[r] * inv
-            for i in range(self.rows):
-                if i != r and m[i][c]:
-                    f = m[i][c]
-                    m[i] = [a - f * p for a, p in zip(m[i], m[r])]
-                    b[i] = b[i] - b[r] * f
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        for i in range(r, self.rows):
-            if not b[i].is_zero():
-                return None
+        zero = (Poly.zero(b[0].vars, b[0].ring)
+                if b and isinstance(b[0], Poly) else ring_zero(self.ring))
         x = [zero] * self.cols
-        for k, pc in enumerate(pivots):
-            x[pc] = b[k]
+        for pc, value in zip(pivots, b):
+            x[pc] = value
         return x
 
     def inverse(self) -> "Matrix":
@@ -336,33 +249,70 @@ def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
     reduced mod p on input.
     """
     work = [[c % p for c in row] for row in rows]
-    m = len(work)
+    pivots, _ = _gauss_jordan(work, ncols, p)
+    return _kernel_basis(work, pivots, ncols, p=p)
+
+
+# -- the elimination kernel ---------------------------------------------
+
+def _gauss_jordan(m: list, ncols: int, p=None, rhs=None):
+    """Bring the rows m to reduced row echelon form, in place.
+
+    Entries are Fraction/Fp, or plain ints reduced mod p when p is given.
+    When rhs (one scalar or Poly per row) is given, every row operation is
+    mirrored onto it.  Returns (pivot columns, signed product of the
+    pivots); the product is the determinant of a square m of full rank.
+    """
+    nrows = len(m)
     pivots = []
-    r = 0
-    for j in range(ncols):
-        piv = next((i for i in range(r, m) if work[i][j]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = pow(work[r][j], p - 2, p)
-        work[r] = [(c * inv) % p for c in work[r]]
-        for i in range(m):
-            if i != r and work[i][j]:
-                f = work[i][j]
-                ri, rr = work[i], work[r]
-                work[i] = [(ri[k] - f * rr[k]) % p for k in range(ncols)]
-        pivots.append(j)
-        r += 1
-        if r == m:
+    det = 1
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-    basis = []
-    pivot_set = set(pivots)
-    for j in range(ncols):
-        if j in pivot_set:
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
             continue
-        vec = [0] * ncols
-        vec[j] = 1
-        for i, pj in enumerate(pivots):
-            vec[pj] = (-work[i][j]) % p
-        basis.append(vec)
+        if pr != r:
+            m[r], m[pr] = m[pr], m[r]
+            if rhs is not None:
+                rhs[r], rhs[pr] = rhs[pr], rhs[r]
+            det = -det
+        piv = m[r][c]
+        det = det * piv
+        if p is None:
+            inv = 1 / piv
+            m[r] = [x * inv for x in m[r]]
+        else:
+            inv = pow(piv, p - 2, p)
+            m[r] = [x * inv % p for x in m[r]]
+        if rhs is not None:
+            rhs[r] = rhs[r] * inv
+        for i in range(nrows):
+            f = m[i][c]
+            if i == r or not f:
+                continue
+            if p is None:
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+            else:
+                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+            if rhs is not None:
+                rhs[i] = rhs[i] - rhs[r] * f
+        pivots.append(c)
+    return pivots, (det if p is None else det % p)
+
+
+def _kernel_basis(m: list, pivots: list, ncols: int, zero=0, one=1, p=None):
+    """Kernel basis read off a reduced echelon form (see Matrix.nullspace);
+    entries are negated mod p when p is given."""
+    pivset = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivset:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -m[r][fc] if p is None else -m[r][fc] % p
+        basis.append(v)
     return basis

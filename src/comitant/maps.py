@@ -19,7 +19,7 @@ from .invariants import (evaluate_invariant, hesse_pencil, invariant_I2,
                          quartic_pencil)
 from .linalg import Matrix
 from .poly import Poly, divexact, poly_ring, univariate_gcd
-from .scalars import QQ, as_scalar, ring_of, ring_one
+from .scalars import QQ, as_scalar, ring_one, ring_zero
 
 PENCIL_VARS = ("t0", "t1")
 
@@ -228,7 +228,7 @@ def descend_map(cover: RationalMapP1, composite: RationalMapP1,
             i = row_of.get(e)
             if i is None:
                 i = row_of[e] = len(rows)
-                rows.append([Fraction(0)] * len(cols))
+                rows.append([ring_zero(ring)] * len(cols))
             rows[i][j] = c
     kernel = Matrix(rows, ring).nullspace() if rows else []
     if not kernel:

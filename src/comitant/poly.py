@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _lcm
 
-from .scalars import QQ, Fp, RingMismatchError, as_scalar, ring_of, ring_one, ring_zero
+from .scalars import QQ, Fp, RingMismatchError, as_scalar, ring_one, ring_zero
 
 
 class Poly:
@@ -180,11 +180,7 @@ class Poly:
         c = as_scalar(c, self.ring)
         if not c:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        if self.ring == QQ:
-            inv = Fraction(1) / c
-        else:
-            inv = c.inverse()
-        return self * inv
+        return self * (1 / c)
 
     # -- calculus and substitution --------------------------------------
 
@@ -615,7 +611,7 @@ def _euclid(u: list, v: list, ring) -> list:
     u = _trim(list(u))
     v = _trim(list(v))
     while v:
-        inv = (Fraction(1) / v[-1]) if ring == QQ else v[-1].inverse()
+        inv = 1 / v[-1]
         r = list(u)
         dv = len(v) - 1
         while r and len(r) - 1 >= dv:

@@ -137,7 +137,7 @@ def _nonsquare_substitution(n: int, rng: random.Random):
     determinant weight is pinned by a single probe."""
     while True:
         g = random_substitution(n, rng)
-        if abs(g.matrix.det()) not in (0, 1):
+        if abs(g.det) not in (0, 1):
             return g
 
 
@@ -162,8 +162,8 @@ def _covariance_series(rng, probes, n, degree, comitant, arity=1,
         target = act_out(g, base)
         if weight is None:
             ratio = _constant_ratio(target, moved)
-            weight = _det_power(g.matrix.det(), ratio)
-        elif moved != target * g.matrix.det()**weight:
+            weight = _det_power(g.det, ratio)
+        elif moved != target * g.det**weight:
             raise VerifyError(f"det^{weight} covariance failed")
         checked += 1
     return weight, checked
@@ -768,9 +768,14 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
                       trials: int = DEFAULT_TRIALS) -> VerificationReport:
     """Run the registry (or the `only` subset, by claim id) and report."""
     primes = tuple(primes)
-    if len(primes) < 2 or not all(p > 2 and is_prime(p) for p in primes):
+    why = ""
+    try:
+        ok = len(primes) >= 2 and all(p > 2 and is_prime(p) for p in primes)
+    except ValueError as exc:  # past the exact primality range
+        ok, why = False, f" ({exc})"
+    if not ok:
         raise VerifyError(
-            f"need two odd primes, got {', '.join(map(str, primes))}")
+            f"need two odd primes, got {', '.join(map(str, primes))}{why}")
     # claim 09 takes a census of P^3 at primes[0], claims 03 and 05 one of
     # P^1 at primes[1]: refuse a prime the census would refuse
     for k, p in ((3, primes[0]), (1, primes[1])):

@@ -261,6 +261,13 @@ def test_verify_rejects_composite_moduli(capsys):
     assert out == ""
 
 
+def test_verify_rejects_prime_past_primality_range(capsys):
+    code, out, err = run(capsys, "verify", "--primes", f"101,{10**25}")
+    assert code == 2
+    assert "beyond the exact primality range" in err
+    assert out == ""
+
+
 def test_verify_rejects_census_prime_past_point_bound(capsys):
     code, out, err = run(capsys, "verify", "--primes",
                          "101,2305843009213693951")

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from comitant.linalg import (LinearSubstitution, Matrix, int_nullspace_mod_p,
                              poly_det, poly_solve_cramer)
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import QQ
+from comitant.scalars import GF, QQ, Fp, ring_zero
 
 
 def _m(rows):
@@ -80,7 +82,7 @@ def test_poly_solve_cramer_square_only():
 def test_solve_poly_rhs():
     x, y = poly_ring(("x", "y"), QQ)
     m = _m([[1, 0], [1, 1]])
-    sol = m.solve_poly_rhs([x, x + y])
+    sol = m.solve([x, x + y])
     assert sol == [x, y]
 
 
@@ -115,3 +117,122 @@ def test_substitution_on_selected_indices():
     a, x, y = poly_ring(("a", "x", "y"), QQ)
     p = a * x**2 + y
     assert g.apply(p, indices=(1, 2)) == a * y**2 + x
+
+
+# -- the elimination kernel, differentially ------------------------------
+
+def _sparse_ints(bound):
+    # zeros are frequent, so pivots go missing and rows need swapping
+    return st.one_of(st.just(0), st.just(0), st.integers(-bound, bound))
+
+
+@st.composite
+def _int_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    ncols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(_sparse_ints(3 * p), min_size=ncols,
+                                  max_size=ncols), max_size=5))
+    return rows, ncols, p
+
+
+@settings(max_examples=150, deadline=None)
+@given(_int_matrices())
+@example(([], 3, 7))                 # empty
+@example(([[0, 7, -14]], 3, 7))      # zero mod p
+def test_int_nullspace_matches_matrix_nullspace(case):
+    rows, ncols, p = case
+    # a matrix without rows has the kernel of a zero row
+    as_matrix = Matrix(rows or [[0] * ncols], GF(p))
+    expected = [[c.val for c in v] for v in as_matrix.nullspace()]
+    assert int_nullspace_mod_p(rows, ncols, p) == expected
+
+
+def _leibniz(rows, ring):
+    total = ring_zero(ring)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm))
+                         for j in range(i + 1, len(perm)))
+        term = ring_zero(ring) + 1
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term * (-1) ** inversions
+    return total
+
+
+@st.composite
+def _square_matrices(draw):
+    ring = draw(st.sampled_from([QQ, GF(2), GF(5), GF(7)]))
+    n = draw(st.integers(0, 4))
+    if ring == QQ:
+        entry = st.one_of(st.just(Fraction(0)),
+                          st.builds(Fraction, st.integers(-5, 5),
+                                    st.integers(1, 3)))
+    else:
+        entry = st.builds(Fp, _sparse_ints(10), st.just(ring[1]))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    return rows, ring
+
+
+@settings(max_examples=200, deadline=None)
+@given(_square_matrices())
+@example(([[0, 1], [1, 0]], QQ))                   # one swap
+@example(([[0, 1, 0], [0, 0, 1], [1, 0, 0]], GF(7)))  # two swaps
+@example(([[0, 2, 1], [3, 0, 0], [0, 0, 5]], QQ))
+@example(([[1, 2], [2, 4]], GF(7)))                # dependent rows
+@example(([[0, 1], [0, 3]], QQ))                   # zero column
+def test_det_matches_leibniz(case):
+    rows, ring = case
+    m = Matrix(rows, ring)
+    assert m.det() == _leibniz(m.entries, ring)
+
+
+@st.composite
+def _poly_systems(draw):
+    ring = draw(st.sampled_from([QQ, GF(7)]))
+    nrows = draw(st.integers(1, 4))
+    ncols = draw(st.integers(1, 4))
+    # nonzero coefficients: Poly keeps whatever terms it is given
+    if ring == QQ:
+        coef = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                         st.integers(1, 3))
+    else:
+        coef = st.builds(Fp, st.integers(1, 6), st.just(7))
+    rows = draw(st.lists(st.lists(st.one_of(st.just(0), coef),
+                                  min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    rhs = draw(st.lists(st.dictionaries(exps, coef, max_size=3),
+                        min_size=nrows, max_size=nrows))
+    return (Matrix(rows, ring),
+            [Poly(("x", "y"), terms, ring) for terms in rhs])
+
+
+_X, _Y = poly_ring(("x", "y"), QQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_systems())
+@example((_m([[1, 1], [2, 2]]), [_X, _Y]))           # inconsistent
+@example((_m([[1, 1], [2, 2]]), [_X, 2 * _X]))       # one free variable
+def test_solve_poly_rhs_matches_scalar_solves(case):
+    m, rhs = case
+    zero = ring_zero(m.ring)
+    sol = m.solve(rhs)
+    monomials = {e for b in rhs for e in b.terms}
+    scalar = {}
+    for e in monomials:
+        b = [bi.terms.get(e, zero) for bi in rhs]
+        scalar[e] = m.solve(b)
+        # consistent exactly when b adds nothing to the rank of A
+        aug = Matrix([row + [c] for row, c in zip(m.entries, b)], m.ring)
+        assert (scalar[e] is not None) == (aug.rank() == m.rank())
+    if any(x is None for x in scalar.values()):
+        assert sol is None
+        return
+    assert sol is not None and len(sol) == m.cols
+    for j, xj in enumerate(sol):
+        assert xj.terms == {e: x[j] for e, x in scalar.items() if x[j]}
+    for row, bi in zip(m.entries, rhs):
+        assert sum((xj * c for c, xj in zip(row, sol)),
+                   Poly.zero(("x", "y"), m.ring)) == bi

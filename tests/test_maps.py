@@ -145,6 +145,27 @@ def test_descend_identity():
     assert descend_map(quartic_cover(), quartic_cover(), 1) == identity_map()
 
 
+def test_descend_over_prime_field():
+    t0, t1 = poly_ring(("t0", "t1"), GF(7))
+    cover = RationalMapP1(t0**2, t1**2)
+    r = RationalMapP1(t0, t0 + t1)
+    assert descend_map(cover, compose(r, cover), 1) == r
+    with pytest.raises(MapError, match="does not factor"):
+        descend_map(cover, compose(cover, r), 1)
+
+
+def test_descend_over_gfp_matches_reduced_qq_quotient():
+    ring = GF(10007)
+
+    def reduce(m):
+        return RationalMapP1(m.num.to_ring(ring), m.den.to_ring(ring))
+
+    composite = compose(quartic_cover(), quartic_self_map())
+    quotient = descend_map(quartic_cover(), composite, 2)
+    assert descend_map(reduce(quartic_cover()), reduce(composite), 2) \
+        == reduce(quotient)
+
+
 def test_descend_failure_modes():
     with pytest.raises(MapError, match="does not factor"):
         descend_map(quartic_cover(), quartic_self_map(), 1)

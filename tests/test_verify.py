@@ -65,6 +65,9 @@ def test_parameter_validation():
         run_verifications(only=CHEAP[:1], primes=(2, 101))
     with pytest.raises(VerifyError, match="odd primes"):
         run_verifications(only=CHEAP[:1], primes=(9, 15))
+    # past the range where primality is decided exactly
+    with pytest.raises(VerifyError, match="odd primes.*primality range"):
+        run_verifications(only=CHEAP[:1], primes=(101, 10**25))
     with pytest.raises(VerifyError, match="trials"):
         run_verifications(only=CHEAP[:1], trials=0)
 
