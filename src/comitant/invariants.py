@@ -5,11 +5,13 @@ per basis monomial.  A linear change of the form's variables induces a
 derivation of the coefficient ring; polynomial invariants are exactly the
 weight-balanced coefficient polynomials killed by the off-diagonal
 derivations.  We restrict to the balanced-weight monomials up front (torus
-invariance is free), take the joint kernel of the simple raising operators
-modulo a word-size prime, lift the result back to QQ by rational
-reconstruction, and then *prove* each candidate by applying every operator
-exactly over QQ.  If the modular shortcut ever fails, the exact kernel is
-computed directly.
+invariance is free) and take the joint kernel of the simple raising
+operators modulo word-size primes.  Kernels mod several primes are combined
+by CRT and lifted back to QQ by rational reconstruction, and each lifted
+candidate is *proved* by applying every operator exactly over QQ; primes
+are added until the proof holds.  Rank mod p is at most the rank over QQ,
+so a proved basis as large as the kernel mod p is complete.  No elimination
+over QQ is ever run.
 
 Named invariants (I2, I3, S, T) are single-dimensional kernels pinned to a
 specific scalar by evaluating on a pencil with known values; no literature
@@ -21,15 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
+from math import comb, lcm, prod
 import random
 
 from .comitants import Form, transvectant
-from .linalg import LinearSubstitution, Matrix, int_nullspace_mod_p
+from .linalg import LinearSubstitution, Matrix, modular_nullspace
 from .poly import Poly, divexact, poly_ring
-from .scalars import QQ, rational_reconstruct, rational_to_fp, ring_zero
+from .scalars import QQ, ring_zero
 
-_PRIME = 2**31 - 1
 _SIZE_LIMIT = 15000
 
 BINARY_VARS = ("x", "y")
@@ -166,12 +167,8 @@ def _derivation_on_poly(space: _FormSpace, deriv: dict, p: Poly) -> Poly:
     for e, c in p.terms.items():
         for e2, c2 in _apply_derivation(space, deriv, e, c):
             prev = out.get(e2)
-            c3 = c2 if prev is None else prev + c2
-            if c3:
-                out[e2] = c3
-            elif prev is not None:
-                del out[e2]
-    return Poly(p.vars, out, p.ring)
+            out[e2] = c2 if prev is None else prev + c2
+    return Poly(p.vars, out, p.ring)      # which drops the cancelled terms
 
 
 def _raising_ops(n):
@@ -207,37 +204,41 @@ def _balanced_monomials(space: _FormSpace, r: int):
     return out
 
 
-def _operator_rows(space, derivs, candidates, p=None):
-    """Stacked rows of the derivations on span(candidates): Fractions, or
-    residues mod p when p is given."""
-    col_of = {e: i for i, e in enumerate(candidates)}
-    zero = Fraction(0) if p is None else 0
+def _operator_rows(space, derivs, candidates):
+    """Stacked integer rows of the derivations on span(candidates).
+
+    Each derivation is scaled by the lcm of its denominators first; that
+    scales whole rows, so the kernel is the same."""
     rows: list = []
     for deriv in derivs:
+        den = lcm(*(c.denominator for srcs in deriv.values() for _, c in srcs))
+        deriv = {v: [(s, c.numerator * (den // c.denominator))
+                     for s, c in srcs] for v, srcs in deriv.items()}
         row_of: dict = {}
-        for e in candidates:
-            col = col_of[e]
-            for e2, c in _apply_derivation(space, deriv, e, Fraction(1)):
+        for col, e in enumerate(candidates):
+            for e2, c in _apply_derivation(space, deriv, e, 1):
                 i = row_of.get(e2)
                 if i is None:
                     i = row_of[e2] = len(rows)
-                    rows.append([zero] * len(candidates))
-                rows[i][col] += c if p is None else rational_to_fp(c, p).val
+                    rows.append([0] * len(candidates))
+                rows[i][col] += c
     return rows
 
 
 def _vector_to_poly(vec, candidates, names) -> Poly:
-    terms = {e: Fraction(c) for e, c in zip(candidates, vec) if c}
-    return Poly(names, terms, QQ).primitive()
+    return Poly(names, dict(zip(candidates, vec)), QQ).primitive()
 
 
 def find_invariants(n: int, d: int, r: int) -> list:
     """Basis of the degree-r invariants of the universal (n,d) form.
 
-    Modular kernel first, rational reconstruction, then exact verification
-    against every off-diagonal operator; falls back to an exact kernel if
-    the shortcut misses.
+    The kernel of the raising operators is taken modulo word-size primes,
+    combined by CRT and lifted by rational reconstruction until every
+    lifted vector is proved invariant against every off-diagonal operator
+    exactly over QQ (`linalg.modular_nullspace`).
     """
+    if isinstance(r, bool) or not isinstance(r, int) or r < 0:
+        raise InvariantError(f"degree must be a nonnegative integer, got {r!r}")
     space = _space(n, d)
     total = comb(len(space.monomials) + r - 1, r)
     if total > _SIZE_LIMIT:
@@ -247,22 +248,22 @@ def find_invariants(n: int, d: int, r: int) -> list:
     if not candidates:
         return []
     derivs = [space.derivation(i, j) for i, j in _raising_ops(n)]
+    ops = _operator_rows(space, derivs, candidates)
 
-    rows = _operator_rows(space, derivs, candidates, _PRIME)
-    basis = []
-    for vec in int_nullspace_mod_p(rows, len(candidates), _PRIME):
-        lifted = [rational_reconstruct(c, _PRIME) for c in vec]
-        if None in lifted:
-            basis = None
-            break
-        basis.append(_vector_to_poly(lifted, candidates, space.names))
-    if basis is None or not all(_is_invariant(space, p) for p in basis):
-        rows = (_operator_rows(space, derivs, candidates)
-                or [[Fraction(0)] * len(candidates)])
-        basis = [_vector_to_poly(vec, candidates, space.names)
-                 for vec in Matrix(rows, QQ).nullspace()]
-        if not all(_is_invariant(space, p) for p in basis):
-            raise InvariantError("exact kernel failed operator check")
+    basis: list = []
+
+    def proven(vectors):
+        basis[:] = [_vector_to_poly(v, candidates, space.names)
+                    for v in vectors]
+        return all(_is_invariant(space, p) for p in basis)
+
+    # 2 H^2 for H the Hadamard bound of ops: past it, every kept prime is
+    # lucky and every reconstruction exact, so a refusal there is a bug
+    bound = 2 * prod(filter(None, (sum(c * c for c in row) for row in ops)))
+    if modular_nullspace(lambda p: ops, len(candidates), proven,
+                         bound) is None:
+        raise InvariantError(
+            "modular kernel passed its Hadamard bound without a proof")
     return [
         InvariantDescriptor((n, d), r, f"inv({n},{d})deg{r}#{i}", p,
                             space.basis)

@@ -2,11 +2,13 @@
 
 Every exact elimination runs through one Gauss-Jordan kernel,
 `_gauss_jordan`: on Fraction/Fp entries (both divide exactly, so a pivot is
-inverted as 1 / x), or on plain ints mod p for the modular kernels of the
-invariant finder.  It yields the reduced echelon form, the pivot columns and
-the determinant, and mirrors its row operations onto a scalar or Poly
-right-hand side for `Matrix.solve`.  Nullspace bases follow the
-reduced-echelon convention so results are deterministic.  Polynomial
+inverted as 1 / x), or on plain ints mod p for `int_nullspace_mod_p`.  It
+yields the reduced echelon form, the pivot columns and the determinant, and
+mirrors its row operations onto a scalar or Poly right-hand side for
+`Matrix.solve`.  Nullspace bases follow the reduced-echelon convention so
+results are deterministic.  `modular_nullspace` gets a kernel over QQ
+without QQ elimination: kernels mod several word-size primes, combined by
+CRT, lifted by rational reconstruction and proved by the caller.  Polynomial
 matrices get a division-free determinant (Laplace expansion memoized over
 column subsets) and Cramer solves, which is all the symbolic work here
 needs.
@@ -15,7 +17,8 @@ needs.
 from __future__ import annotations
 
 from .poly import Poly
-from .scalars import QQ, as_scalar, ring_one, ring_zero
+from .scalars import (QQ, as_scalar, is_prime, rational_reconstruct,
+                      ring_one, ring_zero)
 
 
 class Matrix:
@@ -251,6 +254,49 @@ def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
     work = [[c % p for c in row] for row in rows]
     pivots, _ = _gauss_jordan(work, ncols, p)
     return _kernel_basis(work, pivots, ncols, p=p)
+
+
+def modular_nullspace(rows, ncols: int, certify, bound: int):
+    """Kernel basis over QQ of a matrix given mod p, by CRT over primes.
+
+    rows(p) gives integer rows mod p; a ZeroDivisionError from it (p
+    divides a denominator) skips p.  Primes run down from 2^31 - 1.  Those
+    of largest rank, then smallest pivot columns, are kept (the rest were
+    unlucky), their kernels combined by CRT and lifted by rational
+    reconstruction; the first lift that certify(basis) proves exactly is
+    returned, in the reduced-echelon convention of Matrix.nullspace.  Rank
+    mod p is at most the rank over QQ, so that basis spans the QQ kernel.
+    None once the product of the kept primes passes bound unproven: with
+    bound = 2 H^2, H a Hadamard bound of the rows scaled to integers, that
+    only happens on a bug.
+    """
+    best = None             # (kernel dimension, pivots) of the kept primes
+    for p in filter(is_prime, range(2**31 - 1, 2, -2)):
+        try:
+            m = rows(p)
+        except ZeroDivisionError:
+            continue
+        basis = int_nullspace_mod_p(m, ncols, p)
+        # each vector ends in the 1 at its free column (reduced echelon form)
+        free = {max(j for j, c in enumerate(v) if c) for v in basis}
+        profile = (len(basis), [j for j in range(ncols) if j not in free])
+        if best is None or profile < best:      # the others were unlucky
+            best, modulus, residues = profile, p, basis
+        elif profile == best:
+            inv = pow(modulus, -1, p)
+            residues = [[a + modulus * ((b - a) * inv % p)
+                         for a, b in zip(u, v)]
+                        for u, v in zip(residues, basis)]
+            modulus *= p
+        else:
+            continue
+        lifted = [[rational_reconstruct(c, modulus) for c in v]
+                  for v in residues]
+        if not any(None in v for v in lifted) and certify(lifted):
+            return lifted
+        if modulus > bound:
+            return None
+    return None
 
 
 # -- the elimination kernel ---------------------------------------------

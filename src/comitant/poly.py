@@ -21,6 +21,8 @@ class Poly:
     def __init__(self, vars: tuple, terms: dict, ring: tuple = QQ):
         self.vars = tuple(vars)
         self.ring = ring
+        if not all(terms.values()):
+            terms = {e: c for e, c in terms.items() if c}
         self.terms = terms  # exponent tuple -> nonzero scalar
 
     # -- construction -------------------------------------------------
@@ -33,8 +35,6 @@ class Poly:
     def constant(cls, c, vars, ring=QQ) -> "Poly":
         c = as_scalar(c, ring)
         vars = tuple(vars)
-        if not c:
-            return cls(vars, {}, ring)
         return cls(vars, {(0,) * len(vars): c}, ring)
 
     @classmethod
@@ -51,8 +51,6 @@ class Poly:
         vars = tuple(vars)
         if len(exps) != len(vars):
             raise ValueError("exponent vector length does not match variables")
-        if not c:
-            return cls(vars, {}, ring)
         return cls(vars, {tuple(exps): c}, ring)
 
     # -- bookkeeping ---------------------------------------------------
@@ -111,15 +109,8 @@ class Poly:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e)
-            if s is None:
-                terms[e] = c
-            else:
-                s = s + c
-                if s:
-                    terms[e] = s
-                else:
-                    del terms[e]
-        return Poly(self.vars, terms, self.ring)
+            terms[e] = c if s is None else s + c
+        return Poly(self.vars, terms, self.ring)  # drops what cancelled
 
     __radd__ = __add__
 
@@ -146,18 +137,9 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
                 s = out.get(e)
-                if s is None:
-                    if c:
-                        out[e] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[e] = s
-                    else:
-                        del out[e]
-        return Poly(self.vars, out, self.ring)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return Poly(self.vars, out, self.ring)  # drops what cancelled
 
     __rmul__ = __mul__
 
@@ -191,12 +173,10 @@ class Poly:
             k = e[var_index]
             if k == 0:
                 continue
-            c2 = c * k
-            if not c2:
-                continue  # characteristic divides the exponent
             e2 = list(e)
             e2[var_index] = k - 1
-            out[tuple(e2)] = c2
+            out[tuple(e2)] = c * k
+        # drops the terms whose exponent the characteristic divides
         return Poly(self.vars, out, self.ring)
 
     def substitute(self, images: list) -> "Poly":

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from comitant import invariants
 from comitant.grammar import parse_poly
 from comitant.comitants import Form
 from comitant.invariants import (
@@ -22,6 +23,7 @@ from comitant.invariants import (
     random_substitution,
     substituted_form,
 )
+from comitant.linalg import Matrix
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import QQ
 
@@ -46,6 +48,36 @@ def test_binary_cubic_discriminant_dimension():
 def test_size_guard():
     with pytest.raises(InvariantError, match="too large"):
         find_invariants(3, 6, 12)
+
+
+@pytest.mark.parametrize("r", [-1, 1.5, True, "2", None])
+def test_bad_degree_rejected(r):
+    with pytest.raises(InvariantError, match="nonnegative integer"):
+        find_invariants(2, 4, r)
+
+
+def test_binary_octic_degree_six_dimension():
+    # four independent sextic invariants of the binary octic; the kernel
+    # mod one prime does not reconstruct, two primes do
+    assert len(find_invariants(2, 8, 6)) == 4
+
+
+def test_no_elimination_over_qq(monkeypatch):
+    def refuse(self):
+        raise AssertionError("find_invariants reached QQ elimination")
+
+    monkeypatch.setattr(Matrix, "nullspace", refuse)
+    monkeypatch.setattr(Matrix, "rref", refuse)
+    # the spaces of the invariant-search benchmark
+    got = [len(find_invariants(*space)) for space in
+           ((3, 3, 6), (2, 5, 8), (2, 6, 6), (2, 4, 10), (2, 4, 12))]
+    assert got == [1, 2, 3, 2, 3]
+
+
+def test_refused_proof_stops_at_the_hadamard_bound(monkeypatch):
+    monkeypatch.setattr(invariants, "_is_invariant", lambda space, p: False)
+    with pytest.raises(InvariantError, match="Hadamard bound"):
+        find_invariants(2, 4, 2)
 
 
 def test_generic_form_shape():

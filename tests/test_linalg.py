@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from comitant.linalg import (LinearSubstitution, Matrix, int_nullspace_mod_p,
-                             poly_det, poly_solve_cramer)
+                             modular_nullspace, poly_det, poly_solve_cramer)
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import GF, QQ, Fp, ring_zero
+from comitant.scalars import GF, QQ, Fp, is_prime, ring_zero
 
 
 def _m(rows):
@@ -192,12 +192,10 @@ def _poly_systems(draw):
     ring = draw(st.sampled_from([QQ, GF(7)]))
     nrows = draw(st.integers(1, 4))
     ncols = draw(st.integers(1, 4))
-    # nonzero coefficients: Poly keeps whatever terms it is given
     if ring == QQ:
-        coef = st.builds(Fraction, st.integers(-4, 4).filter(bool),
-                         st.integers(1, 3))
+        coef = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
     else:
-        coef = st.builds(Fp, st.integers(1, 6), st.just(7))
+        coef = st.builds(Fp, st.integers(0, 6), st.just(7))
     rows = draw(st.lists(st.lists(st.one_of(st.just(0), coef),
                                   min_size=ncols, max_size=ncols),
                          min_size=nrows, max_size=nrows))
@@ -236,3 +234,110 @@ def test_solve_poly_rhs_matches_scalar_solves(case):
     for row, bi in zip(m.entries, rhs):
         assert sum((xj * c for c, xj in zip(row, sol)),
                    Poly.zero(("x", "y"), m.ring)) == bi
+
+
+# -- the multi-modular kernel ----------------------------------------------
+
+P1, P2, P3 = 2**31 - 1, 2147483629, 2147483587   # the first primes below 2^31
+
+
+def _modular_kernel(rows, ncols):
+    """modular_nullspace with the exact check A v = 0 over QQ and the
+    Hadamard bound 2 H^2; returns (basis, primes asked for, bases offered
+    to the check)."""
+    m = Matrix(rows, QQ)
+    asked, offered = [], []
+
+    def build(p):
+        asked.append(p)
+        return rows
+
+    def certify(basis):
+        offered.append(basis)
+        return all(not any(m * v) for v in basis)
+
+    bound = 2
+    for row in rows:
+        bound *= sum(c * c for c in row) or 1
+    return modular_nullspace(build, ncols, certify, bound), asked, offered
+
+
+def test_first_primes_below_word_size():
+    assert all(is_prime(p) for p in (P1, P2, P3))
+    assert not any(is_prime(q) for q in range(P3 + 2, P1, 2) if q != P2)
+
+
+@st.composite
+def _wide_int_matrices(draw):
+    # kernel entries are quotients of minors of entries up to 2^40, mostly
+    # beyond what one 31-bit prime reconstructs (|n|, d <= 2^15)
+    ncols = draw(st.integers(1, 5))
+    big = st.integers(-2**40, 2**40)
+    rows = draw(st.lists(st.lists(st.one_of(st.just(0), big),
+                                  min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=4))
+    return rows, ncols
+
+
+@settings(max_examples=120, deadline=None)
+@given(_wide_int_matrices())
+@example(([[2**28 - 3, 2**27 + 7, 1]], 3))         # needs two primes
+@example(([[3**25, 0, 5**17], [7**14, 11**11, 0]], 3))
+@example(([[0, 0]], 2))
+def test_modular_nullspace_matches_matrix_nullspace(case):
+    rows, ncols = case
+    basis, _, _ = _modular_kernel(rows, ncols)
+    assert basis == Matrix(rows, QQ).nullspace()
+
+
+def test_modular_nullspace_combines_primes():
+    # kernel entries -(2^27 + 7)/(2^28 - 3) and -1/(2^28 - 3) are past the
+    # reach of one 31-bit prime (|n|, d <= 2^15); two primes reconstruct them
+    rows = [[2**28 - 3, 2**27 + 7, 1]]
+    basis, asked, offered = _modular_kernel(rows, 3)
+    assert asked == [P1, P2]
+    assert basis == [[Fraction(-(2**27 + 7), 2**28 - 3), 1, 0],
+                     [Fraction(-1, 2**28 - 3), 0, 1]]
+    # mod P1 alone, reconstruction finds small wrong fractions (113/46 for
+    # the first entry), which the certificate refuses
+    assert len(offered) == 2 and offered[0] != basis and offered[1] == basis
+
+
+@pytest.mark.parametrize("rows,kernel", [
+    # rank 2 over QQ, rank 1 mod P1: the 2-dimensional kernel mod P1
+    ([[P1, 1, 1], [0, 1, 1]], [[0, -1, 1]]),
+    # same rank mod P1 but pivots (1, 2) in place of (0, 1)
+    ([[P1, 1, 1], [0, 1, 0]], [[Fraction(-1, P1), 0, 1]]),
+])
+def test_modular_nullspace_drops_unlucky_prime(rows, kernel):
+    basis, asked, offered = _modular_kernel(rows, 3)
+    assert basis == kernel == Matrix(rows, QQ).nullspace()
+    assert asked[0] == P1
+    # what P1 gave is refused, and no later basis carries a trace of it:
+    # combining it would have changed the shape or the entries
+    assert offered[0] != kernel
+    assert offered[-1] == kernel
+
+
+def test_modular_nullspace_skips_prime_dividing_a_denominator():
+    rows = [[1, 2, 3]]
+
+    def build(p):
+        if p == P1:
+            raise ZeroDivisionError("denominator vanishes")
+        return rows
+
+    basis = modular_nullspace(build, 3, lambda b: True, 2 * 14)
+    assert basis == [[-2, 1, 0], [-3, 0, 1]]
+
+
+def test_modular_nullspace_stops_at_the_bound():
+    rows = [[1, 2, 3]]
+    # 2 H^2 = 28: the first prime already passes it
+    basis, asked, _ = _modular_kernel(rows, 3)
+    assert basis == [[-2, 1, 0], [-3, 0, 1]] and asked == [P1]
+    assert modular_nullspace(lambda p: rows, 3, lambda b: False, 28) is None
+    asked = []
+    assert modular_nullspace(lambda p: asked.append(p) or rows, 3,
+                             lambda b: False, 2**80) is None
+    assert asked == [P1, P2, P3]    # P1 * P2 * P3 is the first product > 2^80

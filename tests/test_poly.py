@@ -91,6 +91,14 @@ def test_divexact_success_and_failure():
         divexact(x, Poly.zero(("x", "y"), QQ))
 
 
+def test_zero_coefficients_are_dropped():
+    zero = Poly(("x", "y"), {(0, 0): Fraction(0)})
+    assert zero.is_zero() and not zero and zero == Poly.zero(("x", "y"))
+    mixed = Poly(("x", "y"), {(1, 0): Fraction(0), (0, 1): Fraction(2)})
+    assert mixed.terms == {(0, 1): 2} and mixed.total_degree() == 1
+    assert Poly(("x",), {(3,): Fp(7, 7)}, GF(7)).total_degree() == -1
+
+
 def test_content_and_primitive():
     x, y = poly_ring(("x", "y"), QQ)
     p = x * 6 + y * 9
@@ -166,8 +174,7 @@ def _coefficients(ring):
 def _polys(names, ring, max_exp=3, max_terms=5):
     exps = st.tuples(*[st.integers(0, max_exp)] * len(names))
     return st.dictionaries(exps, _coefficients(ring), max_size=max_terms).map(
-        lambda terms: Poly(names, {e: c for e, c in terms.items() if c},
-                           ring))
+        lambda terms: Poly(names, terms, ring))
 
 
 @st.composite
@@ -244,6 +251,11 @@ def _to_sympy(sympy, poly, syms):
         for e, c in poly.terms.items()])
 
 
+def _from_sympy(sympy, expr, syms):
+    got = sympy.Poly(sympy.expand(expr), *syms, domain="QQ").as_dict()
+    return {e: Fraction(int(c.p), int(c.q)) for e, c in got.items() if c}
+
+
 def test_substitute_matches_sympy():
     sympy = pytest.importorskip("sympy")
 
@@ -255,8 +267,54 @@ def test_substitute_matches_sympy():
         tgt = sympy.symbols(images[0].vars)
         expr = _to_sympy(sympy, f, src).xreplace(
             {s: _to_sympy(sympy, im, tgt) for s, im in zip(src, images)})
-        want = sympy.Poly(sympy.expand(expr), *tgt, domain="QQ").as_dict()
-        assert f.substitute(images).terms == {
-            e: Fraction(int(c.p), int(c.q)) for e, c in want.items() if c}
+        assert f.substitute(images).terms == _from_sympy(sympy, expr, tgt)
+
+    check()
+
+
+def _poly_pairs(max_exp=3):
+    names = st.integers(1, 3).map(lambda n: SOURCE[:n])
+    return names.flatmap(lambda vs: st.tuples(_polys(vs, QQ, max_exp),
+                                              _polys(vs, QQ, max_exp)))
+
+
+def test_mul_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_poly_pairs())
+    def check(pair):
+        f, g = pair
+        syms = sympy.symbols(f.vars)
+        want = _from_sympy(
+            sympy, _to_sympy(sympy, f, syms) * _to_sympy(sympy, g, syms), syms)
+        assert (f * g).terms == want
+
+    check()
+
+
+def test_divexact_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_poly_pairs(max_exp=2))
+    def check(pair):
+        f, g = pair
+        if g.is_zero():
+            return
+        syms = sympy.symbols(f.vars)
+        F, G = _to_sympy(sympy, f, syms), _to_sympy(sympy, g, syms)
+        # a product sympy formed divides back to f
+        product = Poly(f.vars, _from_sympy(sympy, F * G, syms))
+        assert divexact(product, g) == f
+        # and f itself divides exactly when sympy leaves no remainder
+        q, r = sympy.div(sympy.Poly(F, *syms, domain="QQ"),
+                         sympy.Poly(G, *syms, domain="QQ"))
+        if r.is_zero:
+            assert divexact(f, g).terms == _from_sympy(sympy, q.as_expr(),
+                                                       syms)
+        else:
+            with pytest.raises(ValueError, match="inexact"):
+                divexact(f, g)
 
     check()
