@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, lcm, prod
+from math import comb, lcm
 import random
 
 from .comitants import Form, transvectant
@@ -238,7 +238,8 @@ def find_invariants(n: int, d: int, r: int) -> list:
     exactly over QQ (`linalg.modular_nullspace`).
     """
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
-        raise InvariantError(f"degree must be a nonnegative integer, got {r!r}")
+        raise InvariantError(
+            f"degree must be a nonnegative integer, got {r!r}")
     space = _space(n, d)
     total = comb(len(space.monomials) + r - 1, r)
     if total > _SIZE_LIMIT:
@@ -250,20 +251,16 @@ def find_invariants(n: int, d: int, r: int) -> list:
     derivs = [space.derivation(i, j) for i, j in _raising_ops(n)]
     ops = _operator_rows(space, derivs, candidates)
 
-    basis: list = []
+    def polys(vectors):
+        return [_vector_to_poly(v, candidates, space.names) for v in vectors]
 
-    def proven(vectors):
-        basis[:] = [_vector_to_poly(v, candidates, space.names)
-                    for v in vectors]
-        return all(_is_invariant(space, p) for p in basis)
-
-    # 2 H^2 for H the Hadamard bound of ops: past it, every kept prime is
-    # lucky and every reconstruction exact, so a refusal there is a bug
-    bound = 2 * prod(filter(None, (sum(c * c for c in row) for row in ops)))
-    if modular_nullspace(lambda p: ops, len(candidates), proven,
-                         bound) is None:
+    vectors = modular_nullspace(
+        ops, len(candidates),
+        lambda lifts: all(_is_invariant(space, p) for p in polys(lifts)))
+    if vectors is None:
         raise InvariantError(
             "modular kernel passed its Hadamard bound without a proof")
+    basis = polys(vectors)
     return [
         InvariantDescriptor((n, d), r, f"inv({n},{d})deg{r}#{i}", p,
                             space.basis)

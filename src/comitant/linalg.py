@@ -16,6 +16,8 @@ needs.
 
 from __future__ import annotations
 
+from math import prod
+
 from .poly import Poly
 from .scalars import (QQ, as_scalar, is_prime, rational_reconstruct,
                       ring_one, ring_zero)
@@ -256,27 +258,25 @@ def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
     return _kernel_basis(work, pivots, ncols, p=p)
 
 
-def modular_nullspace(rows, ncols: int, certify, bound: int):
-    """Kernel basis over QQ of a matrix given mod p, by CRT over primes.
+def modular_nullspace(rows: list, ncols: int, certify):
+    """Kernel basis over QQ of an integer matrix, by CRT over primes.
 
-    rows(p) gives integer rows mod p; a ZeroDivisionError from it (p
-    divides a denominator) skips p.  Primes run down from 2^31 - 1.  Those
-    of largest rank, then smallest pivot columns, are kept (the rest were
-    unlucky), their kernels combined by CRT and lifted by rational
-    reconstruction; the first lift that certify(basis) proves exactly is
-    returned, in the reduced-echelon convention of Matrix.nullspace.  Rank
-    mod p is at most the rank over QQ, so that basis spans the QQ kernel.
-    None once the product of the kept primes passes bound unproven: with
-    bound = 2 H^2, H a Hadamard bound of the rows scaled to integers, that
-    only happens on a bug.
+    Primes run down from 2^31 - 1.  Those of largest rank, then smallest
+    pivot columns, are kept (the rest were unlucky), their kernels combined
+    by CRT and lifted by rational reconstruction; the first lift that
+    certify(basis) proves exactly is returned.  Rank mod p is at most the
+    rank over QQ, so that basis spans the QQ kernel.  It is in the
+    reduced-echelon convention of Matrix.nullspace when a kept prime is
+    lucky; a prime that keeps the rank but moves the pivots can, rarely,
+    give a proved basis on other free columns.  Returns None once the
+    product of the kept primes passes 2 H^2, H the Hadamard bound of rows:
+    by then every kept prime is lucky and every lift exact, so that only
+    happens when certify refuses a true kernel.
     """
+    bound = 2 * prod(filter(None, (sum(c * c for c in row) for row in rows)))
     best = None             # (kernel dimension, pivots) of the kept primes
     for p in filter(is_prime, range(2**31 - 1, 2, -2)):
-        try:
-            m = rows(p)
-        except ZeroDivisionError:
-            continue
-        basis = int_nullspace_mod_p(m, ncols, p)
+        basis = int_nullspace_mod_p(rows, ncols, p)
         # each vector ends in the 1 at its free column (reduced echelon form)
         free = {max(j for j, c in enumerate(v) if c) for v in basis}
         profile = (len(basis), [j for j in range(ncols) if j not in free])

@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import permutations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from comitant import linalg
 from comitant.linalg import (LinearSubstitution, Matrix, int_nullspace_mod_p,
                              modular_nullspace, poly_det, poly_solve_cramer)
 from comitant.poly import Poly, poly_ring
@@ -241,25 +243,22 @@ def test_solve_poly_rhs_matches_scalar_solves(case):
 P1, P2, P3 = 2**31 - 1, 2147483629, 2147483587   # the first primes below 2^31
 
 
-def _modular_kernel(rows, ncols):
-    """modular_nullspace with the exact check A v = 0 over QQ and the
-    Hadamard bound 2 H^2; returns (basis, primes asked for, bases offered
-    to the check)."""
+def _modular_kernel(rows, ncols, certify=None):
+    """modular_nullspace with the exact check A v = 0 over QQ by default;
+    returns (basis, primes tried, bases offered to the check)."""
     m = Matrix(rows, QQ)
-    asked, offered = [], []
+    offered = []
 
-    def build(p):
-        asked.append(p)
-        return rows
-
-    def certify(basis):
+    def check(basis):
         offered.append(basis)
+        if certify is not None:
+            return certify(basis)
         return all(not any(m * v) for v in basis)
 
-    bound = 2
-    for row in rows:
-        bound *= sum(c * c for c in row) or 1
-    return modular_nullspace(build, ncols, certify, bound), asked, offered
+    with mock.patch.object(linalg, "int_nullspace_mod_p",
+                           wraps=linalg.int_nullspace_mod_p) as spy:
+        basis = modular_nullspace(rows, ncols, check)
+    return basis, [c.args[2] for c in spy.call_args_list], offered
 
 
 def test_first_primes_below_word_size():
@@ -319,25 +318,12 @@ def test_modular_nullspace_drops_unlucky_prime(rows, kernel):
     assert offered[-1] == kernel
 
 
-def test_modular_nullspace_skips_prime_dividing_a_denominator():
-    rows = [[1, 2, 3]]
-
-    def build(p):
-        if p == P1:
-            raise ZeroDivisionError("denominator vanishes")
-        return rows
-
-    basis = modular_nullspace(build, 3, lambda b: True, 2 * 14)
-    assert basis == [[-2, 1, 0], [-3, 0, 1]]
-
-
 def test_modular_nullspace_stops_at_the_bound():
-    rows = [[1, 2, 3]]
     # 2 H^2 = 28: the first prime already passes it
-    basis, asked, _ = _modular_kernel(rows, 3)
+    basis, asked, _ = _modular_kernel([[1, 2, 3]], 3)
     assert basis == [[-2, 1, 0], [-3, 0, 1]] and asked == [P1]
-    assert modular_nullspace(lambda p: rows, 3, lambda b: False, 28) is None
-    asked = []
-    assert modular_nullspace(lambda p: asked.append(p) or rows, 3,
-                             lambda b: False, 2**80) is None
-    assert asked == [P1, P2, P3]    # P1 * P2 * P3 is the first product > 2^80
+    basis, asked, _ = _modular_kernel([[1, 2, 3]], 3, lambda b: False)
+    assert basis is None and asked == [P1]
+    # 2 H^2 = 2^81 + 4, first passed by P1 * P2 * P3
+    basis, asked, _ = _modular_kernel([[2**40, 1, 1]], 3, lambda b: False)
+    assert basis is None and asked == [P1, P2, P3]
