@@ -6,12 +6,13 @@ derivation of the coefficient ring; polynomial invariants are exactly the
 weight-balanced coefficient polynomials killed by the off-diagonal
 derivations.  We restrict to the balanced-weight monomials up front (torus
 invariance is free) and take the joint kernel of the simple raising
-operators modulo word-size primes.  Kernels mod several primes are combined
-by CRT and lifted back to QQ by rational reconstruction, and each lifted
-candidate is *proved* by applying every operator exactly over QQ; primes
-are added until the proof holds.  Rank mod p is at most the rank over QQ,
-so a proved basis as large as the kernel mod p is complete.  No elimination
-over QQ is ever run.
+operators modulo word-size primes, eliminated in int64.  Kernels mod
+several primes are combined by CRT and lifted back to QQ by rational
+reconstruction, and each lifted candidate is *proved* by applying every
+operator exactly: its denominators are cleared and the integer operator
+rows must kill its integer coefficients.  Primes are added until the proof
+holds.  Rank mod p is at most the rank over QQ, so a proved basis as large
+as the kernel mod p is complete.  No elimination over QQ is ever run.
 
 Named invariants (I2, I3, S, T) are single-dimensional kernels pinned to a
 specific scalar by evaluating on a pencil with known values; no literature
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 from math import comb, lcm
+from operator import mul
 import random
 
 from .comitants import Form, transvectant
@@ -162,44 +163,55 @@ def _apply_derivation(space: _FormSpace, deriv: dict, mono, coef):
             yield tuple(e), coef * k * c
 
 
-def _derivation_on_poly(space: _FormSpace, deriv: dict, p: Poly) -> Poly:
-    out: dict = {}
-    for e, c in p.terms.items():
-        for e2, c2 in _apply_derivation(space, deriv, e, c):
-            prev = out.get(e2)
-            out[e2] = c2 if prev is None else prev + c2
-    return Poly(p.vars, out, p.ring)      # which drops the cancelled terms
-
-
 def _raising_ops(n):
     # adjacent transvections; balanced monomials they kill are killed by all
     return [(i, i + 1) for i in range(n - 1)]
 
 
 def _is_invariant(space: _FormSpace, p: Poly) -> bool:
-    """Whether every off-diagonal derivation kills the coefficient poly p."""
+    """Whether every off-diagonal derivation kills the coefficient poly p.
+
+    Exact on integers: p's denominators are cleared and every derivation
+    scaled to integer coefficients, which leaves its kernel unchanged."""
     n = space.n
-    return all(_derivation_on_poly(space, space.derivation(i, j), p).is_zero()
-               for i in range(n) for j in range(n) if i != j)
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    coeffs = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+    derivs = [space.derivation(i, j)
+              for i in range(n) for j in range(n) if i != j]
+    return not any(sum(map(mul, row, coeffs))
+                   for row in _operator_rows(space, derivs, list(p.terms)))
 
 
 def _balanced_monomials(space: _FormSpace, r: int):
+    """Exponent vectors of the degree-r coefficient monomials of torus
+    weight (w, .., w), w = r d / n, sorted by (degree, exponents) descending.
+
+    Indices are chosen depth-first in nondecreasing order; a branch is cut
+    as soon as some coordinate's remaining weight leaves 0..left*d, which
+    the `left` monomials still to choose could not fill.  The monomials are
+    sorted by first exponent, descending, which caps the first coordinate
+    further."""
     n, d = space.n, space.d
     if (r * d) % n:
         return []
-    w = r * d // n
+    monomials = space.monomials
     out = []
-    for combo in combinations_with_replacement(range(len(space.monomials)), r):
-        weight = [0] * n
-        for v in combo:
-            m = space.monomials[v]
-            for i in range(n):
-                weight[i] += m[i]
-        if all(c == w for c in weight):
-            e = [0] * len(space.monomials)
-            for v in combo:
-                e[v] += 1
-            out.append(tuple(e))
+    # (first index allowed, monomials left, weight still owed, exponents)
+    stack = [(0, r, (r * d // n,) * n, (0,) * len(monomials))]
+    while stack:
+        start, left, need, e = stack.pop()
+        if not left:
+            out.append(e)
+            continue
+        cap = (left - 1) * d
+        for v in range(start, len(monomials)):
+            m = monomials[v]
+            rest = tuple(a - b for a, b in zip(need, m))
+            # the later picks are v or after it: first exponent at most m[0]
+            if (0 <= rest[0] <= (left - 1) * m[0]
+                    and all(0 <= a <= cap for a in rest[1:])):
+                stack.append((v, left - 1, rest,
+                              e[:v] + (e[v] + 1,) + e[v + 1:]))
     out.sort(key=lambda e: (sum(e), e), reverse=True)
     return out
 
@@ -234,9 +246,12 @@ def find_invariants(n: int, d: int, r: int) -> list:
 
     The kernel of the raising operators is taken modulo word-size primes,
     combined by CRT and lifted by rational reconstruction until every
-    lifted vector is proved invariant against every off-diagonal operator
-    exactly over QQ (`linalg.modular_nullspace`).
+    lifted vector is proved invariant against every off-diagonal operator,
+    exactly on integers (`linalg.modular_nullspace`).
     """
+    for what, v in (("variable count", n), ("form degree", d)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InvariantError(f"{what} must be an integer, got {v!r}")
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise InvariantError(
             f"degree must be a nonnegative integer, got {r!r}")

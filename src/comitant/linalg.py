@@ -1,22 +1,25 @@
 """Exact dense linear algebra over QQ and GF(p), plus polynomial matrices.
 
-Every exact elimination runs through one Gauss-Jordan kernel,
-`_gauss_jordan`: on Fraction/Fp entries (both divide exactly, so a pivot is
-inverted as 1 / x), or on plain ints mod p for `int_nullspace_mod_p`.  It
-yields the reduced echelon form, the pivot columns and the determinant, and
-mirrors its row operations onto a scalar or Poly right-hand side for
-`Matrix.solve`.  Nullspace bases follow the reduced-echelon convention so
-results are deterministic.  `modular_nullspace` gets a kernel over QQ
-without QQ elimination: kernels mod several word-size primes, combined by
-CRT, lifted by rational reconstruction and proved by the caller.  Polynomial
-matrices get a division-free determinant (Laplace expansion memoized over
-column subsets) and Cramer solves, which is all the symbolic work here
-needs.
+Each entry representation has one Gauss-Jordan kernel.  `_gauss_jordan`
+works on Fraction/Fp entries (both divide exactly, so a pivot is inverted as
+1 / x): it yields the reduced echelon form, the pivot columns and the
+determinant, and mirrors its row operations onto a scalar or Poly
+right-hand side for `Matrix.solve`.  `int_nullspace_mod_p` eliminates
+residues mod a word-size prime in one numpy int64 array, which is exact
+while (p-1)^2 < 2^63.  Both make the same pivot choices, and nullspace bases
+follow the reduced-echelon convention, so results are deterministic.
+`modular_nullspace` gets a kernel over QQ without QQ elimination: kernels
+mod several word-size primes, combined by CRT, lifted by rational
+reconstruction and proved by the caller.  Polynomial matrices get a
+division-free determinant (Laplace expansion memoized over column subsets)
+and Cramer solves, which is all the symbolic work here needs.
 """
 
 from __future__ import annotations
 
 from math import prod
+
+import numpy as np
 
 from .poly import Poly
 from .scalars import (QQ, as_scalar, is_prime, rational_reconstruct,
@@ -246,16 +249,39 @@ def poly_solve_cramer(rows: list, rhs: list):
 
 
 def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
-    """Nullspace basis of an integer matrix mod p, on plain ints for speed.
+    """Nullspace basis of an integer matrix mod p, eliminated in int64.
 
     Same reduced-echelon convention as Matrix.nullspace (one basis vector
     per free column, pivot entries filled in, free entry = 1), so the two
-    paths are interchangeable.  rows may be empty; entries need not be
-    reduced mod p on input.
+    paths are interchangeable; entries come back as Python ints.  rows may
+    be empty; entries need not be reduced mod p on input and may exceed
+    int64.  Products of residues stay below 2^63, so 2 <= p and
+    (p-1)^2 < 2^63 are required.
     """
-    work = [[c % p for c in row] for row in rows]
-    pivots, _ = _gauss_jordan(work, ncols, p)
-    return _kernel_basis(work, pivots, ncols, p=p)
+    if p < 2 or (p - 1) ** 2 >= 2**63:
+        raise ValueError(f"modulus {p} is out of range: int64 elimination "
+                         "needs p >= 2 and (p-1)^2 < 2^63")
+    m = np.array([[c % p for c in row] for row in rows],
+                 dtype=np.int64).reshape(len(rows), ncols)
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        below = np.flatnonzero(m[r:, c])
+        if not below.size:
+            continue
+        pr = r + int(below[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        # the pivot row is zero left of c, so only columns c.. change
+        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
+        hit = np.flatnonzero(m[:, c])
+        hit = hit[hit != r]
+        m[hit, c:] = (m[hit, c:] - m[hit, c][:, None] * m[r, c:]) % p
+        pivots.append(c)
+    # Python ints: callers combine residues by CRT past 2^63
+    return _kernel_basis(m[:len(pivots)].tolist(), pivots, ncols, p=p)
 
 
 def modular_nullspace(rows: list, ncols: int, certify):
@@ -301,10 +327,10 @@ def modular_nullspace(rows: list, ncols: int, certify):
 
 # -- the elimination kernel ---------------------------------------------
 
-def _gauss_jordan(m: list, ncols: int, p=None, rhs=None):
-    """Bring the rows m to reduced row echelon form, in place.
+def _gauss_jordan(m: list, ncols: int, rhs=None):
+    """Bring the rows m of Fraction/Fp entries to reduced row echelon form,
+    in place.
 
-    Entries are Fraction/Fp, or plain ints reduced mod p when p is given.
     When rhs (one scalar or Poly per row) is given, every row operation is
     mirrored onto it.  Returns (pivot columns, signed product of the
     pivots); the product is the determinant of a square m of full rank.
@@ -326,26 +352,19 @@ def _gauss_jordan(m: list, ncols: int, p=None, rhs=None):
             det = -det
         piv = m[r][c]
         det = det * piv
-        if p is None:
-            inv = 1 / piv
-            m[r] = [x * inv for x in m[r]]
-        else:
-            inv = pow(piv, p - 2, p)
-            m[r] = [x * inv % p for x in m[r]]
+        inv = 1 / piv
+        m[r] = [x * inv for x in m[r]]
         if rhs is not None:
             rhs[r] = rhs[r] * inv
         for i in range(nrows):
             f = m[i][c]
             if i == r or not f:
                 continue
-            if p is None:
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            else:
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[r])]
+            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
             if rhs is not None:
                 rhs[i] = rhs[i] - rhs[r] * f
         pivots.append(c)
-    return pivots, (det if p is None else det % p)
+    return pivots, det
 
 
 def _kernel_basis(m: list, pivots: list, ncols: int, zero=0, one=1, p=None):

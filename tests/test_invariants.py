@@ -2,6 +2,8 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from math import comb
 
 import pytest
 
@@ -56,6 +58,13 @@ def test_bad_degree_rejected(r):
         find_invariants(2, 4, r)
 
 
+@pytest.mark.parametrize("n,d", [(2, 4.5), (2.0, 4), (2, True), (True, 4),
+                                 ("2", 4), (2, None)])
+def test_bad_space_rejected(n, d):
+    with pytest.raises(InvariantError, match="must be an integer"):
+        find_invariants(n, d, 2)
+
+
 def test_binary_octic_degree_six_dimension():
     # four independent sextic invariants of the binary octic; the kernel
     # mod one prime does not reconstruct, two primes do
@@ -78,6 +87,69 @@ def test_refused_proof_stops_at_the_hadamard_bound(monkeypatch):
     monkeypatch.setattr(invariants, "_is_invariant", lambda space, p: False)
     with pytest.raises(InvariantError, match="Hadamard bound"):
         find_invariants(2, 4, 2)
+
+
+def test_is_invariant_on_binary_quartics():
+    space = invariants._space(2, 4)
+    a0, a1, a2, a3, a4 = poly_ring(space.names, QQ)
+    i2 = a0 * a4 - 4 * a1 * a3 + 3 * a2**2
+    assert find_invariants(2, 4, 2)[0].formula == i2
+    # balanced, so the torus fixes them, but the raising operators do not
+    assert not invariants._is_invariant(space, a0 * a4 - 4 * a1 * a3)
+    assert not invariants._is_invariant(space, a2**2)
+    # denominators are cleared before the integer check
+    assert invariants._is_invariant(space, i2.scale_div(3))
+    assert invariants._is_invariant(space, Poly.zero(space.names, QQ))
+
+
+def test_is_invariant_accepts_found_bases():
+    space = invariants._space(3, 3)
+    basis = find_invariants(3, 3, 4)
+    assert basis and all(invariants._is_invariant(space, b.formula)
+                         for b in basis)
+    x = Poly.variable(space.names[0], space.names, QQ)
+    assert not invariants._is_invariant(space, basis[0].formula + x**4)
+
+
+def _balanced_by_brute_force(space, r):
+    """Every degree-r combination of coefficient monomials, kept when its
+    torus weight is balanced (the enumeration the finder used to run)."""
+    n, d = space.n, space.d
+    if (r * d) % n:
+        return []
+    w = r * d // n
+    out = []
+    for combo in combinations_with_replacement(range(len(space.monomials)),
+                                               r):
+        weight = [0] * n
+        for v in combo:
+            m = space.monomials[v]
+            for i in range(n):
+                weight[i] += m[i]
+        if all(c == w for c in weight):
+            e = [0] * len(space.monomials)
+            for v in combo:
+                e[v] += 1
+            out.append(tuple(e))
+    out.sort(key=lambda e: (sum(e), e), reverse=True)
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_balanced_monomials_match_brute_force(n):
+    checked = 0
+    for d in range(1, 7):
+        space = invariants._space(n, d)
+        for r in range(7):
+            # the spaces find_invariants accepts; past the size limit the
+            # brute force alone takes seconds
+            size = comb(len(space.monomials) + r - 1, r)
+            if size > invariants._SIZE_LIMIT:
+                continue
+            assert (invariants._balanced_monomials(space, r)
+                    == _balanced_by_brute_force(space, r)), (n, d, r)
+            checked += 1
+    assert checked == (42 if n == 2 else 36)
 
 
 def test_generic_form_shape():

@@ -128,25 +128,47 @@ def _sparse_ints(bound):
     return st.one_of(st.just(0), st.just(0), st.integers(-bound, bound))
 
 
+# the largest prime with (p-1)^2 < 2^63, and the next prime
+P_TOP, P_PAST = 3037000493, 3037000507
+
+
 @st.composite
 def _int_matrices(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1, P_TOP]))
     ncols = draw(st.integers(1, 6))
-    rows = draw(st.lists(st.lists(_sparse_ints(3 * p), min_size=ncols,
-                                  max_size=ncols), max_size=5))
+    # entries past int64 must be reduced before they reach the array
+    entry = st.one_of(_sparse_ints(3 * p), st.integers(-2**70, 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=5))
     return rows, ncols, p
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(_int_matrices())
 @example(([], 3, 7))                 # empty
 @example(([[0, 7, -14]], 3, 7))      # zero mod p
+@example(([[2**64 + 1, -2**63 - 5, 1], [P_TOP - 1, 1, 0]], 3, P_TOP))
+@example(([[0, 1, 2], [0, 2, 4], [1, 0, 1]], 3, 101))  # swaps, zero column
 def test_int_nullspace_matches_matrix_nullspace(case):
     rows, ncols, p = case
     # a matrix without rows has the kernel of a zero row
     as_matrix = Matrix(rows or [[0] * ncols], GF(p))
     expected = [[c.val for c in v] for v in as_matrix.nullspace()]
-    assert int_nullspace_mod_p(rows, ncols, p) == expected
+    got = int_nullspace_mod_p(rows, ncols, p)
+    assert got == expected
+    # Python ints: np.int64 would wrap in the CRT of modular_nullspace
+    assert all(type(c) is int for v in got for c in v)
+
+
+def test_int_nullspace_modulus_bounds():
+    # residues near P_TOP: every product is close to (P_TOP - 1)^2 < 2^63
+    rows = [[2, P_TOP - 1, P_TOP - 2], [P_TOP - 3, P_TOP - 5, P_TOP - 1]]
+    expected = Matrix(rows, GF(P_TOP)).nullspace()
+    assert int_nullspace_mod_p(rows, 3, P_TOP) == [[c.val for c in v]
+                                                   for v in expected]
+    for p in (P_PAST, 2**61 - 1, 1, 0, -7):
+        with pytest.raises(ValueError, match="out of range"):
+            int_nullspace_mod_p(rows, 3, p)
 
 
 def _leibniz(rows, ring):

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from comitant.invariants import generic_form
+from comitant.linalg import poly_det
 from comitant.poly import Poly, divexact, poly_ring, univariate_gcd
 from comitant.scalars import GF, QQ, Fp, as_scalar
 
@@ -289,6 +290,64 @@ def test_mul_matches_sympy():
         want = _from_sympy(
             sympy, _to_sympy(sympy, f, syms) * _to_sympy(sympy, g, syms), syms)
         assert (f * g).terms == want
+
+    check()
+
+
+@st.composite
+def _gcd_cases(draw):
+    # f = a*c and g = b*c share the factor c; binary forms are homogeneous
+    vars = draw(st.sampled_from([("x",), ("x", "y")]))
+
+    def form(deg):
+        cs = draw(st.lists(_coefficients(QQ), min_size=deg + 1,
+                           max_size=deg + 1))
+        exps = [(i,) if len(vars) == 1 else (deg - i, i)
+                for i in range(deg + 1)]
+        return Poly(vars, dict(zip(exps, cs)), QQ)
+
+    a, b, c = (form(draw(st.integers(0, 3))) for _ in range(3))
+    return a * c, b * c
+
+
+def test_univariate_gcd_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_gcd_cases())
+    def check(pair):
+        f, g = pair
+        if f.is_zero() and g.is_zero():
+            with pytest.raises(ValueError, match="undefined"):
+                univariate_gcd(f, g)
+            return
+        syms = sympy.symbols(f.vars)
+        want = sympy.gcd(_to_sympy(sympy, f, syms), _to_sympy(sympy, g, syms))
+        # primitive: integer coefficients, content 1, positive leading term
+        assert univariate_gcd(f, g) == Poly(
+            f.vars, _from_sympy(sympy, want, syms)).primitive()
+
+    check()
+
+
+@st.composite
+def _poly_matrices(draw):
+    n = draw(st.integers(1, 4))
+    entry = _polys(SOURCE[:2], QQ, max_exp=2, max_terms=3)
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+def test_poly_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=40, deadline=None)
+    @given(_poly_matrices())
+    def check(rows):
+        syms = sympy.symbols(rows[0][0].vars)
+        m = sympy.Matrix([[_to_sympy(sympy, e, syms) for e in row]
+                          for row in rows])
+        want = _from_sympy(sympy, m.det(method="berkowitz"), syms)
+        assert poly_det(rows).terms == want
 
     check()
 
