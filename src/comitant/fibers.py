@@ -21,6 +21,15 @@ the six-coordinate P^3(F_101) census); the keys sort in lexicographic row
 order, so one int64 sort counts every fiber.  Wider rows fall back to a
 structured view of the row, compared field by field.
 
+Residues are held in the narrowest safe integer width, worked out from p
+and the map alone (`_residue_dtype`): int32 when a product of two residues
+and each coordinate's sum of its T terms fit, (p-1)^2 < 2^31 and
+T*(p-1) < 2^31 (so p <= 46337, with up to 46,345 terms a coordinate at
+that p), int64 otherwise.  Keys stay int64 either way.  `_normalize_rows`
+scales the evaluated rows in place, and the census builds its `source`
+array only after the sort, once the keys are gone, so the two never
+coexist.
+
 Guards, each raising FiberError before anything is allocated, checked
 together by `check_census`: the source P^k(F_p) may have at most
 MAX_POINTS points; a product of two residues must fit in int64, i.e.
@@ -86,20 +95,37 @@ def projective_points(k: int, p: int) -> np.ndarray:
     """All points of P^k(F_p), one canonical representative per row.
 
     Stratified by position of the first nonzero coordinate; the count is
-    (p^(k+1) - 1) / (p - 1), at most MAX_POINTS.
+    (p^(k+1) - 1) / (p - 1), at most MAX_POINTS.  Each stratum is written
+    straight into one preallocated array, through a view of its rows
+    reshaped to the grid (p,)*free of its trailing coordinates.
     """
-    _point_count(k, p)
-    blocks = []
+    out = np.zeros((_point_count(k, p), k + 1), dtype=np.int64)
+    row = 0
     for lead in range(k + 1):
         free = k - lead
         n = p**free
-        block = np.zeros((n, k + 1), dtype=np.int64)
-        block[:, lead] = 1
-        if free:
-            grid = np.indices((p,) * free).reshape(free, n)
-            block[:, lead + 1:] = grid.T
-        blocks.append(block)
-    return np.concatenate(blocks, axis=0)
+        # rows of a C-contiguous array are contiguous: reshape is a view
+        grid = out[row:row + n].reshape((p,) * free + (k + 1,))
+        grid[..., lead] = 1
+        for axis in range(free):
+            grid[..., lead + 1 + axis] = np.arange(p).reshape(
+                (p,) + (1,) * (free - 1 - axis))
+        row += n
+    return out
+
+
+def _residue_dtype(p: int, nterms: int):
+    """int32 when (p-1)^2 < 2^31 and nterms*(p-1) < 2^31, else int64.
+
+    A residue product is below (p-1)^2 and a coordinate's sum of its
+    nterms terms, each a residue, below nterms*(p-1).  In int64 the
+    product fits by the (p-1)^2 < 2^63 guard, and the sum wraps only past
+    2^63/(p-1) > 3*10^9 terms, far more than a polynomial held in memory
+    has.
+    """
+    if (p - 1) ** 2 < 2**31 and nterms * (p - 1) < 2**31:
+        return np.int32
+    return np.int64
 
 
 def _evaluate(polys, k: int, p: int) -> np.ndarray:
@@ -111,7 +137,8 @@ def _evaluate(polys, k: int, p: int) -> np.ndarray:
     there; every other term is c times an outer product of 1-D power
     vectors t^e mod p of length p, broadcast over the grid with one % p per
     factor.  Power vectors are built on first use, so a stratum with no
-    free coordinate (all of P^0) allocates nothing of size p.
+    free coordinate (all of P^0) allocates nothing of size p.  Everything
+    is in _residue_dtype(p, T), T the most terms of any polynomial.
     """
     total = _point_count(k, p)
     _check_products(p)
@@ -120,12 +147,13 @@ def _evaluate(polys, k: int, p: int) -> np.ndarray:
         if len(poly.vars) != k + 1:
             raise FiberError("variable count does not match the source space")
         terms.append(_int_terms(poly, p))
+    dtype = _residue_dtype(p, max(map(len, terms), default=0))
     powers = {}
 
     def power(e):
         vec = powers.get(e)
         if vec is None:
-            vec = np.arange(p, dtype=np.int64)
+            vec = np.arange(p, dtype=dtype)
             if e > 1:
                 vec = power(e - 1) * vec % p
             powers[e] = vec
@@ -133,26 +161,24 @@ def _evaluate(polys, k: int, p: int) -> np.ndarray:
 
     # one contiguous row per polynomial, returned transposed: a column of
     # the result is written and read in one sweep
-    out = np.empty((len(polys), total), dtype=np.int64)
+    out = np.empty((len(polys), total), dtype=dtype)
     row = 0
     for lead in range(k + 1):
         free = k - lead
         shape = (p,) * free
         n = p**free
         for j, poly_terms in enumerate(terms):
-            acc = np.zeros(shape, dtype=np.int64)
+            acc = np.zeros(shape, dtype=dtype)
             for e, c in poly_terms:
                 if any(e[:lead]):
                     continue
-                term = np.int64(c)
+                term = dtype(c)
                 for axis, x in enumerate(e[lead + 1:]):
                     if x:
                         vec = power(x).reshape(
                             (1,) * axis + (p,) + (1,) * (free - 1 - axis))
                         term = term * vec % p
                 acc += term
-            # each term is below p, so the sum wraps only past 2^63/(p-1)
-            # > 3*10^9 terms, far more than a polynomial held in memory has
             acc %= p
             out[j, row:row + n] = acc.reshape(n)
         row += n
@@ -174,7 +200,8 @@ def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _normalize_rows(vals: np.ndarray, p: int):
-    """Scale rows so the first nonzero entry is 1; returns (vals, zero mask)."""
+    """Scale rows so the first nonzero entry is 1, in place, in the dtype
+    of vals; returns (vals, zero mask).  An all-zero row stays zero."""
     # the first nonzero entry of each row, found one column at a time
     lead = vals[:, -1]
     for j in range(vals.shape[1] - 2, -1, -1):
@@ -184,16 +211,16 @@ def _normalize_rows(vals: np.ndarray, p: int):
     # invert through a table of all residues when there are at least as
     # many rows as residues, so no call does work of size p for few rows
     if p <= vals.shape[0]:
-        inv = _fermat_inverse(np.arange(p, dtype=np.int64), p)[lead]
+        inv = _fermat_inverse(np.arange(p, dtype=vals.dtype), p)[lead]
     else:
         inv = _fermat_inverse(lead, p)
-    scaled = vals * np.where(zero, 0, inv)[:, None]
-    scaled %= p
-    return scaled, zero
+    vals *= inv[:, None]
+    vals %= p
+    return vals, zero
 
 
 def _void_view(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+    arr = np.ascontiguousarray(arr, dtype=np.int64)
     return arr.view([("", arr.dtype)] * arr.shape[1]).ravel()
 
 
@@ -201,7 +228,8 @@ def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
     """One sort key per row of residues mod p, in lexicographic row order.
 
     The int64 sum(v_i * p^(m-1-i)) when p^m < 2^63; otherwise the row as a
-    structured (void) scalar, compared field by field.
+    structured (void) scalar of int64 fields, compared field by field, so
+    the key does not depend on the residue width.
     """
     m = rows.shape[1]
     if p**m >= 2**63:
@@ -236,19 +264,20 @@ class FiberCensus:
         self.p = p
         self.polys = polys
         self.source_dim = k
-        vals = _evaluate(polys, k, p)
         self._terms = [_int_terms(poly, p) for poly in polys]
-        vals, indeterminate = _normalize_rows(vals, p)
-        # the benchmark's per-layer byte counter (perfbench/shim.py) reads
-        # source, images and indeterminate_mask; nothing else does, and
-        # the grid evaluation needs no source array
-        self.source = projective_points(k, p)
-        self.images = vals
-        self.indeterminate_mask = indeterminate
+        vals, indeterminate = _normalize_rows(_evaluate(polys, k, p), p)
+        self.total = vals.shape[0]
         self.indeterminate = int(indeterminate.sum())
         keys = _row_keys(vals, p)[~indeterminate]
         self._uniq, self._counts = np.unique(keys, return_counts=True)
-        self.total = vals.shape[0]
+        del keys
+        # the benchmark's per-layer byte counter (perfbench/shim.py) reads
+        # source, images and indeterminate_mask; nothing else does, and
+        # the grid evaluation needs no source array, so it is built only
+        # now that the keys and the sort's temporaries are gone
+        self.images = vals
+        self.indeterminate_mask = indeterminate
+        self.source = projective_points(k, p)
 
     @property
     def max_fiber(self) -> int:

@@ -141,9 +141,16 @@ def _exponents(n, d):
             if d - i - j >= 0]
 
 
-@lru_cache(maxsize=None)
+_cached_space = lru_cache(maxsize=None)(_FormSpace)
+
+
 def _space(n, d) -> _FormSpace:
-    return _FormSpace(n, d)
+    """The shared _FormSpace of V(n,d).  n and d are checked before the
+    cache, which would take 2.0 and True for 2 and 1."""
+    for what, v in (("variable count", n), ("form degree", d)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InvariantError(f"{what} must be an integer, got {v!r}")
+    return _cached_space(n, d)
 
 
 def generic_form(n: int, d: int) -> Poly:
@@ -249,13 +256,10 @@ def find_invariants(n: int, d: int, r: int) -> list:
     lifted vector is proved invariant against every off-diagonal operator,
     exactly on integers (`linalg.modular_nullspace`).
     """
-    for what, v in (("variable count", n), ("form degree", d)):
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InvariantError(f"{what} must be an integer, got {v!r}")
+    space = _space(n, d)
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
         raise InvariantError(
             f"degree must be a nonnegative integer, got {r!r}")
-    space = _space(n, d)
     total = comb(len(space.monomials) + r - 1, r)
     if total > _SIZE_LIMIT:
         raise InvariantError(
@@ -266,16 +270,17 @@ def find_invariants(n: int, d: int, r: int) -> list:
     derivs = [space.derivation(i, j) for i, j in _raising_ops(n)]
     ops = _operator_rows(space, derivs, candidates)
 
-    def polys(vectors):
-        return [_vector_to_poly(v, candidates, space.names) for v in vectors]
+    basis = []      # the polynomials of the last lift certify saw
 
-    vectors = modular_nullspace(
-        ops, len(candidates),
-        lambda lifts: all(_is_invariant(space, p) for p in polys(lifts)))
-    if vectors is None:
+    def certify(lifts):
+        basis[:] = [_vector_to_poly(v, candidates, space.names)
+                    for v in lifts]
+        return all(_is_invariant(space, p) for p in basis)
+
+    # modular_nullspace returns the lift of certify's last, accepting call
+    if modular_nullspace(ops, len(candidates), certify) is None:
         raise InvariantError(
             "modular kernel passed its Hadamard bound without a proof")
-    basis = polys(vectors)
     return [
         InvariantDescriptor((n, d), r, f"inv({n},{d})deg{r}#{i}", p,
                             space.basis)

@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import product
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comitant.associated import AssociatedFormError, associated_form
 from comitant.comitants import (
@@ -16,6 +19,7 @@ from comitant.invariants import (InvariantError, evaluate_invariant,
                                  invariant_S)
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import QQ
+from test_poly import _coefficients, _from_sympy, _to_sympy
 
 
 def bform(text, degree, variables=("x", "y")):
@@ -121,7 +125,62 @@ def test_transvectant_with_parameters():
     assert i2 == (1 + a**2 * 3) * 2
 
 
+@st.composite
+def _forms(draw, n, degree):
+    """A form of the given degree in the last n of ("a", "x", "y", "z");
+    the parameter a rides along in the coefficients."""
+    names = ("a", "x", "y", "z")[:n + 1]
+    monos = [e for e in product(range(degree + 1), repeat=n)
+             if sum(e) == degree]
+    terms = {}
+    for e in draw(st.lists(st.sampled_from(monos), max_size=4, unique=True)):
+        terms[(draw(st.integers(0, 2)),) + e] = draw(_coefficients(QQ))
+    return Poly(names, terms, QQ)
+
+
+def test_transvectant_matches_sympy_omega_process():
+    # (f, g)_k = (m-k)!(n-k)!/(m! n!) * Omega^k (f(x1, y1) g(x2, y2)) on the
+    # diagonal, Omega = d^2/dx1 dy2 - d^2/dy1 dx2 (Cayley's process)
+    sympy = pytest.importorskip("sympy")
+    a, x, y, x1, y1, x2, y2 = sympy.symbols("a x y x1 y1 x2 y2")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def check(data):
+        m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+        k = data.draw(st.integers(0, min(m, n)))
+        f, g = data.draw(_forms(2, m)), data.draw(_forms(2, n))
+        h = sympy.expand(_to_sympy(sympy, f, (a, x1, y1))
+                         * _to_sympy(sympy, g, (a, x2, y2)))
+        for _ in range(k):
+            h = sympy.diff(h, x1, y2) - sympy.diff(h, y1, x2)
+        h = h.subs({x1: x, x2: x, y1: y, y2: y}) * sympy.Rational(
+            factorial(m - k) * factorial(n - k), factorial(m) * factorial(n))
+        got = transvectant(Form(f, m, (1, 2)), Form(g, n, (1, 2)), k)
+        assert got.degree == m + n - 2 * k
+        assert got.poly.terms == _from_sympy(sympy, h, (a, x, y))
+
+    check()
+
+
 # ------------------------------------------------------- hessian and friends
+
+def test_hessian_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def check(data):
+        n = data.draw(st.sampled_from([2, 3]))
+        f = data.draw(_forms(n, data.draw(st.integers(1, 6 - n))))
+        syms = sympy.symbols(f.vars)
+        want = sympy.hessian(_to_sympy(sympy, f, syms), syms[1:]).det(
+            method="berkowitz")
+        assert hessian(f, indices=range(1, n + 1)).terms == _from_sympy(
+            sympy, want, syms)
+
+    check()
+
 
 def test_binary_hessian():
     x, y = poly_ring(("x", "y"), QQ)

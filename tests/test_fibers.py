@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -9,6 +10,7 @@ from comitant.fibers import (
     FiberCensus,
     FiberError,
     _evaluate,
+    _residue_dtype,
     check_census,
     fiber_count,
     projective_points,
@@ -35,6 +37,29 @@ def test_projective_points_are_canonical():
         assert nz[0] == 1
     # and no row repeats
     assert len({tuple(r) for r in pts}) == pts.shape[0]
+
+
+def _stratified_points_reference(k, p):
+    """The points of P^k(F_p) built one stratum block at a time and
+    concatenated: the construction projective_points replaces."""
+    blocks = []
+    for lead in range(k + 1):
+        free = k - lead
+        n = p**free
+        block = np.zeros((n, k + 1), dtype=np.int64)
+        block[:, lead] = 1
+        if free:
+            block[:, lead + 1:] = np.indices((p,) * free).reshape(free, n).T
+        blocks.append(block)
+    return np.concatenate(blocks, axis=0)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_points_match_stratified_reference(k, p):
+    pts = projective_points(k, p)
+    assert pts.dtype == np.int64
+    assert np.array_equal(pts, _stratified_points_reference(k, p))
 
 
 def test_source_dimension_guard():
@@ -187,6 +212,44 @@ def test_int64_product_guard():
         FiberCensus([t0**2], 4294967311)
 
 
+def test_residue_width_rule():
+    # (p-1)^2 < 2^31: 46340^2 = 2147395600 fits, 46341^2 = 2147488281 does not
+    assert _residue_dtype(46341, 1) is np.int32
+    assert _residue_dtype(46342, 1) is np.int64
+    assert _residue_dtype(46337, 1) is np.int32   # the largest such prime
+    assert _residue_dtype(46349, 1) is np.int64   # the next prime
+    # T*(p-1) < 2^31: a coordinate's sum of T residues
+    assert _residue_dtype(2, 2**31 - 1) is np.int32
+    assert _residue_dtype(2, 2**31) is np.int64
+    assert _residue_dtype(101, (2**31 - 1) // 100) is np.int32
+    assert _residue_dtype(101, (2**31 - 1) // 100 + 1) is np.int64
+    assert _residue_dtype(3037000493, 1) is np.int64
+
+
+@pytest.mark.parametrize("p,dtype", [(46337, np.int32), (46349, np.int64)])
+def test_census_on_each_side_of_the_int32_bound(p, dtype):
+    # coefficients -1 and -2 are p-1 and p-2: residue products near (p-1)^2
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    census = FiberCensus([-t0**3 - 2 * t0 * t1**2 + t1**3,
+                          t0**2 * t1 - t1**3], p)
+    assert census.images.dtype == dtype
+    # every row against image_of, which works on Python ints
+    fibers, indeterminate = {}, 0
+    for pt, row in zip(census.source.tolist(), census.images.tolist()):
+        img = census.image_of(pt)
+        if img is None:
+            indeterminate += 1
+            assert row == [0, 0]
+            continue
+        assert tuple(row) == img
+        fibers[img] = fibers.get(img, 0) + 1
+    assert census.indeterminate == indeterminate
+    assert sorted(census._counts.tolist()) == sorted(fibers.values())
+    # one lookup costs ~0.1 ms, so every 50th image is looked up
+    for img in list(fibers)[::50]:
+        assert census.fiber_size(img) == fibers[img]
+
+
 def test_image_of_rejects_wrong_point_length():
     t0, t1 = poly_ring(("t0", "t1"), QQ)
     census = FiberCensus([t0**2, t1**2], 11)
@@ -313,7 +376,16 @@ def test_grid_evaluator_matches_pointwise_fp(case):
 
 def test_quintic_image_census():
     # the census behind claim 09: P^3(F_101), 1,040,604 source points
-    census = FiberCensus(hammond_image_polys(), 101)
+    polys = hammond_image_polys()
+    tracemalloc.start()
+    try:
+        census = FiberCensus(polys, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # int32 residues, in-place scaling and a source built after the sort:
+    # ~72 MiB, where int64 with every array alive at the sort took 121 MiB
+    assert peak < 90 * 2**20
     assert census.total == 1_040_604
     assert census.indeterminate == 204
     assert census.image_size == 1_035_202

@@ -65,6 +65,16 @@ def test_bad_space_rejected(n, d):
         find_invariants(n, d, 2)
 
 
+@pytest.mark.parametrize("n,d", [(2, 4.5), (2.0, 4), (2, True), (True, 4),
+                                 ([2], 4)])
+def test_generic_form_rejects_bad_space(n, d):
+    # the V(2,4) and V(2,1) spaces are cached first: 2.0 and True must not
+    # hit their entries
+    generic_form(2, 4), generic_form(2, 1)
+    with pytest.raises(InvariantError, match="must be an integer"):
+        generic_form(n, d)
+
+
 def test_binary_octic_degree_six_dimension():
     # four independent sextic invariants of the binary octic; the kernel
     # mod one prime does not reconstruct, two primes do
