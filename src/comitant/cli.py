@@ -24,7 +24,7 @@ from fractions import Fraction
 from .associated import associated_form, associated_slice_map
 from .comitants import Form
 from .fibers import sample_report
-from .geometry import (Conic, PointPair, coble_identity_check,
+from .geometry import (Conic, PointPair, coble_identity_check, proportional,
                        q_construction, richelot_forward, richelot_inverse,
                        sigma_map)
 from .grammar import parse_poly_file
@@ -173,10 +173,7 @@ def _cmd_geometry(args) -> int:
         return 0
     # sigma: the six-point self-map, on the standard conic x*z - y^2
     coeffs = _fractions(args.conic, 6)
-    standard = (0, -2, 0, 0, 1, 0)
-    proportional = all(coeffs[i] * standard[j] == coeffs[j] * standard[i]
-                       for i in range(6) for j in range(i + 1, 6))
-    if not proportional or not any(coeffs):
+    if not any(coeffs) or not proportional(coeffs, (0, -2, 0, 0, 1, 0)):
         raise ValueError("sigma works on the standard conic x*z - y^2; "
                          "pass a conic proportional to 0,-2,0,0,1,0")
     for p in sigma_map(_read_pairs(args.pairs)):

@@ -13,7 +13,9 @@ row by row: the points whose first nonzero coordinate sits at position
 coordinates.  There a term with a positive exponent before `lead` is zero,
 and every other term is an outer product of 1-D length-p power vectors
 t^e mod p, broadcast over the grid.  A single point (`image_of`) is
-evaluated with Python ints.
+evaluated with Python ints, on the same residue terms, converted once.
+Lookups reduce each coordinate exactly (ints mod p, Fractions by their
+inverse denominator, Fp over p as is) and refuse anything else.
 
 Each normalized image row of m coordinates is keyed by one int64 in mixed
 radix p, sum(v_i * p^(m-1-i)), whenever p^m < 2^63 (every P^1 census, and
@@ -45,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .poly import Poly
-from .scalars import GF, QQ, is_prime, rational_to_fp
+from .scalars import GF, QQ, Fp, is_prime, rational_to_fp
 
 # Largest source P^k(F_p) a census enumerates: P^3(F_p) up to p = 251.
 MAX_POINTS = 2**24
@@ -91,6 +93,29 @@ def _int_terms(poly: Poly, p: int):
     return out
 
 
+def _residue(c, p: int) -> int:
+    """One lookup coordinate mod p: an int, a Fraction whose denominator p
+    does not divide, or an Fp over p; anything else raises FiberError."""
+    if isinstance(c, Fp):
+        if c.p == p:
+            return c.val
+    elif isinstance(c, Fraction):
+        if c.denominator % p:
+            return rational_to_fp(c, p).val
+    elif isinstance(c, (int, np.integer)):
+        return int(c) % p
+    raise FiberError(f"cannot reduce {c!r} mod {p}")
+
+
+def _scaled_row(vals, p: int):
+    """Residues scaled so the first nonzero one is 1; None if all are 0."""
+    lead = next((v for v in vals if v), 0)
+    if not lead:
+        return None
+    inv = pow(lead, -1, p)
+    return tuple(v * inv % p for v in vals)
+
+
 def projective_points(k: int, p: int) -> np.ndarray:
     """All points of P^k(F_p), one canonical representative per row.
 
@@ -128,8 +153,9 @@ def _residue_dtype(p: int, nterms: int):
     return np.int64
 
 
-def _evaluate(polys, k: int, p: int) -> np.ndarray:
-    """Each polynomial mod p at every point of projective_points(k, p).
+def _evaluate(terms, k: int, p: int) -> np.ndarray:
+    """Each polynomial, given by its `_int_terms`, mod p at every point of
+    projective_points(k, p).
 
     One stratum at a time: the points whose first nonzero coordinate is at
     `lead` form the grid (p,)*free, free = k - lead, of their trailing
@@ -142,11 +168,6 @@ def _evaluate(polys, k: int, p: int) -> np.ndarray:
     """
     total = _point_count(k, p)
     _check_products(p)
-    terms = []
-    for poly in polys:
-        if len(poly.vars) != k + 1:
-            raise FiberError("variable count does not match the source space")
-        terms.append(_int_terms(poly, p))
     dtype = _residue_dtype(p, max(map(len, terms), default=0))
     powers = {}
 
@@ -161,7 +182,7 @@ def _evaluate(polys, k: int, p: int) -> np.ndarray:
 
     # one contiguous row per polynomial, returned transposed: a column of
     # the result is written and read in one sweep
-    out = np.empty((len(polys), total), dtype=dtype)
+    out = np.empty((len(terms), total), dtype=dtype)
     row = 0
     for lead in range(k + 1):
         free = k - lead
@@ -261,11 +282,13 @@ class FiberCensus:
             raise FiberError("a map needs at least one coordinate")
         k = len(polys[0].vars) - 1
         check_census(k, p)
+        if any(len(poly.vars) != k + 1 for poly in polys):
+            raise FiberError("variable count does not match the source space")
         self.p = p
         self.polys = polys
         self.source_dim = k
         self._terms = [_int_terms(poly, p) for poly in polys]
-        vals, indeterminate = _normalize_rows(_evaluate(polys, k, p), p)
+        vals, indeterminate = _normalize_rows(_evaluate(self._terms, k, p), p)
         self.total = vals.shape[0]
         self.indeterminate = int(indeterminate.sum())
         keys = _row_keys(vals, p)[~indeterminate]
@@ -294,11 +317,10 @@ class FiberCensus:
         if len(target) != len(self.polys):
             raise FiberError(f"target has {len(target)} coordinates, the map "
                              f"has {len(self.polys)}")
-        row = np.array([[int(c) % self.p for c in target]], dtype=np.int64)
-        row, zero = _normalize_rows(row, self.p)
-        if zero[0]:
+        row = _scaled_row([_residue(c, self.p) for c in target], self.p)
+        if row is None:
             raise FiberError("target must be a projective point, not zero")
-        return tuple(int(c) for c in row[0])
+        return row
 
     def fiber_size(self, target) -> int:
         row = np.array([self.normalize_target(target)], dtype=np.int64)
@@ -315,7 +337,7 @@ class FiberCensus:
             raise FiberError(f"source point has {len(source_point)} "
                              f"coordinates, P^{self.source_dim} needs "
                              f"{self.source_dim + 1}")
-        pt = [int(c) % p for c in source_point]
+        pt = [_residue(c, p) for c in source_point]
         vals = []
         for terms in self._terms:
             acc = 0
@@ -325,11 +347,7 @@ class FiberCensus:
                         c = c * pow(x, k, p) % p
                 acc += c
             vals.append(acc % p)
-        lead = next((v for v in vals if v), 0)
-        if not lead:
-            return None
-        inv = pow(lead, -1, p)
-        return tuple(v * inv % p for v in vals)
+        return _scaled_row(vals, p)
 
 
 def _map_polys(m):

@@ -13,8 +13,8 @@ from fractions import Fraction
 from .comitants import Form
 from .linalg import Matrix, poly_det
 from .maps import normalize_point
-from .poly import Poly, poly_ring
-from .scalars import QQ, ring_one, ring_zero
+from .poly import Poly, poly_ring, unwrap
+from .scalars import QQ, ring_one
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
 
@@ -23,15 +23,12 @@ class GeometryError(ValueError):
     pass
 
 
-def _unwrap(p: Poly):
-    """Empty-variable polynomials collapse to their scalar value."""
-    if p.vars:
-        return p
-    return p.terms.get((), ring_zero(p.ring))
-
-
-def _is_zero_val(v) -> bool:
-    return v.is_zero() if isinstance(v, Poly) else not v
+def proportional(u, v) -> bool:
+    """Whether two coordinate sequences (scalars or polynomials) agree up
+    to a scalar: equal length and every 2x2 minor u_i v_j - u_j v_i zero."""
+    n = len(u)
+    return len(v) == n and not any(u[i] * v[j] - u[j] * v[i]
+                                   for i in range(n) for j in range(i + 1, n))
 
 
 # ---------------------------------------------------------------------------
@@ -62,12 +59,12 @@ class PointPair:
         rest = tuple(v for i, v in enumerate(self.form.poly.vars)
                      if i not in self.form.indices)
         zero = Poly.zero(rest, self.form.poly.ring)
-        return tuple(_unwrap(groups.get(e, zero))
+        return tuple(unwrap(groups.get(e, zero))
                      for e in ((2, 0), (1, 1), (0, 2)))
 
     def is_double_point(self) -> bool:
         A, B, C = self.coefficients()
-        return _is_zero_val(A * C * 4 - B * B)
+        return not (A * C * 4 - B * B)
 
     def value_at(self, pt):
         A, B, C = self.coefficients()
@@ -78,9 +75,7 @@ class PointPair:
         """Projective equality: proportional coefficient triples."""
         if not isinstance(other, PointPair):
             return NotImplemented
-        u, v = self.coefficients(), other.coefficients()
-        return all(_is_zero_val(u[i] * v[j] - u[j] * v[i])
-                   for i in range(3) for j in range(i + 1, 3))
+        return proportional(self.coefficients(), other.coefficients())
 
     def __hash__(self):
         raise TypeError("unhashable (projective equality)")
@@ -112,7 +107,7 @@ def harmonic_pairing(b1: PointPair, b2: PointPair):
 
 
 def is_harmonic(b1: PointPair, b2: PointPair) -> bool:
-    return _is_zero_val(harmonic_pairing(b1, b2))
+    return not harmonic_pairing(b1, b2)
 
 
 def harmonic_partner(pair: PointPair, pt):
@@ -122,7 +117,7 @@ def harmonic_partner(pair: PointPair, pt):
     the image of pt under an explicit linear involution.  Undefined exactly
     when pt is a root of the pair.
     """
-    if _is_zero_val(pair.value_at(pt)):
+    if not pair.value_at(pt):
         raise GeometryError("point lies on the pair; no harmonic partner")
     A, B, C = pair.coefficients()
     p0, p1 = pt
@@ -140,19 +135,14 @@ class ProjectivePoint:
         coords = tuple(coords)
         if len(coords) not in (2, 3):
             raise GeometryError("points live on a line or in the plane")
-        if all(_is_zero_val(c) for c in coords):
+        if not any(coords):
             raise GeometryError("all-zero coordinates")
         self.coords = coords
 
     def __eq__(self, other):
         if not isinstance(other, ProjectivePoint):
             return NotImplemented
-        u, v = self.coords, other.coords
-        if len(u) != len(v):
-            return False
-        n = len(u)
-        return all(_is_zero_val(u[i] * v[j] - u[j] * v[i])
-                   for i in range(n) for j in range(i + 1, n))
+        return proportional(self.coords, other.coords)
 
     def __hash__(self):
         raise TypeError("unhashable (projective equality)")
@@ -177,22 +167,18 @@ class Conic:
         return [[a, d, e], [d, b, f], [e, f, c]]
 
     def det(self):
-        m = self.matrix()
-        return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+        return poly_det(self.matrix())
 
     def is_nonsingular(self) -> bool:
-        return not _is_zero_val(self.det())
+        return bool(self.det())
+
+    def pairing(self, u, v):
+        """The conic's symmetric bilinear form at two plane points."""
+        m = self.matrix()
+        return sum(m[i][j] * u[i] * v[j] for i in range(3) for j in range(3))
 
     def value_at(self, pt):
-        m = self.matrix()
-        acc = None
-        for i in range(3):
-            for j in range(3):
-                term = m[i][j] * pt[i] * pt[j]
-                acc = term if acc is None else acc + term
-        return acc
+        return self.pairing(pt, pt)
 
     def coordinate_restriction(self, i: int) -> PointPair:
         """The binary quadratic cut on the coordinate line x_i = 0."""
@@ -285,10 +271,8 @@ def coble_matrix():
 
 def bracket(m, i: int, j: int, k: int):
     """3x3 minor of a 3x6 matrix on columns i, j, k (1-indexed)."""
-    sub = [[m[r][i - 1], m[r][j - 1], m[r][k - 1]] for r in range(3)]
-    if isinstance(sub[0][0], Poly):
-        return poly_det(sub)
-    return Matrix(sub, QQ).det()
+    return poly_det([[m[r][i - 1], m[r][j - 1], m[r][k - 1]]
+                     for r in range(3)])
 
 
 def bracket_factorizations() -> dict:
@@ -336,14 +320,7 @@ def conic_through(points) -> bool:
     points = list(points)
     if len(points) != 6:
         raise GeometryError("need exactly six points")
-    rows = [_veronese_row(p) for p in points]
-    if isinstance(rows[0][0], Poly):
-        vars = next(v.vars for row in rows for v in row if isinstance(v, Poly))
-        lifted = [[v if isinstance(v, Poly)
-                   else Poly.constant(v, vars, QQ) for v in row]
-                  for row in rows]
-        return poly_det(lifted).is_zero()
-    return not Matrix(rows, QQ).det()
+    return not poly_det([_veronese_row(p) for p in points])
 
 
 def conic_fit(points) -> Conic:
@@ -378,10 +355,6 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
-def _det3(rows) -> Fraction:
-    return Matrix([list(r) for r in rows], QQ).det()
-
-
 def _on_standard_conic(pt) -> bool:
     return not (pt[0] * pt[2] - pt[1] * pt[1])
 
@@ -414,9 +387,7 @@ def pair_vertex(pair: PointPair) -> tuple:
 
 def is_tangency_pair(vertex, pair: PointPair) -> bool:
     """Duality check: the pair's chord is exactly the polar of the vertex."""
-    L, P = polar_line(vertex), chord(pair)
-    return all(not (L[i] * P[j] - L[j] * P[i])
-               for i in range(3) for j in range(i + 1, 3))
+    return proportional(polar_line(vertex), chord(pair))
 
 
 def _shared_vars(pairs):
@@ -433,7 +404,7 @@ def richelot_forward(pairs):
         raise GeometryError("need exactly three pairs")
     vars = _shared_vars(pairs)
     lines = [chord(p) for p in pairs]
-    if not _det3(lines):
+    if not poly_det(lines):
         raise GeometryError("degenerate chord triangle")
     vertices = [_cross(lines[1], lines[2]), _cross(lines[2], lines[0]),
                 _cross(lines[0], lines[1])]
@@ -451,7 +422,7 @@ def richelot_inverse(pairs):
         if p.is_double_point():
             raise GeometryError("double point pair has no tangent vertex")
         vertices.append(pair_vertex(p))
-    if not _det3(vertices):
+    if not poly_det(vertices):
         raise GeometryError("degenerate vertex triangle")
     sides = [_cross(vertices[1], vertices[2]),
              _cross(vertices[2], vertices[0]),
@@ -478,14 +449,8 @@ def pair_triples_match(first, second) -> bool:
 def _parameter_of(conic: Conic, center, ref0, ref1, pt):
     """Parameter of a conic point under projection from another one."""
     if ProjectivePoint(pt) == ProjectivePoint(center):
-        m = conic.matrix()
-
-        def pairing(u, v):
-            return sum(m[i][j] * u[i] * v[j]
-                       for i in range(3) for j in range(3))
-
-        return (pairing(center, ref1), -pairing(center, ref0))
-    return (_det3([center, pt, ref1]), -_det3([center, pt, ref0]))
+        return (conic.pairing(center, ref1), -conic.pairing(center, ref0))
+    return (poly_det([center, pt, ref1]), -poly_det([center, pt, ref0]))
 
 
 def sigma_map(pairs):
@@ -512,7 +477,7 @@ def sigma_map(pairs):
     moved = Conic(m1[0, 0], m1[1, 1], m1[2, 2], m1[0, 1], m1[0, 2], m1[1, 2])
     qs = [p.coords for p in q_construction(moved)]
     fitted = conic_fit([ProjectivePoint(q) for q in qs[:5]])
-    if not _is_zero_val(fitted.value_at(qs[5])):
+    if fitted.value_at(qs[5]):
         raise GeometryError("six derived points failed to land on a conic")
     if not fitted.is_nonsingular():
         raise GeometryError("derived conic is singular")
@@ -520,7 +485,7 @@ def sigma_map(pairs):
     refs = None
     for i in range(1, 5):
         for j in range(i + 1, 6):
-            if _det3([center, qs[i], qs[j]]):
+            if poly_det([center, qs[i], qs[j]]):
                 refs = (qs[i], qs[j])
                 break
         if refs:
@@ -559,7 +524,7 @@ def triple_invariants(pairs) -> tuple:
     r23 = pairing(raws[1], raws[2])
     r13 = pairing(raws[0], raws[2])
     r12 = pairing(raws[0], raws[1])
-    j = _det3(raws)
+    j = poly_det(raws)
     return (Fraction(r23 * r23, discs[1] * discs[2]),
             Fraction(r13 * r13, discs[0] * discs[2]),
             Fraction(r12 * r12, discs[0] * discs[1]),

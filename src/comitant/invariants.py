@@ -29,8 +29,8 @@ import random
 
 from .comitants import Form, transvectant
 from .linalg import LinearSubstitution, Matrix, modular_nullspace
-from .poly import Poly, divexact, poly_ring
-from .scalars import QQ, ring_zero
+from .poly import Poly, constant_ratio, poly_ring, unwrap
+from .scalars import QQ
 
 _SIZE_LIMIT = 15000
 
@@ -315,7 +315,8 @@ def evaluate_invariant(inv: InvariantDescriptor, f):
     """Substitute f's coefficients into the descriptor's formula.
 
     f may carry parameter variables; the result is then a polynomial in
-    those parameters, otherwise a scalar.
+    those parameters, otherwise a scalar.  Over GF(p) the QQ formula is
+    reduced by `Poly.substitute` itself.
     """
     n, d = inv.space
     form = _as_form(f, n, d)
@@ -330,11 +331,7 @@ def evaluate_invariant(inv: InvariantDescriptor, f):
         if c is None:
             c = Poly.zero(rest, ring)
         values.append(c if w == 1 else c.scale_div(w))
-    formula = inv.formula if ring == QQ else inv.formula.to_ring(ring)
-    if not rest:
-        scalars = [v.terms.get((), ring_zero(ring)) for v in values]
-        return formula.evaluate(scalars)
-    return formula.substitute(values)
+    return unwrap(inv.formula.substitute(values))
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +365,9 @@ def _pin_scalar(raw: InvariantDescriptor, form, target: Poly, name: str):
     val = evaluate_invariant(raw, form)
     if not isinstance(val, Poly) or val.vars != target.vars:
         raise InvariantError(f"{name}: calibration value has wrong shape")
-    ratio = divexact(val, target)
-    if ratio.total_degree() != 0:
+    c = constant_ratio(target, val)
+    if c is None:
         raise InvariantError(f"{name}: calibration ratio is not a scalar")
-    c = ratio.terms[(0,) * len(ratio.vars)]
     return raw.rescaled(c).renamed(name)
 
 
@@ -505,6 +501,16 @@ def substituted_form(form, g: LinearSubstitution):
     return Form(g.apply(form.poly, form.indices), form.degree, form.indices)
 
 
+def det_weight(det, ratio):
+    """The w in 0..200 with det^w == ratio, or None."""
+    power = 1
+    for w in range(201):
+        if power == ratio:
+            return w
+        power *= det
+    return None
+
+
 def measured_weight(inv: InvariantDescriptor, g: LinearSubstitution,
                     sample) -> int:
     """Recover w with evaluate(g . f) = det(g)^w evaluate(f) from one probe."""
@@ -512,11 +518,10 @@ def measured_weight(inv: InvariantDescriptor, g: LinearSubstitution,
     if not base:
         raise InvariantError("probe form lies on the zero locus; pick another")
     moved = evaluate_invariant(inv, substituted_form(sample, g))
-    ratio = moved / base
-    for w in range(0, 200):
-        if g.det**w == ratio:
-            return w
-    raise InvariantError("value ratio is not a power of det(g)")
+    w = det_weight(g.det, moved / base)
+    if w is None:
+        raise InvariantError("value ratio is not a power of det(g)")
+    return w
 
 
 def random_substitution(n, rng, unimodular=False) -> LinearSubstitution:

@@ -11,8 +11,9 @@ follow the reduced-echelon convention, so results are deterministic.
 `modular_nullspace` gets a kernel over QQ without QQ elimination: kernels
 mod several word-size primes, combined by CRT, lifted by rational
 reconstruction and proved by the caller.  Polynomial matrices get a
-division-free determinant (Laplace expansion memoized over column subsets)
-and Cramer solves, which is all the symbolic work here needs.
+division-free determinant (Laplace expansion memoized over column subsets,
+which also takes scalar entries) and Cramer solves, which is all the
+symbolic work here needs.
 """
 
 from __future__ import annotations
@@ -194,11 +195,13 @@ class LinearSubstitution:
 
 # -- polynomial matrices -----------------------------------------------
 
-def poly_det(rows: list) -> Poly:
-    """Determinant of a square matrix of Polys (division-free).
+def poly_det(rows: list):
+    """Determinant of a square matrix of Polys or scalars (division-free).
 
     Laplace expansion along rows, memoized over column subsets: O(n 2^n)
-    polynomial multiplies, fine for the n <= 10 sizes used here.
+    multiplies, fine for the n <= 10 sizes used here.  The minors start at
+    the integer 1 and zero entries are skipped by truth value, so Poly,
+    Fraction, Fp and int entries all work, mixed too.
     """
     n = len(rows)
     if n == 0:
@@ -206,9 +209,8 @@ def poly_det(rows: list) -> Poly:
     for row in rows:
         if len(row) != n:
             raise ValueError("non-square polynomial matrix")
-    proto = rows[0][0]
     # minors[cols] = det of the last len(cols) rows restricted to cols
-    minors = {(): Poly.constant(1, proto.vars, proto.ring)}
+    minors = {(): 1}
     for i in range(n - 1, -1, -1):
         depth = n - i
         new: dict = {}
@@ -219,7 +221,7 @@ def poly_det(rows: list) -> Poly:
             for pos, c in enumerate(remaining):
                 key = tuple(sorted(cols + (c,)))
                 entry = rows[i][c]
-                if entry.is_zero():
+                if not entry:
                     continue
                 sign = (-1) ** sorted(key).index(c)
                 term = entry * sub if sign > 0 else -(entry * sub)
@@ -227,7 +229,7 @@ def poly_det(rows: list) -> Poly:
                 new[key] = term if got is None else got + term
         minors = new
     # absent key <=> every expansion term vanished, i.e. a zero determinant
-    return minors.get(tuple(range(n)), Poly.zero(proto.vars, proto.ring))
+    return minors.get(tuple(range(n)), rows[0][0] * 0)
 
 
 def poly_solve_cramer(rows: list, rhs: list):

@@ -9,17 +9,15 @@ plausible-looking answer.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
 
 from .comitants import Form, hessian, jacobian, transvectant
 from .invariants import (evaluate_invariant, hesse_pencil, invariant_I2,
                          invariant_I3, invariant_S, invariant_T,
                          quartic_pencil)
 from .linalg import Matrix
-from .poly import Poly, divexact, poly_ring, univariate_gcd
-from .scalars import QQ, as_scalar, ring_one, ring_zero
+from .poly import Poly, constant_ratio, divexact, poly_ring, univariate_gcd
+from .scalars import QQ, as_scalar, rational_content, ring_one, ring_zero
 
 PENCIL_VARS = ("t0", "t1")
 
@@ -29,23 +27,13 @@ class MapError(ValueError):
 
 
 def _joint_primitive(num: Poly, den: Poly):
-    """Scale the pair by one constant: integer, coprime, lead-positive."""
-    if num.ring != QQ:
-        lead = (num if num.terms else den).lead_term()[1]
-        inv = lead.inverse()
-        return num * inv, den * inv
-    coeffs = list(num.terms.values()) + list(den.terms.values())
-    g = 0
-    l = 1
-    for c in coeffs:
-        g = gcd(g, c.numerator)
-        l = lcm(l, c.denominator)
-    scale = Fraction(l, g)
-    num, den = num * scale, den * scale
+    """Scale the pair by one constant: over QQ integer, coprime and
+    lead-positive, over GF(p) lead 1."""
     lead = (num if num.terms else den).lead_term()[1]
-    if lead < 0:
-        num, den = -num, -den
-    return num, den
+    if num.ring == QQ:
+        c = rational_content([*num.terms.values(), *den.terms.values()])
+        lead = c if lead > 0 else -c
+    return num.scale_div(lead), den.scale_div(lead)
 
 
 class RationalMapP1:
@@ -90,11 +78,8 @@ class RationalMapP1:
         Over QQ the output is the coprime-integer representative with
         positive last nonzero entry; over GF(p) the last nonzero entry is 1.
         """
-        ring = self.num.ring
-        p0, p1 = (as_scalar(c, ring) for c in point)
-        a = self.num.evaluate([p0, p1])
-        b = self.den.evaluate([p0, p1])
-        return normalize_point([a, b], ring)
+        return normalize_point([f.evaluate(list(point))
+                                for f in (self.num, self.den)], self.num.ring)
 
 
 def normalize_point(coords, ring):
@@ -102,22 +87,11 @@ def normalize_point(coords, ring):
     coords = [as_scalar(c, ring) for c in coords]
     if not any(coords):
         return tuple(coords)
-    if ring == QQ:
-        l = 1
-        for c in coords:
-            l = lcm(l, c.denominator)
-        ints = [int(c * l) for c in coords]
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
-        ints = [c // g for c in ints]
-        last = next(c for c in reversed(ints) if c)
-        if last < 0:
-            ints = [-c for c in ints]
-        return tuple(Fraction(c) for c in ints)
     last = next(c for c in reversed(coords) if c)
-    inv = last.inverse()
-    return tuple(c * inv for c in coords)
+    if ring == QQ:
+        g = rational_content(coords)
+        last = g if last > 0 else -g
+    return tuple(c / last for c in coords)
 
 
 def identity_map(ring=QQ) -> RationalMapP1:
@@ -361,29 +335,14 @@ def hammond_path_comparison() -> dict:
                   + t1**5 * f)
     path2 = c35_jacobian(Form(slice_poly, 5, (4, 5))).poly
     coeffs2 = path2.coefficients_in((4, 5))
-    scalar = None
-    flipped = []
-    for exp, c1 in zip(_T_MONOMIAL_EXPS, hammond_image_polys()):
-        c2 = coeffs2.get(exp, Poly.zero(HAMMOND_VARS, QQ))
-        if c1.is_zero() != c2.is_zero():
-            raise MapError("C_{3,5} paths disagree beyond a scalar "
-                           "(formula-check failure)")
-        try:
-            ratio = divexact(c2, c1)
-        except ValueError:
-            raise MapError("C_{3,5} paths disagree beyond a scalar "
-                           "(formula-check failure)") from None
-        if ratio.total_degree() != 0:
-            raise MapError("C_{3,5} paths disagree beyond a scalar "
-                           "(formula-check failure)")
-        r = ratio.terms[(0, 0, 0, 0)]
-        if scalar is None:
-            scalar = abs(r)
-        if abs(r) != scalar:
-            raise MapError("C_{3,5} paths disagree beyond a scalar "
-                           "(formula-check failure)")
-        if r < 0:
-            flipped.append(exp)
+    zero = Poly.zero(HAMMOND_VARS, QQ)
+    ratios = [constant_ratio(c1, coeffs2.get(exp, zero))
+              for exp, c1 in zip(_T_MONOMIAL_EXPS, hammond_image_polys())]
+    if None in ratios or len({abs(r) for r in ratios}) != 1:
+        raise MapError("C_{3,5} paths disagree beyond a scalar "
+                       "(formula-check failure)")
+    scalar = abs(ratios[0])
+    flipped = [exp for exp, r in zip(_T_MONOMIAL_EXPS, ratios) if r < 0]
     if len(flipped) > 3:
         scalar, flipped = -scalar, [x for x in _T_MONOMIAL_EXPS
                                     if x not in flipped]
@@ -398,13 +357,9 @@ def hammond_c35(B: HammondQuintic) -> QuinticImage:
     the recorded scalar and coordinate signs).
     """
     hammond_path_comparison()
-    polys = hammond_image_polys()
     coords = B.coords()
-    if B.ring == QQ:
-        vals = [p.evaluate(list(coords)) for p in polys]
-    else:
-        vals = [p.to_ring(B.ring).evaluate(list(coords)) for p in polys]
-    return QuinticImage(*vals, ring=B.ring)
+    return QuinticImage(*(p.evaluate(coords) for p in hammond_image_polys()),
+                        ring=B.ring)
 
 
 def hammond_relations(B: HammondQuintic, img: QuinticImage) -> bool:

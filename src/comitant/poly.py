@@ -10,9 +10,10 @@ deterministic and byte-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _lcm
+from math import lcm as _lcm
 
-from .scalars import QQ, Fp, RingMismatchError, as_scalar, ring_one, ring_zero
+from .scalars import (GF, QQ, Fp, RingMismatchError, as_scalar,
+                      rational_content, rational_to_fp, ring_one, ring_zero)
 
 
 class Poly:
@@ -200,7 +201,8 @@ class Poly:
         if len(images) != len(self.vars):
             raise ValueError(
                 f"need {len(self.vars)} images, got {len(images)}")
-        tvars, tring = images[0].vars, images[0].ring
+        tvars, tring = ((images[0].vars, images[0].ring) if images
+                        else ((), self.ring))
         for im in images:
             if im.vars != tvars or im.ring != tring:
                 raise RingMismatchError("substitution images disagree on ring")
@@ -227,7 +229,7 @@ class Poly:
                 num, den = c.numerator, c.denominator
             else:
                 if self.ring == QQ:
-                    c = as_scalar(c.numerator, tring) / c.denominator
+                    c = rational_to_fp(c, p)
                 num, den = as_scalar(c, tring).val, 1
             if any(k and deg < 0 for k, deg in zip(e, degs)):
                 continue
@@ -323,18 +325,18 @@ class Poly:
         return Poly(vars, out, self.ring)
 
     def evaluate(self, values: list):
-        """Full evaluation at scalars (one value per variable)."""
+        """Full evaluation at scalars (one value per variable).
+
+        `substitute` on constant images in no variables, with the constant
+        read back.  The values are taken in this polynomial's ring, or in
+        GF(p) when one of them is an Fp: a QQ polynomial then reduces mod p,
+        as it does under `substitute`.
+        """
         if len(values) != len(self.vars):
             raise ValueError("value count mismatch")
-        values = [as_scalar(v, self.ring) for v in values]
-        acc = ring_zero(self.ring)
-        for e, c in self.terms.items():
-            t = c
-            for v, k in zip(values, e):
-                if k:
-                    t = t * v ** k
-            acc = acc + t
-        return acc
+        ring = next((GF(v.p) for v in values if isinstance(v, Fp)), self.ring)
+        return unwrap(self.substitute([Poly.constant(v, (), ring)
+                                       for v in values]))
 
     def to_ring(self, ring: tuple) -> "Poly":
         """Map coefficients into another ring (QQ -> GF(p) reduction)."""
@@ -342,14 +344,8 @@ class Poly:
             return self
         if self.ring != QQ:
             raise RingMismatchError("only QQ -> GF(p) reduction is supported")
-        from .scalars import rational_to_fp
-        p = ring[1]
-        out = {}
-        for e, c in self.terms.items():
-            v = rational_to_fp(c, p)
-            if v:
-                out[e] = v
-        return Poly(self.vars, out, ring)
+        return Poly(self.vars, {e: rational_to_fp(c, ring[1])
+                                for e, c in self.terms.items()}, ring)
 
     # -- coefficient extraction -----------------------------------------
 
@@ -384,24 +380,14 @@ class Poly:
         """Positive rational c with self/c integral and primitive (QQ only)."""
         if self.ring != QQ:
             raise RingMismatchError("content is defined over QQ")
-        if not self.terms:
-            return Fraction(1)
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = _int_gcd(num, c.numerator)
-            den = den * c.denominator // _int_gcd(den, c.denominator)
-        return Fraction(num, den)
+        return rational_content(self.terms.values())
 
     def primitive(self) -> "Poly":
         """Scale to integer coefficients with gcd 1 and positive leading term."""
         if not self.terms:
             return self
-        q = self.scale_div(self.content())
-        lead = q.terms[max(q.terms, key=_order_key)]
-        if self.ring == QQ and lead < 0:
-            q = -q
-        return q
+        c = self.content()
+        return self.scale_div(c if self.lead_term()[1] > 0 else -c)
 
     def lead_term(self):
         """(exponent, coefficient) that is maximal in graded lex order."""
@@ -475,6 +461,27 @@ def poly_ring(names, ring=QQ):
     else:
         names = tuple(names)
     return tuple(Poly.variable(n, names, ring) for n in names)
+
+
+def unwrap(p: Poly):
+    """A polynomial in no variables collapses to its scalar value; any other
+    polynomial passes through."""
+    return p if p.vars else p.terms.get((), ring_zero(p.ring))
+
+
+def constant_ratio(reference: Poly, value: Poly):
+    """The scalar c with value == c * reference, or None when there is none.
+
+    A zero side gives None, as do different supports and coefficients that
+    are not proportional, so a returned c is never zero."""
+    reference._compat(value)
+    if not reference or reference.terms.keys() != value.terms.keys():
+        return None
+    e, lead = next(iter(reference.terms.items()))
+    c = value.terms[e] / lead
+    if any(value.terms[f] != c * r for f, r in reference.terms.items()):
+        return None
+    return c
 
 
 # -- exact division and gcd ------------------------------------------------

@@ -10,7 +10,7 @@ tag: ``QQ`` for the rationals, ``GF(p)`` for a prime field.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 
 class RingMismatchError(TypeError):
@@ -190,6 +190,17 @@ def rational_to_fp(c: Fraction, p: int) -> Fp:
     if c.denominator % p == 0:
         raise ZeroDivisionError(f"denominator of {c} vanishes mod {p}")
     return Fp(c.numerator * pow(c.denominator, -1, p), p)
+
+
+def rational_content(values) -> Fraction:
+    """The gcd of the numerators over the lcm of the denominators: the
+    positive c with every value / c an integer and those integers coprime.
+    1 when there are no values or all of them are zero."""
+    num, den = 0, 1
+    for c in values:
+        num = gcd(num, c.numerator)
+        den = lcm(den, c.denominator)
+    return Fraction(num, den) if num else Fraction(1)
 
 
 def rational_reconstruct(a: int, m: int) -> Fraction | None:

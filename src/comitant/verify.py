@@ -41,17 +41,17 @@ from .geometry import (GeometryError, PointPair, ProjectivePoint, bracket,
                        conic_through, is_tangency_pair, pair_triples_match,
                        pair_vertex, q_construction, richelot_forward,
                        richelot_inverse, symbolic_conic)
-from .invariants import (canonical_quartic, evaluate_invariant, generic_form,
-                         hesse_pencil, invariant_I2, invariant_I3,
-                         invariant_S, invariant_T, quartic_pencil,
-                         quintic_invariants, random_substitution,
-                         substituted_form)
+from .invariants import (canonical_quartic, det_weight, evaluate_invariant,
+                         generic_form, hesse_pencil, invariant_I2,
+                         invariant_I3, invariant_S, invariant_T,
+                         quartic_pencil, quintic_invariants,
+                         random_substitution, substituted_form)
 from .linalg import LinearSubstitution
 from .maps import (PENCIL_VARS, c35_jacobian, compose, descend_map,
                    hammond_image_polys, hammond_path_comparison,
                    hammond_relations_symbolic, hesse_cover, hesse_self_map,
                    quartic_cover, quartic_self_map)
-from .poly import Poly, divexact, poly_ring
+from .poly import Poly, constant_ratio, poly_ring
 from .quartic import clebsch_covariant, contragredient, salmon_contravariant
 from .scalars import QQ, is_prime
 
@@ -96,24 +96,6 @@ _Claim = namedtuple("_Claim", "claim_id description fn")
 
 # ---------------------------------------------------------------------------
 # small helpers shared by the claims
-
-
-def _constant_ratio(reference: Poly, value: Poly) -> Fraction:
-    """The constant c with value == c * reference, or raise."""
-    if reference.is_zero() or value.is_zero():
-        raise VerifyError("zero polynomial where a nonzero one was expected")
-    ratio = divexact(value, reference)
-    if ratio.total_degree() != 0:
-        raise VerifyError("polynomials are not proportional")
-    return ratio.terms[(0,) * len(ratio.vars)]
-
-def _det_power(det: Fraction, ratio: Fraction, limit: int = 60) -> int:
-    acc = Fraction(1)
-    for w in range(limit + 1):
-        if acc == ratio:
-            return w
-        acc *= det
-    raise VerifyError(f"ratio {ratio} is not a small power of det {det}")
 
 
 def _random_form(rng: random.Random, names, degree: int, bound: int = 9):
@@ -161,8 +143,11 @@ def _covariance_series(rng, probes, n, degree, comitant, arity=1,
         moved = comitant(*(g.apply(f) for f in forms))
         target = act_out(g, base)
         if weight is None:
-            ratio = _constant_ratio(target, moved)
-            weight = _det_power(g.det, ratio)
+            ratio = constant_ratio(target, moved)
+            weight = None if ratio is None else det_weight(g.det, ratio)
+            if weight is None:
+                raise VerifyError(f"the probe is not a power of det {g.det} "
+                                  "times the transformed comitant")
         elif moved != target * g.det**weight:
             raise VerifyError(f"det^{weight} covariance failed")
         checked += 1
@@ -428,12 +413,15 @@ def _c_associated_form_values(ctx):
     bform = Form(x**4 + y**4, 4)
     bres = associated_form(bform)
     u, v = poly_ring(DUAL_BINARY, QQ)
-    c2 = _constant_ratio(u**2 * v**2, bres.form)
+    c2 = constant_ratio(u**2 * v**2, bres.form)
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
     tform = Form(X**3 + Y**3 + Z**3, 3)
     tres = associated_form(tform)
     u3, v3, w3 = poly_ring(DUAL_VARS, QQ)
-    c3 = _constant_ratio(u3 * v3 * w3, tres.form)
+    c3 = constant_ratio(u3 * v3 * w3, tres.form)
+    if c2 is None or c3 is None:
+        return FAIL, (f"as(x^4+y^4) = {bres.form} and as(X^3+Y^3+Z^3) = "
+                      f"{tres.form}: not both multiples of u^2*v^2, u*v*w")
     for res, form, n in ((bres, bform, 2), (tres, tform, 3)):
         done = 0
         while done < 5:
@@ -767,6 +755,9 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
                       primes=DEFAULT_PRIMES,
                       trials: int = DEFAULT_TRIALS) -> VerificationReport:
     """Run the registry (or the `only` subset, by claim id) and report."""
+    for name, value in (("seed", seed), ("trials", trials)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise VerifyError(f"{name} must be an integer, got {value!r}")
     primes = tuple(primes)
     why = ""
     try:

@@ -1,4 +1,5 @@
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -10,6 +11,7 @@ from comitant.fibers import (
     FiberCensus,
     FiberError,
     _evaluate,
+    _int_terms,
     _residue_dtype,
     check_census,
     fiber_count,
@@ -206,7 +208,7 @@ def test_int64_product_guard():
     # a second coordinate keeps the value of t0^2 visible after scaling
     assert FiberCensus([t0, t0**2], p).image_of([p - 1]) == (1, p - 1)
     with pytest.raises(FiberError, match="overflow int64"):
-        _evaluate([t0**2], 0, 4294967311)
+        _evaluate([[((2,), 1)]], 0, 4294967311)
     # P^0 has one point, so only the product guard stops this census
     with pytest.raises(FiberError, match="overflow int64"):
         FiberCensus([t0**2], 4294967311)
@@ -245,7 +247,7 @@ def test_census_on_each_side_of_the_int32_bound(p, dtype):
         fibers[img] = fibers.get(img, 0) + 1
     assert census.indeterminate == indeterminate
     assert sorted(census._counts.tolist()) == sorted(fibers.values())
-    # one lookup costs ~0.1 ms, so every 50th image is looked up
+    # every 50th image is looked up, which keeps the two cases short
     for img in list(fibers)[::50]:
         assert census.fiber_size(img) == fibers[img]
 
@@ -366,7 +368,7 @@ def test_grid_evaluator_matches_pointwise_fp(case):
     # every stratum of P^1, P^2, P^3, against exact Fp evaluation per point
     polys, k, p = case
     pts = projective_points(k, p)
-    vals = _evaluate(polys, k, p)
+    vals = _evaluate([_int_terms(poly, p) for poly in polys], k, p)
     assert vals.shape == (pts.shape[0], len(polys))
     for row, pt in zip(vals, pts):
         point = [Fp(int(c), p) for c in pt]
@@ -391,3 +393,33 @@ def test_quintic_image_census():
     assert census.image_size == 1_035_202
     assert census.max_fiber == 100
     assert census.conservation_holds()
+
+
+def test_lookups_reduce_each_coordinate_exactly():
+    # [t0^2 : t1^2] over F_11; 1/2 = 6 mod 11, and [6 : 1] = [1 : 2] is not
+    # an image point, because 2 is not a square mod 11
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    census = FiberCensus([t0**2, t1**2], 11)
+    half = Fraction(1, 2)
+    assert census.fiber_size((half, 1)) == census.fiber_size((6, 1)) == 0
+    assert census.fiber_size((0, 1)) == 1           # what int(1/2) gave
+    assert census.normalize_target((half, 1)) == (1, 2)
+    assert census.image_of((half, 1)) == census.image_of((6, 1)) == (1, 4)
+    assert census.image_of((half, 1)) != census.image_of((0, 1))
+    # Fp over the census prime and numpy integers are taken as they are
+    assert census.normalize_target((Fp(6, 11), Fp(1, 11))) == (1, 2)
+    assert census.image_of((np.int64(6), np.int32(12))) == (1, 4)
+    assert census.fiber_size((Fraction(-3), 1)) == census.fiber_size((8, 1))
+
+
+@pytest.mark.parametrize("bad", [0.5, 1.0, Fp(1, 7), Fraction(1, 11),
+                                 Fraction(5, 22), "1", None])
+def test_lookups_refuse_what_does_not_reduce(bad):
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    census = FiberCensus([t0**2, t1**2], 11)
+    with pytest.raises(FiberError, match="cannot reduce"):
+        census.fiber_size((bad, 1))
+    with pytest.raises(FiberError, match="cannot reduce"):
+        census.normalize_target((1, bad))
+    with pytest.raises(FiberError, match="cannot reduce"):
+        census.image_of((bad, 1))

@@ -23,6 +23,7 @@ from comitant.geometry import (
     pair_triples_match,
     pair_vertex,
     polar_line,
+    proportional,
     q_construction,
     richelot_forward,
     richelot_inverse,
@@ -290,3 +291,15 @@ def test_triple_invariants_are_invariant():
     assert triple_invariants(scaled) == base
     with pytest.raises(GeometryError, match="double point"):
         triple_invariants([P(1, 2, 1), P(1, 0, -1), P(0, 1, 0)])
+
+
+def test_proportional():
+    assert proportional((1, 2, 3), (-2, -4, -6))
+    assert not proportional((1, 2, 3), (1, 2, 4))
+    x, y = poly_ring(("x", "y"), QQ)
+    assert proportional((x, y), (x * y, y * y))
+    assert not proportional((x, y), (y, x))
+    # mismatched lengths are never proportional, even with zero padding
+    assert not proportional((1, 2), (1, 2, 0))
+    assert not proportional((1, 2, 0), (1, 2))
+    assert not proportional((), (0,))

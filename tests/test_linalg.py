@@ -3,7 +3,7 @@ from itertools import permutations
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from comitant import linalg
 from comitant.linalg import (LinearSubstitution, Matrix, int_nullspace_mod_p,
@@ -349,3 +349,23 @@ def test_modular_nullspace_stops_at_the_bound():
     # 2 H^2 = 2^81 + 4, first passed by P1 * P2 * P3
     basis, asked, _ = _modular_kernel([[2**40, 1, 1]], 3, lambda b: False)
     assert basis is None and asked == [P1, P2, P3]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices())
+@example(([[0, 1], [1, 0]], QQ))
+@example(([[0, 0], [0, 0]], GF(5)))                # every Laplace term dies
+def test_scalar_poly_det_matches_matrix_det(case):
+    rows, ring = case
+    assume(rows)
+    entries = Matrix(rows, ring).entries
+    got, want = poly_det(entries), Matrix(rows, ring).det()
+    assert got == want and type(got) is type(want)
+
+
+def test_poly_det_takes_int_and_mixed_entries():
+    assert poly_det([[2, 1], [1, 1]]) == 1
+    assert poly_det([[0, 0], [3, 4]]) == 0
+    x, y = poly_ring(("x", "y"), QQ)
+    assert poly_det([[x, 1], [2, y]]) == x * y - 2
+    assert poly_det([[0, x], [y, 0]]) == -(x * y)

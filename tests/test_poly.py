@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from comitant.invariants import generic_form
 from comitant.linalg import poly_det
-from comitant.poly import Poly, divexact, poly_ring, univariate_gcd
-from comitant.scalars import GF, QQ, Fp, as_scalar
+from comitant.poly import (Poly, constant_ratio, divexact, poly_ring,
+                           univariate_gcd)
+from comitant.scalars import GF, QQ, Fp, RingMismatchError, as_scalar, ring_zero
 
 
 def test_ring_construction_and_repr():
@@ -104,6 +105,39 @@ def test_content_and_primitive():
     x, y = poly_ring(("x", "y"), QQ)
     p = x * 6 + y * 9
     assert p.primitive() == x * 2 + y * 3
+
+
+def test_content_of_the_zero_polynomial_is_one():
+    zero = Poly.zero(("x", "y"), QQ)
+    assert zero.content() == 1 and zero.primitive() == zero
+    x, y = poly_ring(("x", "y"), QQ)
+    assert (x * Fraction(-6, 5) + y * Fraction(9, 10)).content() \
+        == Fraction(3, 10)
+    assert (x * Fraction(-6, 5)).primitive() == x
+
+
+def test_constant_ratio():
+    x, y = poly_ring(("x", "y"), QQ)
+    zero = Poly.zero(("x", "y"), QQ)
+    p = x**2 - 3 * x * y + Fraction(1, 2)
+    assert constant_ratio(p, p * Fraction(-2, 3)) == Fraction(-2, 3)
+    assert constant_ratio(p, p) == 1
+    # a zero side has no ratio, not even 0
+    assert constant_ratio(p, zero) is None
+    assert constant_ratio(zero, p) is None
+    assert constant_ratio(zero, zero) is None
+    # different supports
+    assert constant_ratio(p, x**2 - 3 * x * y) is None
+    assert constant_ratio(p, p + y**2) is None
+    # same support, coefficients not proportional
+    assert constant_ratio(p, x**2 - 3 * x * y + 1) is None
+    assert constant_ratio(x + y, x * 2 + y * 3) is None
+    u, v = poly_ring(("x", "y"), GF(7))
+    q = u * v + u**2 * 3
+    assert constant_ratio(q, q * Fp(5, 7)) == Fp(5, 7)
+    assert constant_ratio(q, u * v * 2 + u**2) is None
+    with pytest.raises(RingMismatchError):
+        constant_ratio(p, q)
 
 
 def test_homogeneity_checks():
@@ -214,6 +248,62 @@ def test_substitute_migrates_qq_to_gfp(case):
     got = f.substitute(images)
     assert got.ring == images[0].ring
     assert got == _substitute_reference(f, images)
+
+
+def _evaluate_reference(f, values):
+    """Term-by-term evaluation with scalar powers, the loop Poly.evaluate
+    ran before it went through the integer kernel of substitute."""
+    values = [as_scalar(v, f.ring) for v in values]
+    acc = ring_zero(f.ring)
+    for e, c in f.terms.items():
+        t = c
+        for v, k in zip(values, e):
+            if k:
+                t = t * v ** k
+        acc = acc + t
+    return acc
+
+
+@st.composite
+def _evaluations(draw):
+    ring = draw(st.sampled_from([QQ, GF(2), GF(7), GF(101)]))
+    n = draw(st.integers(0, 3))
+    # often the zero polynomial or a constant, often zero coordinates
+    f = draw(st.one_of(
+        st.just(Poly.zero(SOURCE[:n], ring)),
+        _coefficients(ring).map(lambda c: Poly.constant(c, SOURCE[:n], ring)),
+        _polys(SOURCE[:n], ring, max_exp=4)))
+    value = st.one_of(st.just(ring_zero(ring)), _coefficients(ring))
+    return f, [draw(value) for _ in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_evaluations())
+def test_evaluate_matches_reference(case):
+    f, values = case
+    got = f.evaluate(values)
+    want = _evaluate_reference(f, values)
+    assert got == want and type(got) is type(want)
+
+
+def test_evaluate_edge_cases():
+    x, y = poly_ring(("x", "y"), QQ)
+    f = x**2 * 3 + y + 5
+    # 0^0 = 1: the constant survives a zero point, x^2 and y do not
+    assert f.evaluate([0, 0]) == 5
+    assert f.evaluate([Fraction(1, 2), 0]) == Fraction(23, 4)
+    assert Poly.zero(("x", "y"), QQ).evaluate([1, 2]) == 0
+    assert Poly.constant(Fraction(7, 3), (), QQ).evaluate([]) \
+        == Fraction(7, 3)
+    assert Poly.constant(4, (), GF(5)).evaluate([]) == Fp(4, 5)
+    # a QQ polynomial at GF(p) values reduces mod p, as under substitute
+    g = x * Fraction(1, 2) + y**3
+    assert g.evaluate([Fp(3, 7), Fp(2, 7)]) \
+        == g.to_ring(GF(7)).evaluate([3, 2]) == Fp(6, 7)
+    with pytest.raises(ValueError, match="value count"):
+        f.evaluate([1])
+    with pytest.raises(RingMismatchError):
+        g.to_ring(GF(7)).evaluate([Fp(1, 5), 1])
 
 
 def test_substitute_cancels_to_zero():

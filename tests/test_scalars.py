@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from comitant.scalars import (GF, Fp, QQ, RingMismatchError, as_scalar,
-                              is_prime, rational_reconstruct, rational_to_fp,
-                              ring_of, ring_one, ring_zero)
+                              is_prime, rational_content, rational_reconstruct,
+                              rational_to_fp, ring_of, ring_one, ring_zero)
 
 
 def test_field_arithmetic_mod_seven():
@@ -110,3 +110,12 @@ def test_is_prime_is_exact_on_hard_cases():
     assert not is_prime(318665857834031151167461)
     with pytest.raises(ValueError, match="exact primality range"):
         is_prime(3317044064679887385961981)
+
+
+def test_rational_content():
+    assert rational_content([Fraction(6, 5), Fraction(-9, 10)]) \
+        == Fraction(3, 10)
+    assert rational_content([4, -6, 0]) == 2
+    # nothing to divide out: the empty and the all-zero case give 1
+    assert rational_content([]) == 1
+    assert rational_content([Fraction(0), 0]) == 1

@@ -167,3 +167,16 @@ def test_census_gate_is_exact_at_95_percent(monkeypatch, ones, status):
     assert rec["status"] == status
     assert f"100 sampled image points, {ones}.0% with fiber size 1" \
         in rec["witness"]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("trials", True), ("trials", "20"), ("trials", 20.0),
+    ("seed", 1.5), ("seed", False), ("seed", "0"), ("seed", None)])
+def test_seed_and_trials_must_be_integers(monkeypatch, field, value):
+    def claim(ctx):
+        raise AssertionError("a claim ran before the parameters were checked")
+
+    monkeypatch.setattr(verify, "_REGISTRY", tuple(
+        c._replace(fn=claim) for c in verify._REGISTRY))
+    with pytest.raises(VerifyError, match=f"{field} must be an integer"):
+        run_verifications(only=CHEAP[:1], **{field: value})
