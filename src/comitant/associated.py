@@ -7,23 +7,26 @@ degree-N forms, with the Hessian spanning the complement.  Writing
     ell^N  =  as(f)(ell) * He(f)   mod J(f)_N
 
 for a symbolic linear form ell defines the associated form as(f), a
-degree-N form in the dual variables.  The whole computation is one linear
-solve with a polynomial right-hand side; codimension is checked before
-solving, and the congruence can be re-verified pointwise for concrete ell.
+degree-N form in the dual variables.  Everything is read off one square
+socle matrix [He(f) | m * df/dx_i] with `poly_det`: the form is
+nondegenerate exactly when its determinant is nonzero, as(f) is the Cramer
+numerator with the He column replaced by the coefficients of ell^N, and a
+concrete ell satisfies the congruence exactly when the determinant with
+the He column replaced by the left-hand side vanishes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .comitants import DUAL_VARS, Form, hessian
 from .invariants import _exponents, canonical_quartic
-from .linalg import Matrix, poly_solve_cramer
+from .linalg import poly_det
 from .maps import (PENCIL_VARS, RationalMapP1, compose, descend_map,
                    quartic_cover)
-from .poly import Poly
+from .poly import Poly, unwrap
 from .scalars import QQ
 
 
@@ -52,10 +55,6 @@ class AssociatedFormResult:
                 f"scale={self.scale})")
 
 
-def _coeff_vector(p: Poly, monomials):
-    return [p.terms.get(e, Fraction(0)) for e in monomials]
-
-
 def _multinomial(N, e):
     out = factorial(N)
     for k in e:
@@ -63,58 +62,83 @@ def _multinomial(N, e):
     return out
 
 
-def _jacobian_columns(f: Poly, n, d, N, monomials):
-    """Degree-N spanning set of J(f): multiplier monomials times partials."""
-    cols = []
-    for mult in _exponents(n, N - (d - 1)):
-        mono = Poly.monomial(1, mult, f.vars, f.ring)
-        for i in range(n):
-            gen = mono * f.partial(i)
-            cols.append(_coeff_vector(gen, monomials))
-    return cols
-
-
-def associated_form(form) -> AssociatedFormResult:
-    """as(f) for a binary quartic or ternary cubic with rational coefficients."""
+def _space(form):
+    """(n, d) of a parameter-free binary quartic or ternary cubic over QQ."""
     n = len(form.indices) if isinstance(form, Form) else 0
     if n not in _SPACES:
         raise AssociatedFormError(
             "expected a binary quartic or a ternary cubic")
-    d, dual = _SPACES[n]
+    d = _SPACES[n][0]
     if form.degree != d:
         raise AssociatedFormError(f"form degree must be {d}")
-    f = form.poly
-    if len(f.vars) != n or f.ring != QQ:
+    if len(form.poly.vars) != n or form.poly.ring != QQ:
         raise AssociatedFormError(
             "associated_form needs a parameter-free form over QQ")
+    return n, d
+
+
+def _socle(f: Poly, indices):
+    """Columns of the square socle matrix [He(f) | m * df/dx_i] in degree
+    N, and its determinant; a zero determinant is refused as degenerate.
+
+    indices (a tuple) are the form variables of f, the rest parameters.  A
+    column holds the coefficients of the degree-N monomials in the form
+    variables: Polys in the parameters, scalars when there are none.  The
+    J(f)_N columns run over the multiplier monomials m, then the partials.
+    These dim - 1 columns span J(f)_N with He(f) outside it exactly when
+    the determinant is nonzero.
+    """
+    n = len(indices)
+    d = _SPACES[n][0]
     N = n * (d - 2)
     monomials = _exponents(n, N)
-    dim = len(monomials)
+    params = tuple(v for i, v in enumerate(f.vars) if i not in indices)
+    zero = Poly.zero(params, f.ring)
 
-    he = hessian(f)
-    he_vec = _coeff_vector(he, monomials)
-    jcols = _jacobian_columns(f, n, d, N, monomials)
-    jrank = Matrix(jcols, QQ).rank()
-    if jrank != dim - 1:
+    def vec(p):
+        groups = p.coefficients_in(indices)
+        return [unwrap(groups.get(e, zero)) for e in monomials]
+
+    cols = [vec(hessian(f, indices))]
+    for mult in _exponents(n, N - (d - 1)):
+        at = dict(zip(indices, mult))
+        mono = Poly.monomial(1, [at.get(i, 0) for i in range(len(f.vars))],
+                             f.vars, f.ring)
+        cols += [vec(mono * f.partial(i)) for i in indices]
+    det = poly_det(cols)        # det M = det M^T: columns serve as rows
+    if not det:
         raise AssociatedFormError(
-            f"J(f) has codimension {dim - jrank} in degree {N}, not 1; "
-            "degenerate form rejected")
-    full = Matrix(jcols + [he_vec], QQ).rank()
-    if full != dim:
-        raise AssociatedFormError(
-            "Hessian lies inside the Jacobian ideal; degenerate form "
+            "socle determinant vanishes: J(f) does not have codimension 1 "
+            f"with the Hessian outside it in degree {N}; degenerate form "
             "rejected")
+    return cols, det
 
-    # columns: [He | J-generators]; RHS: ell^N with symbolic dual coefficients
-    system = Matrix([[he_vec[r]] + [col[r] for col in jcols]
-                     for r in range(dim)], QQ)
-    rhs = [Poly.monomial(_multinomial(N, e), e, dual, QQ) for e in monomials]
-    sol = system.solve(rhs)
-    if sol is None:
-        raise AssociatedFormError("socle solve is inconsistent (bug?)")
-    raw = sol[0]
-    if raw.is_zero():
-        raise AssociatedFormError("associated form vanished (degenerate)")
+
+def _associated(f: Poly, indices):
+    """(numerator, determinant) with as(f) = numerator / determinant.
+
+    The numerator is the socle determinant with the He column replaced by
+    the coefficients of ell^N, ell = sum_i dual_i * x_i; it is a Poly in the
+    parameters of f followed by the dual variables.
+    """
+    cols, det = _socle(f, indices)
+    n = len(indices)
+    d, dual = _SPACES[n]
+    N = n * (d - 2)
+    params = tuple(v for i, v in enumerate(f.vars) if i not in indices)
+    ring_vars = params + dual
+    if params:
+        cols = [[c.extend_to(ring_vars) for c in col] for col in cols]
+    ell_n = [Poly.monomial(_multinomial(N, e), (0,) * len(params) + e,
+                           ring_vars, QQ) for e in _exponents(n, N)]
+    return poly_det([ell_n] + cols[1:]), det
+
+
+def associated_form(form) -> AssociatedFormResult:
+    """as(f) for a binary quartic or ternary cubic with rational coefficients."""
+    n, d = _space(form)
+    num, det = _associated(form.poly, tuple(range(n)))
+    raw = num.scale_div(det)
     scale = 1
     for c in raw.terms.values():
         scale = lcm(scale, c.denominator)
@@ -124,22 +148,26 @@ def associated_form(form) -> AssociatedFormResult:
 def congruence_holds(result: AssociatedFormResult, form, ell) -> bool:
     """Membership re-check: scale*ell^N - as(f)(ell)*He(f) in J(f)_N.
 
-    ell is a coefficient tuple for the dual variables; the solve here is an
-    independent numeric one, not a reuse of the symbolic solution.
+    ell is a coefficient tuple for the dual variables.  J(f)_N has
+    codimension 1 (a degenerate form is refused), so the left-hand side lies
+    in it exactly when the socle determinant with the He column replaced by
+    it vanishes: a numeric check, not a reuse of the symbolic solution.
     """
-    n, d = result.space
-    f = form.poly
+    n, d = _space(form)
+    if result.space != (n, d):
+        raise AssociatedFormError(
+            f"result is for the space {result.space}, the form for {(n, d)}")
+    if len(ell) != n:
+        raise AssociatedFormError(
+            f"ell needs {n} coefficients, got {len(ell)}")
+    ell = [Fraction(c) for c in ell]
+    cols, _ = _socle(form.poly, tuple(range(n)))
     N = n * (d - 2)
-    monomials = _exponents(n, N)
-    ell_poly = Poly.zero(f.vars, QQ)
-    for i, c in enumerate(ell):
-        ell_poly = ell_poly + Poly.variable(f.vars[i], f.vars, QQ) * c
-    as_val = result.form.evaluate([Fraction(c) for c in ell])
-    lhs = ell_poly**N * result.scale - hessian(f) * as_val
-    jcols = _jacobian_columns(f, n, d, N, monomials)
-    system = Matrix([[col[r] for col in jcols] for r in range(len(monomials))],
-                    QQ)
-    return system.solve(_coeff_vector(lhs, monomials)) is not None
+    as_val = result.form.evaluate(ell)
+    lhs = [result.scale * _multinomial(N, e)
+           * prod(c**k for c, k in zip(ell, e)) - as_val * he
+           for e, he in zip(_exponents(n, N), cols[0])]
+    return not poly_det([lhs] + cols[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -150,38 +178,12 @@ def congruence_holds(result: AssociatedFormResult, form, ell) -> bool:
 def associated_slice_map() -> RationalMapP1:
     """The alpha-line map induced by f |-> as(f) on x^4 + 6a x^2 y^2 + y^4.
 
-    Computed fully symbolically (Cramer over QQ[alpha]); the output is
-    asserted to be of the same canonical shape, then read off as a
-    homogeneous degree-1 coordinate map.
+    Computed fully symbolically (the socle numerator over QQ[alpha]); the
+    output is asserted to be of the same canonical shape, then read off as
+    a homogeneous degree-1 coordinate map.
     """
     cq = canonical_quartic()          # vars (alpha, x, y), indices (1, 2)
-    f = cq.poly
-    d, N = 4, 4
-    monomials = _exponents(2, N)
-    var_idx = cq.indices
-    alpha_vars = ("alpha",)
-
-    def vec(p):
-        groups = p.coefficients_in(var_idx)
-        return [groups.get(e, Poly.zero(alpha_vars, QQ)) for e in monomials]
-
-    he = hessian(f, var_idx)
-    cols = [vec(he)]
-    for mult in _exponents(2, N - (d - 1)):
-        mono = Poly.monomial(1, (0,) + mult, f.vars, QQ)
-        for i in var_idx:
-            cols.append(vec(mono * f.partial(i)))
-    # Cramer with polynomial entries: everything in one (alpha, u, v) ring
-    big_vars = alpha_vars + DUAL_BINARY
-    rows = [[cols[c][r].extend_to(big_vars) for c in range(len(cols))]
-            for r in range(len(monomials))]
-    rhs = [Poly.monomial(_multinomial(N, e), (0,) + e, big_vars, QQ)
-           for e in monomials]
-    solved = poly_solve_cramer(rows, rhs)
-    if solved is None:
-        raise AssociatedFormError("symbolic socle system is singular")
-    nums, _ = solved
-    as_form = nums[0]                  # degree 4 in (u, v), rational in alpha
+    as_form, _ = _associated(cq.poly, cq.indices)   # times a det in alpha
     groups = as_form.coefficients_in((1, 2))
     zero = Poly.zero(("alpha",), QQ)
     c40 = groups.get((4, 0), zero)

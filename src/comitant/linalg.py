@@ -3,17 +3,15 @@
 Each entry representation has one Gauss-Jordan kernel.  `_gauss_jordan`
 works on Fraction/Fp entries (both divide exactly, so a pivot is inverted as
 1 / x): it yields the reduced echelon form, the pivot columns and the
-determinant, and mirrors its row operations onto a scalar or Poly
-right-hand side for `Matrix.solve`.  `int_nullspace_mod_p` eliminates
-residues mod a word-size prime in one numpy int64 array, which is exact
-while (p-1)^2 < 2^63.  Both make the same pivot choices, and nullspace bases
-follow the reduced-echelon convention, so results are deterministic.
-`modular_nullspace` gets a kernel over QQ without QQ elimination: kernels
-mod several word-size primes, combined by CRT, lifted by rational
-reconstruction and proved by the caller.  Polynomial matrices get a
-division-free determinant (Laplace expansion memoized over column subsets,
-which also takes scalar entries) and Cramer solves, which is all the
-symbolic work here needs.
+determinant.  `int_nullspace_mod_p` eliminates residues mod a word-size
+prime in one numpy int64 array, which is exact while (p-1)^2 < 2^63.  Both
+make the same pivot choices, and nullspace bases follow the reduced-echelon
+convention, so results are deterministic.  `modular_nullspace` gets a
+kernel over QQ without QQ elimination: kernels mod several word-size
+primes, combined by CRT, lifted by rational reconstruction and proved by
+the caller.  Polynomial matrices get a division-free determinant (Laplace
+expansion memoized over column subsets, which also takes scalar entries),
+which is all the symbolic work here needs.
 """
 
 from __future__ import annotations
@@ -46,12 +44,6 @@ class Matrix:
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
-
-    def row(self, i):
-        return list(self.entries[i])
-
-    def col(self, j):
-        return [self.entries[i][j] for i in range(self.rows)]
 
     def transpose(self) -> "Matrix":
         return Matrix([[self.entries[i][j] for i in range(self.rows)]
@@ -106,27 +98,6 @@ class Matrix:
         if len(pivots) < self.rows:
             return ring_zero(self.ring)
         return as_scalar(det, self.ring)
-
-    def solve(self, rhs: list):
-        """One solution of Ax = b, or None if inconsistent.
-
-        b holds scalars or Polys; the row operations on A are mirrored onto
-        it.  Free variables are set to zero, so the answer is deterministic.
-        """
-        if len(rhs) != self.rows:
-            raise ValueError("dimension mismatch in solve")
-        b = [c if isinstance(c, Poly) else as_scalar(c, self.ring)
-             for c in rhs]
-        pivots, _ = _gauss_jordan([row[:] for row in self.entries],
-                                  self.cols, rhs=b)
-        if any(b[len(pivots):]):
-            return None
-        zero = (Poly.zero(b[0].vars, b[0].ring)
-                if b and isinstance(b[0], Poly) else ring_zero(self.ring))
-        x = [zero] * self.cols
-        for pc, value in zip(pivots, b):
-            x[pc] = value
-        return x
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -232,24 +203,6 @@ def poly_det(rows: list):
     return minors.get(tuple(range(n)), rows[0][0] * 0)
 
 
-def poly_solve_cramer(rows: list, rhs: list):
-    """Solve M x = rhs over the fraction field of the Poly ring.
-
-    Returns (numerators, denominator) with x_i = num_i / den, or None when
-    det M = 0.
-    """
-    n = len(rows)
-    den = poly_det(rows)
-    if den.is_zero():
-        return None
-    nums = []
-    for j in range(n):
-        modified = [[rows[i][k] if k != j else rhs[i] for k in range(n)]
-                    for i in range(n)]
-        nums.append(poly_det(modified))
-    return nums, den
-
-
 def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
     """Nullspace basis of an integer matrix mod p, eliminated in int64.
 
@@ -329,13 +282,12 @@ def modular_nullspace(rows: list, ncols: int, certify):
 
 # -- the elimination kernel ---------------------------------------------
 
-def _gauss_jordan(m: list, ncols: int, rhs=None):
+def _gauss_jordan(m: list, ncols: int):
     """Bring the rows m of Fraction/Fp entries to reduced row echelon form,
     in place.
 
-    When rhs (one scalar or Poly per row) is given, every row operation is
-    mirrored onto it.  Returns (pivot columns, signed product of the
-    pivots); the product is the determinant of a square m of full rank.
+    Returns (pivot columns, signed product of the pivots); the product is
+    the determinant of a square m of full rank.
     """
     nrows = len(m)
     pivots = []
@@ -349,22 +301,16 @@ def _gauss_jordan(m: list, ncols: int, rhs=None):
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            if rhs is not None:
-                rhs[r], rhs[pr] = rhs[pr], rhs[r]
             det = -det
         piv = m[r][c]
         det = det * piv
         inv = 1 / piv
         m[r] = [x * inv for x in m[r]]
-        if rhs is not None:
-            rhs[r] = rhs[r] * inv
         for i in range(nrows):
             f = m[i][c]
             if i == r or not f:
                 continue
             m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-            if rhs is not None:
-                rhs[i] = rhs[i] - rhs[r] * f
         pivots.append(c)
     return pivots, det
 

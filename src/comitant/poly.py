@@ -338,15 +338,6 @@ class Poly:
         return unwrap(self.substitute([Poly.constant(v, (), ring)
                                        for v in values]))
 
-    def to_ring(self, ring: tuple) -> "Poly":
-        """Map coefficients into another ring (QQ -> GF(p) reduction)."""
-        if ring == self.ring:
-            return self
-        if self.ring != QQ:
-            raise RingMismatchError("only QQ -> GF(p) reduction is supported")
-        return Poly(self.vars, {e: rational_to_fp(c, ring[1])
-                                for e, c in self.terms.items()}, ring)
-
     # -- coefficient extraction -----------------------------------------
 
     def coefficients_in(self, indices) -> dict:

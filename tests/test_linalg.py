@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from comitant import linalg
 from comitant.linalg import (LinearSubstitution, Matrix, int_nullspace_mod_p,
-                             modular_nullspace, poly_det, poly_solve_cramer)
+                             modular_nullspace, poly_det)
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import GF, QQ, Fp, is_prime, ring_zero
 
@@ -37,14 +37,6 @@ def test_nullspace_dimension():
                    for i in range(2))
 
 
-def test_solve_consistent_and_inconsistent():
-    m = _m([[1, 1], [1, -1]])
-    sol = m.solve([Fraction(3), Fraction(1)])
-    assert sol == [Fraction(2), Fraction(1)]
-    bad = _m([[1, 1], [2, 2]])
-    assert bad.solve([Fraction(0), Fraction(1)]) is None
-
-
 def test_singular_inverse_rejected():
     with pytest.raises(ValueError):
         _m([[1, 1], [2, 2]]).inverse()
@@ -70,22 +62,6 @@ def test_poly_det_three_by_three():
     rows = [[x, y, z], [y, z, x], [z, x, y]]
     det = poly_det(rows)
     assert det == 3 * x * y * z - x**3 - y**3 - z**3
-
-
-def test_poly_solve_cramer_square_only():
-    x, y = poly_ring(("x", "y"), QQ)
-    nums, den = poly_solve_cramer([[x, y], [y, x]], [x, y])
-    # solution of [[x,y],[y,x]] v = (x,y): v = ((x^2-y^2)/(x^2-y^2), 0)
-    assert den == x**2 - y**2
-    assert nums[0] == x**2 - y**2
-    assert nums[1].is_zero()
-
-
-def test_solve_poly_rhs():
-    x, y = poly_ring(("x", "y"), QQ)
-    m = _m([[1, 0], [1, 1]])
-    sol = m.solve([x, x + y])
-    assert sol == [x, y]
 
 
 def test_int_nullspace_mod_p():
@@ -209,55 +185,6 @@ def test_det_matches_leibniz(case):
     rows, ring = case
     m = Matrix(rows, ring)
     assert m.det() == _leibniz(m.entries, ring)
-
-
-@st.composite
-def _poly_systems(draw):
-    ring = draw(st.sampled_from([QQ, GF(7)]))
-    nrows = draw(st.integers(1, 4))
-    ncols = draw(st.integers(1, 4))
-    if ring == QQ:
-        coef = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-    else:
-        coef = st.builds(Fp, st.integers(0, 6), st.just(7))
-    rows = draw(st.lists(st.lists(st.one_of(st.just(0), coef),
-                                  min_size=ncols, max_size=ncols),
-                         min_size=nrows, max_size=nrows))
-    exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
-    rhs = draw(st.lists(st.dictionaries(exps, coef, max_size=3),
-                        min_size=nrows, max_size=nrows))
-    return (Matrix(rows, ring),
-            [Poly(("x", "y"), terms, ring) for terms in rhs])
-
-
-_X, _Y = poly_ring(("x", "y"), QQ)
-
-
-@settings(max_examples=150, deadline=None)
-@given(_poly_systems())
-@example((_m([[1, 1], [2, 2]]), [_X, _Y]))           # inconsistent
-@example((_m([[1, 1], [2, 2]]), [_X, 2 * _X]))       # one free variable
-def test_solve_poly_rhs_matches_scalar_solves(case):
-    m, rhs = case
-    zero = ring_zero(m.ring)
-    sol = m.solve(rhs)
-    monomials = {e for b in rhs for e in b.terms}
-    scalar = {}
-    for e in monomials:
-        b = [bi.terms.get(e, zero) for bi in rhs]
-        scalar[e] = m.solve(b)
-        # consistent exactly when b adds nothing to the rank of A
-        aug = Matrix([row + [c] for row, c in zip(m.entries, b)], m.ring)
-        assert (scalar[e] is not None) == (aug.rank() == m.rank())
-    if any(x is None for x in scalar.values()):
-        assert sol is None
-        return
-    assert sol is not None and len(sol) == m.cols
-    for j, xj in enumerate(sol):
-        assert xj.terms == {e: x[j] for e, x in scalar.items() if x[j]}
-    for row, bi in zip(m.entries, rhs):
-        assert sum((xj * c for c, xj in zip(row, sol)),
-                   Poly.zero(("x", "y"), m.ring)) == bi
 
 
 # -- the multi-modular kernel ----------------------------------------------

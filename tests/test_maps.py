@@ -158,7 +158,8 @@ def test_descend_over_gfp_matches_reduced_qq_quotient():
     ring = GF(10007)
 
     def reduce(m):
-        return RationalMapP1(m.num.to_ring(ring), m.den.to_ring(ring))
+        gens = poly_ring(m.num.vars, ring)
+        return RationalMapP1(m.num.substitute(gens), m.den.substitute(gens))
 
     composite = compose(quartic_cover(), quartic_self_map())
     quotient = descend_map(quartic_cover(), composite, 2)

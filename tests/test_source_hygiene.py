@@ -1,15 +1,17 @@
 """Static checks on the package source, with the standard-library `ast`.
 
-Two kinds of leftover fail here: an import that its module never uses, and
+Three kinds of leftover fail here: an import that its module never uses,
 a private (underscore) module-level function or class that no module of
-the package refers to.  Both are what a refactor leaves behind when it
-moves code and forgets the old binding.
+the package refers to, and a public method that no attribute read in the
+package, its tests or its benchmark harness names.  All three are what a
+refactor leaves behind when it moves code and forgets the old binding.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "comitant"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "comitant"
 
 
 def _modules():
@@ -50,6 +52,21 @@ def _imported_names(tree) -> set:
             for name in (alias.name for alias in node.names)}
 
 
+def _attributes_read(tree) -> set:
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+
+
+def _public_methods(tree):
+    """(class name, def) of every public method of a module-level class."""
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if (isinstance(node, ast.FunctionDef)
+                        and not node.name.startswith("_")):
+                    yield cls.name, node
+
+
 def test_package_source_is_found():
     assert "poly.py" in _modules()
 
@@ -78,6 +95,20 @@ def test_no_unreferenced_private_definitions():
     assert not dead, f"private definitions nobody references: {dead}"
 
 
+def test_no_unread_public_methods():
+    # a method counts as used when some `x.name` reads it; a bare name or
+    # a string does not, so a method kept only by its own `def` shows up
+    read = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            text = path.read_text(encoding="utf-8")
+            read |= _attributes_read(ast.parse(text, str(path)))
+    unread = [f"{name}:{node.lineno} {cls}.{node.name}"
+              for name, tree in _modules().items()
+              for cls, node in _public_methods(tree) if node.name not in read]
+    assert not unread, f"public methods nobody reads: {unread}"
+
+
 def test_the_checks_catch_a_leftover():
     # a module with one unused import and one dead private helper
     tree = ast.parse("from fractions import Fraction\n"
@@ -86,3 +117,10 @@ def test_the_checks_catch_a_leftover():
     assert [b for b, _ in _imported(tree) if b not in _referenced(tree)] \
         == ["Fraction"]
     assert "_dead" not in _referenced(tree) | _imported_names(tree)
+    # a class with one method that is read and one that is not
+    tree = ast.parse("class A:\n"
+                     "    def used(self):\n        return 1\n"
+                     "    def unused(self):\n        return 2\n"
+                     "A().used()\n")
+    assert [m.name for _, m in _public_methods(tree)
+            if m.name not in _attributes_read(tree)] == ["unused"]
