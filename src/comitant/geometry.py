@@ -50,8 +50,16 @@ class PointPair:
     @classmethod
     def from_coefficients(cls, A, B, C, vars=("t0", "t1"),
                           ring=QQ) -> "PointPair":
-        s, t = poly_ring(vars, ring)
-        return cls(Form(s * s * A + s * t * B + t * t * C, 2, (0, 1)))
+        """A*s^2 + B*s*t + C*t^2 in the line variables `vars`.  The
+        coefficients are scalars of `ring`, or Polys over one parameter
+        ring, whose variables then come first and whose ring is used."""
+        zero = next((c * 0 for c in (A, B, C) if isinstance(c, Poly)),
+                    Poly.zero((), ring))
+        big = zero.vars + tuple(vars)
+        s, t = poly_ring(big, zero.ring)[-2:]
+        A, B, C = ((zero + c).extend_to(big) for c in (A, B, C))
+        n = len(zero.vars)
+        return cls(Form(s * s * A + s * t * B + t * t * C, 2, (n, n + 1)))
 
     def coefficients(self):
         """(A, B, C) — scalars, or polynomials in the parameter variables."""
@@ -187,14 +195,6 @@ class Conic:
         m = self.matrix()
         A, B, C = m[keep[0]][keep[0]], m[keep[0]][keep[1]] * 2, \
             m[keep[1]][keep[1]]
-        if isinstance(A, Poly):
-            big = A.vars + line_vars
-            n = len(A.vars)
-            s = Poly.variable(line_vars[0], big, A.ring)
-            t = Poly.variable(line_vars[1], big, A.ring)
-            poly = (s * s * A.extend_to(big) + s * t * B.extend_to(big)
-                    + t * t * C.extend_to(big))
-            return PointPair(Form(poly, 2, (n, n + 1)))
         return PointPair.from_coefficients(A, B, C, line_vars)
 
     def __repr__(self):

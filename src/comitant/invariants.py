@@ -318,20 +318,31 @@ def evaluate_invariant(inv: InvariantDescriptor, f):
     those parameters, otherwise a scalar.  Over GF(p) the QQ formula is
     reduced by `Poly.substitute` itself.
     """
-    n, d = inv.space
-    form = _as_form(f, n, d)
-    space = _space(n, d)
+    form = _as_form(f, *inv.space)
+    return unwrap(inv.formula.substitute(coefficient_values(form)))
+
+
+def coefficient_values(form: Form, extra=()) -> list:
+    """The values at `form` of the coefficient variables of
+    `generic_form(n, d)`, in their order, binomial weights divided out.
+
+    Each value is a Poly in the form's parameters followed by the variable
+    names `extra`, which must not be among the form's variables.
+    """
+    space = _space(len(form.indices), form.degree)
     ring = form.poly.ring
     coeffs = form.poly.coefficients_in(form.indices)
     rest = tuple(v for i, v in enumerate(form.poly.vars)
-                 if i not in form.indices)
+                 if i not in form.indices) + tuple(extra)
     values = []
     for e, w in zip(space.monomials, space.weights):
         c = coeffs.get(e)
         if c is None:
             c = Poly.zero(rest, ring)
+        elif extra:
+            c = c.extend_to(rest)
         values.append(c if w == 1 else c.scale_div(w))
-    return unwrap(inv.formula.substitute(values))
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -148,19 +148,14 @@ class LinearSubstitution:
             raise ValueError(
                 f"substitution is {self.n}x{self.n} but {len(indices)} "
                 "variables were selected")
-        images = []
-        index_pos = {v: k for k, v in enumerate(indices)}
-        for i in range(len(p.vars)):
-            if i in index_pos:
-                r = index_pos[i]
-                im = Poly.zero(p.vars, p.ring)
-                for k, j in enumerate(indices):
-                    c = self.matrix.entries[r][k]
-                    if c:
-                        im = im + Poly.variable(p.vars[j], p.vars, p.ring) * c
-                images.append(im)
-            else:
-                images.append(Poly.variable(p.vars[i], p.vars, p.ring))
+        nv = len(p.vars)
+        unit = [tuple(int(k == j) for k in range(nv)) for j in range(nv)]
+        images = [Poly(p.vars, {unit[i]: ring_one(p.ring)}, p.ring)
+                  for i in range(nv)]
+        for row, i in zip(self.matrix.entries, indices):
+            images[i] = Poly(p.vars, {unit[j]: as_scalar(c, p.ring)
+                                      for c, j in zip(row, indices) if c},
+                             p.ring)
         return p.substitute(images)
 
 

@@ -4,16 +4,20 @@ Two constructions, both reductions to already-calibrated invariants:
 
 * a degree-4, order-4 covariant — the cubic invariant S evaluated on the
   polar cubic of the quartic, yielding a new quartic in the point;
-* a degree-2, order-4 contravariant — the binary invariant I2 evaluated on
-  the quartic's restriction to the universal line, computed in all three
-  affine charts of the dual plane and glued by exact division.
+* a degree-2, order-4 contravariant Omega — the binary invariant I2
+  evaluated on the quartic's restriction to the universal line, computed
+  once per process on the generic quartic in all three affine charts of
+  the dual plane, glued by exact division, and then specialised to each
+  quartic by substituting its coefficients.
 """
 
 from __future__ import annotations
 
-from .comitants import DUAL_VARS, Form, polar, restrict_to_line
-from .invariants import (evaluate_invariant, invariant_I2, invariant_S,
-                         invariant_S_quartic)
+from functools import lru_cache
+
+from .comitants import DUAL_VARS, Form, FormError, polar, restrict_to_line
+from .invariants import (coefficient_values, evaluate_invariant, generic_form,
+                         invariant_I2, invariant_S, invariant_S_quartic)
 from .linalg import LinearSubstitution
 from .poly import Poly, divexact
 
@@ -52,7 +56,8 @@ def clebsch_covariant(F: Form) -> Form:
 # coefficients of degree 4 in (u,v,w); I2 is quadratic in them, so the raw
 # result has degree 8 and the chart variable divides it to the tune of
 # 8 - 4 = 4.  The power is frozen here; the three charts must then agree
-# verbatim, which salmon_contravariant checks on every call.
+# verbatim, which generic_salmon checks on the generic quartic before any
+# value is returned.
 CHART_DIVISOR_POWER = 4
 
 
@@ -71,14 +76,17 @@ def _omega_in_chart(F: Form, chart: int) -> Poly:
             f"{DUAL_VARS[chart]}^{CHART_DIVISOR_POWER} is not exact") from exc
 
 
-def salmon_contravariant(F: Form) -> Form:
-    """The order-4 contravariant: I2 of the restriction to a moving line.
+@lru_cache(maxsize=None)
+def generic_salmon() -> Form:
+    """Omega of the generic ternary quartic, over its 15 coefficient
+    variables followed by the dual variables (u, v, w).
 
-    Computed independently in the three dual charts; exact agreement of the
-    three results is the correctness certificate, enforced per call.
+    Built once per process, independently in the three dual charts; their
+    verbatim agreement is the correctness certificate.
     """
-    if F.degree != 4 or len(F.indices) != 3:
-        raise QuarticError("expected a ternary quartic")
+    gen = generic_form(3, 4)
+    k = len(gen.vars) - 3
+    F = Form(gen, 4, (k, k + 1, k + 2))
     w2 = _omega_in_chart(F, 2)
     w0 = _omega_in_chart(F, 0)
     w1 = _omega_in_chart(F, 1)
@@ -86,6 +94,27 @@ def salmon_contravariant(F: Form) -> Form:
         raise QuarticError("cross-chart disagreement in the line "
                            "restriction invariant")
     return Form(w2, 4, tuple(w2.vars.index(v) for v in DUAL_VARS))
+
+
+def salmon_contravariant(F: Form) -> Form:
+    """The order-4 contravariant: I2 of the restriction to a moving line.
+
+    F's coefficients are substituted into `generic_salmon()`, whose three
+    chart computations agree verbatim.  Substitution is a ring map, so
+    that agreement holds for every specialisation.  The result lives in
+    F's parameters followed by (u, v, w).
+    """
+    if F.degree != 4 or len(F.indices) != 3:
+        raise QuarticError("expected a ternary quartic")
+    for v in DUAL_VARS:
+        if v in F.poly.vars:
+            raise FormError(f"variable {v!r} collides with the form's ring")
+    values = coefficient_values(F, DUAL_VARS)
+    out = values[0].vars
+    omega = generic_salmon().poly.substitute(
+        values + [Poly.variable(v, out, F.poly.ring) for v in DUAL_VARS])
+    n = len(out) - 3
+    return Form(omega, 4, (n, n + 1, n + 2))
 
 
 def clebsch_pencil(F: Form, c, c2) -> Form:

@@ -42,17 +42,18 @@ from .geometry import (GeometryError, PointPair, ProjectivePoint, bracket,
                        pair_vertex, q_construction, richelot_forward,
                        richelot_inverse, symbolic_conic)
 from .invariants import (canonical_quartic, det_weight, evaluate_invariant,
-                         generic_form, hesse_pencil, invariant_I2,
-                         invariant_I3, invariant_S, invariant_T,
-                         quartic_pencil, quintic_invariants,
-                         random_substitution, substituted_form)
+                         hesse_pencil, invariant_I2, invariant_I3,
+                         invariant_S, invariant_T, quartic_pencil,
+                         quintic_invariants, random_substitution,
+                         substituted_form)
 from .linalg import LinearSubstitution
 from .maps import (PENCIL_VARS, c35_jacobian, compose, descend_map,
                    hammond_image_polys, hammond_path_comparison,
                    hammond_relations_symbolic, hesse_cover, hesse_self_map,
                    quartic_cover, quartic_self_map)
 from .poly import Poly, constant_ratio, poly_ring
-from .quartic import clebsch_covariant, contragredient, salmon_contravariant
+from .quartic import (clebsch_covariant, contragredient, generic_salmon,
+                      salmon_contravariant)
 from .scalars import QQ, is_prime
 
 PASS = "pass"
@@ -100,18 +101,15 @@ _Claim = namedtuple("_Claim", "claim_id description fn")
 
 def _random_form(rng: random.Random, names, degree: int, bound: int = 9):
     """Dense random integral form, never identically zero."""
-    gens = poly_ring(names, QQ)
+    n = len(names)
     while True:
-        p = Poly.zero(tuple(names), QQ)
-        for combo in combinations_with_replacement(range(len(names)), degree):
+        terms = {}
+        for combo in combinations_with_replacement(range(n), degree):
             c = rng.randint(-bound, bound)
             if c:
-                mono = Poly.constant(c, tuple(names), QQ)
-                for i in combo:
-                    mono = mono * gens[i]
-                p = p + mono
-        if not p.is_zero():
-            return p
+                terms[tuple(combo.count(i) for i in range(n))] = Fraction(c)
+        if terms:
+            return Poly(tuple(names), terms, QQ)
 
 
 def _nonsquare_substitution(n: int, rng: random.Random):
@@ -532,15 +530,8 @@ def _c_richelot_tangency_duality(ctx):
 # dual-quartic claims
 
 
-def _generic_ternary_quartic() -> Form:
-    p = generic_form(3, 4)
-    k = len(p.vars) - 3
-    return Form(p, 4, (k, k + 1, k + 2))
-
-
 def _c_salmon_chart_consistency(ctx):
-    form = _generic_ternary_quartic()
-    om = salmon_contravariant(form)  # asserts the three charts agree
+    om = generic_salmon()  # asserts the three charts agree
     groups = om.poly.coefficients_in(om.indices)
     if any(g.total_degree() != 2 for g in groups.values()):
         return FAIL, "dual form is not quadratic in the coefficients"

@@ -1,7 +1,11 @@
 import random
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from comitant import quartic
 from comitant.comitants import Form, FormError
 from comitant.invariants import (generic_form, random_substitution,
                                  substituted_form)
@@ -9,12 +13,15 @@ from comitant.linalg import LinearSubstitution, Matrix
 from comitant.poly import Poly, poly_ring
 from comitant.quartic import (
     QuarticError,
+    _omega_in_chart,
     clebsch_covariant,
     clebsch_pencil,
     contragredient,
+    generic_salmon,
     salmon_contravariant,
 )
-from comitant.scalars import QQ
+from comitant.scalars import GF, QQ
+from comitant.verify import PASS, run_verifications
 
 
 def fermat():
@@ -122,6 +129,68 @@ def test_salmon_rejects_non_quartic():
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
     with pytest.raises(QuarticError, match="ternary quartic"):
         salmon_contravariant(Form(X**2 + Y * Z, 2))
+
+
+def test_salmon_refuses_a_dual_variable_in_the_form_ring():
+    for name in ("u", "v", "w"):
+        s, X, Y, Z = poly_ring((name, "X", "Y", "Z"), QQ)
+        F = Form(X**4 + s * Y**4 + Z**4, 4, (1, 2, 3))
+        with pytest.raises(FormError, match="collides"):
+            salmon_contravariant(F)
+
+
+def _quartic_terms(coeffs):
+    exps = [tuple(combo.count(i) for i in range(3))
+            for combo in combinations_with_replacement(range(3), 4)]
+    return dict(zip(exps, coeffs))
+
+
+def _assert_matches_every_chart(F):
+    om = salmon_contravariant(F)
+    for chart in (0, 1, 2):
+        assert om.poly == _omega_in_chart(F, chart)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=15, max_size=15))
+def test_salmon_matches_the_per_chart_reference(coeffs):
+    terms = {e: Fraction(c) for e, c in _quartic_terms(coeffs).items()}
+    _assert_matches_every_chart(Form(Poly(("X", "Y", "Z"), terms, QQ), 4))
+
+
+def test_salmon_matches_the_per_chart_reference_with_parameters():
+    s, t, X, Y, Z = poly_ring(("s", "t", "X", "Y", "Z"), QQ)
+    F = Form(s * X**4 + t * Y**4 - Z**4 + (s + 2 * t) * X * Y * Z**2
+             + s * t * X**3 * Z - 3 * Y**2 * Z**2, 4, (2, 3, 4))
+    _assert_matches_every_chart(F)
+    assert salmon_contravariant(F).poly.vars == ("s", "t", "u", "v", "w")
+
+
+def test_salmon_matches_the_per_chart_reference_over_gf7():
+    X, Y, Z = poly_ring(("X", "Y", "Z"), GF(7))
+    F = Form(X**4 + 3 * Y**4 + Z**4 + 5 * X * Y * Z**2 + 2 * X**3 * Y, 4)
+    _assert_matches_every_chart(F)
+    assert salmon_contravariant(F).poly.ring == GF(7)
+
+
+def test_salmon_builds_the_charts_once_per_process(monkeypatch):
+    calls = []
+
+    def counted(F, chart):
+        calls.append(chart)
+        return _omega_in_chart(F, chart)
+
+    monkeypatch.setattr(quartic, "_omega_in_chart", counted)
+    generic_salmon.cache_clear()
+    try:
+        report = run_verifications(only=["17-equivariance-salmon-dual",
+                                         "23-salmon-chart-consistency",
+                                         "24-salmon-fermat-values"])
+    finally:
+        generic_salmon.cache_clear()
+    assert [e.status for e in report.entries] == [PASS] * 3
+    # 40 Salmon calls in claim 17 and two in claim 24, one generic build
+    assert sorted(calls) == [0, 1, 2]
 
 
 # ----------------------------------------------------------------- plumbing
