@@ -77,34 +77,32 @@ def _space(form):
     return n, d
 
 
-def _socle(f: Poly, indices):
+def _socle(f: Form):
     """Columns of the square socle matrix [He(f) | m * df/dx_i] in degree
     N, and its determinant; a zero determinant is refused as degenerate.
 
-    indices (a tuple) are the form variables of f, the rest parameters.  A
-    column holds the coefficients of the degree-N monomials in the form
-    variables: Polys in the parameters, scalars when there are none.  The
-    J(f)_N columns run over the multiplier monomials m, then the partials.
-    These dim - 1 columns span J(f)_N with He(f) outside it exactly when
-    the determinant is nonzero.
+    A column holds the coefficients of the degree-N monomials in the form
+    variables: Polys in the parameters of f, scalars when there are none.
+    The J(f)_N columns run over the multiplier monomials m, then the
+    partials.  These dim - 1 columns span J(f)_N with He(f) outside it
+    exactly when the determinant is nonzero.
     """
+    p, indices = f.poly, f.indices
     n = len(indices)
     d = _SPACES[n][0]
     N = n * (d - 2)
     monomials = _exponents(n, N)
-    params = tuple(v for i, v in enumerate(f.vars) if i not in indices)
-    zero = Poly.zero(params, f.ring)
 
-    def vec(p):
-        groups = p.coefficients_in(indices)
-        return [unwrap(groups.get(e, zero)) for e in monomials]
+    def vec(q):
+        return [unwrap(c)
+                for c in Form(q, N, indices).coefficients(monomials)]
 
-    cols = [vec(hessian(f, indices))]
+    cols = [vec(hessian(p, indices))]
     for mult in _exponents(n, N - (d - 1)):
         at = dict(zip(indices, mult))
-        mono = Poly.monomial(1, [at.get(i, 0) for i in range(len(f.vars))],
-                             f.vars, f.ring)
-        cols += [vec(mono * f.partial(i)) for i in indices]
+        mono = Poly.monomial(1, [at.get(i, 0) for i in range(len(p.vars))],
+                             p.vars, p.ring)
+        cols += [vec(mono * p.partial(i)) for i in indices]
     det = poly_det(cols)        # det M = det M^T: columns serve as rows
     if not det:
         raise AssociatedFormError(
@@ -114,18 +112,18 @@ def _socle(f: Poly, indices):
     return cols, det
 
 
-def _associated(f: Poly, indices):
+def _associated(f: Form):
     """(numerator, determinant) with as(f) = numerator / determinant.
 
     The numerator is the socle determinant with the He column replaced by
     the coefficients of ell^N, ell = sum_i dual_i * x_i; it is a Poly in the
     parameters of f followed by the dual variables.
     """
-    cols, det = _socle(f, indices)
-    n = len(indices)
+    cols, det = _socle(f)
+    n = len(f.indices)
     d, dual = _SPACES[n]
     N = n * (d - 2)
-    params = tuple(v for i, v in enumerate(f.vars) if i not in indices)
+    params = f.params
     ring_vars = params + dual
     if params:
         cols = [[c.extend_to(ring_vars) for c in col] for col in cols]
@@ -137,7 +135,8 @@ def _associated(f: Poly, indices):
 def associated_form(form) -> AssociatedFormResult:
     """as(f) for a binary quartic or ternary cubic with rational coefficients."""
     n, d = _space(form)
-    num, det = _associated(form.poly, tuple(range(n)))
+    # the form variables in the ring's order, whatever form.indices says
+    num, det = _associated(Form(form.poly, d))
     raw = num.scale_div(det)
     scale = 1
     for c in raw.terms.values():
@@ -161,7 +160,7 @@ def congruence_holds(result: AssociatedFormResult, form, ell) -> bool:
         raise AssociatedFormError(
             f"ell needs {n} coefficients, got {len(ell)}")
     ell = [Fraction(c) for c in ell]
-    cols, _ = _socle(form.poly, tuple(range(n)))
+    cols, _ = _socle(Form(form.poly, d))
     N = n * (d - 2)
     as_val = result.form.evaluate(ell)
     lhs = [result.scale * _multinomial(N, e)
@@ -183,14 +182,10 @@ def associated_slice_map() -> RationalMapP1:
     a homogeneous degree-1 coordinate map.
     """
     cq = canonical_quartic()          # vars (alpha, x, y), indices (1, 2)
-    as_form, _ = _associated(cq.poly, cq.indices)   # times a det in alpha
-    groups = as_form.coefficients_in((1, 2))
-    zero = Poly.zero(("alpha",), QQ)
-    c40 = groups.get((4, 0), zero)
-    c04 = groups.get((0, 4), zero)
-    c22 = groups.get((2, 2), zero)
-    if (c40 != c04 or groups.get((3, 1), zero) != zero
-            or groups.get((1, 3), zero) != zero or c40.is_zero()):
+    as_poly, _ = _associated(cq)      # times a det in alpha; (alpha, u, v)
+    c40, c31, c22, c13, c04 = Form(as_poly, 4, (1, 2)).coefficients(
+        _exponents(2, 4))
+    if c40 != c04 or c31 or c13 or not c40:
         raise AssociatedFormError(
             "associated form of the canonical slice is not of canonical "
             "shape")

@@ -42,6 +42,20 @@ class Form:
         self.degree = degree
         self.indices = indices
 
+    @property
+    def params(self) -> tuple:
+        """The variables that are not form variables, in their order."""
+        return tuple(v for i, v in enumerate(self.poly.vars)
+                     if i not in self.indices)
+
+    def coefficients(self, exps) -> list:
+        """The coefficient of each listed form-variable monomial (an
+        exponent tuple over `indices`), as a Poly in `params` over the
+        form's ring: the zero Poly where the monomial is absent."""
+        groups = self.poly.coefficients_in(self.indices)
+        zero = Poly.zero(self.params, self.poly.ring)
+        return [groups.get(tuple(e), zero) for e in exps]
+
     def __eq__(self, other):
         return (isinstance(other, Form) and self.poly == other.poly
                 and self.degree == other.degree
@@ -154,8 +168,7 @@ def restrict_to_line(f: Form, chart: int,
         if v in f.poly.vars:
             raise FormError(f"variable {v!r} collides with the form's ring")
     ring = f.poly.ring
-    params = tuple(v for i, v in enumerate(f.poly.vars)
-                   if i not in f.indices)
+    params = f.params
     out_vars = params + tuple(line_vars) + tuple(dual_vars)
     x = Poly.variable(line_vars[0], out_vars, ring)
     y = Poly.variable(line_vars[1], out_vars, ring)

@@ -63,12 +63,8 @@ class PointPair:
 
     def coefficients(self):
         """(A, B, C) — scalars, or polynomials in the parameter variables."""
-        groups = self.form.poly.coefficients_in(self.form.indices)
-        rest = tuple(v for i, v in enumerate(self.form.poly.vars)
-                     if i not in self.form.indices)
-        zero = Poly.zero(rest, self.form.poly.ring)
-        return tuple(unwrap(groups.get(e, zero))
-                     for e in ((2, 0), (1, 1), (0, 2)))
+        return tuple(map(unwrap, self.form.coefficients(
+            ((2, 0), (1, 1), (0, 2)))))
 
     def is_double_point(self) -> bool:
         A, B, C = self.coefficients()
@@ -469,7 +465,7 @@ def sigma_map(pairs):
     vars = _shared_vars(pairs)
     lines = [chord(p) for p in pairs]
     frame = Matrix([list(L) for L in lines], QQ)
-    if not frame.det():
+    if not poly_det(frame.entries):
         raise GeometryError("degenerate chord triangle")
     back = frame.inverse()
     m0 = Matrix(STANDARD_CONIC.matrix(), QQ)

@@ -319,7 +319,26 @@ def evaluate_invariant(inv: InvariantDescriptor, f):
     reduced by `Poly.substitute` itself.
     """
     form = _as_form(f, *inv.space)
+    _check_characteristic(form.poly.ring, inv.formula, inv.name,
+                          weights=_space(*inv.space).weights)
     return unwrap(inv.formula.substitute(coefficient_values(form)))
+
+
+def _check_characteristic(ring, formula: Poly, what, error=InvariantError,
+                          weights=()):
+    """Refuse a prime field whose characteristic divides one of `weights`
+    or a coefficient denominator of the QQ polynomial `formula`: `what`
+    needs that number inverted, so it is undefined there."""
+    if ring == QQ:
+        return
+    p = ring[1]
+    for kind, values in (
+            ("binomial weight", weights),
+            ("denominator", (c.denominator for c in formula.terms.values()))):
+        bad = next((v for v in values if v % p == 0), None)
+        if bad is not None:
+            raise error(f"{what} is undefined in characteristic {p}: "
+                        f"{p} divides the {kind} {bad}")
 
 
 def coefficient_values(form: Form, extra=()) -> list:
@@ -330,16 +349,10 @@ def coefficient_values(form: Form, extra=()) -> list:
     names `extra`, which must not be among the form's variables.
     """
     space = _space(len(form.indices), form.degree)
-    ring = form.poly.ring
-    coeffs = form.poly.coefficients_in(form.indices)
-    rest = tuple(v for i, v in enumerate(form.poly.vars)
-                 if i not in form.indices) + tuple(extra)
+    rest = form.params + tuple(extra)
     values = []
-    for e, w in zip(space.monomials, space.weights):
-        c = coeffs.get(e)
-        if c is None:
-            c = Poly.zero(rest, ring)
-        elif extra:
+    for c, w in zip(form.coefficients(space.monomials), space.weights):
+        if extra:
             c = c.extend_to(rest)
         values.append(c if w == 1 else c.scale_div(w))
     return values
@@ -447,16 +460,6 @@ def named_invariant(name: str, space) -> InvariantDescriptor:
 # quintic invariants by transvectant chain
 
 
-def _strip_form_vars(b: Form, names) -> Poly:
-    groups = b.poly.coefficients_in(b.indices)
-    if set(groups) - {(0, 0)}:
-        raise InvariantError("expected a form of degree 0")
-    got = groups.get((0, 0))
-    if got is None:
-        return Poly.zero(names, QQ)
-    return got.rename_vars(names)
-
-
 @lru_cache(maxsize=None)
 def quintic_invariants():
     """(I4, I8, I12) on V(2,5) by a transvectant chain from (f,f)_4.
@@ -479,7 +482,9 @@ def quintic_invariants():
     degs = {"I4": 4, "I8": 8, "I12": 12}
     out = []
     for name, form in chain.items():
-        p = _strip_form_vars(form, space.names).primitive()
+        # degree 0 in (x, y): a Poly in the coefficient names
+        (p,) = form.coefficients([(0, 0)])
+        p = p.primitive()
         if p.is_zero() or p.total_degree() != degs[name]:
             raise InvariantError(f"{name}: chain produced a wrong degree")
         if not _is_invariant(space, p):
@@ -520,19 +525,6 @@ def det_weight(det, ratio):
             return w
         power *= det
     return None
-
-
-def measured_weight(inv: InvariantDescriptor, g: LinearSubstitution,
-                    sample) -> int:
-    """Recover w with evaluate(g . f) = det(g)^w evaluate(f) from one probe."""
-    base = evaluate_invariant(inv, sample)
-    if not base:
-        raise InvariantError("probe form lies on the zero locus; pick another")
-    moved = evaluate_invariant(inv, substituted_form(sample, g))
-    w = det_weight(g.det, moved / base)
-    if w is None:
-        raise InvariantError("value ratio is not a power of det(g)")
-    return w
 
 
 def random_substitution(n, rng, unimodular=False) -> LinearSubstitution:

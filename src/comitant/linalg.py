@@ -2,16 +2,16 @@
 
 Each entry representation has one Gauss-Jordan kernel.  `_gauss_jordan`
 works on Fraction/Fp entries (both divide exactly, so a pivot is inverted as
-1 / x): it yields the reduced echelon form, the pivot columns and the
-determinant.  `int_nullspace_mod_p` eliminates residues mod a word-size
-prime in one numpy int64 array, which is exact while (p-1)^2 < 2^63.  Both
+1 / x): it yields the reduced echelon form and the pivot columns behind
+`rref`, `rank`, `nullspace` and `inverse`.  `int_nullspace_mod_p`
+eliminates residues mod a word-size prime in one numpy int64 array, which
+is exact while (p-1)^2 < 2^63.  Both
 make the same pivot choices, and nullspace bases follow the reduced-echelon
 convention, so results are deterministic.  `modular_nullspace` gets a
 kernel over QQ without QQ elimination: kernels mod several word-size
 primes, combined by CRT, lifted by rational reconstruction and proved by
-the caller.  Polynomial matrices get a division-free determinant (Laplace
-expansion memoized over column subsets, which also takes scalar entries),
-which is all the symbolic work here needs.
+the caller.  `poly_det` is the one determinant: division-free (Laplace
+expansion memoized over column subsets), on Poly and scalar entries alike.
 """
 
 from __future__ import annotations
@@ -72,8 +72,7 @@ class Matrix:
         out.ring = self.ring
         out.rows = self.rows
         out.cols = self.cols
-        pivots, _ = _gauss_jordan(out.entries, self.cols)
-        return out, pivots
+        return out, _gauss_jordan(out.entries, self.cols)
 
     def rank(self) -> int:
         return len(self.rref()[1])
@@ -88,16 +87,6 @@ class Matrix:
         red, pivots = self.rref()
         return _kernel_basis(red.entries, pivots, self.cols,
                              ring_zero(self.ring), ring_one(self.ring))
-
-    def det(self):
-        """Determinant by elimination; square matrices only."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        pivots, det = _gauss_jordan([row[:] for row in self.entries],
-                                    self.cols)
-        if len(pivots) < self.rows:
-            return ring_zero(self.ring)
-        return as_scalar(det, self.ring)
 
     def inverse(self) -> "Matrix":
         if self.rows != self.cols:
@@ -122,7 +111,7 @@ class LinearSubstitution:
             else matrix
         if self.matrix.rows != self.matrix.cols:
             raise ValueError("substitution matrix must be square")
-        self.det = self.matrix.det()
+        self.det = poly_det(self.matrix.entries)
         if not self.det:
             raise ValueError("substitution matrix is singular")
 
@@ -279,14 +268,10 @@ def modular_nullspace(rows: list, ncols: int, certify):
 
 def _gauss_jordan(m: list, ncols: int):
     """Bring the rows m of Fraction/Fp entries to reduced row echelon form,
-    in place.
-
-    Returns (pivot columns, signed product of the pivots); the product is
-    the determinant of a square m of full rank.
+    in place; returns the pivot columns.
     """
     nrows = len(m)
     pivots = []
-    det = 1
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
@@ -296,10 +281,7 @@ def _gauss_jordan(m: list, ncols: int):
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-            det = -det
-        piv = m[r][c]
-        det = det * piv
-        inv = 1 / piv
+        inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             f = m[i][c]
@@ -307,7 +289,7 @@ def _gauss_jordan(m: list, ncols: int):
                 continue
             m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
-    return pivots, det
+    return pivots
 
 
 def _kernel_basis(m: list, pivots: list, ncols: int, zero=0, one=1, p=None):

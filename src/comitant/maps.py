@@ -94,11 +94,6 @@ def normalize_point(coords, ring):
     return tuple(c / last for c in coords)
 
 
-def identity_map(ring=QQ) -> RationalMapP1:
-    t0, t1 = poly_ring(PENCIL_VARS, ring)
-    return RationalMapP1(t0, t1)
-
-
 def compose(outer: RationalMapP1, inner: RationalMapP1) -> RationalMapP1:
     """outer after inner, by exact substitution and reduction."""
     if inner.num.vars != outer.num.vars or inner.num.ring != outer.num.ring:
@@ -124,11 +119,9 @@ def _pencil_reading(hess: Poly, b0_exps, b1_exp) -> RationalMapP1:
     are returned, so a Hessian that left the pencil raises instead of
     producing a plausible-looking wrong map.
     """
-    indices = tuple(range(2, 2 + len(b1_exp)))
-    coeffs = hess.coefficients_in(indices)
-    zero = Poly.zero(PENCIL_VARS, hess.ring)
-    c0 = coeffs.get(b0_exps[0], zero)
-    c1 = coeffs.get(b1_exp, zero).scale_div(6)
+    form = Form(hess, sum(b1_exp), range(2, 2 + len(b1_exp)))
+    c0, c1 = form.coefficients([b0_exps[0], b1_exp])
+    c1 = c1.scale_div(6)
     rebuilt = Poly.zero(hess.vars, hess.ring)
     for e in b0_exps:
         rebuilt = rebuilt + c0.extend_to(hess.vars) * Poly.monomial(
@@ -333,11 +326,9 @@ def hammond_path_comparison() -> dict:
     a, b, e, f, t0, t1 = poly_ring(vars, QQ)
     slice_poly = (t0**5 * a + t0**4 * t1 * (b * 5) + t0 * t1**4 * (e * 5)
                   + t1**5 * f)
-    path2 = c35_jacobian(Form(slice_poly, 5, (4, 5))).poly
-    coeffs2 = path2.coefficients_in((4, 5))
-    zero = Poly.zero(HAMMOND_VARS, QQ)
-    ratios = [constant_ratio(c1, coeffs2.get(exp, zero))
-              for exp, c1 in zip(_T_MONOMIAL_EXPS, hammond_image_polys())]
+    path2 = c35_jacobian(Form(slice_poly, 5, (4, 5)))
+    ratios = [constant_ratio(c1, c2) for c1, c2 in zip(
+        hammond_image_polys(), path2.coefficients(_T_MONOMIAL_EXPS))]
     if None in ratios or len({abs(r) for r in ratios}) != 1:
         raise MapError("C_{3,5} paths disagree beyond a scalar "
                        "(formula-check failure)")

@@ -356,15 +356,6 @@ class Poly:
             groups.setdefault(key, {})[sub] = c
         return {k: Poly(rest_vars, t, self.ring) for k, t in groups.items()}
 
-    def coefficient(self, exps_by_index: dict) -> "Poly":
-        """Coefficient of prod(var_i^e_i) as a Poly in the other variables."""
-        indices = sorted(exps_by_index)
-        want = tuple(exps_by_index[i] for i in indices)
-        return self.coefficients_in(indices).get(
-            want,
-            Poly.zero(tuple(v for i, v in enumerate(self.vars)
-                            if i not in exps_by_index), self.ring))
-
     # -- normalization ---------------------------------------------------
 
     def content(self) -> Fraction:

@@ -9,6 +9,10 @@ Two constructions, both reductions to already-calibrated invariants:
   once per process on the generic quartic in all three affine charts of
   the dual plane, glued by exact division, and then specialised to each
   quartic by substituting its coefficients.
+
+Both refuse, up front, a prime field whose characteristic divides a
+denominator of the polynomial they substitute into (S, Omega): GF(2) and
+GF(3).
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .comitants import DUAL_VARS, Form, FormError, polar, restrict_to_line
-from .invariants import (coefficient_values, evaluate_invariant, generic_form,
-                         invariant_I2, invariant_S, invariant_S_quartic)
+from .invariants import (_check_characteristic, coefficient_values,
+                         evaluate_invariant, generic_form, invariant_I2,
+                         invariant_S, invariant_S_quartic)
 from .linalg import LinearSubstitution
 from .poly import Poly, divexact
 
@@ -42,6 +47,8 @@ def clebsch_covariant(F: Form) -> Form:
     """
     if F.degree != 4 or len(F.indices) != 3:
         raise QuarticError("expected a ternary quartic")
+    _check_characteristic(F.poly.ring, invariant_S().formula,
+                          "clebsch_covariant", QuarticError)
     pv = _fresh_point_vars(F.poly.vars)
     cubic = Form(polar(F, pv), 3, F.indices)
     val = evaluate_invariant(invariant_S(), cubic)
@@ -109,6 +116,8 @@ def salmon_contravariant(F: Form) -> Form:
     for v in DUAL_VARS:
         if v in F.poly.vars:
             raise FormError(f"variable {v!r} collides with the form's ring")
+    _check_characteristic(F.poly.ring, generic_salmon().poly,
+                          "salmon_contravariant", QuarticError)
     values = coefficient_values(F, DUAL_VARS)
     out = values[0].vars
     omega = generic_salmon().poly.substitute(
@@ -123,12 +132,9 @@ def clebsch_pencil(F: Form, c, c2) -> Form:
     Members of the 2-dimensional space of degree-4, order-4 covariants.
     """
     cov = clebsch_covariant(F)
-    s4 = evaluate_invariant(invariant_S_quartic(), F)
-    base = F.poly.extend_to(cov.poly.vars)
-    if isinstance(s4, Poly):
-        base = base * s4.extend_to(cov.poly.vars)
-    else:
-        base = base * s4
+    # S4(F) as a Poly in F.params, in no variables when there are none
+    s4 = invariant_S_quartic().formula.substitute(coefficient_values(F))
+    base = F.poly.extend_to(cov.poly.vars) * s4.extend_to(cov.poly.vars)
     return Form(cov.poly * c + base * c2, 4, cov.indices)
 
 

@@ -151,15 +151,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def ring_of(c) -> tuple:
-    """Ring tag of a scalar value."""
-    if isinstance(c, Fp):
-        return GF(c.p)
-    if isinstance(c, (Fraction, int)):
-        return QQ
-    raise TypeError(f"not a supported scalar: {c!r}")
-
-
 def ring_zero(ring: tuple):
     return Fraction(0) if ring == QQ else Fp(0, ring[1])
 

@@ -770,7 +770,7 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
     selected = list(_REGISTRY)
     if only is not None:
         wanted = list(only)
-        known = {c.claim_id for c in _REGISTRY}
+        known = set(claim_ids())
         unknown = [w for w in wanted if w not in known]
         if unknown:
             raise VerifyError(f"unknown claim ids: {', '.join(unknown)}")

@@ -18,7 +18,7 @@ from comitant.comitants import (
 from comitant.invariants import (InvariantError, evaluate_invariant,
                                  invariant_S)
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import QQ
+from comitant.scalars import GF, QQ
 from test_poly import _coefficients, _from_sympy, _to_sympy
 
 
@@ -68,6 +68,30 @@ def test_extra_variables_act_as_coefficients():
     a, x, y = poly_ring(("a", "x", "y"), QQ)
     f = Form(a * x**2 + y**2, 2, (1, 2))
     assert f.degree == 2
+
+
+def test_form_coefficients_in_the_parameters():
+    # the form variables sit between the parameters, which keep their order
+    s, x, t, y = poly_ring(("s", "x", "t", "y"), QQ)
+    f = Form((s + t) * x**2 - s * t * y**2, 2, (1, 3))
+    assert f.params == ("s", "t")
+    s1, t1 = poly_ring(("s", "t"), QQ)
+    # the absent x*y gets the zero Poly in the parameters
+    assert f.coefficients([(2, 0), (1, 1), (0, 2)]) == [
+        s1 + t1, Poly.zero(("s", "t"), QQ), -(s1 * t1)]
+    assert f.coefficients([]) == []
+
+
+def test_form_coefficients_without_parameters_and_over_gf():
+    # a parameter-free form gives constant Polys in no variables, and the
+    # ring comes along
+    x, y = poly_ring(("x", "y"), GF(5))
+    f = Form(x**3 * 2 + y**3, 3)
+    assert f.params == ()
+    got = f.coefficients([(3, 0), (2, 1), (0, 3)])
+    assert got == [Poly.constant(2, (), GF(5)), Poly.zero((), GF(5)),
+                   Poly.constant(1, (), GF(5))]
+    assert all(c.vars == () and c.ring == GF(5) for c in got)
 
 
 # -------------------------------------------------------------- transvectant

@@ -13,12 +13,12 @@ from comitant.comitants import Form
 from comitant.invariants import (
     InvariantError,
     canonical_quartic,
+    det_weight,
     evaluate_invariant,
     find_invariants,
     generic_form,
     hesse_pencil,
     invariant_S_quartic,
-    measured_weight,
     named_invariant,
     quartic_pencil,
     quintic_invariants,
@@ -27,7 +27,7 @@ from comitant.invariants import (
 )
 from comitant.linalg import Matrix
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import QQ
+from comitant.scalars import GF, QQ, rational_to_fp
 
 
 # ----------------------------------------------------------- space dimensions
@@ -253,13 +253,14 @@ def test_quintic_invariants_unimodular_invariance():
     for _ in range(3):
         g = random_substitution(2, rng, unimodular=True)
         moved = [evaluate_invariant(d, substituted_form(f, g)) for d in trio]
-        det = g.matrix.det()
+        det = g.det
         assert moved == [det**d.weight() * b for d, b in zip(trio, base)]
 
 
 # -------------------------------------------------------------------- weights
 
 def test_measured_weight_matches_declared():
+    # one probe off the zero locus, with det(g) != +-1, pins the weight
     rng = random.Random(7)
     x, y = poly_ring(("x", "y"), QQ)
     sample = Form(x**4 + x * y**3 - y**4, 4)
@@ -267,17 +268,38 @@ def test_measured_weight_matches_declared():
         inv = named_invariant(name, (2, 4))
         assert inv.weight() == expect
         g = random_substitution(2, rng)
-        while abs(g.matrix.det()) == 1:  # avoid the ambiguous det = +-1 case
+        while abs(g.det) == 1:  # avoid the ambiguous det = +-1 case
             g = random_substitution(2, rng)
-        assert measured_weight(inv, g, sample) == expect
+        base = evaluate_invariant(inv, sample)
+        moved = evaluate_invariant(inv, substituted_form(sample, g))
+        assert base and det_weight(g.det, moved / base) == expect
 
 
-def test_measured_weight_rejects_zero_locus():
-    x, y = poly_ring(("x", "y"), QQ)
-    inv = named_invariant("I3", (2, 4))
-    g = random_substitution(2, random.Random(1))
-    with pytest.raises(InvariantError, match="zero locus"):
-        measured_weight(inv, g, Form(x**4 + y**4, 4))
+# ------------------------------------------------------ small characteristics
+
+@pytest.mark.parametrize("name", ["I2", "I3"])
+@pytest.mark.parametrize("p, weight", [(2, 4), (3, 6)])
+def test_evaluate_refuses_a_characteristic_dividing_a_weight(name, p,
+                                                            weight):
+    # x^4 + x*y^3 + y^4 over GF(2) or GF(3): the binomial weights of the
+    # quartic's middle coefficients (4, 6, 4) are not invertible there
+    x, y = poly_ring(("x", "y"), GF(p))
+    f = Form(x**4 + x * y**3 + y**4, 4)
+    with pytest.raises(InvariantError,
+                       match=f"characteristic {p}: {p} divides the "
+                             f"binomial weight {weight}"):
+        evaluate_invariant(named_invariant(name, (2, 4)), f)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_evaluate_over_a_larger_prime_reduces_the_rational_value(p):
+    text = "x^4 + 2*x^3*y - x*y^3 + 3*y^4"
+    for name in ("I2", "I3"):
+        inv = named_invariant(name, (2, 4))
+        want = evaluate_invariant(inv, Form(parse_poly(text, ("x", "y")), 4))
+        got = evaluate_invariant(
+            inv, Form(parse_poly(text, ("x", "y"), GF(p)), 4))
+        assert got == rational_to_fp(want, p)
 
 
 def test_ternary_quartic_degree_three_invariant():

@@ -23,7 +23,7 @@ def test_rank_and_rref():
 
 def test_det_inverse_roundtrip():
     m = _m([[2, 1], [5, 3]])
-    assert m.det() == 1
+    assert poly_det(m.entries) == 1
     inv = m.inverse()
     assert (m * inv).entries == Matrix.identity(2, QQ).entries
 
@@ -181,10 +181,14 @@ def _square_matrices(draw):
 @example(([[0, 2, 1], [3, 0, 0], [0, 0, 5]], QQ))
 @example(([[1, 2], [2, 4]], GF(7)))                # dependent rows
 @example(([[0, 1], [0, 3]], QQ))                   # zero column
+@example(([[0, 0], [0, 0]], GF(5)))                # every Laplace term dies
 def test_det_matches_leibniz(case):
+    # poly_det on scalar entries, in the entries' ring
     rows, ring = case
-    m = Matrix(rows, ring)
-    assert m.det() == _leibniz(m.entries, ring)
+    assume(rows)
+    entries = Matrix(rows, ring).entries
+    got, want = poly_det(entries), _leibniz(entries, ring)
+    assert got == want and type(got) is type(want)
 
 
 # -- the multi-modular kernel ----------------------------------------------
@@ -276,18 +280,6 @@ def test_modular_nullspace_stops_at_the_bound():
     # 2 H^2 = 2^81 + 4, first passed by P1 * P2 * P3
     basis, asked, _ = _modular_kernel([[2**40, 1, 1]], 3, lambda b: False)
     assert basis is None and asked == [P1, P2, P3]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_square_matrices())
-@example(([[0, 1], [1, 0]], QQ))
-@example(([[0, 0], [0, 0]], GF(5)))                # every Laplace term dies
-def test_scalar_poly_det_matches_matrix_det(case):
-    rows, ring = case
-    assume(rows)
-    entries = Matrix(rows, ring).entries
-    got, want = poly_det(entries), Matrix(rows, ring).det()
-    assert got == want and type(got) is type(want)
 
 
 def test_poly_det_takes_int_and_mixed_entries():

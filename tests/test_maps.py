@@ -18,7 +18,6 @@ from comitant.maps import (
     hammond_relations_symbolic,
     hesse_cover,
     hesse_self_map,
-    identity_map,
     normalize_point,
     quartic_cover,
     quartic_self_map,
@@ -91,8 +90,9 @@ def test_normalize_point():
 def test_identity_and_compose_degrees():
     t0, t1 = pencil()
     m = RationalMapP1(t0**2 + t1**2, t0 * t1)
-    assert compose(identity_map(), m) == m
-    assert compose(m, identity_map()) == m
+    identity = RationalMapP1(t0, t1)
+    assert compose(identity, m) == m
+    assert compose(m, identity) == m
     assert compose(m, m).degree == 4
 
 
@@ -142,7 +142,9 @@ def test_quartic_descent_closed_form():
 
 
 def test_descend_identity():
-    assert descend_map(quartic_cover(), quartic_cover(), 1) == identity_map()
+    t0, t1 = pencil()
+    assert descend_map(quartic_cover(), quartic_cover(), 1) == \
+        RationalMapP1(t0, t1)
 
 
 def test_descend_over_prime_field():

@@ -57,12 +57,12 @@ def test_clebsch_covariance_spot_check():
     rng = random.Random(5)
     F = perturbed()
     g = random_substitution(3, rng)
-    while abs(g.matrix.det()) == 1:
+    while abs(g.det) == 1:
         g = random_substitution(3, rng)
     moved = clebsch_covariant(substituted_form(F, g))
     target = substituted_form(clebsch_covariant(F), g)
     # degree 4, order 4: weight (4*4 - 4)/3 = 4
-    det = g.matrix.det()
+    det = g.det
     ratio = None
     for w in range(0, 20):
         if target.poly * det**w == moved.poly:
@@ -115,12 +115,12 @@ def test_salmon_contragredience_spot_check():
     rng = random.Random(11)
     F = perturbed()
     g = random_substitution(3, rng)
-    while abs(g.matrix.det()) == 1:
+    while abs(g.det) == 1:
         g = random_substitution(3, rng)
     moved = salmon_contravariant(substituted_form(F, g)).poly
     gdual = contragredient(g)
     target = gdual.apply(salmon_contravariant(F).poly, (0, 1, 2))
-    det = g.matrix.det()
+    det = g.det
     weight = next(w for w in range(20) if target * det**w == moved)
     assert weight == 4
 
@@ -191,6 +191,33 @@ def test_salmon_builds_the_charts_once_per_process(monkeypatch):
     assert [e.status for e in report.entries] == [PASS] * 3
     # 40 Salmon calls in claim 17 and two in claim 24, one generic build
     assert sorted(calls) == [0, 1, 2]
+
+
+# ------------------------------------------------------ small characteristics
+
+def _quartic_mod(p):
+    """X^4 + Y^4 + Z^4 + XYZ^2 + 2X^3Y over QQ (p = None) or GF(p)."""
+    X, Y, Z = poly_ring(("X", "Y", "Z"), QQ if p is None else GF(p))
+    return Form(X**4 + Y**4 + Z**4 + X * Y * Z**2 + 2 * X**3 * Y, 4)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("comitant",
+                         [salmon_contravariant, clebsch_covariant])
+def test_small_characteristic_is_refused_up_front(comitant, p):
+    # the generic Omega has denominators 2, 3, 4, 6, 12 and the cubic
+    # invariant S behind the covariant has 6 and 9
+    with pytest.raises(QuarticError, match=f"{comitant.__name__} is "
+                       f"undefined in characteristic {p}: {p} divides"):
+        comitant(_quartic_mod(p))
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_larger_characteristic_reduces_the_rational_comitant(p):
+    for comitant in (salmon_contravariant, clebsch_covariant):
+        want = comitant(_quartic_mod(None)).poly
+        got = comitant(_quartic_mod(p)).poly
+        assert got == want.substitute(poly_ring(want.vars, GF(p)))
 
 
 # ----------------------------------------------------------------- plumbing

@@ -1,9 +1,11 @@
 """Static checks on the package source, with the standard-library `ast`.
 
-Three kinds of leftover fail here: an import that its module never uses,
+Four kinds of leftover fail here: an import that its module never uses,
 a private (underscore) module-level function or class that no module of
-the package refers to, and a public method that no attribute read in the
-package, its tests or its benchmark harness names.  All three are what a
+the package refers to, a public method that no attribute read in the
+package, its tests or its benchmark harness names, and a public
+module-level function that no module of the package reads outside its own
+`def` and that `comitant.__all__` does not list.  All four are what a
 refactor leaves behind when it moves code and forgets the old binding.
 """
 
@@ -19,19 +21,23 @@ def _modules():
             for path in sorted(SRC.glob("*.py"))}
 
 
+def _exported(tree) -> set:
+    """The strings listed in the module's __all__."""
+    return {name for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for name in ast.literal_eval(node.value)}
+
+
 def _referenced(tree) -> set:
-    """Every name a module reads: bare names, attribute names, and the
+    """Every name a module mentions: bare names, attribute names, and the
     strings listed in its __all__."""
-    out = set()
+    out = _exported(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif (isinstance(node, ast.Assign)
-              and any(isinstance(t, ast.Name) and t.id == "__all__"
-                      for t in node.targets)):
-            out.update(ast.literal_eval(node.value))
     return out
 
 
@@ -55,6 +61,28 @@ def _imported_names(tree) -> set:
 def _attributes_read(tree) -> set:
     return {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)}
+
+
+def _names_read(node) -> set:
+    """Bare names and attribute names loaded anywhere under node."""
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_public_functions(modules, exported) -> list:
+    """Public module-level functions that no module reads outside the
+    function's own `def` (a recursive call is no reader), minus the names
+    in `exported`.  An import is no read either: the name must be used."""
+    reads = [(node, _names_read(node))
+             for tree in modules.values() for node in tree.body]
+    return [f"{name}:{fn.lineno} {fn.name}"
+            for name, tree in modules.items() for fn in tree.body
+            if isinstance(fn, ast.FunctionDef)
+            and not fn.name.startswith("_") and fn.name not in exported
+            and not any(fn.name in names for node, names in reads
+                        if node is not fn)]
 
 
 def _public_methods(tree):
@@ -109,6 +137,13 @@ def test_no_unread_public_methods():
     assert not unread, f"public methods nobody reads: {unread}"
 
 
+def test_no_unread_public_functions():
+    modules = _modules()
+    unread = _unread_public_functions(modules,
+                                      _exported(modules["__init__.py"]))
+    assert not unread, f"public functions nobody reads: {unread}"
+
+
 def test_the_checks_catch_a_leftover():
     # a module with one unused import and one dead private helper
     tree = ast.parse("from fractions import Fraction\n"
@@ -124,3 +159,13 @@ def test_the_checks_catch_a_leftover():
                      "A().used()\n")
     assert [m.name for _, m in _public_methods(tree)
             if m.name not in _attributes_read(tree)] == ["unused"]
+    # public functions: one read, one exported, one read only by itself
+    # and one only imported
+    modules = {"a.py": ast.parse("def read():\n    return 1\n"
+                                 "def exported():\n    return read()\n"
+                                 "def recursive(n):\n"
+                                 "    return recursive(n - 1) if n else 0\n"
+                                 "def imported():\n    return 2\n"),
+               "b.py": ast.parse("from .a import imported\n")}
+    assert _unread_public_functions(modules, {"exported"}) == [
+        "a.py:5 recursive", "a.py:7 imported"]
