@@ -191,6 +191,24 @@ def test_det_matches_leibniz(case):
     assert got == want and type(got) is type(want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(_square_matrices())
+@example(([[0, 1], [1, 0]], QQ))
+@example(([[0, 0], [0, 0]], GF(5)))                # every Laplace term dies
+def test_scalar_poly_det_matches_matrix_det(case):
+    # poly_det agrees with Matrix elimination: zero exactly when the rank
+    # drops, and otherwise the inverse has the reciprocal determinant
+    rows, ring = case
+    assume(rows)
+    m = Matrix(rows, ring)
+    got = poly_det(m.entries)
+    assert type(got) is type(ring_zero(ring))
+    if m.rank() < m.rows:
+        assert got == 0
+    else:
+        assert got * poly_det(m.inverse().entries) == 1
+
+
 # -- the multi-modular kernel ----------------------------------------------
 
 P1, P2, P3 = 2**31 - 1, 2147483629, 2147483587   # the first primes below 2^31
