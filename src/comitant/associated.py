@@ -135,8 +135,7 @@ def _associated(f: Form):
 def associated_form(form) -> AssociatedFormResult:
     """as(f) for a binary quartic or ternary cubic with rational coefficients."""
     n, d = _space(form)
-    # the form variables in the ring's order, whatever form.indices says
-    num, det = _associated(Form(form.poly, d))
+    num, det = _associated(form)
     raw = num.scale_div(det)
     scale = 1
     for c in raw.terms.values():
@@ -160,7 +159,7 @@ def congruence_holds(result: AssociatedFormResult, form, ell) -> bool:
         raise AssociatedFormError(
             f"ell needs {n} coefficients, got {len(ell)}")
     ell = [Fraction(c) for c in ell]
-    cols, _ = _socle(Form(form.poly, d))
+    cols, _ = _socle(form)
     N = n * (d - 2)
     as_val = result.form.evaluate(ell)
     lhs = [result.scale * _multinomial(N, e)

@@ -28,9 +28,10 @@ and the map alone (`_residue_dtype`): int32 when a product of two residues
 and each coordinate's sum of its T terms fit, (p-1)^2 < 2^31 and
 T*(p-1) < 2^31 (so p <= 46337, with up to 46,345 terms a coordinate at
 that p), int64 otherwise.  Keys stay int64 either way.  `_normalize_rows`
-scales the evaluated rows in place, and the census builds its `source`
-array only after the sort, once the keys are gone, so the two never
-coexist.
+scales the evaluated rows in place.  A census keeps no array of its source
+points: `FiberCensus.source` enumerates them afresh on each access (the
+benchmark's byte counter and the tests read it; the census itself never
+does).
 
 Guards, each raising FiberError before anything is allocated, checked
 together by `check_census`: the source P^k(F_p) may have at most
@@ -294,13 +295,16 @@ class FiberCensus:
         keys = _row_keys(vals, p)[~indeterminate]
         self._uniq, self._counts = np.unique(keys, return_counts=True)
         del keys
-        # the benchmark's per-layer byte counter (perfbench/shim.py) reads
-        # source, images and indeterminate_mask; nothing else does, and
-        # the grid evaluation needs no source array, so it is built only
-        # now that the keys and the sort's temporaries are gone
+        # images[i] and indeterminate_mask[i] belong to source[i]; the grid
+        # evaluation needs no array of the source points, so none is kept
         self.images = vals
         self.indeterminate_mask = indeterminate
-        self.source = projective_points(k, p)
+
+    @property
+    def source(self) -> np.ndarray:
+        """The source points, in the row order of `images`, enumerated on
+        each access (33 MB for P^3(F_101)) and not kept."""
+        return projective_points(self.source_dim, self.p)
 
     @property
     def max_fiber(self) -> int:

@@ -189,14 +189,24 @@ class Poly:
         The work is done on plain integers.  Over QQ each image is scaled to
         integer numerators N_i = D_i * images[i], D_i the lcm of its
         denominators; over GF(p) its residues are used.  A target exponent
-        vector is packed into one int in radix B = 1 + max over the terms of
-        sum(k_i * deg(images[i])), which bounds every exponent of every
-        product, so a monomial product is one integer add and no digit
-        carries.  Each term's prod(N_i^k_i) is built from cached powers of
-        the images and cached products of shared exponent prefixes, and is
-        accumulated as c * (L / (den(c) * prod(D_i^k_i))) over one common
-        denominator L.  Every surviving monomial becomes one Fraction(num, L)
-        (or Fp) at the end.
+        vector is packed into one int in radix B = 1 + deg(self) * max
+        deg(images[i]), which bounds every exponent of every product, so a
+        monomial product is one integer add and no digit carries.  Each
+        term c * prod(x_i^k_i) contributes c * (L / (den(c) * prod(D_i^k_i)))
+        * prod(N_i^k_i) over one common denominator L.
+
+        An image with at most one term (a scalar, a variable, a monomial such
+        as 6*t1, or zero) folds: N_i = n_i * m_i puts n_i^k_i (cached per
+        image) into the term's integer and k_i * pack(m_i) into a packed
+        exponent shift, and a zero image makes the integer 0, which drops
+        the term.  One pass over each term's nonzero exponents does the fold
+        and the denominator.  Only images with two or more terms (linear
+        forms, polar coefficients) are multiplied as polynomials: cached
+        powers of them, and cached products of shared exponent prefixes
+        indexed over their positions alone; the last nonzero factor is
+        multiplied straight into the accumulator, at the term's shift.
+        Every surviving monomial becomes one Fraction(num, L) (or Fp) at the
+        end.
         """
         if len(images) != len(self.vars):
             raise ValueError(
@@ -207,20 +217,43 @@ class Poly:
             if im.vars != tvars or im.ring != tring:
                 raise RingMismatchError("substitution images disagree on ring")
         p = None if tring == QQ else tring[1]
-        nums, dens, degs = [], [], []
-        for im in images:
+        # no exponent of a term, and no digit of a product, passes
+        # top * max deg(images[i]); a zero image counts as degree 0
+        top = max(map(sum, self.terms), default=0)
+        radix = 1 + top * max([0] + [im.total_degree() for im in images])
+
+        def pack(f):
+            key = 0
+            for x in f:
+                key = key * radix + x
+            return key
+
+        # per variable: the powers n_i^k of a folded image (n_i = 0 for the
+        # zero image; None for a multi-term image), D_i^k (None when
+        # D_i = 1) and pack(m_i)
+        folds, dpows, shifts = [], [], []
+        multi, powers = [], []
+        for i, im in enumerate(images):
             d = 1
             if p is None:
                 for c in im.terms.values():
                     d = _lcm(d, c.denominator)
-                nums.append({e: c.numerator * (d // c.denominator)
-                             for e, c in im.terms.items()})
+                packed = {pack(f): c.numerator * (d // c.denominator)
+                          for f, c in im.terms.items()}
             else:
-                nums.append({e: c.val for e, c in im.terms.items()})
-            dens.append(d)
-            degs.append(im.total_degree())
-        # the formula's terms as (exponents, numerator, den(c)*prod(D_i^k_i))
-        # in the target ring; a term raising a zero image to a power is 0
+                packed = {pack(f): c.val for f, c in im.terms.items()}
+            dpows.append(None if d == 1 else _powers(d, top, None))
+            if len(packed) > 1:
+                multi.append(i)
+                powers.append([{0: 1}, packed])
+                folds.append(None)
+                shifts.append(0)
+            else:
+                (shift, n), = packed.items() or ((0, 0),)
+                folds.append(_powers(n, top, p))
+                shifts.append(shift)
+        # the formula's terms as (exponents at the multi-term images,
+        # numerator * prod(n_i^k_i), den(c) * prod(D_i^k_i), packed shift)
         terms = []
         common = 1
         for e, c in self.terms.items():
@@ -231,24 +264,22 @@ class Poly:
                 if self.ring == QQ:
                     c = rational_to_fp(c, p)
                 num, den = as_scalar(c, tring).val, 1
-            if any(k and deg < 0 for k, deg in zip(e, degs)):
+            shift = 0
+            for i, k in enumerate(e):
+                if k:
+                    fold = folds[i]
+                    if fold is not None:
+                        num *= fold[k]
+                        shift += k * shifts[i]
+                    dp = dpows[i]
+                    if dp is not None:
+                        den *= dp[k]
+            if p is not None:
+                num %= p
+            if not num:
                 continue
-            for d, k in zip(dens, e):
-                if k and d != 1:
-                    den *= d**k
-            terms.append((e, num, den))
+            terms.append((tuple(map(e.__getitem__, multi)), num, den, shift))
             common = _lcm(common, den)
-        radix = 1 + max((sum(k * deg for k, deg in zip(e, degs) if k)
-                         for e, _, _ in terms), default=0)
-
-        def pack(f):
-            key = 0
-            for x in f:
-                key = key * radix + x
-            return key
-
-        powers = [[{0: 1}, {pack(f): c for f, c in num.items()}]
-                  for num in nums]
 
         def power(i, k):
             pw = powers[i]
@@ -256,34 +287,36 @@ class Poly:
                 pw.append(_packed_mul(pw[-1], pw[1], p))
             return pw[k]
 
-        # prefix[e[:j]] = prod_{i<j} N_i^e_i, shared by every term that
-        # starts with e[:j]; a term's last nonzero factor is multiplied
-        # straight into the accumulator
+        # prefix[em[:j]] = prod over the first j multi-term images of
+        # N_i^k_i, shared by every term whose exponents there start with
+        # em[:j]; a term's last nonzero factor is multiplied straight into
+        # the accumulator
         prefix = {(): {0: 1}}
         acc: dict = {}
         get = acc.get
-        for e, num, den in terms:
+        for em, num, den, shift in terms:
             mult = num * (common // den)
-            last = len(e)
-            while last and not e[last - 1]:
+            last = len(em)
+            while last and not em[last - 1]:
                 last -= 1
             if not last:
-                acc[0] = get(0, 0) + mult
+                acc[shift] = get(shift, 0) + mult
                 continue
-            head = e[:last - 1]
+            head = em[:last - 1]
             prod = prefix.get(head)
             if prod is None:
                 j = last - 2
-                while e[:j] not in prefix:
+                while em[:j] not in prefix:
                     j -= 1
-                prod = prefix[e[:j]]
+                prod = prefix[em[:j]]
                 for i in range(j, last - 1):
-                    if e[i]:
-                        prod = _packed_mul(prod, power(i, e[i]), p)
-                    prefix[e[:i + 1]] = prod
-            factor = power(last - 1, e[last - 1])
+                    if em[i]:
+                        prod = _packed_mul(prod, power(i, em[i]), p)
+                    prefix[em[:i + 1]] = prod
+            factor = power(last - 1, em[last - 1])
             for ea, ca in prod.items():
                 ca *= mult
+                ea += shift
                 for eb, cb in factor.items():
                     key = ea + eb
                     acc[key] = get(key, 0) + ca * cb
@@ -427,6 +460,14 @@ def _packed_mul(a: dict, b: dict, p) -> dict:
     if p is None:
         return {e: c for e, c in out.items() if c}
     return {e: r for e, c in out.items() if (r := c % p)}
+
+
+def _powers(n: int, top: int, p) -> list:
+    """[n^0, ..., n^top], reduced mod p unless p is None."""
+    out = [1]
+    for _ in range(top):
+        out.append(out[-1] * n if p is None else out[-1] * n % p)
+    return out
 
 
 def _order_key(e: tuple):

@@ -69,6 +69,24 @@ def test_congruence_detects_wrong_form():
     assert not congruence_holds(bad, form, (1, 1))
 
 
+def test_associated_form_follows_the_declared_variable_order():
+    # with indices (1, 0) the first form variable is y, so ell = u*y + v*x
+    # and as(f) comes out with u and v swapped
+    x, y = poly_ring(("x", "y"), QQ)
+    f = x**4 + 2 * x**3 * y - x * y**3 + 3 * y**4
+    form, swapped = Form(f, 4), Form(f, 4, (1, 0))
+    res, res_swapped = associated_form(form), associated_form(swapped)
+    assert res_swapped.form == res.form.substitute(
+        list(reversed(poly_ring(("u", "v"), QQ))))
+    assert res_swapped.form != res.form
+    assert res_swapped.scale == res.scale
+    for ell in ((1, 0), (1, 1), (2, -3), (Fraction(1, 2), 5)):
+        assert congruence_holds(res_swapped, swapped, ell)
+        assert congruence_holds(res, form, ell[::-1])
+    # the unswapped as(f) does not satisfy the swapped congruence
+    assert not congruence_holds(res, swapped, (2, -3))
+
+
 def test_congruence_rejects_long_ell():
     x, y = poly_ring(("x", "y"), QQ)
     form = Form(x**4 + y**4, 4)

@@ -385,8 +385,8 @@ def test_quintic_image_census():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # int32 residues, in-place scaling and a source built after the sort:
-    # ~72 MiB, where int64 with every array alive at the sort took 121 MiB
+    # int32 residues, in-place scaling and no source array kept: ~72 MiB,
+    # where int64 with every array alive at the sort took 121 MiB
     assert peak < 90 * 2**20
     assert census.total == 1_040_604
     assert census.indeterminate == 204

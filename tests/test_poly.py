@@ -1,12 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from comitant import poly as poly_module
+from comitant.comitants import Form
 from comitant.invariants import generic_form
 from comitant.linalg import poly_det
 from comitant.poly import (Poly, constant_ratio, divexact, poly_ring,
                            univariate_gcd)
+from comitant.quartic import generic_salmon, salmon_contravariant
 from comitant.scalars import GF, QQ, Fp, RingMismatchError, as_scalar, ring_zero
 
 
@@ -218,17 +222,55 @@ def _polys(names, ring, max_exp=3, max_terms=5):
         lambda terms: Poly(names, terms, ring))
 
 
+def _one_term_images(names, ring):
+    """c * (a monomial in several target variables); over QQ c has a
+    denominator 2..4, so the fold has a denominator to carry."""
+    if ring == QQ:
+        coefficient = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                                st.integers(2, 4))
+    else:
+        coefficient = st.builds(Fp, st.integers(1, ring[1] - 1),
+                                st.just(ring[1]))
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    return st.builds(lambda e, c: Poly(names, {e: c}, ring), exps,
+                     coefficient)
+
+
+def _images(names, ring):
+    """Multi-term, one-term, constant and zero images, mixed."""
+    return st.one_of(
+        _polys(names, ring, max_exp=2, max_terms=3),
+        _one_term_images(names, ring),
+        _coefficients(ring).map(lambda c: Poly.constant(c, names, ring)),
+        st.just(Poly.zero(names, ring)))
+
+
 @st.composite
 def _substitutions(draw, source_ring, target_ring):
     n = draw(st.integers(1, 3))
     m = draw(st.integers(1, 3))
     f = draw(_polys(SOURCE[:n], source_ring))
-    image = st.one_of(
-        _polys(TARGET[:m], target_ring, max_exp=2, max_terms=3),
-        _coefficients(target_ring).map(       # constant (or zero) images
-            lambda c: Poly.constant(c, TARGET[:m], target_ring)))
+    image = _images(TARGET[:m], target_ring)
     images = [draw(image) for _ in range(n)]
     return f, images
+
+
+WIDE_SOURCE = tuple(f"x{i}" for i in range(16))
+
+
+@st.composite
+def _wide_substitutions(draw, source_ring, target_ring):
+    """16 source variables, each term in at most three of them, as in a
+    generic formula specialised at a form's coefficients."""
+    m = draw(st.integers(1, 3))
+    exps = st.dictionaries(st.integers(0, len(WIDE_SOURCE) - 1),
+                           st.integers(1, 3), max_size=3).map(
+        lambda d: tuple(d.get(i, 0) for i in range(len(WIDE_SOURCE))))
+    terms = draw(st.dictionaries(exps, _coefficients(source_ring),
+                                 max_size=6))
+    f = Poly(WIDE_SOURCE, terms, source_ring)
+    image = _images(TARGET[:m], target_ring)
+    return f, [draw(image) for _ in WIDE_SOURCE]
 
 
 @settings(max_examples=80, deadline=None)
@@ -254,6 +296,61 @@ def test_substitute_migrates_qq_to_gfp(case):
     got = f.substitute(images)
     assert got.ring == images[0].ring
     assert got == _substitute_reference(f, images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(QQ, QQ), (GF(7), GF(7)), (QQ, GF(101))]).flatmap(
+    lambda rings: _wide_substitutions(*rings)))
+def test_substitute_matches_reference_on_many_variables(case):
+    f, images = case
+    got = f.substitute(images)
+    assert got.ring == images[0].ring
+    assert got == _substitute_reference(f, images)
+
+
+def _count_products(monkeypatch):
+    """Count the polynomial products the substitution kernel makes."""
+    calls = []
+    real = poly_module._packed_mul
+
+    def counting(a, b, p):
+        calls.append(1)
+        return real(a, b, p)
+
+    monkeypatch.setattr(poly_module, "_packed_mul", counting)
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([QQ, GF(7)]).flatmap(lambda ring: st.tuples(
+    _polys(SOURCE, ring, max_exp=4),
+    st.lists(st.one_of(_one_term_images(TARGET, ring),
+                       st.just(Poly.zero(TARGET, ring))),
+             min_size=3, max_size=3))))
+def test_one_term_images_make_no_products(case):
+    f, images = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_products(monkeypatch)
+        got = f.substitute(images)
+    assert not calls
+    assert got == _substitute_reference(f, images)
+
+
+def test_salmon_specialisation_makes_no_products(monkeypatch):
+    generic_salmon()  # built (with products) once, outside the count
+    rng = random.Random(13)
+    X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
+    F = sum((X**a * Y**b * Z**(4 - a - b)
+             * Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+             for a in range(5) for b in range(5 - a)), Poly.zero(
+                 ("X", "Y", "Z"), QQ))
+    calls = _count_products(monkeypatch)
+    salmon_contravariant(Form(F, 4))
+    assert not calls
+    # two-term images do go through the product tree
+    u0, u1 = poly_ring(TARGET[:2], QQ)
+    (X**2 * Y).substitute([u0 + u1, u0 - u1, u1])
+    assert calls
 
 
 def _evaluate_reference(f, values):
@@ -324,16 +421,18 @@ def test_substitute_cancels_to_zero():
 
 
 def test_substitute_reaches_the_packing_radix():
-    # images of degree 2 and 3: x0^2*x1 has sum(k_i * deg) = 7, so the
-    # radix is 8 and u2^7 carries the largest digit the packing allows,
-    # in the last (least significant) position, next to a mixed term
+    # images of degree 2 and 3 into a cubic: the radix is 1 + 3 * 3 = 10,
+    # and x1^3 -> (u2^3 + u0*u1)^3 carries u2^9, the largest digit the
+    # packing allows, in the last (least significant) position, next to
+    # mixed terms and to the folded one-term image u2^2
     x0, x1 = poly_ring(SOURCE[:2], QQ)
     u0, u1, u2 = poly_ring(TARGET, QQ)
-    f = x0**2 * x1 + x1 * Fraction(1, 2)
+    f = x0**2 * x1 + x1**3 * Fraction(1, 2)
     images = [u2**2, u2**3 + u0 * u1]
     got = f.substitute(images)
-    assert got == u2**7 + u0 * u1 * u2**4 + (u2**3 + u0 * u1) * Fraction(1, 2)
-    assert max(e[2] for e in got.terms) == 7
+    assert got == (u2**7 + u0 * u1 * u2**4
+                   + (u2**3 + u0 * u1)**3 * Fraction(1, 2))
+    assert max(e[2] for e in got.terms) == 9
     assert got == _substitute_reference(f, images)
     # over GF(p) the same digits, with residues
     g = _reduce(f, GF(5))
