@@ -21,8 +21,7 @@ from .invariants import (InvariantDescriptor, InvariantError,
                          invariant_I3, invariant_S, invariant_T,
                          named_invariant, quintic_invariants)
 from .linalg import LinearSubstitution, Matrix, poly_det
-from .maps import (HammondQuintic, MapError, QuinticImage, RationalMapP1,
-                   compose, descend_map, hammond_c35, hammond_relations,
+from .maps import (MapError, RationalMapP1, compose, descend_map,
                    hesse_cover, hesse_self_map, quartic_cover,
                    quartic_self_map)
 from .poly import Poly, poly_ring
@@ -36,20 +35,19 @@ __version__ = "0.1.0"
 __all__ = [
     "AssociatedFormError", "AssociatedFormResult", "Conic", "FiberCensus",
     "FiberError", "Form", "FormError", "Fp", "GF", "GeometryError",
-    "HammondQuintic", "InvariantDescriptor", "InvariantError",
-    "LinearSubstitution", "MapError", "Matrix", "ParseError", "PointPair",
-    "Poly", "ProjectivePoint", "QQ", "QuarticError", "QuinticImage",
-    "RationalMapP1", "VerificationReport", "associated_form",
-    "associated_selfmap_degree", "associated_slice_map", "clebsch_covariant",
-    "clebsch_pencil", "coble_identity_check", "compose", "congruence_holds",
-    "conic_fit", "conic_through", "descend_map", "evaluate_invariant",
-    "fiber_count", "find_invariants", "hammond_c35", "hammond_relations",
-    "harmonic_partner", "hesse_cover", "hesse_self_map", "hessian",
-    "invariant_I2", "invariant_I3", "invariant_S", "invariant_T",
-    "is_harmonic", "jacobian", "named_invariant", "parse_poly",
-    "parse_poly_file", "polar", "poly_det", "poly_ring", "q_construction",
-    "quartic_cover", "quartic_self_map", "quintic_invariants",
-    "restrict_to_line", "richelot_forward", "richelot_inverse",
-    "run_verifications", "salmon_contravariant", "sample_report", "sigma_map",
-    "transvectant", "triple_invariants",
+    "InvariantDescriptor", "InvariantError", "LinearSubstitution",
+    "MapError", "Matrix", "ParseError", "PointPair", "Poly",
+    "ProjectivePoint", "QQ", "QuarticError", "RationalMapP1",
+    "VerificationReport", "associated_form", "associated_selfmap_degree",
+    "associated_slice_map", "clebsch_covariant", "clebsch_pencil",
+    "coble_identity_check", "compose", "congruence_holds", "conic_fit",
+    "conic_through", "descend_map", "evaluate_invariant", "fiber_count",
+    "find_invariants", "harmonic_partner", "hesse_cover", "hesse_self_map",
+    "hessian", "invariant_I2", "invariant_I3", "invariant_S",
+    "invariant_T", "is_harmonic", "jacobian", "named_invariant",
+    "parse_poly", "parse_poly_file", "polar", "poly_det", "poly_ring",
+    "q_construction", "quartic_cover", "quartic_self_map",
+    "quintic_invariants", "restrict_to_line", "richelot_forward",
+    "richelot_inverse", "run_verifications", "salmon_contravariant",
+    "sample_report", "sigma_map", "transvectant", "triple_invariants",
 ]

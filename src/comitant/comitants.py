@@ -12,7 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .poly import Poly
+from .linalg import poly_det
+from .poly import Poly, poly_ring
 
 
 class FormError(ValueError):
@@ -66,7 +67,7 @@ class Form:
 
 
 def hessian(p: Poly, indices=None) -> Poly:
-    """Determinant of the matrix of second partials.
+    """Determinant of the second partials: the Jacobian of the first ones.
 
     indices selects the form variables (all by default); for a form of
     degree d in n variables the result is homogeneous of degree n(d-2) in
@@ -76,10 +77,7 @@ def hessian(p: Poly, indices=None) -> Poly:
         indices = list(range(len(p.vars)))
     if not p.is_homogeneous(indices):
         raise FormError("hessian requires a homogeneous input")
-    firsts = [p.partial(i) for i in indices]
-    rows = [[f.partial(j) for j in indices] for f in firsts]
-    from .linalg import poly_det
-    return poly_det(rows)
+    return jacobian([p.partial(i) for i in indices], indices)
 
 
 def jacobian(polys: list, indices=None) -> Poly:
@@ -92,9 +90,7 @@ def jacobian(polys: list, indices=None) -> Poly:
         raise FormError(
             f"jacobian needs as many forms ({len(polys)}) as variables "
             f"({len(indices)})")
-    rows = [[f.partial(j) for j in indices] for f in polys]
-    from .linalg import poly_det
-    return poly_det(rows)
+    return poly_det([[f.partial(j) for j in indices] for f in polys])
 
 
 def transvectant(f: Form, g: Form, k: int) -> Form:
@@ -153,8 +149,7 @@ def polar(f: Form, point_vars=("p1", "p2", "p3")) -> Poly:
 DUAL_VARS = ("u", "v", "w")
 
 
-def restrict_to_line(f: Form, chart: int,
-                     line_vars=("x", "y"), dual_vars=DUAL_VARS) -> Form:
+def restrict_to_line(f: Form, chart: int) -> Form:
     """Restrict f to the general line u*X + v*Y + w*Z = 0 in one chart.
 
     chart=2 substitutes (X,Y,Z) = (w*x, w*y, -u*x - v*y); charts 0 and 1 are
@@ -164,28 +159,21 @@ def restrict_to_line(f: Form, chart: int,
     """
     if chart not in (0, 1, 2):
         raise FormError("chart must be 0, 1, or 2")
-    for v in line_vars + tuple(dual_vars):
+    new_vars = ("x", "y") + DUAL_VARS
+    for v in new_vars:
         if v in f.poly.vars:
             raise FormError(f"variable {v!r} collides with the form's ring")
-    ring = f.poly.ring
     params = f.params
-    out_vars = params + tuple(line_vars) + tuple(dual_vars)
-    x = Poly.variable(line_vars[0], out_vars, ring)
-    y = Poly.variable(line_vars[1], out_vars, ring)
-    u = Poly.variable(dual_vars[0], out_vars, ring)
-    v = Poly.variable(dual_vars[1], out_vars, ring)
-    w = Poly.variable(dual_vars[2], out_vars, ring)
+    gens = poly_ring(params + new_vars, f.poly.ring)
+    x, y, u, v, w = gens[len(params):]
     if chart == 2:
         images3 = [w * x, w * y, -(u * x) - v * y]
     elif chart == 0:
         images3 = [-(v * x) - w * y, u * x, u * y]
     else:
         images3 = [v * x, -(u * x) - w * y, v * y]
-    images = []
-    for i, name in enumerate(f.poly.vars):
-        if i in f.indices:
-            images.append(images3[f.indices.index(i)])
-        else:
-            images.append(Poly.variable(name, out_vars, ring))
+    images = [images3[f.indices.index(i)] if i in f.indices
+              else gens[params.index(name)]
+              for i, name in enumerate(f.poly.vars)]
     n = len(params)
     return Form(f.poly.substitute(images), f.degree, (n, n + 1))

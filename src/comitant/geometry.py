@@ -371,8 +371,7 @@ def tangency_pair(vertex, vars=("t0", "t1")) -> PointPair:
     if _on_standard_conic(vertex):
         raise GeometryError("vertex lies on the conic; tangency pair "
                             "degenerates to a double point")
-    L = polar_line(vertex)
-    return PointPair.from_coefficients(L[0], L[1], L[2], vars)
+    return PointPair.from_coefficients(*polar_line(vertex), vars)
 
 
 def pair_vertex(pair: PointPair) -> tuple:
@@ -393,39 +392,42 @@ def _shared_vars(pairs):
     return vars
 
 
-def richelot_forward(pairs):
-    """Pairs -> chords -> triangle vertices -> tangency pairs."""
+def _chord_triangle(pairs, tangent_input: bool):
+    """The pairs' ring and the vertices L_j x L_k of their chords L_i.
+    Tangent input (the inverse move) has no double point, and its triangle
+    is that of the poles of the L_i, of determinant 4 det(L)."""
     pairs = list(pairs)
     if len(pairs) != 3:
         raise GeometryError("need exactly three pairs")
     vars = _shared_vars(pairs)
     lines = [chord(p) for p in pairs]
-    if not poly_det(lines):
-        raise GeometryError("degenerate chord triangle")
-    vertices = [_cross(lines[1], lines[2]), _cross(lines[2], lines[0]),
-                _cross(lines[0], lines[1])]
+    if not tangent_input:
+        if not poly_det(lines):
+            raise GeometryError("degenerate chord triangle")
+    elif any(p.is_double_point() for p in pairs):
+        raise GeometryError("double point pair has no tangent vertex")
+    elif not poly_det(lines) * 4:
+        raise GeometryError("degenerate vertex triangle")
+    return vars, [_cross(lines[1], lines[2]), _cross(lines[2], lines[0]),
+                  _cross(lines[0], lines[1])]
+
+
+def richelot_forward(pairs):
+    """Pairs -> chords -> triangle vertices -> tangency pairs."""
+    vars, vertices = _chord_triangle(pairs, tangent_input=False)
     return tuple(tangency_pair(v, vars).normalized() for v in vertices)
 
 
 def richelot_inverse(pairs):
-    """Tangency pairs -> vertices -> triangle sides -> cut pairs."""
-    pairs = list(pairs)
-    if len(pairs) != 3:
-        raise GeometryError("need exactly three pairs")
-    vars = _shared_vars(pairs)
-    vertices = []
-    for p in pairs:
-        if p.is_double_point():
-            raise GeometryError("double point pair has no tangent vertex")
-        vertices.append(pair_vertex(p))
-    if not poly_det(vertices):
-        raise GeometryError("degenerate vertex triangle")
-    sides = [_cross(vertices[1], vertices[2]),
-             _cross(vertices[2], vertices[0]),
-             _cross(vertices[0], vertices[1])]
-    return tuple(PointPair.from_coefficients(L[0], L[1], L[2],
-                                             vars).normalized()
-                 for L in sides)
+    """Tangency pairs -> vertices -> triangle sides -> cut pairs.
+
+    The side pole(L_j) x pole(L_k) is 2 polar(L_j x L_k): this is the
+    forward move, an involution, but it refuses double-point input and
+    returns double-point output, where the forward move does the reverse.
+    """
+    vars, vertices = _chord_triangle(pairs, tangent_input=True)
+    return tuple(PointPair.from_coefficients(*polar_line(v), vars).normalized()
+                 for v in vertices)
 
 
 def pair_triples_match(first, second) -> bool:

@@ -118,8 +118,9 @@ class _FormSpace:
     def derivation(self, i, j) -> dict:
         """Coefficient derivation induced by x_j -> x_j + eps * x_i.
 
-        Maps coefficient index v to a list of (source index s, rational c)
-        with D(a_v) = sum c * a_s.
+        Maps coefficient index v to a list of (source index s, integer c)
+        with D(a_v) = sum c * a_s: c = w_s * m_j / w_t is m_i + 1 under the
+        binomial weights of n = 2 and m_j under the unit weights of n = 3.
         """
         out = {v: [] for v in range(len(self.monomials))}
         for s, m in enumerate(self.monomials):
@@ -129,8 +130,7 @@ class _FormSpace:
             shifted[j] -= 1
             shifted[i] += 1
             t = self.index[tuple(shifted)]
-            out[t].append(
-                (s, Fraction(self.weights[s] * m[j], self.weights[t])))
+            out[t].append((s, self.weights[s] * m[j] // self.weights[t]))
         return out
 
 
@@ -158,8 +158,8 @@ def generic_form(n: int, d: int) -> Poly:
     return _space(n, d).generic_poly()
 
 
-def _apply_derivation(space: _FormSpace, deriv: dict, mono, coef):
-    """Leibniz rule on one coefficient monomial; yields (monomial, scalar)."""
+def _apply_derivation(deriv: dict, mono):
+    """Leibniz rule on one coefficient monomial; yields (monomial, integer)."""
     for v, k in enumerate(mono):
         if k == 0:
             continue
@@ -167,7 +167,7 @@ def _apply_derivation(space: _FormSpace, deriv: dict, mono, coef):
             e = list(mono)
             e[v] -= 1
             e[s] += 1
-            yield tuple(e), coef * k * c
+            yield tuple(e), k * c
 
 
 def _raising_ops(n):
@@ -178,15 +178,14 @@ def _raising_ops(n):
 def _is_invariant(space: _FormSpace, p: Poly) -> bool:
     """Whether every off-diagonal derivation kills the coefficient poly p.
 
-    Exact on integers: p's denominators are cleared and every derivation
-    scaled to integer coefficients, which leaves its kernel unchanged."""
+    Exact on integers: p's denominators are cleared."""
     n = space.n
     den = lcm(*(c.denominator for c in p.terms.values()))
     coeffs = [c.numerator * (den // c.denominator) for c in p.terms.values()]
     derivs = [space.derivation(i, j)
               for i in range(n) for j in range(n) if i != j]
     return not any(sum(map(mul, row, coeffs))
-                   for row in _operator_rows(space, derivs, list(p.terms)))
+                   for row in _operator_rows(derivs, list(p.terms)))
 
 
 def _balanced_monomials(space: _FormSpace, r: int):
@@ -223,19 +222,13 @@ def _balanced_monomials(space: _FormSpace, r: int):
     return out
 
 
-def _operator_rows(space, derivs, candidates):
-    """Stacked integer rows of the derivations on span(candidates).
-
-    Each derivation is scaled by the lcm of its denominators first; that
-    scales whole rows, so the kernel is the same."""
+def _operator_rows(derivs, candidates):
+    """Stacked integer rows of the derivations on span(candidates)."""
     rows: list = []
     for deriv in derivs:
-        den = lcm(*(c.denominator for srcs in deriv.values() for _, c in srcs))
-        deriv = {v: [(s, c.numerator * (den // c.denominator))
-                     for s, c in srcs] for v, srcs in deriv.items()}
         row_of: dict = {}
         for col, e in enumerate(candidates):
-            for e2, c in _apply_derivation(space, deriv, e, 1):
+            for e2, c in _apply_derivation(deriv, e):
                 i = row_of.get(e2)
                 if i is None:
                     i = row_of[e2] = len(rows)
@@ -268,7 +261,7 @@ def find_invariants(n: int, d: int, r: int) -> list:
     if not candidates:
         return []
     derivs = [space.derivation(i, j) for i, j in _raising_ops(n)]
-    ops = _operator_rows(space, derivs, candidates)
+    ops = _operator_rows(derivs, candidates)
 
     basis = []      # the polynomials of the last lift certify saw
 

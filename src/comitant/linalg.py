@@ -119,12 +119,6 @@ class LinearSubstitution:
     def n(self):
         return self.matrix.rows
 
-    def compose(self, other: "LinearSubstitution") -> "LinearSubstitution":
-        return LinearSubstitution(self.matrix * other.matrix, self.matrix.ring)
-
-    def inverse(self) -> "LinearSubstitution":
-        return LinearSubstitution(self.matrix.inverse(), self.matrix.ring)
-
     def apply(self, p: Poly, indices=None) -> Poly:
         """Substitute variables (a subset, by position) by rows of M x.
 

@@ -221,65 +221,6 @@ def descend_map(cover: RationalMapP1, composite: RationalMapP1,
 HAMMOND_VARS = ("a", "b", "e", "f")
 
 
-class HammondQuintic:
-    """A binary quintic with vanishing middle coefficients, 4 parameters.
-
-    The coefficient slots are the classical binomial-weighted ones:
-    quintic() = a*t0^5 + 5b*t0^4*t1 + 5e*t0*t1^4 + f*t1^5.  This is the
-    unique slot assignment under which the image coordinate formula below
-    is a value of the jacobian-transvectant covariant (see
-    hammond_path_comparison); it is forced by matching the monomial
-    patterns a^2 f, b^2 f, a e^2 of the image coordinates.
-    """
-
-    def __init__(self, a, b, e, f, ring=QQ):
-        self.ring = ring
-        self.a = as_scalar(a, ring)
-        self.b = as_scalar(b, ring)
-        self.e = as_scalar(e, ring)
-        self.f = as_scalar(f, ring)
-        if not (self.a or self.b or self.e or self.f):
-            raise MapError("Hammond coefficients must not all vanish")
-
-    def coords(self):
-        return (self.a, self.b, self.e, self.f)
-
-    def quintic(self) -> Poly:
-        t0, t1 = poly_ring(PENCIL_VARS, self.ring)
-        return (t0**5 * self.a + t0**4 * t1 * (self.b * 5)
-                + t0 * t1**4 * (self.e * 5) + t1**5 * self.f)
-
-    def __repr__(self):
-        return f"HammondQuintic(a={self.a}, b={self.b}, e={self.e}, f={self.f})"
-
-
-class QuinticImage:
-    """Coefficients (c5..c0) of a binary quintic at t0^5, t0^4 t1, ..., t1^5."""
-
-    FIELDS = ("c5", "c4", "c3", "c2", "c1", "c0")
-
-    def __init__(self, c5, c4, c3, c2, c1, c0, ring=QQ):
-        self.ring = ring
-        self.c5, self.c4, self.c3, self.c2, self.c1, self.c0 = (
-            as_scalar(c, ring) for c in (c5, c4, c3, c2, c1, c0))
-
-    def coords(self):
-        return (self.c5, self.c4, self.c3, self.c2, self.c1, self.c0)
-
-    def is_valid(self) -> bool:
-        return any(self.coords())
-
-    def quintic(self) -> Poly:
-        t0, t1 = poly_ring(PENCIL_VARS, self.ring)
-        mons = [t0**5, t0**4 * t1, t0**3 * t1**2, t0**2 * t1**3, t0 * t1**4,
-                t1**5]
-        return sum((m * c for m, c in zip(mons, self.coords())),
-                   Poly.zero(PENCIL_VARS, self.ring))
-
-    def __repr__(self):
-        return "QuinticImage" + repr(self.coords())
-
-
 @lru_cache(maxsize=None)
 def hammond_image_polys() -> tuple:
     """The six image coordinates as polynomials in (a, b, e, f).
@@ -311,7 +252,12 @@ def hammond_path_comparison() -> dict:
     """Coefficientwise comparison of the two image computation paths.
 
     Path (i): the coordinate formula of hammond_image_polys.  Path (ii):
-    the covariant J(B, (B,B)_4) on the symbolic slice.  Returns
+    the covariant J(B, (B,B)_4) on the symbolic slice
+    B = a*t0^5 + 5b*t0^4*t1 + 5e*t0*t1^4 + f*t1^5, a binary quintic with
+    vanishing middle coefficients in the classical binomial-weighted slots.
+    That is the unique slot assignment under which the coordinate formula
+    is a value of the covariant; it is forced by matching the monomial
+    patterns a^2 f, b^2 f, a e^2 of the image coordinates.  Returns
     {"scalar": s, "flipped": (exps...)} where path(ii) coefficient = s *
     path(i) coefficient except at the listed t-monomials, where the ratio
     is -s.  Raises if any coefficient pair fails to be proportional --
@@ -340,28 +286,9 @@ def hammond_path_comparison() -> dict:
     return {"scalar": scalar, "flipped": tuple(flipped)}
 
 
-def hammond_c35(B: HammondQuintic) -> QuinticImage:
-    """Image coordinates of the Hammond quintic, coordinate-formula path.
-
-    The jacobian path is cross-checked symbolically once per process;
-    projectively the two paths define the same fibration (they differ by
-    the recorded scalar and coordinate signs).
-    """
-    hammond_path_comparison()
-    coords = B.coords()
-    return QuinticImage(*(p.evaluate(coords) for p in hammond_image_polys()),
-                        ring=B.ring)
-
-
-def hammond_relations(B: HammondQuintic, img: QuinticImage) -> bool:
-    """Exact check of a*c0 + f*c5 = 0 and e*c4 - b*c1 = 0."""
-    lhs1 = B.a * img.c0 + B.f * img.c5
-    lhs2 = B.e * img.c4 - B.b * img.c1
-    return (not lhs1) and (not lhs2)
-
-
 def hammond_relations_symbolic() -> bool:
-    """The two relations as polynomial identities in (a, b, e, f)."""
+    """The relations a*c0 + f*c5 = 0 and e*c4 - b*c1 = 0 as polynomial
+    identities in (a, b, e, f)."""
     a, b, e, f = poly_ring(HAMMOND_VARS, QQ)
     c5, c4, c3, c2, c1, c0 = hammond_image_polys()
     return (a * c0 + f * c5).is_zero() and (e * c4 - b * c1).is_zero()

@@ -99,13 +99,13 @@ _Claim = namedtuple("_Claim", "claim_id description fn")
 # small helpers shared by the claims
 
 
-def _random_form(rng: random.Random, names, degree: int, bound: int = 9):
-    """Dense random integral form, never identically zero."""
+def _random_form(rng: random.Random, names, degree: int):
+    """Dense random form, coefficients in -5..5, never identically zero."""
     n = len(names)
     while True:
         terms = {}
         for combo in combinations_with_replacement(range(n), degree):
-            c = rng.randint(-bound, bound)
+            c = rng.randint(-5, 5)
             if c:
                 terms[tuple(combo.count(i) for i in range(n))] = Fraction(c)
         if terms:
@@ -131,8 +131,7 @@ def _covariance_series(rng, probes, n, degree, comitant, arity=1,
     weight = None
     checked = 0
     while checked < probes:
-        forms = [_random_form(rng, names, degree, bound=5)
-                 for _ in range(arity)]
+        forms = [_random_form(rng, names, degree) for _ in range(arity)]
         base = comitant(*forms)
         if base.is_zero():
             continue
@@ -385,7 +384,7 @@ def _c_quintic_invariant_basis(ctx):
         if evaluate_invariant(desc, x5) != 0:
             return FAIL, f"{desc.name} does not vanish on x^5"
     while True:
-        sample = Form(_random_form(rng, ("x", "y"), 5, 5), 5)
+        sample = Form(_random_form(rng, ("x", "y"), 5), 5)
         vals = [evaluate_invariant(d, sample) for d in trio]
         if all(vals):
             break

@@ -9,7 +9,6 @@ run log shows the checklist even under output capture.
 
 import hashlib
 from contextlib import contextmanager
-from fractions import Fraction
 
 import pytest
 

@@ -299,5 +299,7 @@ def test_restrict_rejects_bad_chart_and_collisions():
     f = tform("X^2 + Y*Z", 2)
     with pytest.raises(FormError, match="chart"):
         restrict_to_line(f, 3)
-    with pytest.raises(FormError, match="collides"):
-        restrict_to_line(f, 2, line_vars=("X", "y"))
+    # a parameter named like a line variable
+    g = tform("x*X^2 + Y*Z", 2, ("x", "X", "Y", "Z"))
+    with pytest.raises(FormError, match="'x' collides"):
+        restrict_to_line(g, 2)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -237,6 +238,43 @@ def test_richelot_output_is_tangency_triple():
         for j, L in enumerate(chords):
             incid = sum(a * b for a, b in zip(L, v))
             assert (incid == 0) == (i != j)
+
+
+def test_richelot_inverse_is_the_forward_move():
+    # pole-polar duality makes the two moves one involution: where both
+    # are defined they agree coefficient for coefficient
+    rng = random.Random(14)
+    agreed = 0
+    for _ in range(200):
+        coeffs = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(3)]
+        if not all(map(any, coeffs)):
+            continue
+        ps = [P(*c) for c in coeffs]
+        try:
+            fwd, inv = richelot_forward(ps), richelot_inverse(ps)
+        except GeometryError:
+            continue
+        assert [p.coefficients() for p in inv] == \
+            [p.coefficients() for p in fwd]
+        agreed += 1
+    assert agreed > 100
+
+
+def test_richelot_domains_differ_at_double_points():
+    # a double-point input: the forward move accepts it, the inverse
+    # refuses it
+    ps = [P(1, 2, 1), P(1, 0, -4), P(0, 1, 0)]
+    assert ps[0].is_double_point()
+    assert len(richelot_forward(ps)) == 3
+    with pytest.raises(GeometryError, match="double point pair"):
+        richelot_inverse(ps)
+    # chords st and st + t^2 meet at (1, 0, 0), on the conic: the forward
+    # move refuses the double-point output, the inverse returns it
+    qs = [P(0, 1, 0), P(0, 1, 1), P(1, 0, -1)]
+    with pytest.raises(GeometryError, match="lies on the conic"):
+        richelot_forward(qs)
+    out = richelot_inverse(qs)
+    assert out[2] == P(0, 0, 1) and out[2].is_double_point()
 
 
 def test_richelot_degeneracies():

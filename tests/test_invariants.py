@@ -1,7 +1,6 @@
 """Invariant-basis computation and the named calibrated invariants."""
 
 import random
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -119,6 +118,28 @@ def test_is_invariant_accepts_found_bases():
                          for b in basis)
     x = Poly.variable(space.names[0], space.names, QQ)
     assert not invariants._is_invariant(space, basis[0].formula + x**4)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_derivation_table_is_integral(n):
+    # D(a_t) has the term (w_s m_j / w_t) a_s for each monomial m = m_s
+    # with m_j > 0, t the index of m with one x_j traded for an x_i: that
+    # ratio is an integer, m_i + 1 for n = 2 and m_j for n = 3
+    for d in range(1, 13):
+        space = invariants._space(n, d)
+        w = space.weights
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                table = space.derivation(i, j)
+                entries = [(t, s, c) for t, srcs in table.items()
+                           for s, c in srcs]
+                assert len(entries) == sum(m[j] > 0 for m in space.monomials)
+                for t, s, c in entries:
+                    m = space.monomials[s]
+                    assert type(c) is int and c * w[t] == w[s] * m[j]
+                    assert c == (m[i] + 1 if n == 2 else m[j]), (d, i, j, m)
 
 
 def _balanced_by_brute_force(space, r):

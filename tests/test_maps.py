@@ -4,17 +4,13 @@ import pytest
 
 from comitant.maps import (
     HAMMOND_VARS,
-    HammondQuintic,
     MapError,
-    QuinticImage,
     RationalMapP1,
     c35_jacobian,
     compose,
     descend_map,
-    hammond_c35,
     hammond_image_polys,
     hammond_path_comparison,
-    hammond_relations,
     hammond_relations_symbolic,
     hesse_cover,
     hesse_self_map,
@@ -178,17 +174,6 @@ def test_descend_failure_modes():
 
 # ------------------------------------------------------------- Hammond slice
 
-def test_hammond_quintic_slots():
-    t0, t1 = pencil()
-    q = HammondQuintic(1, 2, 3, 4).quintic()
-    assert q == t0**5 + 10 * t0**4 * t1 + 15 * t0 * t1**4 + 4 * t1**5
-
-
-def test_hammond_rejects_zero():
-    with pytest.raises(MapError, match="not all vanish"):
-        HammondQuintic(0, 0, 0, 0)
-
-
 def test_image_polys_frozen_formulas():
     a, b, e, f = poly_ring(HAMMOND_VARS, QQ)
     c5, c4, c3, c2, c1, c0 = hammond_image_polys()
@@ -200,26 +185,26 @@ def test_image_polys_frozen_formulas():
     assert c0 == -(a * f - 5 * b * e) * f
 
 
-def test_hammond_c35_matches_polys():
-    B = HammondQuintic(2, -1, 3, 5)
-    img = hammond_c35(B)
-    vals = [p.evaluate([Fraction(2), Fraction(-1), Fraction(3), Fraction(5)])
-            for p in hammond_image_polys()]
-    assert list(img.coords()) == vals
-    assert img.is_valid()
-
-
 def test_hammond_c35_mod_p():
-    B = HammondQuintic(Fp(2, 11), Fp(1, 11), Fp(3, 11), Fp(5, 11),
-                       ring=GF(11))
-    img = hammond_c35(B)
-    assert img.ring == GF(11)
-    assert all(isinstance(c, Fp) for c in img.coords())
+    # the image polynomials reduce mod 11 at an Fp point: Fp values, the
+    # QQ values at the same integers, reduced
+    point = (2, 1, 3, 5)
+    over_qq = [c.evaluate([Fraction(v) for v in point])
+               for c in hammond_image_polys()]
+    over_f11 = [c.evaluate([Fp(v, 11) for v in point])
+                for c in hammond_image_polys()]
+    assert all(isinstance(c, Fp) and c.p == 11 for c in over_f11)
+    assert over_f11 == [Fp(int(c), 11) for c in over_qq]
 
 
 def test_hammond_relations():
-    B = HammondQuintic(3, 1, -2, 7)
-    assert hammond_relations(B, hammond_c35(B))
+    # a*c0 + f*c5 = 0 and e*c4 - b*c1 = 0 at one point over QQ and GF(11),
+    # and as identities in (a, b, e, f)
+    for a, b, e, f in ([Fraction(v) for v in (3, 1, -2, 7)],
+                       [Fp(v, 11) for v in (3, 1, -2, 7)]):
+        c5, c4, c3, c2, c1, c0 = (c.evaluate([a, b, e, f])
+                                  for c in hammond_image_polys())
+        assert a * c0 + f * c5 == 0 and e * c4 - b * c1 == 0
     assert hammond_relations_symbolic()
 
 
@@ -235,10 +220,3 @@ def test_c35_jacobian_degree_guard():
         c35_jacobian(Form(x**4 + y**4, 4))
     out = c35_jacobian(Form(x**5 + y**5, 5))
     assert out.degree == 5
-
-
-def test_quintic_image_roundtrip():
-    t0, t1 = pencil()
-    img = QuinticImage(1, 0, 0, 0, 0, -1)
-    assert img.quintic() == t0**5 - t1**5
-    assert not QuinticImage(0, 0, 0, 0, 0, 0).is_valid()

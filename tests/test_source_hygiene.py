@@ -1,8 +1,9 @@
 """Static checks on the package source, with the standard-library `ast`.
 
-Four kinds of leftover fail here: an import that its module never uses,
-a private (underscore) module-level function or class that no module of
-the package refers to, a public method that no attribute read in the
+Four kinds of leftover fail here: an import that its module never uses
+(in the package, its tests or its benchmark harness), a private
+(underscore) module-level function or class that no module of the
+package refers to, a public method that no attribute read in the
 package, its tests or its benchmark harness names, and a public
 module-level function that no module of the package reads outside its own
 `def` and that `comitant.__all__` does not list.  All four are what a
@@ -100,8 +101,15 @@ def test_package_source_is_found():
 
 
 def test_no_unused_imports():
+    # the package, its tests and its benchmark harness
+    trees = {f"src/comitant/{name}": tree
+             for name, tree in _modules().items()}
+    for folder in ("tests", "perfbench"):
+        for path in sorted((ROOT / folder).glob("*.py")):
+            trees[f"{folder}/{path.name}"] = ast.parse(
+                path.read_text(encoding="utf-8"), str(path))
     unused = []
-    for name, tree in _modules().items():
+    for name, tree in trees.items():
         used = _referenced(tree)
         unused += [f"{name}:{line} {bound}"
                    for bound, line in _imported(tree) if bound not in used]
