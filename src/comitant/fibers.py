@@ -1,18 +1,20 @@
 """Exhaustive fiber counting over prime fields, vectorized with numpy.
 
-The source projective space is enumerated once (canonical representatives:
-first nonzero coordinate = 1), every coordinate polynomial is evaluated on
-the whole point cloud, images are normalized the same way, and a sort-based
-census gives every fiber size at once.  Degree conclusions are never drawn
-from these counts -- they corroborate the exact P^1 computations and the
-generic-fiber claims at desk scale.
+The source projective space is walked once (canonical representatives:
+first nonzero coordinate = 1) in blocks of at most BLOCK_POINTS points;
+every coordinate polynomial is evaluated on a block, the block's images are
+normalized the same way and keyed, and one sort of the keys gives every
+fiber size at once.  Degree conclusions are never drawn from these counts
+-- they corroborate the exact P^1 computations and the generic-fiber
+claims at desk scale.
 
 The polynomials are evaluated on the stratified grid of the points, not
 row by row: the points whose first nonzero coordinate sits at position
 `lead` are the grid (p,)*free of their free = k - lead trailing
-coordinates.  There a term with a positive exponent before `lead` is zero,
-and every other term is an outer product of 1-D length-p power vectors
-t^e mod p, broadcast over the grid.  A single point (`image_of`) is
+coordinates, and a block is a slab of that grid along its first axis.
+There a term with a positive exponent before `lead` is zero, and every
+other term is an outer product of 1-D power vectors t^e mod p, broadcast
+over the block.  A single point (`image_of`) is
 evaluated with Python ints, on the same residue terms, converted once.
 Lookups reduce each coordinate exactly (ints mod p, Fractions by their
 inverse denominator, Fp over p as is) and refuse anything else.
@@ -28,10 +30,17 @@ and the map alone (`_residue_dtype`): int32 when a product of two residues
 and each coordinate's sum of its T terms fit, (p-1)^2 < 2^31 and
 T*(p-1) < 2^31 (so p <= 46337, with up to 46,345 terms a coordinate at
 that p), int64 otherwise.  Keys stay int64 either way.  `_normalize_rows`
-scales the evaluated rows in place.  A census keeps no array of its source
-points: `FiberCensus.source` enumerates them afresh on each access (the
-benchmark's byte counter and the tests read it; the census itself never
-does).
+scales a block's rows in place, through a table of all p inverses once a
+block has at least p rows and by Fermat inverses of its leads otherwise.
+
+A census keeps only its keys: each block's keys of determinate points go
+into one preallocated array of one key per source point, and np.unique
+runs once on its filled prefix, so no array of points by coordinates is
+built (the P^3(F_101) census peaks at ~41 MiB under tracemalloc and keeps
+~16 MiB, its fiber keys and counts).  `FiberCensus.source`, `.images` and
+`.indeterminate_mask`, in one row order, are built afresh on each access,
+the last two by a second pass over the same blocks (the benchmark's byte
+counter and the tests read them; the census itself never does).
 
 Guards, each raising FiberError before anything is allocated, checked
 together by `check_census`: the source P^k(F_p) may have at most
@@ -52,6 +61,10 @@ from .scalars import GF, QQ, Fp, is_prime, rational_to_fp
 
 # Largest source P^k(F_p) a census enumerates: P^3(F_p) up to p = 251.
 MAX_POINTS = 2**24
+# Points in one block of a census pass, at most (a block is at least one
+# value of its stratum's first free coordinate, and p^2 <= 63001 < 2^16
+# for every P^3 census MAX_POINTS allows).
+BLOCK_POINTS = 2**16
 
 
 class FiberError(ValueError):
@@ -154,20 +167,22 @@ def _residue_dtype(p: int, nterms: int):
     return np.int64
 
 
-def _evaluate(terms, k: int, p: int) -> np.ndarray:
-    """Each polynomial, given by its `_int_terms`, mod p at every point of
-    projective_points(k, p).
+def _evaluate(terms, k: int, p: int):
+    """Each polynomial, given by its `_int_terms`, mod p at the points of
+    projective_points(k, p), one block at a time: yields arrays of shape
+    (rows, len(terms)) whose rows, taken in turn, follow those points.
 
-    One stratum at a time: the points whose first nonzero coordinate is at
-    `lead` form the grid (p,)*free, free = k - lead, of their trailing
-    coordinates.  A term with a positive exponent before `lead` vanishes
-    there; every other term is c times an outer product of 1-D power
-    vectors t^e mod p of length p, broadcast over the grid with one % p per
-    factor.  Power vectors are built on first use, so a stratum with no
-    free coordinate (all of P^0) allocates nothing of size p.  Everything
-    is in _residue_dtype(p, T), T the most terms of any polynomial.
+    The points whose first nonzero coordinate is at `lead` form the grid
+    (p,)*free, free = k - lead, of their trailing coordinates.  A block is
+    the slab lo <= t < hi of the grid's first axis, whole along the others:
+    as many values of t as keep it within BLOCK_POINTS points, and at least
+    one (P^0 is one block of one point).  A term with a positive exponent
+    before `lead` vanishes on the stratum; every other term is c times an
+    outer product of 1-D power vectors t^e mod p, the first cut to the
+    slab, broadcast over the block with one % p per factor.  Power vectors
+    are built on first use and shared by the blocks.  Everything is in
+    _residue_dtype(p, T), T the most terms of any polynomial.
     """
-    total = _point_count(k, p)
     _check_products(p)
     dtype = _residue_dtype(p, max(map(len, terms), default=0))
     powers = {}
@@ -181,30 +196,33 @@ def _evaluate(terms, k: int, p: int) -> np.ndarray:
             powers[e] = vec
         return vec
 
-    # one contiguous row per polynomial, returned transposed: a column of
-    # the result is written and read in one sweep
-    out = np.empty((len(terms), total), dtype=dtype)
-    row = 0
     for lead in range(k + 1):
         free = k - lead
-        shape = (p,) * free
-        n = p**free
-        for j, poly_terms in enumerate(terms):
-            acc = np.zeros(shape, dtype=dtype)
-            for e, c in poly_terms:
-                if any(e[:lead]):
-                    continue
-                term = dtype(c)
-                for axis, x in enumerate(e[lead + 1:]):
-                    if x:
-                        vec = power(x).reshape(
-                            (1,) * axis + (p,) + (1,) * (free - 1 - axis))
-                        term = term * vec % p
-                acc += term
-            acc %= p
-            out[j, row:row + n] = acc.reshape(n)
-        row += n
-    return out.T
+        inner = p ** max(free - 1, 0)  # points per value of the first axis
+        step = max(1, BLOCK_POINTS // inner)
+        for lo in range(0, p if free else 1, step):
+            hi = min(lo + step, p)
+            shape = (hi - lo,) + (p,) * (free - 1) if free else ()
+            n = (hi - lo) * inner if free else 1
+            # one contiguous row per polynomial, yielded transposed: a
+            # column of the block is written and read in one sweep
+            out = np.empty((len(terms), n), dtype=dtype)
+            for j, poly_terms in enumerate(terms):
+                acc = np.zeros(shape, dtype=dtype)
+                for e, c in poly_terms:
+                    if any(e[:lead]):
+                        continue
+                    term = dtype(c)
+                    for axis, x in enumerate(e[lead + 1:]):
+                        if x:
+                            vec = power(x)[lo:hi] if axis == 0 else power(x)
+                            term = term * vec.reshape(
+                                (1,) * axis + (-1,) + (1,) * (free - 1 - axis)
+                            ) % p
+                    acc += term
+                acc %= p
+                out[j] = acc.reshape(n)
+            yield out.T
 
 
 def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
@@ -221,43 +239,61 @@ def _fermat_inverse(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _normalize_rows(vals: np.ndarray, p: int):
-    """Scale rows so the first nonzero entry is 1, in place, in the dtype
-    of vals; returns (vals, zero mask).  An all-zero row stays zero."""
+def _normalize_rows(vals: np.ndarray, p: int, table=None):
+    """Scale the rows of one block so the first nonzero entry is 1, in
+    place, in the dtype of vals; returns (vals, zero mask).  An all-zero
+    row stays zero.  The leads are inverted through `table`, the inverses
+    of all p residues, when one is given, and by `_fermat_inverse` on the
+    leads themselves otherwise."""
     # the first nonzero entry of each row, found one column at a time
     lead = vals[:, -1]
     for j in range(vals.shape[1] - 2, -1, -1):
         col = vals[:, j]
         lead = np.where(col != 0, col, lead)
     zero = lead == 0
-    # invert through a table of all residues when there are at least as
-    # many rows as residues, so no call does work of size p for few rows
-    if p <= vals.shape[0]:
-        inv = _fermat_inverse(np.arange(p, dtype=vals.dtype), p)[lead]
-    else:
-        inv = _fermat_inverse(lead, p)
+    inv = _fermat_inverse(lead, p) if table is None else table[lead]
     vals *= inv[:, None]
     vals %= p
     return vals, zero
 
 
-def _void_view(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr, dtype=np.int64)
-    return arr.view([("", arr.dtype)] * arr.shape[1]).ravel()
+def _image_blocks(terms, k: int, p: int):
+    """The normalized image rows of projective_points(k, p), one block of
+    `_evaluate` at a time, as (vals, zero mask) pairs.  The inverse table
+    of all p residues is built at the first block of at least p rows, and
+    only such blocks use it, so no block does work of size p for fewer
+    rows."""
+    table = None
+    for vals in _evaluate(terms, k, p):
+        if vals.shape[0] < p:
+            yield _normalize_rows(vals, p)
+            continue
+        if table is None:
+            table = _fermat_inverse(np.arange(p, dtype=vals.dtype), p)
+        yield _normalize_rows(vals, p, table)
+
+
+def _key_dtype(m: int, p: int) -> np.dtype:
+    """int64 when p^m < 2^63; otherwise a structured row of m int64
+    fields, compared field by field."""
+    if p**m >= 2**63:
+        return np.dtype([("", np.int64)] * m)
+    return np.dtype(np.int64)
 
 
 def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
-    """One sort key per row of residues mod p, in lexicographic row order.
+    """One sort key per row of residues mod p, in lexicographic row order,
+    of dtype _key_dtype(m, p).
 
-    The int64 sum(v_i * p^(m-1-i)) when p^m < 2^63; otherwise the row as a
-    structured (void) scalar of int64 fields, compared field by field, so
-    the key does not depend on the residue width.
+    The int64 sum(v_i * p^(m-1-i)) when p^m < 2^63; otherwise the row
+    itself as a structured (void) scalar of int64 fields, so the key does
+    not depend on the residue width.
     """
-    m = rows.shape[1]
-    if p**m >= 2**63:
-        return _void_view(rows)
+    dtype = _key_dtype(rows.shape[1], p)
+    if dtype.names:
+        return np.ascontiguousarray(rows, dtype=np.int64).view(dtype).ravel()
     keys = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(m):
+    for j in range(rows.shape[1]):
         keys *= p
         keys += rows[:, j]
     return keys
@@ -289,22 +325,38 @@ class FiberCensus:
         self.polys = polys
         self.source_dim = k
         self._terms = [_int_terms(poly, p) for poly in polys]
-        vals, indeterminate = _normalize_rows(_evaluate(self._terms, k, p), p)
-        self.total = vals.shape[0]
-        self.indeterminate = int(indeterminate.sum())
-        keys = _row_keys(vals, p)[~indeterminate]
-        self._uniq, self._counts = np.unique(keys, return_counts=True)
-        del keys
-        # images[i] and indeterminate_mask[i] belong to source[i]; the grid
-        # evaluation needs no array of the source points, so none is kept
-        self.images = vals
-        self.indeterminate_mask = indeterminate
+        self.total = _point_count(k, p)
+        # one key per determinate point, block by block, into one array
+        keys = np.empty(self.total, dtype=_key_dtype(len(polys), p))
+        filled = 0
+        for vals, zero in _image_blocks(self._terms, k, p):
+            block = _row_keys(vals, p)[~zero]
+            keys[filled:filled + block.size] = block
+            filled += block.size
+        self.indeterminate = self.total - filled
+        self._uniq, self._counts = np.unique(keys[:filled],
+                                             return_counts=True)
 
     @property
     def source(self) -> np.ndarray:
-        """The source points, in the row order of `images`, enumerated on
-        each access (33 MB for P^3(F_101)) and not kept."""
+        """The source points, enumerated on each access (33 MB for
+        P^3(F_101)) and not kept."""
         return projective_points(self.source_dim, self.p)
+
+    @property
+    def images(self) -> np.ndarray:
+        """The normalized image of each point of `source`, in its row
+        order, with a zero row where the map is undefined: a second pass
+        over the blocks on each access, not kept."""
+        return np.concatenate([vals for vals, _ in _image_blocks(
+            self._terms, self.source_dim, self.p)])
+
+    @property
+    def indeterminate_mask(self) -> np.ndarray:
+        """Where the map is undefined, in the row order of `source`: a
+        second pass over the blocks on each access, not kept."""
+        return np.concatenate([zero for _, zero in _image_blocks(
+            self._terms, self.source_dim, self.p)])
 
     @property
     def max_fiber(self) -> int:
@@ -375,7 +427,9 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
     """Census plus fiber sizes at the images of seeded random source points.
 
     Returns {"lines": [...], "max_fiber": n, "indeterminate": n,
-    "fraction_ones": the exact Fraction of samples with fiber exactly 1}.
+    "fraction_ones": the exact Fraction of samples with fiber exactly 1,
+    "singleton_share": the exact Fraction of all determinate source points
+    alone in their fiber, read off the census and free of the seed}.
     Sampled source points landing on the indeterminacy locus are redrawn.
     """
     if samples < 1:
@@ -405,5 +459,7 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
         "max_fiber": census.max_fiber,
         "indeterminate": census.indeterminate,
         "fraction_ones": Fraction(ones, samples),
+        "singleton_share": Fraction(int(np.count_nonzero(census._counts == 1)),
+                                    census.total - census.indeterminate),
         "census": census,
     }

@@ -365,13 +365,13 @@ def line_pole(line) -> tuple:
     return (line[2] * 2, -line[1], line[0] * 2)
 
 
-def tangency_pair(vertex, vars=("t0", "t1")) -> PointPair:
+def tangency_pair(vertex, vars=("t0", "t1"), ring=QQ) -> PointPair:
     """The pair where the tangents from an external point touch the conic:
-    the polar line's restriction, as a parameter quadratic."""
+    the polar line's restriction, as a parameter quadratic over `ring`."""
     if _on_standard_conic(vertex):
         raise GeometryError("vertex lies on the conic; tangency pair "
                             "degenerates to a double point")
-    return PointPair.from_coefficients(*polar_line(vertex), vars)
+    return PointPair.from_coefficients(*polar_line(vertex), vars, ring)
 
 
 def pair_vertex(pair: PointPair) -> tuple:
@@ -386,20 +386,23 @@ def is_tangency_pair(vertex, pair: PointPair) -> bool:
 
 
 def _shared_vars(pairs):
-    vars = pairs[0].form.poly.vars
-    if any(p.form.poly.vars != vars for p in pairs):
+    """The pairs' line variables and ring, which they must share."""
+    form = pairs[0].form
+    if any((p.form.poly.vars, p.form.indices, p.form.poly.ring)
+           != (form.poly.vars, form.indices, form.poly.ring) for p in pairs):
         raise GeometryError("pairs must share one parameter ring")
-    return vars
+    return tuple(form.poly.vars[i] for i in form.indices), form.poly.ring
 
 
 def _chord_triangle(pairs, tangent_input: bool):
-    """The pairs' ring and the vertices L_j x L_k of their chords L_i.
+    """The pairs' line variables and ring, and the vertices L_j x L_k of
+    their chords L_i.
     Tangent input (the inverse move) has no double point, and its triangle
     is that of the poles of the L_i, of determinant 4 det(L)."""
     pairs = list(pairs)
     if len(pairs) != 3:
         raise GeometryError("need exactly three pairs")
-    vars = _shared_vars(pairs)
+    shared = _shared_vars(pairs)
     lines = [chord(p) for p in pairs]
     if not tangent_input:
         if not poly_det(lines):
@@ -408,14 +411,14 @@ def _chord_triangle(pairs, tangent_input: bool):
         raise GeometryError("double point pair has no tangent vertex")
     elif not poly_det(lines) * 4:
         raise GeometryError("degenerate vertex triangle")
-    return vars, [_cross(lines[1], lines[2]), _cross(lines[2], lines[0]),
-                  _cross(lines[0], lines[1])]
+    return shared, [_cross(lines[1], lines[2]), _cross(lines[2], lines[0]),
+                    _cross(lines[0], lines[1])]
 
 
 def richelot_forward(pairs):
     """Pairs -> chords -> triangle vertices -> tangency pairs."""
-    vars, vertices = _chord_triangle(pairs, tangent_input=False)
-    return tuple(tangency_pair(v, vars).normalized() for v in vertices)
+    (vars, ring), vertices = _chord_triangle(pairs, tangent_input=False)
+    return tuple(tangency_pair(v, vars, ring).normalized() for v in vertices)
 
 
 def richelot_inverse(pairs):
@@ -425,8 +428,9 @@ def richelot_inverse(pairs):
     forward move, an involution, but it refuses double-point input and
     returns double-point output, where the forward move does the reverse.
     """
-    vars, vertices = _chord_triangle(pairs, tangent_input=True)
-    return tuple(PointPair.from_coefficients(*polar_line(v), vars).normalized()
+    (vars, ring), vertices = _chord_triangle(pairs, tangent_input=True)
+    return tuple(PointPair.from_coefficients(*polar_line(v), vars,
+                                             ring).normalized()
                  for v in vertices)
 
 
@@ -464,7 +468,7 @@ def sigma_map(pairs):
     pairs = list(pairs)
     if len(pairs) != 3:
         raise GeometryError("need exactly three pairs")
-    vars = _shared_vars(pairs)
+    vars, ring = _shared_vars(pairs)
     lines = [chord(p) for p in pairs]
     frame = Matrix([list(L) for L in lines], QQ)
     if not poly_det(frame.entries):
@@ -496,7 +500,7 @@ def sigma_map(pairs):
                  (params[4], params[5])):
         out.append(PointPair.from_coefficients(
             u[1] * v[1], -(u[1] * v[0] + u[0] * v[1]), u[0] * v[0],
-            vars).normalized())
+            vars, ring).normalized())
     return tuple(out)
 
 

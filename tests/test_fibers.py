@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from comitant import fibers
 from comitant.fibers import (
+    BLOCK_POINTS,
     MAX_POINTS,
     FiberCensus,
     FiberError,
@@ -208,7 +211,7 @@ def test_int64_product_guard():
     # a second coordinate keeps the value of t0^2 visible after scaling
     assert FiberCensus([t0, t0**2], p).image_of([p - 1]) == (1, p - 1)
     with pytest.raises(FiberError, match="overflow int64"):
-        _evaluate([[((2,), 1)]], 0, 4294967311)
+        next(_evaluate([[((2,), 1)]], 0, 4294967311))
     # P^0 has one point, so only the product guard stops this census
     with pytest.raises(FiberError, match="overflow int64"):
         FiberCensus([t0**2], 4294967311)
@@ -368,12 +371,122 @@ def test_grid_evaluator_matches_pointwise_fp(case):
     # every stratum of P^1, P^2, P^3, against exact Fp evaluation per point
     polys, k, p = case
     pts = projective_points(k, p)
-    vals = _evaluate([_int_terms(poly, p) for poly in polys], k, p)
+    vals = np.concatenate(list(_evaluate([_int_terms(poly, p)
+                                          for poly in polys], k, p)))
     assert vals.shape == (pts.shape[0], len(polys))
     for row, pt in zip(vals, pts):
         point = [Fp(int(c), p) for c in pt]
         assert [int(v) for v in row] == [poly.evaluate(point).val
                                          for poly in polys]
+
+
+def _assert_matches_counter(census):
+    """The census, and its on-access rows, against Counter(image_of(pt))
+    over every source point."""
+    images = [census.image_of(pt) for pt in census.source.tolist()]
+    sizes = Counter(images)
+    assert census.indeterminate == sizes.pop(None, 0)
+    assert census.conservation_holds()
+    assert census.image_size == len(sizes)
+    assert sorted(census._counts.tolist()) == sorted(sizes.values())
+    for img, n in sizes.items():
+        assert census.fiber_size(img) == n
+    assert census.indeterminate_mask.tolist() == [img is None
+                                                  for img in images]
+    m = len(census.polys)
+    assert census.images.tolist() == [list(img or (0,) * m)
+                                      for img in images]
+
+
+@st.composite
+def _blocked_case(draw):
+    """A random map on P^0..P^3, with a block size from one point to more
+    than a stratum, so blocks end inside strata and on their edges."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13]))
+    k = draw(st.integers(0, 3))
+    m = draw(st.integers(1, 4))
+    block = draw(st.sampled_from([1, 2, 3, p - 1, p, p + 1, p * p - 1,
+                                  p * p + 1, BLOCK_POINTS]))
+    return _random_map(draw, k, m, p), p, block
+
+
+@settings(max_examples=60, deadline=None)
+@given(_blocked_case())
+def test_blocked_census_matches_counter_oracle(case):
+    polys, p, block = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibers, "BLOCK_POINTS", block)
+        census = FiberCensus(polys, p)
+        _assert_matches_counter(census)
+
+
+@pytest.mark.parametrize("k,p,block", [
+    (0, 7, 1), (1, 7, 3), (2, 5, 7), (3, 5, 26), (3, 7, 50), (3, 7, 49),
+    (3, 3, BLOCK_POINTS)])
+def test_blocks_are_slabs_of_one_stratum(k, p, block, monkeypatch):
+    # rows of the blocks follow projective_points, each block inside one
+    # stratum (one lead position) and whole along all but its first axis
+    monkeypatch.setattr(fibers, "BLOCK_POINTS", block)
+    terms = [[((0,) * i + (1,) + (0,) * (k - i), 1)] for i in range(k + 1)]
+    blocks = list(_evaluate(terms, k, p))   # the identity map
+    assert np.array_equal(np.concatenate(blocks), projective_points(k, p))
+    for rows in blocks:
+        leads = (rows != 0).argmax(axis=1)
+        assert (leads == leads[0]).all()
+        inner = p ** max(k - int(leads[0]) - 1, 0)
+        assert rows.shape[0] <= max(block, inner)
+        assert rows.shape[0] % inner == 0
+
+
+def test_census_with_indeterminacy_on_every_stratum():
+    # [t1*t2 : t0*t2 : t0*t1] is undefined at the three coordinate points,
+    # one in each stratum of P^2; on P^0, one block of one point, a map is
+    # defined or undefined everywhere
+    t0, t1, t2 = poly_ring(("t0", "t1", "t2"), QQ)
+    census = FiberCensus([t1 * t2, t0 * t2, t0 * t1], 11)
+    assert census.indeterminate == 3
+    _assert_matches_counter(census)
+    (u,) = poly_ring(("u",), QQ)
+    _assert_matches_counter(FiberCensus([u, u**2, 3 * u], 11))
+    assert FiberCensus([u - u], 11).indeterminate == 1
+
+
+@pytest.mark.parametrize("k, p, built", [
+    # P^2(F_7): the grid strata are blocks of 49 and 7 rows and share one
+    # table of the 7 inverses; P^0 inverts its one lead
+    (2, 7, [7, 1]),
+    # p = 65537 > BLOCK_POINTS: no block has p rows, so no table is built
+    (1, 65537, [BLOCK_POINTS, 1, 1])])
+def test_inverse_table_only_for_blocks_of_at_least_p_rows(k, p, built):
+    ts = poly_ring(tuple(f"t{i}" for i in range(k + 1)), QQ)
+    polys = [t**3 for t in ts] + [ts[0] * ts[-1]**2 - 2 * ts[-1]**3]
+    sizes = []
+    inverse = fibers._fermat_inverse
+
+    def spy(x, q):
+        sizes.append(x.size)
+        return inverse(x, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibers, "_fermat_inverse", spy)
+        census = FiberCensus(polys, p)
+    assert sizes == built
+    fib = Counter(census.image_of(pt) for pt in census.source.tolist())
+    assert census.indeterminate == fib.pop(None, 0)
+    assert sorted(census._counts.tolist()) == sorted(fib.values())
+
+
+@settings(max_examples=5, deadline=None)
+@given(st.data())
+def test_structured_fallback_matches_counter_oracle(data):
+    # 101^10 > 2^63: ten coordinates fall back to structured keys
+    polys = _random_map(data.draw, 1, 10, 101)
+    block = data.draw(st.sampled_from([7, 101, 1000, BLOCK_POINTS]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fibers, "BLOCK_POINTS", block)
+        census = FiberCensus(polys, 101)
+        assert census._uniq.dtype.kind == "V"
+        _assert_matches_counter(census)
 
 
 def test_quintic_image_census():
@@ -382,12 +495,14 @@ def test_quintic_image_census():
     tracemalloc.start()
     try:
         census = FiberCensus(polys, 101)
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # int32 residues, in-place scaling and no source array kept: ~72 MiB,
-    # where int64 with every array alive at the sort took 121 MiB
-    assert peak < 90 * 2**20
+    # blocks of at most 2^16 points and one int64 key per point: ~41 MiB at
+    # the sort and ~16 MiB kept (the fiber keys and counts), where the whole
+    # grid's int32 residues took ~65 MiB and kept ~41 MiB
+    assert peak < 42 * 2**20
+    assert kept < 17 * 2**20
     assert census.total == 1_040_604
     assert census.indeterminate == 204
     assert census.image_size == 1_035_202

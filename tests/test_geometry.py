@@ -277,6 +277,31 @@ def test_richelot_domains_differ_at_double_points():
     assert out[2] == P(0, 0, 1) and out[2].is_double_point()
 
 
+def test_richelot_over_gf7_is_an_involution():
+    def F7(*coeffs):
+        return P(*(Fp(c, 7) for c in coeffs), ring=GF(7))
+
+    ps = [F7(0, 1, 0), F7(1, 0, 6), F7(1, 0, 3)]
+    fwd = richelot_forward(ps)
+    assert all(p.form.poly.ring == GF(7) for p in fwd)
+    assert pair_triples_match(fwd, [F7(0, 1, 0), F7(2, 0, 1), F7(1, 0, 1)])
+    assert pair_triples_match(richelot_inverse(fwd), ps)
+
+
+def test_parametric_richelot_specialises_to_the_scalar_move():
+    # pairs st, s^2 - a t^2 and s^2 - 4t^2 over QQ[a]; at a = -1 the
+    # forward move must be that of st, s^2 + t^2 and s^2 - 4t^2
+    (a,) = poly_ring(("a",), QQ)
+    one, zero = a**0, a * 0
+    fwd = richelot_forward([P(zero, one, zero), P(one, zero, -a),
+                            P(one, zero, -4 * one)])
+    assert all(p.form.poly.vars == ("a", "t0", "t1") for p in fwd)
+    at = [[c.evaluate([Fraction(-1)]) for c in p.coefficients()]
+          for p in fwd]
+    scalar = richelot_forward([P(0, 1, 0), P(1, 0, 1), P(1, 0, -4)])
+    assert all(P(*c) == q for c, q in zip(at, scalar))
+
+
 def test_richelot_degeneracies():
     concurrent = [P(1, 0, 0), P(0, 0, 1), P(1, 0, -1)]
     with pytest.raises(GeometryError, match="degenerate chord triangle"):

@@ -156,10 +156,15 @@ def test_transvectant_claim_with_one_trial():
     assert "1 probes at k=4" in rec["witness"]
 
 
-@pytest.mark.parametrize("ones, status", [(95, PASS), (94, FAIL)])
-def test_census_gate_is_exact_at_95_percent(monkeypatch, ones, status):
+@pytest.mark.parametrize("percent, status", [(95, PASS), (94, FAIL)])
+def test_census_gate_is_exact_at_95_percent(monkeypatch, percent, status):
+    # the census's exact singleton share decides; the sampled share, here
+    # on the other side of 95 %, is only reported
+    ones = 90 if status == PASS else 100
+
     def census(m, p, samples, seed):
-        return {"fraction_ones": Fraction(ones, samples), "max_fiber": 2,
+        return {"fraction_ones": Fraction(ones, samples),
+                "singleton_share": Fraction(percent, 100), "max_fiber": 2,
                 "indeterminate": 0}
 
     monkeypatch.setattr(verify, "sample_report", census)
@@ -167,6 +172,25 @@ def test_census_gate_is_exact_at_95_percent(monkeypatch, ones, status):
     assert rec["status"] == status
     assert f"100 sampled image points, {ones}.0% with fiber size 1" \
         in rec["witness"]
+
+
+@pytest.mark.parametrize("p, status", [(17, FAIL), (19, PASS), (29, PASS)])
+def test_census_gate_is_free_of_the_seed(p, status):
+    # q(p) = p/(p+1): 17/18 < 95/100 <= 19/20, whatever the samples show
+    for seed in range(4):
+        (rec,) = run_verifications(only=["09-quintic-image-fibers"],
+                                   seed=seed, primes=(p, 101)).records()
+        assert rec["status"] == status
+
+
+@pytest.mark.parametrize("seed, p, sampled", [(0, 29, "94.0%"),
+                                              (154, 101, "95.0%")])
+def test_census_gate_passes_a_sample_at_or_below_the_bound(seed, p,
+                                                          sampled):
+    (rec,) = run_verifications(only=["09-quintic-image-fibers"], seed=seed,
+                               primes=(p, 101)).records()
+    assert rec["status"] == PASS
+    assert f"{sampled} with fiber size 1" in rec["witness"]
 
 
 @pytest.mark.parametrize("field, value", [
