@@ -136,7 +136,8 @@ def _cmd_fiber_count(args) -> int:
     rep = sample_report(target_map, args.prime, args.samples, args.seed)
     for line in rep["lines"]:
         print(line)
-    print(f"max_fiber={rep['max_fiber']} indeterminate={rep['indeterminate']}")
+    print(f"max_fiber={rep['max_fiber']} indeterminate={rep['indeterminate']} "
+          f"orbits={rep['orbits']}")
     return 0
 
 

@@ -1,23 +1,47 @@
 """Exhaustive fiber counting over prime fields, vectorized with numpy.
 
-The source projective space is walked once (canonical representatives:
-first nonzero coordinate = 1) in blocks of at most BLOCK_POINTS points;
-every coordinate polynomial is evaluated on a block, the block's images are
-normalized the same way and keyed, and one sort of the keys gives every
-fiber size at once.  Degree conclusions are never drawn from these counts
--- they corroborate the exact P^1 computations and the generic-fiber
-claims at desk scale.
+A census counts every fiber of a polynomial map F: P^k -> P^m over F_p at
+once, over the orbits of a torus that F is equivariant for, read off the
+map itself.  Degree conclusions are never drawn from these counts -- they
+corroborate the exact P^1 computations and the generic-fiber claims at
+desk scale.
 
-The polynomials are evaluated on the stratified grid of the points, not
-row by row: the points whose first nonzero coordinate sits at position
-`lead` are the grid (p,)*free of their free = k - lead trailing
-coordinates, and a block is a slab of that grid along its first axis.
-There a term with a positive exponent before `lead` is zero, and every
-other term is an outer product of 1-D power vectors t^e mod p, broadcast
-over the block.  A single point (`image_of`) is
-evaluated with Python ints, on the same residue terms, converted once.
-Lookups reduce each coordinate exactly (ints mod p, Fractions by their
-inverse denominator, Fp over p as is) and refuse anything else.
+The torus.  Let L be the integer kernel of the exponent differences inside
+each coordinate polynomial (a zero coordinate imposes nothing).  When
+every term of every coordinate has one degree -- when F is a map of P^k at
+all -- the scalars lie in L, and each l in L is a one-parameter subgroup
+x_i -> lam^(l_i) x_i under which coordinate j scales by lam^(chi_j(l)),
+chi_j(l) = l·e for any term e of it.  So F(t·x) = chi(t)·F(x), and the
+fiber size is constant on the orbits of T, the image of L (x) F_p^*.
+Otherwise, or when L holds the scalars alone, the torus is the scalars
+and its orbits are points.  The quintic-slice map of claim 09 has the
+rank-3 torus diag(a, b, e, f) with af = be: P^3(F_101) is 114 orbits,
+p - 1 of full support (one per value of af/(be)) and one for each of the
+14 other support strata, where it is 1,040,604 points.
+
+L is the kernel of at most k independent differences, read off their
+Smith normal form (`linalg.smith_form`; Cohen 1993, §2.4.4).  The orbits
+themselves, in discrete-log coordinates mod p - 1, are the work of
+`comitant.orbits` (`Torus`), imported by the first census that has a
+torus: one representative of each orbit of P^k, its size, and for each
+image the canonical normalized row of its target orbit T·y, keyed like
+any other row (below).  The fiber of y is the sum of |O| over the source
+orbits O keyed to T·y, divided by |T·y|; a census raises FiberError
+unless every such sum divides exactly and the orbit sizes add up to the
+points of P^k.  Lookups (`fiber_size`) key their target the same way.
+
+The scalar torus walks the points themselves, once (canonical
+representatives: first nonzero coordinate = 1), in blocks of at most
+BLOCK_POINTS points, on the stratified grid of the points, not row by
+row: the points whose first nonzero coordinate sits at position `lead` are
+the grid (p,)*free of their free = k - lead trailing coordinates, and a
+block is a slab of that grid along its first axis.  There a term with a
+positive exponent before `lead` is zero, and every other term is an outer
+product of 1-D power vectors t^e mod p, broadcast over the block.
+A single point (`image_of`) is evaluated with Python ints, on the same
+residue terms, converted once.  Lookups reduce each coordinate exactly
+(ints mod p, Fractions by their inverse denominator, Fp over p as is) and
+refuse anything else.
 
 Each normalized image row of m coordinates is keyed by one int64 in mixed
 radix p, sum(v_i * p^(m-1-i)), whenever p^m < 2^63 (every P^1 census, and
@@ -25,22 +49,25 @@ the six-coordinate P^3(F_101) census); the keys sort in lexicographic row
 order, so one int64 sort counts every fiber.  Wider rows fall back to a
 structured view of the row, compared field by field.
 
-Residues are held in the narrowest safe integer width, worked out from p
-and the map alone (`_residue_dtype`): int32 when a product of two residues
-and each coordinate's sum of its T terms fit, (p-1)^2 < 2^31 and
-T*(p-1) < 2^31 (so p <= 46337, with up to 46,345 terms a coordinate at
-that p), int64 otherwise.  Keys stay int64 either way.  `_normalize_rows`
-scales a block's rows in place, through a table of all p inverses once a
-block has at least p rows and by Fermat inverses of its leads otherwise.
+Residues on the grid are held in the narrowest safe integer width, worked
+out from p and the map alone (`_residue_dtype`): int32 when a product of
+two residues and each coordinate's sum of its T terms fit, (p-1)^2 < 2^31
+and T*(p-1) < 2^31 (so p <= 46337, with up to 46,345 terms a coordinate
+at that p), int64 otherwise.  Keys stay int64 either way.
+`_normalize_rows` scales a block's rows in place, through a table of all
+p inverses once a block has at least p rows and by Fermat inverses of its
+leads otherwise.
 
-A census keeps only its keys: each block's keys of determinate points go
-into one preallocated array of one key per source point, and np.unique
-runs once on its filled prefix, so no array of points by coordinates is
-built (the P^3(F_101) census peaks at ~41 MiB under tracemalloc and keeps
-~16 MiB, its fiber keys and counts).  `FiberCensus.source`, `.images` and
-`.indeterminate_mask`, in one row order, are built afresh on each access,
-the last two by a second pass over the same blocks (the benchmark's byte
-counter and the tests read them; the census itself never does).
+A census keeps only its distinct target keys, the fiber size at each and
+the size of each target orbit (ones, as a read-only view, on the scalar
+path): one key per orbit goes into the fiber stage (`_tally`), one array
+of one key per determinate point on the grid, so no array of points by
+coordinates is built.  The P^3(F_101) census of claim 09 peaks at
+~0.2 MiB under tracemalloc.  `FiberCensus.orbits` counts the orbit
+representatives a census evaluated.  `FiberCensus.source`, `.images` and
+`.indeterminate_mask` are per point, in one row order, built afresh on
+each access, the last two by a pass over the grid blocks (the benchmark's
+byte counter and the tests read them; the census itself never does).
 
 Guards, each raising FiberError before anything is allocated, checked
 together by `check_census`: the source P^k(F_p) may have at most
@@ -56,6 +83,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .linalg import smith_form
 from .poly import Poly
 from .scalars import GF, QQ, Fp, is_prime, rational_to_fp
 
@@ -289,14 +317,67 @@ def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
     itself as a structured (void) scalar of int64 fields, so the key does
     not depend on the residue width.
     """
-    dtype = _key_dtype(rows.shape[1], p)
+    m = rows.shape[1]
+    dtype = _key_dtype(m, p)
     if dtype.names:
         return np.ascontiguousarray(rows, dtype=np.int64).view(dtype).ravel()
-    keys = np.zeros(rows.shape[0], dtype=np.int64)
-    for j in range(rows.shape[1]):
-        keys *= p
-        keys += rows[:, j]
-    return keys
+    # each product and the sum stay below p^m < 2^63
+    return rows @ p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+def _torus(terms, k: int, p: int):
+    """The torus of the map, or None when it is the scalars alone.
+
+    L is the integer kernel of the exponent differences inside each
+    coordinate (a zero coordinate imposes nothing).  It is read only when
+    every term of every coordinate has one degree, so that the scalars lie
+    in L and F is a map of P^k; otherwise the torus is the scalars.  The
+    differences then span at most k dimensions, and L is the kernel of k
+    independent ones (`smith_form`), so the scan stops there: a map with
+    many terms pays for few of them."""
+    if len({sum(e) for poly_terms in terms for e, _ in poly_terms}) != 1:
+        return None
+    basis = []      # independent differences, in echelon order of insertion
+    for poly_terms in terms:
+        for e, _ in poly_terms[1:]:
+            row = [a - b for a, b in zip(e, poly_terms[0][0])]
+            for col, b in basis:
+                if row[col]:
+                    row = [b[col] * x - row[col] * y for x, y in zip(row, b)]
+            if any(row):
+                basis.append((next(j for j, x in enumerate(row) if x), row))
+                if len(basis) == k:
+                    return None
+    d, _, v = smith_form([row for _, row in basis], k + 1)
+    rank = sum(1 for x in d if x)
+    kernel = [[v[i][j] for i in range(k + 1)] for j in range(rank, k + 1)]
+    if len(kernel) < 2:
+        return None
+    # the orbit machinery is loaded by the first census that needs it
+    from .orbits import Torus
+    return Torus(kernel, terms, p)
+
+
+def _tally(keys, weights=None, sizes=None):
+    """The fiber stage: (distinct keys, sorted; the fiber size at each
+    point of the target orbit of each key; the size of that orbit).
+
+    Without weights every key is one point of weight 1 and every target
+    orbit one point.  With them, the fiber of y is the summed weight |O|
+    of the source orbits O keyed to T·y, divided by |T·y|, which must
+    divide it."""
+    if weights is None:
+        uniq, counts = np.unique(keys, return_counts=True)
+        # orbits of one point: a read-only view of ones, no array
+        return uniq, counts, np.broadcast_to(np.int64(1), counts.shape)
+    uniq, first, inverse = np.unique(keys, return_index=True,
+                                     return_inverse=True)
+    sums = np.zeros(uniq.size, dtype=np.int64)
+    np.add.at(sums, inverse.reshape(-1), weights)
+    sizes = sizes[first]
+    if (sums % sizes).any():
+        raise FiberError("a target orbit's points do not share their fiber")
+    return uniq, sums // sizes, sizes
 
 
 def check_census(k: int, p: int) -> None:
@@ -311,7 +392,12 @@ def check_census(k: int, p: int) -> None:
 
 
 class FiberCensus:
-    """Fiber sizes of a polynomial map P^k -> P^m over F_p, all at once."""
+    """Fiber sizes of a polynomial map P^k -> P^m over F_p, all at once.
+
+    `total` is the number of points of P^k(F_p), `indeterminate` the
+    number where every coordinate vanishes, and `orbits` the number of
+    torus orbits the census evaluated one representative of (`total` when
+    the torus is the scalars alone)."""
 
     def __init__(self, polys, p: int):
         polys = list(polys)
@@ -326,16 +412,37 @@ class FiberCensus:
         self.source_dim = k
         self._terms = [_int_terms(poly, p) for poly in polys]
         self.total = _point_count(k, p)
-        # one key per determinate point, block by block, into one array
-        keys = np.empty(self.total, dtype=_key_dtype(len(polys), p))
-        filled = 0
-        for vals, zero in _image_blocks(self._terms, k, p):
-            block = _row_keys(vals, p)[~zero]
-            keys[filled:filled + block.size] = block
-            filled += block.size
-        self.indeterminate = self.total - filled
-        self._uniq, self._counts = np.unique(keys[:filled],
-                                             return_counts=True)
+        torus = self._torus = _torus(self._terms, k, p)
+        if torus is None:
+            # orbits are points: one key per determinate point of the grid,
+            # block by block, into one array
+            self.orbits = self.total
+            keys = np.empty(self.total, dtype=_key_dtype(len(polys), p))
+            filled = 0
+            for vals, zero in _image_blocks(self._terms, k, p):
+                block = _row_keys(vals, p)[~zero]
+                keys[filled:filled + block.size] = block
+                filled += block.size
+            self.indeterminate = self.total - filled
+            tally = _tally(keys[:filled])
+        else:
+            keys, weights, sizes = [], [], []
+            self.orbits = self.indeterminate = 0
+            for vals, weight in torus.orbit_images(k):
+                zero = ~vals.any(axis=1)
+                self.orbits += vals.shape[0]
+                self.indeterminate += weight * int(zero.sum())
+                canon, size = torus.canonical_rows(vals[~zero])
+                block = _row_keys(canon, p)
+                keys.append(block)
+                sizes.append(size)
+                weights.append(np.full(block.size, weight, dtype=np.int64))
+            tally = _tally(np.concatenate(keys), np.concatenate(weights),
+                           np.concatenate(sizes))
+        self._uniq, self._counts, self._sizes = tally
+        if not self.conservation_holds():
+            raise FiberError(f"the orbits of P^{k}(F_{p}) do not add up to "
+                             f"its {self.total} points")
 
     @property
     def source(self) -> np.ndarray:
@@ -346,15 +453,15 @@ class FiberCensus:
     @property
     def images(self) -> np.ndarray:
         """The normalized image of each point of `source`, in its row
-        order, with a zero row where the map is undefined: a second pass
-        over the blocks on each access, not kept."""
+        order, with a zero row where the map is undefined: a pass over the
+        grid blocks on each access, not kept."""
         return np.concatenate([vals for vals, _ in _image_blocks(
             self._terms, self.source_dim, self.p)])
 
     @property
     def indeterminate_mask(self) -> np.ndarray:
-        """Where the map is undefined, in the row order of `source`: a
-        second pass over the blocks on each access, not kept."""
+        """Where the map is undefined, in the row order of `source`: a pass
+        over the grid blocks on each access, not kept."""
         return np.concatenate([zero for _, zero in _image_blocks(
             self._terms, self.source_dim, self.p)])
 
@@ -364,10 +471,11 @@ class FiberCensus:
 
     @property
     def image_size(self) -> int:
-        return int(self._uniq.size)
+        return int(self._sizes.sum())
 
     def conservation_holds(self) -> bool:
-        return int(self._counts.sum()) + self.indeterminate == self.total
+        determinate = int(self._counts @ self._sizes)
+        return determinate + self.indeterminate == self.total
 
     def normalize_target(self, target):
         if len(target) != len(self.polys):
@@ -379,8 +487,12 @@ class FiberCensus:
         return row
 
     def fiber_size(self, target) -> int:
-        row = np.array([self.normalize_target(target)], dtype=np.int64)
-        key = _row_keys(row, self.p)[0]
+        row = self.normalize_target(target)
+        vals = np.array([row], dtype=np.int64)
+        if self._torus is not None:
+            support = tuple(j for j, c in enumerate(row) if c)
+            vals = self._torus.canonical(support, vals)[0]
+        key = _row_keys(vals, self.p)[0]
         i = np.searchsorted(self._uniq, key)
         if i < self._uniq.size and self._uniq[i] == key:
             return int(self._counts[i])
@@ -429,7 +541,8 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
     Returns {"lines": [...], "max_fiber": n, "indeterminate": n,
     "fraction_ones": the exact Fraction of samples with fiber exactly 1,
     "singleton_share": the exact Fraction of all determinate source points
-    alone in their fiber, read off the census and free of the seed}.
+    alone in their fiber, read off the census and free of the seed,
+    "orbits": the census's `FiberCensus.orbits`}.
     Sampled source points landing on the indeterminacy locus are redrawn.
     """
     if samples < 1:
@@ -459,7 +572,8 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
         "max_fiber": census.max_fiber,
         "indeterminate": census.indeterminate,
         "fraction_ones": Fraction(ones, samples),
-        "singleton_share": Fraction(int(np.count_nonzero(census._counts == 1)),
-                                    census.total - census.indeterminate),
-        "census": census,
+        "singleton_share": Fraction(
+            int(census._sizes[census._counts == 1].sum()),
+            census.total - census.indeterminate),
+        "orbits": census.orbits,
     }

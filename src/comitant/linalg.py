@@ -12,6 +12,8 @@ kernel over QQ without QQ elimination: kernels mod several word-size
 primes, combined by CRT, lifted by rational reconstruction and proved by
 the caller.  `poly_det` is the one determinant: division-free (Laplace
 expansion memoized over column subsets), on Poly and scalar entries alike.
+`smith_form` diagonalizes a small integer matrix by unimodular row and
+column operations, for the torus lattices of `comitant.fibers`.
 """
 
 from __future__ import annotations
@@ -179,6 +181,64 @@ def poly_det(rows: list):
         minors = new
     # absent key <=> every expansion term vanished, i.e. a zero determinant
     return minors.get(tuple(range(n)), rows[0][0] * 0)
+
+
+def smith_form(rows: list, ncols: int) -> tuple:
+    """Smith normal form of an integer matrix A, given by its rows:
+    (d, U, V) with U·A·V = diag(d), U and V unimodular, each d_i >= 0 and
+    d_i | d_(i+1), len(d) = min(rows, ncols) (Cohen, A Course in
+    Computational Algebraic Number Theory, 1993, §2.4.4).
+
+    Exact Python ints, pivoting on an entry of least absolute value; meant
+    for the few-by-few matrices of a torus, not for large ones.
+    """
+    a = [[int(c) for c in row] for row in rows]
+    m, n = len(a), ncols
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        for mat in (a, u):
+            mat[i], mat[j] = mat[j], mat[i]
+
+    def sub_row(i, t, q):           # row i -= q row t
+        for mat in (a, u):
+            mat[i] = [x - q * y for x, y in zip(mat[i], mat[t])]
+
+    def swap_cols(i, j):
+        for row in a + v:
+            row[i], row[j] = row[j], row[i]
+
+    def sub_col(j, t, q):           # column j -= q column t
+        for row in a + v:
+            row[j] -= q * row[t]
+
+    for t in range(min(m, n)):
+        while True:
+            rest = [(abs(a[i][j]), i, j) for i in range(t, m)
+                    for j in range(t, n) if a[i][j]]
+            if not rest:
+                break
+            _, i, j = min(rest)
+            swap_rows(t, i)
+            swap_cols(t, j)
+            if a[t][t] < 0:
+                sub_row(t, t, 2)
+            piv = a[t][t]
+            for i in range(t + 1, m):
+                sub_row(i, t, a[i][t] // piv)
+            for j in range(t + 1, n):
+                sub_col(j, t, a[t][j] // piv)
+            # remainders below the pivot make the next pivot smaller
+            if any(a[i][t] for i in range(t + 1, m)) or any(
+                    a[t][j] for j in range(t + 1, n)):
+                continue
+            bad = next((i for i in range(t + 1, m)
+                        if any(a[i][j] % piv for j in range(t + 1, n))), None)
+            if bad is None:
+                break
+            sub_row(t, bad, -1)
+    return [a[i][i] for i in range(min(m, n))], u, v
 
 
 def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:

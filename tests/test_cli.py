@@ -134,6 +134,17 @@ def test_fiber_count_hammond(capsys):
                          "--prime", "11", "--samples", "3", "--seed", "0")
     assert code == 0
     assert out.count("fiber=") >= 3
+    # 10 orbits of full support and one for each of the 14 other strata
+    assert out.strip().splitlines()[-1] == \
+        "max_fiber=10 indeterminate=24 orbits=24"
+
+
+def test_fiber_count_counts_points_as_orbits_without_a_torus(capsys):
+    # the quartic self-map has only the scalar torus: one orbit per point
+    code, out, err = run(capsys, "fiber-count", "--map", "quartic",
+                         "--prime", "11", "--samples", "1", "--seed", "0")
+    assert code == 0
+    assert out.strip().splitlines()[-1].endswith(" orbits=12")
 
 
 # --------------------------------------------------------------- assoc-form

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -16,12 +17,14 @@ from comitant.fibers import (
     _evaluate,
     _int_terms,
     _residue_dtype,
+    _tally,
     check_census,
     fiber_count,
     projective_points,
     sample_report,
 )
 from comitant.maps import RationalMapP1, hammond_image_polys, quartic_self_map
+from comitant.orbits import Torus, _howell, _Logs
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import GF, QQ, Fp
 
@@ -388,7 +391,9 @@ def _assert_matches_counter(census):
     assert census.indeterminate == sizes.pop(None, 0)
     assert census.conservation_holds()
     assert census.image_size == len(sizes)
-    assert sorted(census._counts.tolist()) == sorted(sizes.values())
+    # one fiber size per target orbit, expanded to each point of the orbit
+    expanded = np.repeat(census._counts, census._sizes)
+    assert sorted(expanded.tolist()) == sorted(sizes.values())
     for img, n in sizes.items():
         assert census.fiber_size(img) == n
     assert census.indeterminate_mask.tolist() == [img is None
@@ -459,7 +464,10 @@ def test_census_with_indeterminacy_on_every_stratum():
     (1, 65537, [BLOCK_POINTS, 1, 1])])
 def test_inverse_table_only_for_blocks_of_at_least_p_rows(k, p, built):
     ts = poly_ring(tuple(f"t{i}" for i in range(k + 1)), QQ)
-    polys = [t**3 for t in ts] + [ts[0] * ts[-1]**2 - 2 * ts[-1]**3]
+    # the t0*t1*t_k term leaves only the scalar torus, so the census walks
+    # the grid of points (on P^1 it merges into t0*t1^2)
+    polys = [t**3 for t in ts] + [ts[0] * ts[-1]**2 - 2 * ts[-1]**3
+                                  + ts[0] * ts[1] * ts[-1]]
     sizes = []
     inverse = fibers._fermat_inverse
 
@@ -471,6 +479,7 @@ def test_inverse_table_only_for_blocks_of_at_least_p_rows(k, p, built):
         mp.setattr(fibers, "_fermat_inverse", spy)
         census = FiberCensus(polys, p)
     assert sizes == built
+    assert census.orbits == census.total
     fib = Counter(census.image_of(pt) for pt in census.source.tolist())
     assert census.indeterminate == fib.pop(None, 0)
     assert sorted(census._counts.tolist()) == sorted(fib.values())
@@ -490,19 +499,23 @@ def test_structured_fallback_matches_counter_oracle(data):
 
 
 def test_quintic_image_census():
-    # the census behind claim 09: P^3(F_101), 1,040,604 source points
+    # the census behind claim 09: P^3(F_101), 1,040,604 source points in
+    # 114 orbits of the rank-3 torus diag(a, b, e, f) with af = be
     polys = hammond_image_polys()
+    FiberCensus(polys, 7)   # numpy's lazy imports, outside the trace
     tracemalloc.start()
     try:
         census = FiberCensus(polys, 101)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # blocks of at most 2^16 points and one int64 key per point: ~41 MiB at
-    # the sort and ~16 MiB kept (the fiber keys and counts), where the whole
-    # grid's int32 residues took ~65 MiB and kept ~41 MiB
-    assert peak < 42 * 2**20
-    assert kept < 17 * 2**20
+    # ~0.2 MiB at the peak (the discrete-log candidates of one block) and
+    # ~20 KiB kept, where one int64 key per point took ~41 MiB at the sort
+    # and kept ~16 MiB
+    assert peak < 2**18
+    assert kept < 2**15
+    assert census.orbits == 114
+    assert len(census._torus.basis) == 3
     assert census.total == 1_040_604
     assert census.indeterminate == 204
     assert census.image_size == 1_035_202
@@ -538,3 +551,188 @@ def test_lookups_refuse_what_does_not_reduce(bad):
         census.normalize_target((1, bad))
     with pytest.raises(FiberError, match="cannot reduce"):
         census.image_of((bad, 1))
+
+
+# ------------------------------------------------------------ torus orbits
+
+@pytest.mark.parametrize("p, orbits, indeterminate", [
+    (7, 20, 16), (19, 32, 40), (101, 114, 204)])
+def test_quintic_map_orbit_counts(p, orbits, indeterminate):
+    # p - 1 orbits of full support, one per value of af/(be), and one for
+    # each of the 14 other strata of P^3
+    rep = sample_report(hammond_image_polys(), p, samples=1, seed=0)
+    assert rep["orbits"] == orbits == p - 1 + 14
+    assert rep["indeterminate"] == indeterminate
+    assert rep["max_fiber"] == p - 1
+    assert rep["singleton_share"] == Fraction(p, p + 1)
+
+
+def test_quintic_map_census_matches_counter_oracle():
+    _assert_matches_counter(FiberCensus(hammond_image_polys(), 7))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_logs_invert_exps(p):
+    logs = _Logs(p)
+    # ceil(sqrt(p - 1)) baby and giant steps, nothing of size p
+    assert logs.baby.size == logs.giant.size == math.isqrt(p - 2) + 1
+    u = np.arange(p - 1)
+    y = logs.exp(u)
+    # g generates F_p^*: its powers are every nonzero residue once
+    assert sorted(y.tolist()) == list(range(1, p))
+    assert np.array_equal(logs.log(y), u)
+
+
+def test_logs_at_a_prime_past_the_block():
+    # p - 1 = 65536: 256 steps each way, log in 256 chunks of candidates
+    logs = _Logs(65537)
+    u = np.arange(0, 65536, 7)
+    assert np.array_equal(logs.log(logs.exp(u)), u)
+
+
+def _torus_rank(census):
+    return 1 if census._torus is None else len(census._torus.basis)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+@pytest.mark.parametrize("build, rank", [
+    # monomials on P^1: the whole diagonal torus
+    (lambda t0, t1: [t0**2, 3 * t1**2], 2),
+    # exponent differences 2(1, -1, 0) and a zero coordinate: L is
+    # {l0 = l1}, and t0 = -t1 is a symmetry outside the torus
+    (lambda t0, t1, t2: [t0**2 + t1**2, t2**2, t0 - t0], 2),
+    # binomials with differences (1, -1, 0, 0) and (0, 0, 1, -1)
+    (lambda t0, t1, t2, t3: [t0**2 + t1**2, t2**2 - t3**2, t0 * t2 + t1 * t3,
+                             t0 * t3 + 2 * t1 * t2], 2),
+    # one monomial coordinate of another degree: the scalars alone
+    (lambda t0, t1, t2: [t0 * t1, t2**2, t0**3], 1),
+    # not homogeneous within a coordinate: the scalars alone
+    (lambda t0, t1: [t0**2 + t1, t1**2], 1),
+])
+def test_torus_census_matches_counter_oracle(build, rank, p):
+    names = tuple(f"t{i}" for i in range(build.__code__.co_argcount))
+    census = FiberCensus(build(*poly_ring(names, QQ)), p)
+    assert _torus_rank(census) == rank
+    _assert_matches_counter(census)
+    if rank > 1 and p > 2:
+        assert census.orbits < census.total
+    else:
+        assert census.orbits <= census.total
+
+
+def test_non_homogeneous_point_map_stays_on_the_scalar_path():
+    # on P^0 every lattice is the scalars, but [u : u^2 : 3u] has two
+    # degrees: its target orbits must stay points
+    (u,) = poly_ring(("u",), QQ)
+    census = FiberCensus([u, u**2, 3 * u], 11)
+    assert census._torus is None
+    assert census.orbits == census.total == 1
+    assert census.fiber_size((1, 1, 3)) == 1
+
+
+@st.composite
+def _torus_case(draw):
+    """A random map on P^0..P^3 whose coordinates are zero, monomials or
+    binomials c x^e + c' x^(e + delta), with one shared difference delta
+    (possibly a multiple, e.g. 2(1, -1)): its torus has rank >= k."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    k = draw(st.integers(0, 3))
+    d = draw(st.integers(1, 3))
+    names = tuple(f"t{i}" for i in range(k + 1))
+    monos = [e for e in product(range(d + 1), repeat=k + 1) if sum(e) == d]
+    scale = draw(st.integers(1, 2))
+    delta = [0] * (k + 1)
+    if k:
+        i, j = draw(st.permutations(range(k + 1)))[:2]
+        delta[i], delta[j] = scale, -scale
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["zero", "mono", "bi", "bi"]))
+        e = draw(st.sampled_from(monos))
+        terms = {}
+        if kind != "zero":
+            terms[e] = draw(st.integers(1, p - 1)) if p > 2 else 1
+        f = tuple(a + b for a, b in zip(e, delta))
+        if kind == "bi" and min(f) >= 0 and f != e:
+            terms[f] = draw(st.integers(1, p - 1)) if p > 2 else 1
+        polys.append(Poly(names, {x: Fp(c, p) for x, c in terms.items()},
+                          GF(p)))
+    return polys, p
+
+
+@settings(max_examples=80, deadline=None)
+@given(_torus_case())
+def test_random_torus_census_matches_counter_oracle(case):
+    polys, p = case
+    census = FiberCensus(polys, p)
+    _assert_matches_counter(census)
+    # one degree throughout, and every difference a multiple of delta
+    if census.source_dim >= 2 and any(poly.terms for poly in polys):
+        assert _torus_rank(census) >= census.source_dim
+
+
+def test_tally_refuses_a_fiber_that_does_not_divide():
+    # three source points keyed to a target orbit of two points
+    with pytest.raises(FiberError, match="do not share their fiber"):
+        _tally(np.array([5, 5]), np.array([1, 2]), np.array([2, 2]))
+
+
+def test_census_refuses_orbits_that_miss_points(monkeypatch):
+    # a stratum's orbits dropped: the orbit sizes no longer add up
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    walk = Torus.orbit_images
+    monkeypatch.setattr(Torus, "orbit_images",
+                        lambda self, k: list(walk(self, k))[1:])
+    with pytest.raises(FiberError, match="do not add up to its 12 points"):
+        FiberCensus([t0**2, t1**2], 11)
+
+
+
+def _coset_closure(rows, c, n):
+    """The subgroup of (Z/n)^c spanned by rows, by closure."""
+    group = {(0,) * c}
+    frontier = list(group)
+    while frontier:
+        new = []
+        for h in frontier:
+            for row in rows:
+                x = tuple((a + b) % n for a, b in zip(h, row))
+                if x not in group:
+                    group.add(x)
+                    new.append(x)
+        frontier = new
+    return group
+
+
+def _reduce(v, howell, n):
+    v = list(v)
+    for col, g, row in howell:
+        q = v[col] // g
+        v = [(a - q * b) % n for a, b in zip(v, row)]
+    return tuple(v)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, 4, 6, 8, 12]).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(1, 3).flatmap(lambda c: st.lists(
+        st.lists(st.integers(-7, 7), min_size=c, max_size=c),
+        min_size=1, max_size=3)))))
+def test_howell_reduction_picks_one_vector_per_coset(case):
+    # every coset of H, by brute force, reduces to one vector, distinct
+    # cosets to distinct vectors, and the counts follow the pivots
+    n, rows = case
+    c = len(rows[0])
+    howell = _howell(rows, n)
+    group = _coset_closure([[x % n for x in row] for row in rows], c, n)
+    cosets = {}
+    for v in product(range(n), repeat=c):
+        rep = _reduce(v, howell, n)
+        assert all(rep[col] < g for col, g, _ in howell)
+        cosets.setdefault(rep, set()).add(v)
+    assert len(group) == math.prod(n // g for _, g, _ in howell)
+    assert len(cosets) * len(group) == n**c
+    for rep, members in cosets.items():
+        assert rep in members
+        base = next(iter(members))
+        assert members == {tuple((a + b) % n for a, b in zip(base, h))
+                           for h in group}

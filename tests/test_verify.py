@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from comitant import verify
+from comitant.fibers import sample_report
+from comitant.maps import hammond_image_polys
 from comitant.verify import (
     FAIL,
     NOTED,
@@ -191,6 +193,18 @@ def test_census_gate_passes_a_sample_at_or_below_the_bound(seed, p,
                                primes=(p, 101)).records()
     assert rec["status"] == PASS
     assert f"{sampled} with fiber size 1" in rec["witness"]
+
+
+def test_census_at_the_largest_prime_it_allows():
+    # P^3(F_251): 15,876,504 points, the most MAX_POINTS lets through, in
+    # 264 torus orbits
+    (rec,) = run_verifications(only=["09-quintic-image-fibers"],
+                               primes=(251, 10007)).records()
+    assert rec["status"] == PASS
+    assert rec["witness"].endswith("max_fiber=250 indeterminate=504")
+    rep = sample_report(hammond_image_polys(), 251, samples=1, seed=0)
+    assert rep["singleton_share"] == Fraction(251, 252)
+    assert rep["orbits"] == 264
 
 
 @pytest.mark.parametrize("field, value", [
