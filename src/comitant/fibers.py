@@ -46,8 +46,10 @@ refuse anything else.
 Each normalized image row of m coordinates is keyed by one int64 in mixed
 radix p, sum(v_i * p^(m-1-i)), whenever p^m < 2^63 (every P^1 census, and
 the six-coordinate P^3(F_101) census); the keys sort in lexicographic row
-order, so one int64 sort counts every fiber.  Wider rows fall back to a
-structured view of the row, compared field by field.
+order, so one int64 sort counts every fiber.  Wider rows fall back to the
+row's big-endian int64 bytes as one void key, whose bytewise order is the
+same lexicographic order.  A census builds its key dtype once, and a
+lookup on a census without a torus computes an int64 key in Python.
 
 Residues on the grid are held in the narrowest safe integer width, worked
 out from p and the map alone (`_residue_dtype`): int32 when a product of
@@ -138,6 +140,8 @@ def _int_terms(poly: Poly, p: int):
 def _residue(c, p: int) -> int:
     """One lookup coordinate mod p: an int, a Fraction whose denominator p
     does not divide, or an Fp over p; anything else raises FiberError."""
+    if type(c) is int:
+        return c % p
     if isinstance(c, Fp):
         if c.p == p:
             return c.val
@@ -302,27 +306,37 @@ def _image_blocks(terms, k: int, p: int):
 
 
 def _key_dtype(m: int, p: int) -> np.dtype:
-    """int64 when p^m < 2^63; otherwise a structured row of m int64
-    fields, compared field by field."""
+    """int64 when p^m < 2^63; otherwise 8m raw bytes, compared bytewise
+    (a void dtype without fields: numpy would promote a structured dtype
+    field by field on every sort, join and search)."""
     if p**m >= 2**63:
-        return np.dtype([("", np.int64)] * m)
+        return np.dtype((np.void, 8 * m))
     return np.dtype(np.int64)
 
 
-def _row_keys(rows: np.ndarray, p: int) -> np.ndarray:
+def _row_keys(rows: np.ndarray, p: int, dtype: np.dtype) -> np.ndarray:
     """One sort key per row of residues mod p, in lexicographic row order,
-    of dtype _key_dtype(m, p).
+    of dtype = _key_dtype(m, p), built once by the caller.
 
     The int64 sum(v_i * p^(m-1-i)) when p^m < 2^63; otherwise the row
-    itself as a structured (void) scalar of int64 fields, so the key does
-    not depend on the residue width.
+    itself as m big-endian int64s viewed as one void scalar, whose bytewise
+    order is the lexicographic order of the (nonnegative) residues, so the
+    key does not depend on the residue width.
     """
     m = rows.shape[1]
-    dtype = _key_dtype(m, p)
-    if dtype.names:
-        return np.ascontiguousarray(rows, dtype=np.int64).view(dtype).ravel()
+    if dtype.kind == "V":
+        return np.ascontiguousarray(rows, dtype=">i8").view(dtype).ravel()
     # each product and the sum stay below p^m < 2^63
     return rows @ p ** np.arange(m - 1, -1, -1, dtype=np.int64)
+
+
+def _row_key(row, p: int) -> int:
+    """The int64 key of _row_keys for one row of Python ints, when
+    p^m < 2^63, as a Python int: no one-row array to build."""
+    key = 0
+    for v in row:
+        key = key * p + v
+    return key
 
 
 def _torus(terms, k: int, p: int):
@@ -412,33 +426,34 @@ class FiberCensus:
         self.source_dim = k
         self._terms = [_int_terms(poly, p) for poly in polys]
         self.total = _point_count(k, p)
+        key_dtype = self._key_dtype = _key_dtype(len(polys), p)
         torus = self._torus = _torus(self._terms, k, p)
         if torus is None:
             # orbits are points: one key per determinate point of the grid,
             # block by block, into one array
             self.orbits = self.total
-            keys = np.empty(self.total, dtype=_key_dtype(len(polys), p))
+            keys = np.empty(self.total, dtype=key_dtype)
             filled = 0
             for vals, zero in _image_blocks(self._terms, k, p):
-                block = _row_keys(vals, p)[~zero]
+                block = _row_keys(vals, p, key_dtype)[~zero]
                 keys[filled:filled + block.size] = block
                 filled += block.size
             self.indeterminate = self.total - filled
             tally = _tally(keys[:filled])
         else:
-            keys, weights, sizes = [], [], []
+            # the canonical rows of every stratum are keyed at once
+            rows, weights, sizes = [], [], []
             self.orbits = self.indeterminate = 0
             for vals, weight in torus.orbit_images(k):
                 zero = ~vals.any(axis=1)
                 self.orbits += vals.shape[0]
                 self.indeterminate += weight * int(zero.sum())
                 canon, size = torus.canonical_rows(vals[~zero])
-                block = _row_keys(canon, p)
-                keys.append(block)
+                rows.append(canon)
                 sizes.append(size)
-                weights.append(np.full(block.size, weight, dtype=np.int64))
-            tally = _tally(np.concatenate(keys), np.concatenate(weights),
-                           np.concatenate(sizes))
+                weights.append(np.full(size.size, weight, dtype=np.int64))
+            tally = _tally(_row_keys(np.concatenate(rows), p, key_dtype),
+                           np.concatenate(weights), np.concatenate(sizes))
         self._uniq, self._counts, self._sizes = tally
         if not self.conservation_holds():
             raise FiberError(f"the orbits of P^{k}(F_{p}) do not add up to "
@@ -488,12 +503,15 @@ class FiberCensus:
 
     def fiber_size(self, target) -> int:
         row = self.normalize_target(target)
-        vals = np.array([row], dtype=np.int64)
-        if self._torus is not None:
-            support = tuple(j for j, c in enumerate(row) if c)
-            vals = self._torus.canonical(support, vals)[0]
-        key = _row_keys(vals, self.p)[0]
-        i = np.searchsorted(self._uniq, key)
+        if self._torus is None and self._key_dtype.kind != "V":
+            key = _row_key(row, self.p)
+        else:
+            vals = np.array([row], dtype=np.int64)
+            if self._torus is not None:
+                support = tuple(j for j, c in enumerate(row) if c)
+                vals = self._torus.canonical(support, vals)[0]
+            key = _row_keys(vals, self.p, self._key_dtype)[0]
+        i = self._uniq.searchsorted(key)
         if i < self._uniq.size and self._uniq[i] == key:
             return int(self._counts[i])
         return 0

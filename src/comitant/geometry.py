@@ -14,7 +14,7 @@ from .comitants import Form
 from .linalg import Matrix, poly_det
 from .maps import normalize_point
 from .poly import Poly, poly_ring, unwrap
-from .scalars import QQ, ring_one
+from .scalars import QQ, exact_div, ring_one
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
 
@@ -106,7 +106,7 @@ def harmonic_pairing(b1: PointPair, b2: PointPair):
     """
     A, B, C = b1.coefficients()
     A2, B2, C2 = b2.coefficients()
-    half = ring_one(b1.form.poly.ring) / 2
+    half = exact_div(ring_one(b1.form.poly.ring), 2)
     return A * C2 + A2 * C - B * B2 * half
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .poly import Poly
-from .scalars import QQ, as_scalar
+from .scalars import QQ, as_scalar, exact_div
 
 
 class ParseError(ValueError):
@@ -134,8 +134,8 @@ def parse_poly(text: str, variables, ring=QQ) -> Poly:
             if not saw_factor:
                 raise ParseError("expected a term", line, col)
             break
-        return Poly.monomial(as_scalar(coeff.numerator, ring)
-                             / coeff.denominator if ring != QQ else coeff,
+        return Poly.monomial(exact_div(as_scalar(coeff.numerator, ring),
+                                       coeff.denominator),
                              exps, variables, ring)
 
     # leading sign

@@ -21,7 +21,6 @@ formula is typed in anywhere.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import mul
@@ -30,7 +29,7 @@ import random
 from .comitants import Form, transvectant
 from .linalg import LinearSubstitution, Matrix, modular_nullspace
 from .poly import Poly, constant_ratio, poly_ring, unwrap
-from .scalars import QQ
+from .scalars import QQ, exact_div
 
 _SIZE_LIMIT = 15000
 
@@ -112,7 +111,7 @@ class _FormSpace:
             exp[i] = 1
             for pos, power in enumerate(e):
                 exp[k + pos] = power
-            acc = acc + Poly.monomial(Fraction(w), tuple(exp), vars, QQ)
+            acc = acc + Poly.monomial(w, tuple(exp), vars, QQ)
         return acc
 
     def derivation(self, i, j) -> dict:
@@ -491,7 +490,7 @@ def _check_independent(descs, seed=1729):
     rng = random.Random(seed)
     nvars = len(descs[0].formula.vars)
     for _ in range(10):
-        point = [Fraction(rng.randint(-9, 9)) for _ in range(nvars)]
+        point = [rng.randint(-9, 9) for _ in range(nvars)]
         rows = []
         for d in descs:
             rows.append([d.formula.partial(v).evaluate(point)
@@ -523,7 +522,7 @@ def det_weight(det, ratio):
 def random_substitution(n, rng, unimodular=False) -> LinearSubstitution:
     """Random invertible n x n change of variables with small entries."""
     while True:
-        rows = [[Fraction(rng.randint(-5, 5)) for _ in range(n)]
+        rows = [[rng.randint(-5, 5) for _ in range(n)]
                 for _ in range(n)]
         try:
             g = LinearSubstitution(Matrix(rows, QQ))
@@ -532,5 +531,5 @@ def random_substitution(n, rng, unimodular=False) -> LinearSubstitution:
         if not unimodular or g.det in (1, -1):
             return g
         # rescale one row to force det = 1
-        rows[0] = [c / g.det for c in rows[0]]
+        rows[0] = [exact_div(c, g.det) for c in rows[0]]
         return LinearSubstitution(Matrix(rows, QQ))

@@ -1,12 +1,12 @@
 """Exact dense linear algebra over QQ and GF(p), plus polynomial matrices.
 
 Each entry representation has one Gauss-Jordan kernel.  `_gauss_jordan`
-works on Fraction/Fp entries (both divide exactly, so a pivot is inverted as
-1 / x): it yields the reduced echelon form and the pivot columns behind
-`rref`, `rank`, `nullspace` and `inverse`.  `int_nullspace_mod_p`
-eliminates residues mod a word-size prime in one numpy int64 array, which
-is exact while (p-1)^2 < 2^63.  Both
-make the same pivot choices, and nullspace bases follow the reduced-echelon
+works on QQ/Fp entries (a pivot is inverted by `scalars.exact_div`, so int
+entries divide exactly too): it yields the reduced echelon form and the
+pivot columns behind `rref`, `rank`, `nullspace` and `inverse`.
+`int_nullspace_mod_p` eliminates residues mod a word-size prime in one
+numpy int64 array, which is exact while (p-1)^2 < 2^63.  Both make the
+same pivot choices, and nullspace bases follow the reduced-echelon
 convention, so results are deterministic.  `modular_nullspace` gets a
 kernel over QQ without QQ elimination: kernels mod several word-size
 primes, combined by CRT, lifted by rational reconstruction and proved by
@@ -18,13 +18,14 @@ column operations, for the torus lattices of `comitant.fibers`.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 
 import numpy as np
 
 from .poly import Poly
-from .scalars import (QQ, as_scalar, is_prime, rational_reconstruct,
-                      ring_one, ring_zero)
+from .scalars import (QQ, as_scalar, exact_div, is_prime,
+                      rational_reconstruct, ring_one, ring_zero)
 
 
 class Matrix:
@@ -152,7 +153,8 @@ def poly_det(rows: list):
     Laplace expansion along rows, memoized over column subsets: O(n 2^n)
     multiplies, fine for the n <= 10 sizes used here.  The minors start at
     the integer 1 and zero entries are skipped by truth value, so Poly,
-    Fraction, Fp and int entries all work, mixed too.
+    Fraction, Fp and int entries all work, mixed too.  A rational result
+    is an int when it is integral.
     """
     n = len(rows)
     if n == 0:
@@ -180,7 +182,8 @@ def poly_det(rows: list):
                 new[key] = term if got is None else got + term
         minors = new
     # absent key <=> every expansion term vanished, i.e. a zero determinant
-    return minors.get(tuple(range(n)), rows[0][0] * 0)
+    det = minors.get(tuple(range(n)), rows[0][0] * 0)
+    return as_scalar(det, QQ) if type(det) is Fraction else det
 
 
 def smith_form(rows: list, ncols: int) -> tuple:
@@ -321,7 +324,7 @@ def modular_nullspace(rows: list, ncols: int, certify):
 # -- the elimination kernel ---------------------------------------------
 
 def _gauss_jordan(m: list, ncols: int):
-    """Bring the rows m of Fraction/Fp entries to reduced row echelon form,
+    """Bring the rows m of QQ or Fp entries to reduced row echelon form,
     in place; returns the pivot columns.
     """
     nrows = len(m)
@@ -335,7 +338,7 @@ def _gauss_jordan(m: list, ncols: int):
             continue
         if pr != r:
             m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
+        inv = exact_div(1, m[r][c])
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             f = m[i][c]

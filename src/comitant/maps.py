@@ -17,7 +17,8 @@ from .invariants import (evaluate_invariant, hesse_pencil, invariant_I2,
                          quartic_pencil)
 from .linalg import Matrix
 from .poly import Poly, constant_ratio, divexact, poly_ring, univariate_gcd
-from .scalars import QQ, as_scalar, rational_content, ring_one, ring_zero
+from .scalars import (QQ, as_scalar, exact_div, rational_content, ring_one,
+                      ring_zero)
 
 PENCIL_VARS = ("t0", "t1")
 
@@ -91,7 +92,7 @@ def normalize_point(coords, ring):
     if ring == QQ:
         g = rational_content(coords)
         last = g if last > 0 else -g
-    return tuple(c / last for c in coords)
+    return tuple(exact_div(c, last) for c in coords)
 
 
 def compose(outer: RationalMapP1, inner: RationalMapP1) -> RationalMapP1:

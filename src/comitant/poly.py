@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm as _lcm
 
-from .scalars import (GF, QQ, Fp, RingMismatchError, as_scalar,
+from .scalars import (GF, QQ, Fp, RingMismatchError, as_scalar, exact_div,
                       rational_content, rational_to_fp, ring_one, ring_zero)
 
 
@@ -131,6 +131,9 @@ class Poly:
             c = as_scalar(other, self.ring)
             if not c:
                 return Poly.zero(self.vars, self.ring)
+            if type(c) is Fraction:     # keep integral products as ints
+                return Poly(self.vars, {e: as_scalar(v * c, QQ)
+                                        for e, v in self.terms.items()}, QQ)
             return Poly(self.vars,
                         {e: v * c for e, v in self.terms.items()}, self.ring)
         self._compat(other)
@@ -163,7 +166,7 @@ class Poly:
         c = as_scalar(c, self.ring)
         if not c:
             raise ZeroDivisionError("division of polynomial by zero scalar")
-        return self * (1 / c)
+        return self * exact_div(1, c)
 
     # -- calculus and substitution --------------------------------------
 
@@ -205,8 +208,8 @@ class Poly:
         powers of them, and cached products of shared exponent prefixes
         indexed over their positions alone; the last nonzero factor is
         multiplied straight into the accumulator, at the term's shift.
-        Every surviving monomial becomes one Fraction(num, L) (or Fp) at the
-        end.
+        Every surviving monomial becomes num // L when L divides num, one
+        Fraction(num, L) otherwise (or one Fp) at the end.
         """
         if len(images) != len(self.vars):
             raise ValueError(
@@ -326,7 +329,9 @@ class Poly:
             if p is None:
                 if not c:
                     continue
-                c = Fraction(c, common)
+                if common != 1:
+                    q, r = divmod(c, common)
+                    c = Fraction(c, common) if r else q
             else:
                 c %= p
                 if not c:
@@ -391,8 +396,9 @@ class Poly:
 
     # -- normalization ---------------------------------------------------
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integral and primitive (QQ only)."""
+    def content(self):
+        """Positive rational c with self/c integral and primitive (QQ only;
+        an int when integral)."""
         if self.ring != QQ:
             raise RingMismatchError("content is defined over QQ")
         return rational_content(self.terms.values())
@@ -501,7 +507,7 @@ def constant_ratio(reference: Poly, value: Poly):
     if not reference or reference.terms.keys() != value.terms.keys():
         return None
     e, lead = next(iter(reference.terms.items()))
-    c = value.terms[e] / lead
+    c = exact_div(value.terms[e], lead)
     if any(value.terms[f] != c * r for f, r in reference.terms.items()):
         return None
     return c
@@ -522,7 +528,7 @@ def divexact(p: Poly, d: Poly) -> Poly:
         qe = tuple(a - b for a, b in zip(re, de))
         if any(k < 0 for k in qe):
             raise ValueError("inexact polynomial division")
-        qc = rc / dc
+        qc = exact_div(rc, dc)
         out[qe] = qc
         rem = rem - Poly.monomial(qc, qe, p.vars, p.ring) * d
     return Poly(p.vars, out, p.ring)
@@ -621,7 +627,7 @@ def _euclid(u: list, v: list, ring) -> list:
     u = _trim(list(u))
     v = _trim(list(v))
     while v:
-        inv = 1 / v[-1]
+        inv = exact_div(1, v[-1])
         r = list(u)
         dv = len(v) - 1
         while r and len(r) - 1 >= dv:

@@ -1,16 +1,23 @@
 """Exact scalars: arbitrary-precision rationals and prime-field elements.
 
-Rationals are plain ``fractions.Fraction`` (always reduced, positive
-denominator).  Prime fields get a tiny value type ``Fp`` carrying its modulus;
-mixing moduli, or mixing Fp with Fraction, is a hard error rather than a
-coercion.  Every coefficient ring in the package is identified by a hashable
-tag: ``QQ`` for the rationals, ``GF(p)`` for a prime field.
+A rational is a Python ``int`` when it is integral and a reduced
+``fractions.Fraction`` (positive denominator, int numerator and denominator)
+otherwise.  Mixed int/Fraction arithmetic is exact and ``hash(3) ==
+hash(Fraction(3))``, so the two representations compare, hash and print
+alike; ints just skip the gcd bookkeeping of a Fraction.  Every true
+division goes through `exact_div`, so no float can arise from two ints.
+Prime fields get a tiny value type ``Fp`` carrying its modulus; mixing
+moduli, or mixing Fp with Fraction, is a hard error rather than a coercion.
+Every coefficient ring in the package is identified by a hashable tag:
+``QQ`` for the rationals, ``GF(p)`` for a prime field.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from numbers import Integral
+from operator import index
 
 
 class RingMismatchError(TypeError):
@@ -152,19 +159,36 @@ def is_prime(p: int) -> bool:
 
 
 def ring_zero(ring: tuple):
-    return Fraction(0) if ring == QQ else Fp(0, ring[1])
+    return 0 if ring == QQ else Fp(0, ring[1])
 
 
 def ring_one(ring: tuple):
-    return Fraction(1) if ring == QQ else Fp(1, ring[1])
+    return 1 if ring == QQ else Fp(1, ring[1])
+
+
+def _rational(c):
+    """c as a QQ scalar: a Python int when integral, else a reduced
+    Fraction of Python ints (numpy integers would wrap at 2^63)."""
+    if type(c) is not Fraction:
+        if isinstance(c, Integral):
+            return index(c)
+        c = Fraction(c)
+    num, den = c.numerator, c.denominator
+    if type(num) is not int or type(den) is not int:
+        num, den = index(num), index(den)
+        c = Fraction(num, den)
+    return num if den == 1 else c
 
 
 def as_scalar(c, ring: tuple):
-    """Coerce an int/Fraction/Fp into the given ring; reject cross-ring input."""
+    """Coerce an int/Fraction/Fp into the given ring; reject cross-ring
+    input.  Over QQ an integral value comes back as a Python int."""
     if ring == QQ:
+        if type(c) is int:
+            return c
         if isinstance(c, Fp):
             raise RingMismatchError("prime-field scalar in a rational context")
-        return Fraction(c)
+        return _rational(c)
     p = ring[1]
     if isinstance(c, Fp):
         if c.p != p:
@@ -175,26 +199,49 @@ def as_scalar(c, ring: tuple):
     raise RingMismatchError(f"cannot place {c!r} into F_{p}")
 
 
-def rational_to_fp(c: Fraction, p: int) -> Fp:
+def exact_div(a, b):
+    """a / b without a float: the one true division of the package.
+
+    Two ints give their int quotient when b divides a and a Fraction
+    otherwise; an Fp on either side divides in its field; any other
+    rationals give a Fraction, as an int when integral.  A zero b raises
+    ZeroDivisionError."""
+    if isinstance(a, Fp) or isinstance(b, Fp):
+        return a / b
+    if type(a) is not int or type(b) is not int:
+        a, b = _rational(a), _rational(b)
+        if type(a) is not int or type(b) is not int:
+            q = a / b
+            return q.numerator if q.denominator == 1 else q
+    q, r = divmod(a, b)
+    return Fraction(a, b) if r else q
+
+
+def rational_to_fp(c, p: int) -> Fp:
     """Reduce a rational mod p.  Fails if the denominator vanishes mod p."""
-    c = Fraction(c)
+    if type(c) is int:
+        return Fp(c, p)
+    c = _rational(c)
     if c.denominator % p == 0:
         raise ZeroDivisionError(f"denominator of {c} vanishes mod {p}")
     return Fp(c.numerator * pow(c.denominator, -1, p), p)
 
 
-def rational_content(values) -> Fraction:
+def rational_content(values):
     """The gcd of the numerators over the lcm of the denominators: the
     positive c with every value / c an integer and those integers coprime.
-    1 when there are no values or all of them are zero."""
+    1 when there are no values or all of them are zero.  The two are
+    coprime, so c is an int exactly when the lcm is 1."""
     num, den = 0, 1
     for c in values:
         num = gcd(num, c.numerator)
         den = lcm(den, c.denominator)
-    return Fraction(num, den) if num else Fraction(1)
+    if not num:
+        return 1
+    return num if den == 1 else Fraction(num, den)
 
 
-def rational_reconstruct(a: int, m: int) -> Fraction | None:
+def rational_reconstruct(a: int, m: int):
     """Recover n/d from a mod m with |n|, d <= sqrt(m/2) (Wang's algorithm).
 
     Returns None when no such fraction exists.
@@ -214,4 +261,4 @@ def rational_reconstruct(a: int, m: int) -> Fraction | None:
         num, den = -num, -den
     if gcd(num, den) != 1:
         return None
-    return Fraction(num, den)
+    return num if den == 1 else Fraction(num, den)

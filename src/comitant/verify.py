@@ -107,7 +107,7 @@ def _random_form(rng: random.Random, names, degree: int):
         for combo in combinations_with_replacement(range(n), degree):
             c = rng.randint(-5, 5)
             if c:
-                terms[tuple(combo.count(i) for i in range(n))] = Fraction(c)
+                terms[tuple(combo.count(i) for i in range(n))] = c
         if terms:
             return Poly(tuple(names), terms, QQ)
 

@@ -16,7 +16,10 @@ from comitant.fibers import (
     FiberError,
     _evaluate,
     _int_terms,
+    _key_dtype,
     _residue_dtype,
+    _row_key,
+    _row_keys,
     _tally,
     check_census,
     fiber_count,
@@ -350,6 +353,44 @@ def test_structured_fallback_matches_dict_oracle(data):
     polys = _random_map(data.draw, 1, 7, 1009)
     census = _assert_matches_oracle(polys, 1, 1009)
     assert census._uniq.dtype.kind == "V"
+
+
+# (p, m) with p^m just below 2^63, and the next m, at or past it
+_BELOW = [(2, 62), (7, 22), (3037000493, 2)]
+_AT = [(p, m + 1) for p, m in _BELOW]
+
+
+@pytest.mark.parametrize("p, m", _BELOW + _AT)
+def test_row_key_matches_row_keys_at_the_int64_boundary(p, m):
+    rows = [[p - 1] * m, [0] * (m - 1) + [1], [1] + [0] * (m - 1),
+            [(7 * i + 3) % p for i in range(m)],
+            [(5 * i + 1) % p for i in range(m)]]
+    dtype = _key_dtype(m, p)
+    keys = _row_keys(np.array(rows, dtype=np.int64), p, dtype)
+    if (p, m) in _BELOW:
+        # the Python key of a scalar-path lookup is the census's int64 key
+        assert p**m < 2**63 and keys.dtype == np.int64
+        assert [_row_key(row, p) for row in rows] == keys.tolist()
+        assert max(keys.tolist()) == p**m - 1
+    else:
+        # wider rows: void keys, one per row, in lexicographic row order
+        assert p**m >= 2**63 and dtype.kind == "V"
+        assert [rows[i] for i in np.argsort(keys, kind="stable")] \
+            == sorted(rows)
+
+
+@pytest.mark.parametrize("m", [22, 23])
+def test_scalar_path_lookup_on_both_sides_of_the_int64_boundary(m):
+    # [t0 : t1] -> the m monomials of degree m - 1 in t0^2, t1^2 over F_7,
+    # the first plus t0^(2m - 2), so the torus is the scalars alone:
+    # 7^22 < 2^63 <= 7^23, and squaring makes most fibers 2
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    polys = [t0 ** (2 * j) * t1 ** (2 * (m - 1 - j)) for j in range(m)]
+    polys[0] = polys[0] + t0 ** (2 * (m - 1))
+    census = _assert_matches_oracle(polys, 1, 7)
+    assert census._torus is None
+    assert census._uniq.dtype.kind == ("i" if m == 22 else "V")
+    assert census.max_fiber == 2
 
 
 @st.composite

@@ -386,7 +386,71 @@ def test_evaluate_matches_reference(case):
     f, values = case
     got = f.evaluate(values)
     want = _evaluate_reference(f, values)
-    assert got == want and type(got) is type(want)
+    assert got == want and type(got) is type(as_scalar(want, f.ring))
+
+
+def _mixed_coefficients():
+    """QQ coefficients as they circulate: ints and reduced Fractions."""
+    return st.one_of(st.integers(-6, 6),
+                     st.builds(Fraction, st.integers(-6, 6),
+                               st.integers(1, 4)).map(
+                                   lambda c: as_scalar(c, QQ)))
+
+
+def _mixed_polys(names):
+    exps = st.tuples(*[st.integers(0, 3)] * len(names))
+    return st.dictionaries(exps, _mixed_coefficients(), max_size=4).map(
+        lambda terms: Poly(names, terms, QQ))
+
+
+def _exact(value) -> bool:
+    """An int, or a Fraction of ints: no float, no numpy scalar."""
+    return (type(value) in (int, Fraction) and type(value.numerator) is int
+            and type(value.denominator) is int)
+
+
+def _partial_reference(f, values, i):
+    """The value of d f / d x_i, differentiated term by term."""
+    acc = Fraction(0)
+    for e, c in f.terms.items():
+        if e[i]:
+            t = Fraction(c) * e[i]
+            for j, (v, k) in enumerate(zip(values, e)):
+                t *= Fraction(v) ** (k - (j == i))
+            acc += t
+    return acc
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_polys(SOURCE[:2]), _mixed_polys(SOURCE[:2]),
+       _mixed_polys(SOURCE[:2]),
+       st.lists(_mixed_coefficients(), min_size=2, max_size=2),
+       _mixed_coefficients().filter(bool))
+def test_mixed_int_fraction_coefficients_stay_exact(f, g, h, point, c):
+    # every operation on int/Fraction coefficients gives exact coefficients
+    # and values, equal to the term-by-term Fraction oracle at the point
+    def value(p):
+        return _evaluate_reference(p, point)
+
+    results = [
+        (f + g, value(f) + value(g)),
+        (f * g, value(f) * value(g)),
+        (f.partial(0), _partial_reference(f, point, 0)),
+        (f.substitute([g, h]),
+         _evaluate_reference(f, [value(g), value(h)])),
+        (f.scale_div(c), Fraction(value(f)) / c),
+        (poly_det([[f, g], [h, f]]), value(f) ** 2 - value(g) * value(h)),
+    ]
+    if g:
+        results.append((divexact(f * g, g), value(f)))
+    for p, want in results:
+        assert all(map(_exact, p.terms.values()))
+        got = p.evaluate(point)
+        assert _exact(got) and type(got) is type(as_scalar(got, QQ))
+        assert got == want
+    det = poly_det([[c, point[0]], [point[1], c]])
+    assert type(det) is type(as_scalar(det, QQ))
+    assert det == Fraction(c) ** 2 - Fraction(point[0]) * point[1]
 
 
 def test_evaluate_edge_cases():

@@ -1,11 +1,14 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from comitant.poly import Poly
 from comitant.scalars import (GF, Fp, QQ, RingMismatchError, as_scalar,
-                              is_prime, rational_content, rational_reconstruct,
-                              rational_to_fp, ring_one, ring_zero)
+                              exact_div, is_prime, rational_content,
+                              rational_reconstruct, rational_to_fp, ring_one,
+                              ring_zero)
 
 
 def test_field_arithmetic_mod_seven():
@@ -46,6 +49,12 @@ def test_ring_tags():
 
 def test_as_scalar_conversions():
     assert as_scalar(3, QQ) == Fraction(3)
+    # an integral rational is a Python int, any other a reduced Fraction
+    for value, want in ((3, 3), (Fraction(6, 2), 3), (True, 1),
+                        (np.int64(-4), -4), (Fraction(6, 4), Fraction(3, 2))):
+        got = as_scalar(value, QQ)
+        assert got == want and type(got) is type(want)
+    assert type(ring_zero(QQ)) is int and type(ring_one(QQ)) is int
     assert as_scalar(3, GF(7)) == Fp(3, 7)
     # proper fractions need the explicit reduction, not silent coercion
     assert rational_to_fp(Fraction(1, 2), 7) == Fp(4, 7)
@@ -53,6 +62,49 @@ def test_as_scalar_conversions():
         as_scalar(Fraction(1, 2), GF(7))
     with pytest.raises(RingMismatchError):
         as_scalar(Fp(1, 7), GF(11))
+
+
+def test_numpy_integers_become_python_ints():
+    # an np.int64 kept inside a coefficient would wrap at 2^63
+    big = np.int64(2**62)
+    c = as_scalar(big, QQ)
+    assert type(c) is int and c * 4 == 2**64
+    f = as_scalar(Fraction(big, 3), QQ)      # Fraction keeps np numerators
+    assert type(f.numerator) is int and f * 3 * 4 == 2**64
+    square = Poly.constant(big, ("x",), QQ) ** 2
+    assert square.terms == {(0,): 2**124}
+    assert type(square.terms[(0,)]) is int
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (6, 3, 2),                                   # int / int, integral
+    (-7, 2, Fraction(-7, 2)),                    # int / int, not integral
+    (1, -3, Fraction(-1, 3)),
+    (0, 5, 0),
+    (Fraction(3, 2), 3, Fraction(1, 2)),         # Fraction / int
+    (Fraction(3, 2), Fraction(1, 2), 3),         # integral Fraction quotient
+    (4, Fraction(2, 3), 6),
+    (np.int64(9), np.int64(3), 3),               # numpy ints, exactly
+    (Fp(3, 7), Fp(5, 7), Fp(2, 7)),              # Fp / Fp
+    (Fp(3, 7), 2, Fp(5, 7)),                     # Fp / int
+    (1, Fp(3, 7), Fp(5, 7)),                     # int / Fp
+])
+def test_exact_div(a, b, want):
+    got = exact_div(a, b)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("a, b", [(1, 0), (Fraction(1, 2), 0),
+                                  (2, Fraction(0)), (Fp(1, 7), Fp(0, 7)),
+                                  (Fp(1, 7), 7)])
+def test_exact_div_by_zero(a, b):
+    with pytest.raises(ZeroDivisionError):
+        exact_div(a, b)
+
+
+def test_exact_div_refuses_mixed_rings():
+    with pytest.raises(RingMismatchError):
+        exact_div(Fraction(1, 2), Fp(1, 7))
 
 
 def test_rational_to_fp_denominator_divisible():

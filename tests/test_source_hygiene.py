@@ -8,6 +8,10 @@ package, its tests or its benchmark harness names, and a public
 module-level function that no module of the package reads outside its own
 `def` and that `comitant.__all__` does not list.  All four are what a
 refactor leaves behind when it moves code and forgets the old binding.
+
+A fifth check keeps floats out: integral rationals circulate as Python
+ints, and `/` on two ints is a float, so the package divides only through
+`scalars.exact_div` and no `/` or `/=` may appear anywhere else.
 """
 
 import ast
@@ -96,6 +100,17 @@ def _public_methods(tree):
                     yield cls.name, node
 
 
+def _true_divisions(modules) -> list:
+    """Every `/` and `/=` in the modules outside `scalars.exact_div`."""
+    allowed = {id(node) for fn in modules.get("scalars.py", ast.Module()).body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "exact_div"
+               for node in ast.walk(fn)}
+    return [f"{name}:{node.lineno}" for name, tree in modules.items()
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div) and id(node) not in allowed]
+
+
 def test_package_source_is_found():
     assert "poly.py" in _modules()
 
@@ -152,6 +167,11 @@ def test_no_unread_public_functions():
     assert not unread, f"public functions nobody reads: {unread}"
 
 
+def test_no_division_outside_exact_div():
+    divisions = _true_divisions(_modules())
+    assert not divisions, f"true divisions outside exact_div: {divisions}"
+
+
 def test_the_checks_catch_a_leftover():
     # a module with one unused import and one dead private helper
     tree = ast.parse("from fractions import Fraction\n"
@@ -177,3 +197,9 @@ def test_the_checks_catch_a_leftover():
                "b.py": ast.parse("from .a import imported\n")}
     assert _unread_public_functions(modules, {"exported"}) == [
         "a.py:5 recursive", "a.py:7 imported"]
+    # a / b and x /= 2 are caught, a // b and the / inside exact_div are not
+    modules = {"scalars.py": ast.parse("def exact_div(a, b):\n"
+                                       "    return a / b\n"),
+               "m.py": ast.parse("def f(a, b):\n    x = a / b\n"
+                                 "    x /= 2\n    return x // b\n")}
+    assert sorted(_true_divisions(modules)) == ["m.py:2", "m.py:3"]
