@@ -80,7 +80,7 @@ def _read_pairs(path: str):
     pairs = []
     for ln in lines:
         poly = parse_poly(ln, PAIR_VARS)
-        pairs.append(PointPair(Form(poly, 2)))
+        pairs.append(PointPair.from_form(Form(poly, 2)))
     return pairs
 
 
@@ -170,7 +170,7 @@ def _cmd_geometry(args) -> int:
         pairs = _read_pairs(args.pairs)
         out = (richelot_inverse if args.inverse else richelot_forward)(pairs)
         for p in out:
-            print(p.form.poly)
+            print(p.poly)
         return 0
     # sigma: the six-point self-map, on the standard conic x*z - y^2
     coeffs = _fractions(args.conic, 6)
@@ -178,7 +178,7 @@ def _cmd_geometry(args) -> int:
         raise ValueError("sigma works on the standard conic x*z - y^2; "
                          "pass a conic proportional to 0,-2,0,0,1,0")
     for p in sigma_map(_read_pairs(args.pairs)):
-        print(p.form.poly)
+        print(p.poly)
     return 0
 
 

@@ -3,18 +3,20 @@ derived points of a conic against the coordinate triangle, the bracket
 identity of their coordinate matrix, and the chord/tangent constructions
 (Richelot-style forward and inverse, and the six-point self-map).
 
-Point pairs are binary quadratics; everything stays linear algebra over
-exact scalars or polynomial coefficients, with no root extraction."""
+A point pair is the coefficient triple (A, B, C) of a binary quadratic,
+which on the standard conic is also its chord.  Every frame comes from the
+chord triangle and every determinant from `linalg.poly_det`, so the whole
+module runs unchanged over QQ, GF(p) and polynomial parameter rings, with
+no root extraction and no division but `scalars.exact_div`."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import combinations, permutations
 
-from .comitants import Form
-from .linalg import Matrix, poly_det
+from .linalg import poly_det
 from .maps import normalize_point
 from .poly import Poly, poly_ring, unwrap
-from .scalars import QQ, exact_div, ring_one
+from .scalars import GF, QQ, Fp, as_scalar, exact_div, ring_one
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
 
@@ -35,36 +37,58 @@ def proportional(u, v) -> bool:
 # point pairs as binary quadratics
 
 
-class PointPair:
-    """An unordered pair of points on the line, as a nonzero binary
-    quadratic A*s^2 + B*s*t + C*t^2 (double points allowed, but flagged
-    by is_double_point)."""
+def _ring_of(values, ring=QQ):
+    """The ring of some coefficients: a Poly's ring if any is a Poly,
+    GF(p) if any is an Fp, and `ring` otherwise."""
+    return next((c.ring for c in values if isinstance(c, Poly)),
+                next((GF(c.p) for c in values if isinstance(c, Fp)), ring))
 
-    def __init__(self, form: Form):
-        if form.degree != 2 or len(form.indices) != 2:
-            raise GeometryError("point pair needs a degree-2 binary form")
-        if form.poly.is_zero():
+
+class PointPair:
+    """An unordered pair of points on the line: the nonzero binary
+    quadratic A*s^2 + B*s*t + C*t^2 in the line variables `vars`, kept as
+    its coefficient triple (double points allowed, but flagged by
+    is_double_point).  The coefficients are scalars, or Polys in the
+    parameter variables `params`, beside which a scalar is lifted to a
+    Poly; the ring is read off them by `_ring_of`."""
+
+    def __init__(self, A, B, C, vars=("t0", "t1"), ring=QQ):
+        coeffs = (A, B, C)
+        ring = _ring_of(coeffs, ring)
+        zero = next((c * 0 for c in coeffs if isinstance(c, Poly)), None)
+        if zero is None:
+            coeffs = tuple(as_scalar(c, ring) for c in coeffs)
+        else:
+            coeffs = tuple(zero + c for c in coeffs)
+        if not any(coeffs):
             raise GeometryError("zero form does not cut a point pair")
-        self.form = form
+        self.A, self.B, self.C = coeffs
+        self.vars = tuple(vars)
+        self.params = () if zero is None else zero.vars
+        self.ring = ring
 
     @classmethod
-    def from_coefficients(cls, A, B, C, vars=("t0", "t1"),
-                          ring=QQ) -> "PointPair":
-        """A*s^2 + B*s*t + C*t^2 in the line variables `vars`.  The
-        coefficients are scalars of `ring`, or Polys over one parameter
-        ring, whose variables then come first and whose ring is used."""
-        zero = next((c * 0 for c in (A, B, C) if isinstance(c, Poly)),
-                    Poly.zero((), ring))
-        big = zero.vars + tuple(vars)
-        s, t = poly_ring(big, zero.ring)[-2:]
-        A, B, C = ((zero + c).extend_to(big) for c in (A, B, C))
-        n = len(zero.vars)
-        return cls(Form(s * s * A + s * t * B + t * t * C, 2, (n, n + 1)))
+    def from_form(cls, form) -> "PointPair":
+        """The pair a degree-2 binary `Form` cuts; its other variables
+        become the parameters."""
+        if form.degree != 2 or len(form.indices) != 2:
+            raise GeometryError("point pair needs a degree-2 binary form")
+        A, B, C = map(unwrap, form.coefficients(((2, 0), (1, 1), (0, 2))))
+        return cls(A, B, C, tuple(form.poly.vars[i] for i in form.indices),
+                   form.poly.ring)
+
+    @property
+    def poly(self) -> Poly:
+        """The quadratic, in the parameter variables, then `vars`."""
+        big = self.params + self.vars
+        s, t = poly_ring(big, self.ring)[-2:]
+        A, B, C = (c.extend_to(big) if isinstance(c, Poly) else c
+                   for c in self.coefficients())
+        return s * s * A + s * t * B + t * t * C
 
     def coefficients(self):
         """(A, B, C) — scalars, or polynomials in the parameter variables."""
-        return tuple(map(unwrap, self.form.coefficients(
-            ((2, 0), (1, 1), (0, 2)))))
+        return self.A, self.B, self.C
 
     def is_double_point(self) -> bool:
         A, B, C = self.coefficients()
@@ -85,17 +109,15 @@ class PointPair:
         raise TypeError("unhashable (projective equality)")
 
     def normalized(self) -> "PointPair":
-        """Primitive integral representative (scalar-only pairs)."""
-        raw = self.coefficients()
-        if any(isinstance(v, Poly) for v in raw):
+        """The canonical representative of `maps.normalize_point`
+        (scalar-only pairs; a parametric pair comes back as it is)."""
+        if self.params:
             return self
-        vars = tuple(self.form.poly.vars[i] for i in self.form.indices)
-        A, B, C = normalize_point(raw, self.form.poly.ring)
-        return PointPair.from_coefficients(A, B, C, vars,
-                                           self.form.poly.ring)
+        return PointPair(*normalize_point(self.coefficients(), self.ring),
+                         self.vars, self.ring)
 
     def __repr__(self):
-        return f"PointPair({self.form.poly})"
+        return f"PointPair({self.poly})"
 
 
 def harmonic_pairing(b1: PointPair, b2: PointPair):
@@ -106,7 +128,7 @@ def harmonic_pairing(b1: PointPair, b2: PointPair):
     """
     A, B, C = b1.coefficients()
     A2, B2, C2 = b2.coefficients()
-    half = exact_div(ring_one(b1.form.poly.ring), 2)
+    half = exact_div(ring_one(b1.ring), 2)
     return A * C2 + A2 * C - B * B2 * half
 
 
@@ -152,7 +174,7 @@ class ProjectivePoint:
         raise TypeError("unhashable (projective equality)")
 
     def normalized(self) -> tuple:
-        return normalize_point(self.coords, QQ)
+        return normalize_point(self.coords, _ring_of(self.coords))
 
     def __repr__(self):
         return f"ProjectivePoint{self.coords}"
@@ -170,11 +192,8 @@ class Conic:
         a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
         return [[a, d, e], [d, b, f], [e, f, c]]
 
-    def det(self):
-        return poly_det(self.matrix())
-
     def is_nonsingular(self) -> bool:
-        return bool(self.det())
+        return bool(poly_det(self.matrix()))
 
     def pairing(self, u, v):
         """The conic's symmetric bilinear form at two plane points."""
@@ -186,12 +205,9 @@ class Conic:
 
     def coordinate_restriction(self, i: int) -> PointPair:
         """The binary quadratic cut on the coordinate line x_i = 0."""
-        line_vars = tuple(v for k, v in enumerate(("x", "y", "z")) if k != i)
-        keep = [k for k in range(3) if k != i]
+        j, k = (n for n in range(3) if n != i)
         m = self.matrix()
-        A, B, C = m[keep[0]][keep[0]], m[keep[0]][keep[1]] * 2, \
-            m[keep[1]][keep[1]]
-        return PointPair.from_coefficients(A, B, C, line_vars)
+        return PointPair(m[j][j], m[j][k] * 2, m[k][k], ("xyz"[j], "xyz"[k]))
 
     def __repr__(self):
         return (f"Conic(a={self.a}, b={self.b}, c={self.c}, "
@@ -242,12 +258,11 @@ def q_construction(conic: Conic):
     except GeometryError as exc:
         raise GeometryError(f"degenerate conic for the six-point "
                             f"construction: {exc}") from exc
-    for i in range(6):
-        for j in range(i + 1, 6):
-            if pts[i] == pts[j]:
-                raise GeometryError(
-                    f"six-point construction degenerates: points {i + 1} "
-                    f"and {j + 1} coincide")
+    for i, j in combinations(range(6), 2):
+        if pts[i] == pts[j]:
+            raise GeometryError(
+                f"six-point construction degenerates: points {i + 1} "
+                f"and {j + 1} coincide")
     return pts
 
 
@@ -320,29 +335,27 @@ def conic_through(points) -> bool:
 
 
 def conic_fit(points) -> Conic:
-    """The conic through five points imposing independent conditions."""
+    """The conic through five points imposing independent conditions.
+
+    The signed 5x5 minors of the five Veronese rows span their kernel, and
+    they all vanish exactly when the points are in special position."""
     points = list(points)
     if len(points) != 5:
         raise GeometryError("need exactly five points")
-    m = Matrix([_veronese_row(p) for p in points], QQ)
-    basis = m.nullspace()
-    if len(basis) != 1:
+    rows = [_veronese_row(p) for p in points]
+    v = [poly_det([r[:k] + r[k + 1:] for r in rows]) * (-1) ** k
+         for k in range(6)]
+    if not any(v):
         raise GeometryError("five points in special position")
-    v = basis[0]
-    half = Fraction(1, 2)
-    return Conic(v[0], v[1], v[2], v[3] * half, v[4] * half, v[5] * half)
+    return Conic(v[0] * 2, v[1] * 2, v[2] * 2, v[3], v[4], v[5])
 
 
 # ---------------------------------------------------------------------------
 # chord/tangent constructions on the standard conic
 
 # Points of the standard conic carry the parametrization [s^2, st, t^2]; a
-# pair with coefficients (A, B, C) spans the chord A*x + B*y + C*z = 0
-# (plug the parametrization into the line and you recover the quadratic).
-
-
-def chord(pair: PointPair) -> tuple:
-    return pair.coefficients()
+# pair's coefficients (A, B, C) are its chord A*x + B*y + C*z = 0 (plug the
+# parametrization into the line and you recover the quadratic).
 
 
 def _cross(u, v):
@@ -365,45 +378,39 @@ def line_pole(line) -> tuple:
     return (line[2] * 2, -line[1], line[0] * 2)
 
 
-def tangency_pair(vertex, vars=("t0", "t1"), ring=QQ) -> PointPair:
+def tangency_pair(vertex, vars=("t0", "t1")) -> PointPair:
     """The pair where the tangents from an external point touch the conic:
-    the polar line's restriction, as a parameter quadratic over `ring`."""
+    the polar line's restriction, as a parameter quadratic."""
     if _on_standard_conic(vertex):
         raise GeometryError("vertex lies on the conic; tangency pair "
                             "degenerates to a double point")
-    return PointPair.from_coefficients(*polar_line(vertex), vars, ring)
+    return PointPair(*polar_line(vertex), vars)
 
 
 def pair_vertex(pair: PointPair) -> tuple:
     """Intersection of the tangent lines at the two points of the pair
     (equivalently, the pole of its chord)."""
-    return line_pole(chord(pair))
+    return line_pole(pair.coefficients())
 
 
 def is_tangency_pair(vertex, pair: PointPair) -> bool:
     """Duality check: the pair's chord is exactly the polar of the vertex."""
-    return proportional(polar_line(vertex), chord(pair))
-
-
-def _shared_vars(pairs):
-    """The pairs' line variables and ring, which they must share."""
-    form = pairs[0].form
-    if any((p.form.poly.vars, p.form.indices, p.form.poly.ring)
-           != (form.poly.vars, form.indices, form.poly.ring) for p in pairs):
-        raise GeometryError("pairs must share one parameter ring")
-    return tuple(form.poly.vars[i] for i in form.indices), form.poly.ring
+    return proportional(polar_line(vertex), pair.coefficients())
 
 
 def _chord_triangle(pairs, tangent_input: bool):
-    """The pairs' line variables and ring, and the vertices L_j x L_k of
+    """The pairs' shared line variables, and the vertices L_j x L_k of
     their chords L_i.
     Tangent input (the inverse move) has no double point, and its triangle
     is that of the poles of the L_i, of determinant 4 det(L)."""
     pairs = list(pairs)
     if len(pairs) != 3:
         raise GeometryError("need exactly three pairs")
-    shared = _shared_vars(pairs)
-    lines = [chord(p) for p in pairs]
+    first = pairs[0]
+    if any((p.vars, p.params, p.ring) != (first.vars, first.params,
+                                          first.ring) for p in pairs):
+        raise GeometryError("pairs must share one parameter ring")
+    lines = [p.coefficients() for p in pairs]
     if not tangent_input:
         if not poly_det(lines):
             raise GeometryError("degenerate chord triangle")
@@ -411,14 +418,14 @@ def _chord_triangle(pairs, tangent_input: bool):
         raise GeometryError("double point pair has no tangent vertex")
     elif not poly_det(lines) * 4:
         raise GeometryError("degenerate vertex triangle")
-    return shared, [_cross(lines[1], lines[2]), _cross(lines[2], lines[0]),
-                    _cross(lines[0], lines[1])]
+    return first.vars, [_cross(lines[1], lines[2]),
+                        _cross(lines[2], lines[0]), _cross(lines[0], lines[1])]
 
 
 def richelot_forward(pairs):
     """Pairs -> chords -> triangle vertices -> tangency pairs."""
-    (vars, ring), vertices = _chord_triangle(pairs, tangent_input=False)
-    return tuple(tangency_pair(v, vars, ring).normalized() for v in vertices)
+    vars, vertices = _chord_triangle(pairs, tangent_input=False)
+    return tuple(tangency_pair(v, vars).normalized() for v in vertices)
 
 
 def richelot_inverse(pairs):
@@ -428,9 +435,8 @@ def richelot_inverse(pairs):
     forward move, an involution, but it refuses double-point input and
     returns double-point output, where the forward move does the reverse.
     """
-    (vars, ring), vertices = _chord_triangle(pairs, tangent_input=True)
-    return tuple(PointPair.from_coefficients(*polar_line(v), vars,
-                                             ring).normalized()
+    vars, vertices = _chord_triangle(pairs, tangent_input=True)
+    return tuple(PointPair(*polar_line(v), vars).normalized()
                  for v in vertices)
 
 
@@ -439,7 +445,6 @@ def pair_triples_match(first, second) -> bool:
     first, second = list(first), list(second)
     if len(first) != 3 or len(second) != 3:
         raise GeometryError("need triples of pairs")
-    from itertools import permutations
     return any(all(a == b for a, b in zip(first, perm))
                for perm in permutations(second))
 
@@ -464,19 +469,15 @@ def sigma_map(pairs):
     new nonsingular conic, not the input one), and that new conic is
     reparametrized by projection from the first derived point, yielding
     parameter quadratics again.
+
+    The frame change inverts the matrix L of the chords, whose inverse has
+    the triangle's vertices as columns up to det(L); that factor only
+    rescales the moved conic, whose entries are thus pairings of vertices.
     """
-    pairs = list(pairs)
-    if len(pairs) != 3:
-        raise GeometryError("need exactly three pairs")
-    vars, ring = _shared_vars(pairs)
-    lines = [chord(p) for p in pairs]
-    frame = Matrix([list(L) for L in lines], QQ)
-    if not poly_det(frame.entries):
-        raise GeometryError("degenerate chord triangle")
-    back = frame.inverse()
-    m0 = Matrix(STANDARD_CONIC.matrix(), QQ)
-    m1 = back.transpose() * m0 * back
-    moved = Conic(m1[0, 0], m1[1, 1], m1[2, 2], m1[0, 1], m1[0, 2], m1[1, 2])
+    vars, vertices = _chord_triangle(pairs, tangent_input=False)
+    moved = Conic(*(STANDARD_CONIC.pairing(vertices[i], vertices[j])
+                    for i, j in ((0, 0), (1, 1), (2, 2),
+                                 (0, 1), (0, 2), (1, 2))))
     qs = [p.coords for p in q_construction(moved)]
     fitted = conic_fit([ProjectivePoint(q) for q in qs[:5]])
     if fitted.value_at(qs[5]):
@@ -484,24 +485,14 @@ def sigma_map(pairs):
     if not fitted.is_nonsingular():
         raise GeometryError("derived conic is singular")
     center = qs[0]
-    refs = None
-    for i in range(1, 5):
-        for j in range(i + 1, 6):
-            if poly_det([center, qs[i], qs[j]]):
-                refs = (qs[i], qs[j])
-                break
-        if refs:
-            break
+    refs = next(((qs[i], qs[j]) for i, j in combinations(range(1, 6), 2)
+                 if poly_det([center, qs[i], qs[j]])), None)
     if refs is None:
         raise GeometryError("derived points are collinear with the center")
     params = [_parameter_of(fitted, center, refs[0], refs[1], q) for q in qs]
-    out = []
-    for u, v in ((params[0], params[1]), (params[2], params[3]),
-                 (params[4], params[5])):
-        out.append(PointPair.from_coefficients(
-            u[1] * v[1], -(u[1] * v[0] + u[0] * v[1]), u[0] * v[0],
-            vars, ring).normalized())
-    return tuple(out)
+    return tuple(PointPair(u[1] * v[1], -(u[1] * v[0] + u[0] * v[1]),
+                           u[0] * v[0], vars).normalized()
+                 for u, v in (params[0:2], params[2:4], params[4:6]))
 
 
 def triple_invariants(pairs) -> tuple:
@@ -519,15 +510,8 @@ def triple_invariants(pairs) -> tuple:
     discs = [r[1] * r[1] - r[0] * r[2] * 4 for r in raws]
     if not all(discs):
         raise GeometryError("double point pair has no normalized invariants")
-
-    def pairing(u, v):
-        return (u[0] * v[2] + u[2] * v[0]) * 2 - u[1] * v[1]
-
-    r23 = pairing(raws[1], raws[2])
-    r13 = pairing(raws[0], raws[2])
-    r12 = pairing(raws[0], raws[1])
-    j = poly_det(raws)
-    return (Fraction(r23 * r23, discs[1] * discs[2]),
-            Fraction(r13 * r13, discs[0] * discs[2]),
-            Fraction(r12 * r12, discs[0] * discs[1]),
-            Fraction(j * j, discs[0] * discs[1] * discs[2]))
+    mutual = (exact_div((harmonic_pairing(pairs[j], pairs[k]) * 2) ** 2,
+                        discs[j] * discs[k])
+              for j, k in ((1, 2), (0, 2), (0, 1)))
+    det = poly_det(raws)
+    return (*mutual, exact_div(det * det, discs[0] * discs[1] * discs[2]))

@@ -11,9 +11,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm as _lcm
+from numbers import Integral
 
 from .scalars import (GF, QQ, Fp, RingMismatchError, as_scalar, exact_div,
                       rational_content, rational_to_fp, ring_one, ring_zero)
+
+
+# the operators' scalar operands (int ahead of the slower abstract check);
+# any other non-Poly operand gets NotImplemented, so a float is a TypeError
+_SCALARS = (int, Fraction, Fp, Integral)
 
 
 class Poly:
@@ -104,7 +110,9 @@ class Poly:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, Fp)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             other = Poly.constant(other, self.vars, self.ring)
         self._compat(other)
         terms = dict(self.terms)
@@ -119,15 +127,19 @@ class Poly:
         return Poly(self.vars, {e: -c for e, c in self.terms.items()}, self.ring)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, Fp)):
-            other = Poly.constant(other, self.vars, self.ring)
+        if not isinstance(other, (Poly, *_SCALARS)):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, Fp)):
+        if not isinstance(other, Poly):
+            if not isinstance(other, _SCALARS):
+                return NotImplemented
             c = as_scalar(other, self.ring)
             if not c:
                 return Poly.zero(self.vars, self.ring)

@@ -181,8 +181,9 @@ def _rational(c):
 
 
 def as_scalar(c, ring: tuple):
-    """Coerce an int/Fraction/Fp into the given ring; reject cross-ring
-    input.  Over QQ an integral value comes back as a Python int."""
+    """Coerce an integer/Fraction/Fp into the given ring; reject
+    cross-ring input.  Any `numbers.Integral` (a numpy integer too) is read
+    as a Python int, and over QQ an integral value comes back as one."""
     if ring == QQ:
         if type(c) is int:
             return c
@@ -194,8 +195,8 @@ def as_scalar(c, ring: tuple):
         if c.p != p:
             raise RingMismatchError(f"F_{c.p} scalar in an F_{p} context")
         return c
-    if isinstance(c, int):
-        return Fp(c, p)
+    if isinstance(c, Integral):
+        return Fp(index(c), p)
     raise RingMismatchError(f"cannot place {c!r} into F_{p}")
 
 

@@ -37,10 +37,10 @@ from .associated import (DUAL_BINARY, associated_form,
 from .comitants import DUAL_VARS, Form, hessian, transvectant
 from .fibers import FiberError, check_census, sample_report
 from .geometry import (GeometryError, PointPair, ProjectivePoint, bracket,
-                       chord, coble_identity_check, coble_matrix,
-                       conic_through, is_tangency_pair, pair_triples_match,
-                       pair_vertex, q_construction, richelot_forward,
-                       richelot_inverse, symbolic_conic)
+                       coble_identity_check, coble_matrix, conic_through,
+                       is_tangency_pair, pair_triples_match, pair_vertex,
+                       q_construction, richelot_forward, richelot_inverse,
+                       symbolic_conic)
 from .invariants import (canonical_quartic, det_weight, evaluate_invariant,
                          hesse_pencil, invariant_I2, invariant_I3,
                          invariant_S, invariant_T, quartic_pencil,
@@ -462,7 +462,7 @@ def _random_pair_triple(rng):
             coeffs = [rng.randint(-4, 4) for _ in range(3)]
             if not any(coeffs):
                 continue
-            pairs.append(PointPair.from_coefficients(*coeffs))
+            pairs.append(PointPair(*coeffs))
         if len(pairs) != 3:
             continue
         return pairs
@@ -470,14 +470,13 @@ def _random_pair_triple(rng):
 
 def _c_richelot_roundtrip(ctx):
     rng = ctx.rng()
-    s, t = poly_ring(("s", "t"), QQ)
-    fixture = [PointPair.from_coefficients(0, 1, 0, ("s", "t")),
-               PointPair.from_coefficients(1, 0, -1, ("s", "t")),
-               PointPair.from_coefficients(1, 0, -4, ("s", "t"))]
+    fixture = [PointPair(0, 1, 0, ("s", "t")),
+               PointPair(1, 0, -1, ("s", "t")),
+               PointPair(1, 0, -4, ("s", "t"))]
     fwd = richelot_forward(fixture)
-    expect = [PointPair.from_coefficients(0, 1, 0, ("s", "t")),
-              PointPair.from_coefficients(1, 0, 4, ("s", "t")),
-              PointPair.from_coefficients(1, 0, 1, ("s", "t"))]
+    expect = [PointPair(0, 1, 0, ("s", "t")),
+              PointPair(1, 0, 4, ("s", "t")),
+              PointPair(1, 0, 1, ("s", "t"))]
     if not pair_triples_match(fwd, expect):
         return FAIL, f"fixture image computed as {[str(p) for p in fwd]}"
     done = 0
@@ -513,7 +512,7 @@ def _c_richelot_tangency_duality(ctx):
             out = richelot_forward(pairs)
         except GeometryError:
             continue
-        lines = [chord(p) for p in pairs]
+        lines = [p.coefficients() for p in pairs]
         for i, q in enumerate(out):
             vert = pair_vertex(q)
             for j in range(3):

@@ -189,7 +189,7 @@ def test_criterion_10_associated_forms(registry, criterion):
 
 def test_criterion_11_chord_tangent_triples(registry, criterion):
     with criterion(11, "pair-triple move: inverse round trip and tangency"):
-        P = PointPair.from_coefficients
+        P = PointPair
         ps = [P(0, 1, 0), P(1, 0, -1), P(1, 0, -4)]
         assert pair_triples_match(richelot_inverse(richelot_forward(ps)), ps)
         assert registry["21-richelot-roundtrip"]["status"] == PASS

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from comitant.comitants import Form
 from comitant.geometry import (
@@ -34,9 +35,9 @@ from comitant.geometry import (
     triple_invariants,
 )
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import GF, QQ, Fp
+from comitant.scalars import GF, QQ, Fp, rational_to_fp
 
-P = PointPair.from_coefficients
+P = PointPair
 
 
 def conic_point(s, t):
@@ -58,11 +59,26 @@ def test_point_pair_roundtrip_and_equality():
 def test_point_pair_guards():
     t0, t1 = poly_ring(("t0", "t1"), QQ)
     with pytest.raises(GeometryError, match="degree-2"):
-        PointPair(Form(t0**3, 3))
+        PointPair.from_form(Form(t0**3, 3))
     with pytest.raises(GeometryError, match="zero form"):
-        PointPair(Form(Poly.zero(("t0", "t1"), QQ), 2))
+        PointPair.from_form(Form(Poly.zero(("t0", "t1"), QQ), 2))
     with pytest.raises(TypeError, match="unhashable"):
         hash(P(1, 0, -1))
+
+
+def test_point_pair_reads_its_ring_off_the_coefficients():
+    # an Fp makes the pair one over GF(p), whose ints become Fp too
+    p = P(Fp(1, 7), 0, 10)
+    assert p.ring == GF(7) and p.coefficients() == (Fp(1, 7), 0, Fp(3, 7))
+    assert all(type(c) is Fp for c in p.coefficients())
+    # a Poly makes it parametric, and a scalar beside it is lifted
+    (a,) = poly_ring(("a",), QQ)
+    q = P(a, 2, Fraction(4, 2), ("s", "t"))
+    assert q.params == ("a",) and q.coefficients()[1:] == (2 * a**0,) * 2
+    a, s, t = poly_ring(("a", "s", "t"), QQ)
+    assert q.poly == s * s * a + 2 * s * t + 2 * t * t
+    assert PointPair.from_form(Form(q.poly, 2, (1, 2))) == q
+    assert P(1, 0, -1).params == () and str(P(1, 0, -1).poly) == "t0^2 - t1^2"
 
 
 def test_normalized_representative():
@@ -107,6 +123,7 @@ def test_projective_point_basics():
     assert ProjectivePoint((2, 4, 6)) == ProjectivePoint((1, 2, 3))
     assert ProjectivePoint((1, 0)) != ProjectivePoint((0, 1))
     assert ProjectivePoint((2, -4, 6)).normalized() == (1, -2, 3)
+    assert ProjectivePoint((Fp(2, 7), 0, Fp(4, 7))).normalized() == (4, 0, 1)
     with pytest.raises(GeometryError, match="all-zero"):
         ProjectivePoint((0, 0, 0))
     with pytest.raises(GeometryError, match="line or in the plane"):
@@ -139,6 +156,18 @@ def test_q_construction_table():
     assert list(qs) == [ProjectivePoint(t) for t in table]
     assert qs[0].normalized() == (0, -3, 1)
     assert qs[5].normalized() == (-1, 2, 0)
+
+
+def test_q_construction_over_gf7_reduces_the_table():
+    coeffs = (1, 4, 6, 6, 6, 0)
+    qs = q_construction(Conic(*(Fp(c, 7) for c in coeffs)))
+    a, b, c, d, e, f = coeffs
+    table = [(0, f, -b), (0, -c, f), (-c, 0, e),
+             (e, 0, -a), (d, -a, 0), (-b, d, 0)]
+    assert [q.normalized() for q in qs] == [
+        ProjectivePoint(tuple(Fp(x, 7) for x in t)).normalized()
+        for t in table]
+    assert qs[0].normalized() == (0, 0, 1)
 
 
 def test_q_construction_symbolic_lies_on_a_conic():
@@ -186,6 +215,33 @@ def test_conic_fit_recovers_standard_conic():
     assert (fitted.a, fitted.b, fitted.c, fitted.d, fitted.f) == (
         0, -2 * k, 0, 0, 0)
     assert fitted.value_at((9, 3, 1)) == 0
+
+
+def test_conic_fit_over_gf7_and_a_parameter_ring():
+    # five points of the standard conic over F_7
+    pts = [ProjectivePoint(tuple(Fp(x, 7) for x in conic_point(*st).coords))
+           for st in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1))]
+    fitted = conic_fit(pts)
+    assert proportional(_coefficients(fitted), (0, -2, 0, 0, 1, 0))
+    assert fitted.value_at((Fp(9, 7), Fp(3, 7), 1)) == 0
+    # and over QQ[a], through the moving point [1 : a : a^2]
+    (a,) = poly_ring(("a",), QQ)
+    one, zero = a**0, a * 0
+    pts = [ProjectivePoint((one, zero, zero)), ProjectivePoint((zero, zero, one)),
+           conic_point(one, one), conic_point(one, -one), conic_point(one, a)]
+    fitted = conic_fit(pts)
+    assert proportional(_coefficients(fitted), (0, -2, 0, 0, 1, 0))
+    assert not fitted.value_at(conic_point(one, 3 * a).coords)
+    # at a = 1 the moving point meets [1 : 1 : 1]: four distinct points
+    # leave the conic undetermined, and every minor vanishes
+    at_one = [ProjectivePoint([c.evaluate([1]) for c in p.coords])
+              for p in pts]
+    with pytest.raises(GeometryError, match="special position"):
+        conic_fit(at_one)
+
+
+def _coefficients(conic):
+    return (conic.a, conic.b, conic.c, conic.d, conic.e, conic.f)
 
 
 def test_conic_fit_special_position():
@@ -283,7 +339,7 @@ def test_richelot_over_gf7_is_an_involution():
 
     ps = [F7(0, 1, 0), F7(1, 0, 6), F7(1, 0, 3)]
     fwd = richelot_forward(ps)
-    assert all(p.form.poly.ring == GF(7) for p in fwd)
+    assert all(p.poly.ring == GF(7) for p in fwd)
     assert pair_triples_match(fwd, [F7(0, 1, 0), F7(2, 0, 1), F7(1, 0, 1)])
     assert pair_triples_match(richelot_inverse(fwd), ps)
 
@@ -295,7 +351,7 @@ def test_parametric_richelot_specialises_to_the_scalar_move():
     one, zero = a**0, a * 0
     fwd = richelot_forward([P(zero, one, zero), P(one, zero, -a),
                             P(one, zero, -4 * one)])
-    assert all(p.form.poly.vars == ("a", "t0", "t1") for p in fwd)
+    assert all(p.poly.vars == ("a", "t0", "t1") for p in fwd)
     at = [[c.evaluate([Fraction(-1)]) for c in p.coefficients()]
           for p in fwd]
     scalar = richelot_forward([P(0, 1, 0), P(1, 0, 1), P(1, 0, -4)])
@@ -326,12 +382,38 @@ def test_sigma_produces_pairs():
         (0, -13, 15), (-13, 18, 0), (2, -5, 3)]
 
 
+def test_sigma_over_gf7_is_the_rational_map_reduced():
+    def F7(*coeffs):
+        return P(*(Fp(c, 7) for c in coeffs))
+
+    out = sigma_map([F7(1, 1, 6), F7(2, 6, 6), F7(1, 3, 1)])
+    assert all(p.ring == GF(7) for p in out)
+    assert [p.coefficients() for p in out] == [(0, 1, 1), (2, 1, 0),
+                                               (3, 3, 1)]
+    reduced = [F7(*p.coefficients()).normalized()
+               for p in sigma_map(sigma_probe())]
+    assert [p.coefficients() for p in out] == \
+        [p.coefficients() for p in reduced]
+
+
+def test_parametric_sigma_specialises_to_the_scalar_map():
+    # s^2 + st - a t^2 over QQ[a] beside two pairs of sigma_probe(); at
+    # a = 1 this is sigma_probe() itself
+    (a,) = poly_ring(("a",), QQ)
+    one = a**0
+    out = sigma_map([P(one, one, -a), P(2 * one, -one, -one),
+                     P(one, 3 * one, one)])
+    assert all(p.params == ("a",) for p in out)
+    at = [P(*(c.evaluate([1]) for c in p.coefficients())) for p in out]
+    assert at == list(sigma_map(sigma_probe()))
+
+
 def test_sigma_commutes_with_reparametrization():
     t0, t1 = poly_ring(("t0", "t1"), QQ)
 
     def reparam(p, a, b, c, d):
-        q = p.form.poly.substitute([t0 * a + t1 * b, t0 * c + t1 * d])
-        return PointPair(Form(q, 2, (0, 1)))
+        q = p.poly.substitute([t0 * a + t1 * b, t0 * c + t1 * d])
+        return PointPair.from_form(Form(q, 2, (0, 1)))
 
     base = triple_invariants(sigma_map(sigma_probe()))
     for g in ((1, 2, 1, -1), (0, 1, 1, 0), (3, 1, 5, 2)):
@@ -354,6 +436,31 @@ def test_triple_invariants_are_invariant():
     assert triple_invariants(scaled) == base
     with pytest.raises(GeometryError, match="double point"):
         triple_invariants([P(1, 2, 1), P(1, 0, -1), P(0, 1, 0)])
+
+
+def test_triple_invariants_over_gf7_reduce_the_rational_ones():
+    ps = sigma_probe()
+    f7 = [P(*(Fp(c, 7) for c in p.coefficients())) for p in ps]
+    assert triple_invariants(f7) == tuple(
+        rational_to_fp(v, 7) for v in triple_invariants(ps))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=9, max_size=9),
+       st.sampled_from([7, 11, 13]))
+def test_richelot_over_gfp_is_the_rational_move_reduced(coeffs, p):
+    triples = [coeffs[i:i + 3] for i in (0, 3, 6)]
+    assume(all(any(c % p for c in t) for t in triples))
+    qq = [P(*t) for t in triples]
+    fp = [P(*(Fp(c, p) for c in t)) for t in triples]
+    for move in (richelot_forward, richelot_inverse):
+        try:
+            want, got = move(qq), move(fp)
+        except GeometryError:
+            continue
+        assert [P(*(Fp(c, p) for c in w.coefficients())).normalized(
+            ).coefficients() for w in want] == \
+            [g.coefficients() for g in got]
 
 
 def test_proportional():

@@ -1,6 +1,8 @@
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -45,6 +47,25 @@ def test_scalar_coercion_in_both_orders():
     (t,) = poly_ring(("t",), QQ)
     assert 2 * t == t * 2
     assert 1 - t == -(t - 1)
+
+
+@pytest.mark.parametrize("ring", [QQ, GF(7)])
+def test_numpy_integer_operands_in_both_orders(ring):
+    (t,) = poly_ring(("t",), ring)
+    three, one = np.int64(3), np.int64(1)
+    for got, want in ((t * three, 3 * t), (three * t, 3 * t),
+                      (t + one, t + 1), (one + t, t + 1),
+                      (t - one, t - 1), (one - t, 1 - t)):
+        assert got == want
+        assert all(type(c) is type(ring_zero(ring)) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_float_operands_are_refused_in_both_orders(op):
+    (t,) = poly_ring(("t",), QQ)
+    for left, right in ((t, 0.5), (0.5, t)):
+        with pytest.raises(TypeError, match="unsupported operand"):
+            op(left, right)
 
 
 def test_substitute_and_evaluate():

@@ -55,7 +55,11 @@ def test_as_scalar_conversions():
         got = as_scalar(value, QQ)
         assert got == want and type(got) is type(want)
     assert type(ring_zero(QQ)) is int and type(ring_one(QQ)) is int
-    assert as_scalar(3, GF(7)) == Fp(3, 7)
+    # over GF(p) any integer is read as a Python int and reduced
+    for value, want in ((3, 3), (True, 1), (np.int64(10), 3),
+                        (np.int64(-4), 3), (Fp(5, 7), 5)):
+        got = as_scalar(value, GF(7))
+        assert type(got) is Fp and type(got.val) is int and got == Fp(want, 7)
     # proper fractions need the explicit reduction, not silent coercion
     assert rational_to_fp(Fraction(1, 2), 7) == Fp(4, 7)
     with pytest.raises(RingMismatchError):

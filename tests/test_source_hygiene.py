@@ -12,6 +12,10 @@ refactor leaves behind when it moves code and forgets the old binding.
 A fifth check keeps floats out: integral rationals circulate as Python
 ints, and `/` on two ints is a float, so the package divides only through
 `scalars.exact_div` and no `/` or `/=` may appear anywhere else.
+
+A sixth keeps `geometry.py` field-generic: it names neither `Matrix` (a
+QQ-only matrix) nor `Fraction`, so its constructions run unchanged over
+QQ, GF(p) and parameter rings.
 """
 
 import ast
@@ -111,6 +115,22 @@ def _true_divisions(modules) -> list:
             and isinstance(node.op, ast.Div) and id(node) not in allowed]
 
 
+def _names_used(tree, names) -> list:
+    """Every bare name, attribute or import of the module among `names`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            hits = [node.id]
+        elif isinstance(node, ast.Attribute):
+            hits = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            hits = [a.asname or a.name for a in node.names]
+        else:
+            continue
+        found += [f"{n}:{node.lineno}" for n in hits if n in names]
+    return found
+
+
 def test_package_source_is_found():
     assert "poly.py" in _modules()
 
@@ -172,6 +192,11 @@ def test_no_division_outside_exact_div():
     assert not divisions, f"true divisions outside exact_div: {divisions}"
 
 
+def test_geometry_names_no_matrix_and_no_fraction():
+    used = _names_used(_modules()["geometry.py"], {"Matrix", "Fraction"})
+    assert not used, f"geometry.py names a QQ-only type: {used}"
+
+
 def test_the_checks_catch_a_leftover():
     # a module with one unused import and one dead private helper
     tree = ast.parse("from fractions import Fraction\n"
@@ -203,3 +228,11 @@ def test_the_checks_catch_a_leftover():
                "m.py": ast.parse("def f(a, b):\n    x = a / b\n"
                                  "    x /= 2\n    return x // b\n")}
     assert sorted(_true_divisions(modules)) == ["m.py:2", "m.py:3"]
+    # a planted Fraction(1, 2) and a Matrix import are caught, the same
+    # words in a string are not
+    tree = ast.parse("from .linalg import Matrix\n"
+                     "half = Fraction(1, 2)\n"
+                     "third = fractions.Fraction(1, 3)\n"
+                     "doc = 'no Matrix, no Fraction'\n")
+    assert sorted(_names_used(tree, {"Matrix", "Fraction"})) == [
+        "Fraction:2", "Fraction:3", "Matrix:1"]
