@@ -4,15 +4,26 @@ The finder works on the universal form with one fresh coefficient variable
 per basis monomial.  A linear change of the form's variables induces a
 derivation of the coefficient ring; polynomial invariants are exactly the
 weight-balanced coefficient polynomials killed by the off-diagonal
-derivations.  We restrict to the balanced-weight monomials up front (torus
-invariance is free) and take the joint kernel of the simple raising
-operators modulo word-size primes, eliminated in int64.  Kernels mod
-several primes are combined by CRT and lifted back to QQ by rational
-reconstruction, and each lifted candidate is *proved* by applying every
-operator exactly: its denominators are cleared and the integer operator
-rows must kill its integer coefficients.  Primes are added until the proof
-holds.  Rank mod p is at most the rank over QQ, so a proved basis as large
-as the kernel mod p is complete.  No elimination over QQ is ever run.
+derivations D_ij.  An invariant I of weight w = r d / n also obeys
+I(sigma a) = sign(sigma)^w I(a) for every permutation sigma of the form
+variables: that is I(g f) = det(g)^w I(f) at g = sigma (Sturmfels,
+Algorithms in Invariant Theory, 2008, Sec. 4).  So it lies in the
+chi-isotypic part, chi = sign^w, of the span of the balanced monomials,
+which their signed orbit sums span (an orbit whose stabilizer holds a
+sigma with chi(sigma) = -1 sums to zero).  On that part the conjugates
+sigma D_01 sigma^-1 = D_sigma(0)sigma(1) reach every D_ij, so D_01 alone
+kills exactly the invariants: the finder's matrix is D_01 on the orbit
+sums, about half as wide as the balanced monomials are many.
+
+Its kernel is taken modulo word-size primes, eliminated in int64, combined
+by CRT and lifted back to QQ by rational reconstruction.  Each lift is
+mapped back onto the balanced monomials, brought to the reduced-echelon
+basis in their order, which is unique, and *proved*: every off-diagonal
+derivation is applied to it exactly and must give zero.  Primes are added
+until the proof holds.  The basis is complete: every invariant lies in the
+chi-isotypic part, and rank mod p is at most the rank over QQ, so the
+kernel mod p is at least as large as the invariant space and a proved
+basis that large spans it.  No elimination over QQ is ever run.
 
 Named invariants (I2, I3, S, T) are single-dimensional kernels pinned to a
 specific scalar by evaluating on a pencil with known values; no literature
@@ -22,8 +33,8 @@ formula is typed in anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import combinations, permutations
 from math import comb, lcm
-from operator import mul
 import random
 
 from .comitants import Form, transvectant
@@ -169,22 +180,22 @@ def _apply_derivation(deriv: dict, mono):
             yield tuple(e), k * c
 
 
-def _raising_ops(n):
-    # adjacent transvections; balanced monomials they kill are killed by all
-    return [(i, i + 1) for i in range(n - 1)]
+def _image(deriv: dict, terms: dict) -> dict:
+    """The image under a derivation of the coefficient polynomial with
+    these terms, as monomial -> coefficient; what cancels stays, as 0."""
+    out: dict = {}
+    for e, c in terms.items():
+        for e2, k in _apply_derivation(deriv, e):
+            out[e2] = out.get(e2, 0) + k * c
+    return out
 
 
 def _is_invariant(space: _FormSpace, p: Poly) -> bool:
-    """Whether every off-diagonal derivation kills the coefficient poly p.
-
-    Exact on integers: p's denominators are cleared."""
+    """Whether every off-diagonal derivation kills the coefficient poly p,
+    exactly."""
     n = space.n
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    coeffs = [c.numerator * (den // c.denominator) for c in p.terms.values()]
-    derivs = [space.derivation(i, j)
-              for i in range(n) for j in range(n) if i != j]
-    return not any(sum(map(mul, row, coeffs))
-                   for row in _operator_rows(derivs, list(p.terms)))
+    return not any(any(_image(space.derivation(i, j), p.terms).values())
+                   for i in range(n) for j in range(n) if i != j)
 
 
 def _balanced_monomials(space: _FormSpace, r: int):
@@ -221,32 +232,68 @@ def _balanced_monomials(space: _FormSpace, r: int):
     return out
 
 
-def _operator_rows(derivs, candidates):
-    """Stacked integer rows of the derivations on span(candidates)."""
-    rows: list = []
-    for deriv in derivs:
-        row_of: dict = {}
-        for col, e in enumerate(candidates):
-            for e2, c in _apply_derivation(deriv, e):
-                i = row_of.get(e2)
-                if i is None:
-                    i = row_of[e2] = len(rows)
-                    rows.append([0] * len(candidates))
-                rows[i][col] += c
-    return rows
+def _orbit_columns(space: _FormSpace, candidates, w: int) -> list:
+    """The chi-isotypic orbit sums of the candidates under the permutations
+    of the form variables, chi(sigma) = sign(sigma)^w, each as a dict
+    monomial -> +-1 with +1 at its first candidate.  An orbit whose
+    stabilizer holds a sigma with chi(sigma) = -1 has a zero signed sum
+    and is dropped."""
+    perms = []
+    for perm in permutations(range(space.n)):
+        odd = sum(a > b for a, b in combinations(perm, 2)) % 2
+        moved = [space.index[tuple(m[k] for k in perm)]
+                 for m in space.monomials]
+        perms.append((moved, -1 if odd and w % 2 else 1))
+    seen: set = set()
+    columns = []
+    for e in candidates:
+        if e in seen:
+            continue
+        orbit: dict = {}
+        vanishes = False
+        for moved, chi in perms:        # the identity comes first
+            image = [0] * len(e)
+            for v, k in enumerate(e):
+                image[moved[v]] = k
+            vanishes |= orbit.setdefault(tuple(image), chi) != chi
+        seen.update(orbit)
+        if not vanishes:
+            columns.append(orbit)
+    return columns
 
 
-def _vector_to_poly(vec, candidates, names) -> Poly:
-    return Poly(names, dict(zip(candidates, vec)), QQ).primitive()
+def _reduced_basis(vectors) -> list:
+    """Up to scale, the one basis of span(vectors) with distinct trailing
+    positions, each vector zero at the others': the reduced-echelon
+    nullspace basis in these coordinates (see Matrix.nullspace), ordered
+    by trailing position.  The vectors are independent integer lists, and
+    the elimination is fraction-free."""
+    basis: dict = {}        # trailing position -> vector
+    for v in vectors:
+        for t, b in basis.items():
+            if v[t]:
+                v = [b[t] * x - v[t] * y for x, y in zip(v, b)]
+        t = max(j for j, c in enumerate(v) if c)
+        for s, b in basis.items():
+            if b[t]:
+                basis[s] = [v[t] * x - b[t] * y for x, y in zip(b, v)]
+        basis[t] = v
+    return [basis[t] for t in sorted(basis)]
 
 
 def find_invariants(n: int, d: int, r: int) -> list:
     """Basis of the degree-r invariants of the universal (n,d) form.
 
-    The kernel of the raising operators is taken modulo word-size primes,
-    combined by CRT and lifted by rational reconstruction until every
-    lifted vector is proved invariant against every off-diagonal operator,
-    exactly on integers (`linalg.modular_nullspace`).
+    The columns are the chi-isotypic orbit sums of the balanced monomials
+    under the permutations of the form variables (x <-> y for n = 2, S_3
+    for n = 3), chi = sign^w with w = r d / n; the rows are the image of
+    D_01.  The kernel is taken modulo word-size primes, combined by CRT
+    and lifted by rational reconstruction (`linalg.modular_nullspace`)
+    until every lifted polynomial is proved invariant against every
+    off-diagonal derivation, exactly.  The basis is the reduced-echelon
+    one in the order of the balanced monomials: each polynomial has a
+    trailing monomial of its own that the others lack, and each is
+    primitive with a positive leading coefficient.
     """
     space = _space(n, d)
     if isinstance(r, bool) or not isinstance(r, int) or r < 0:
@@ -257,20 +304,41 @@ def find_invariants(n: int, d: int, r: int) -> list:
         raise InvariantError(
             f"coefficient monomial space too large ({total} > {_SIZE_LIMIT})")
     candidates = _balanced_monomials(space, r)
-    if not candidates:
+    columns = _orbit_columns(space, candidates, r * d // n)
+    if not columns:
         return []
-    derivs = [space.derivation(i, j) for i, j in _raising_ops(n)]
-    ops = _operator_rows(derivs, candidates)
+    # on the chi-isotypic subspace D_01 is conjugate to every D_ij
+    raising = space.derivation(0, 1)
+    row_of: dict = {}
+    ops: list = []
+    for col, orbit in enumerate(columns):
+        for e, c in _image(raising, orbit).items():
+            if c:
+                i = row_of.get(e)
+                if i is None:
+                    i = row_of[e] = len(ops)
+                    ops.append([0] * len(columns))
+                ops[i][col] = c
+    position = {e: i for i, e in enumerate(candidates)}
 
     basis = []      # the polynomials of the last lift certify saw
 
     def certify(lifts):
-        basis[:] = [_vector_to_poly(v, candidates, space.names)
-                    for v in lifts]
+        vectors = []
+        for lift in lifts:
+            den = lcm(*(c.denominator for c in lift))
+            vec = [0] * len(candidates)
+            for orbit, c in zip(columns, lift):
+                c = c.numerator * (den // c.denominator)
+                for e, chi in orbit.items():
+                    vec[position[e]] = chi * c
+            vectors.append(vec)
+        basis[:] = [Poly(space.names, dict(zip(candidates, v)), QQ).primitive()
+                    for v in _reduced_basis(vectors)]
         return all(_is_invariant(space, p) for p in basis)
 
     # modular_nullspace returns the lift of certify's last, accepting call
-    if modular_nullspace(ops, len(candidates), certify) is None:
+    if modular_nullspace(ops, len(columns), certify) is None:
         raise InvariantError(
             "modular kernel passed its Hadamard bound without a proof")
     return [

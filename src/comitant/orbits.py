@@ -226,8 +226,11 @@ class Torus:
         # one bytes string per support: its zero pattern, eight a byte
         bits = np.packbits(vals != 0, axis=1)
         supports = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
-        for support_key in np.unique(supports):
-            rows = np.flatnonzero(supports == support_key)
+        # with an optional output np.unique skips its masked-array check,
+        # which imports numpy.ma
+        keys, group = np.unique(supports, return_inverse=True)
+        for g in range(keys.size):
+            rows = np.flatnonzero(group == g)
             support = tuple(np.flatnonzero(vals[rows[0]]).tolist())
             canon[rows], sizes[rows] = self.canonical(support, vals[rows])
         return canon, sizes

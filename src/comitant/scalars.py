@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from numbers import Integral
+from numbers import Integral, Rational
 from operator import index
 
 
@@ -47,19 +47,26 @@ class Fp:
         self.val = val % p
         self.p = p
 
-    def _check(self, other: "Fp") -> None:
-        if not isinstance(other, Fp):
+    def _residue(self, other):
+        """other as an int to reduce mod p, or None when other is no
+        scalar (a Poly, a float): the operator then returns NotImplemented.
+        Any `numbers.Integral` is read through `operator.index`; a
+        non-integral rational or another modulus is a RingMismatchError."""
+        if isinstance(other, Fp):
+            if other.p != self.p:
+                raise RingMismatchError(
+                    f"cannot combine elements of F_{self.p} and F_{other.p}")
+            return other.val
+        if isinstance(other, Integral):
+            return index(other)
+        if isinstance(other, Rational):
             raise RingMismatchError(
                 f"cannot combine Fp({self.p}) with {type(other).__name__}")
-        if other.p != self.p:
-            raise RingMismatchError(
-                f"cannot combine elements of F_{self.p} and F_{other.p}")
+        return None
 
     def __add__(self, other):
-        if isinstance(other, int):
-            return Fp(self.val + other, self.p)
-        self._check(other)
-        return Fp(self.val + other.val, self.p)
+        v = self._residue(other)
+        return NotImplemented if v is None else Fp(self.val + v, self.p)
 
     __radd__ = __add__
 
@@ -67,19 +74,16 @@ class Fp:
         return Fp(-self.val, self.p)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return Fp(self.val - other, self.p)
-        self._check(other)
-        return Fp(self.val - other.val, self.p)
+        v = self._residue(other)
+        return NotImplemented if v is None else Fp(self.val - v, self.p)
 
     def __rsub__(self, other):
-        return (-self) + other
+        v = self._residue(other)
+        return NotImplemented if v is None else Fp(v - self.val, self.p)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Fp(self.val * other, self.p)
-        self._check(other)
-        return Fp(self.val * other.val, self.p)
+        v = self._residue(other)
+        return NotImplemented if v is None else Fp(self.val * v, self.p)
 
     __rmul__ = __mul__
 
@@ -89,10 +93,8 @@ class Fp:
         return Fp(pow(self.val, -1, self.p), self.p)
 
     def __truediv__(self, other):
-        if isinstance(other, int):
-            other = Fp(other, self.p)
-        self._check(other)
-        return self * other.inverse()
+        v = self._residue(other)
+        return NotImplemented if v is None else self * Fp(v, self.p).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
@@ -105,8 +107,8 @@ class Fp:
     def __eq__(self, other):
         if isinstance(other, Fp):
             return self.p == other.p and self.val == other.val
-        if isinstance(other, int):
-            return self.val == other % self.p
+        if isinstance(other, Integral):
+            return self.val == index(other) % self.p
         return NotImplemented
 
     def __hash__(self):

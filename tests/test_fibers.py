@@ -1,13 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import comitant
 from comitant import fibers
 from comitant.fibers import (
     BLOCK_POINTS,
@@ -777,3 +782,24 @@ def test_howell_reduction_picks_one_vector_per_coset(case):
         base = next(iter(members))
         assert members == {tuple((a + b) % n for a, b in zip(base, h))
                            for h in group}
+
+
+def test_claim_09_leaves_numpy_ma_unimported():
+    # np.unique without an optional output imports numpy.ma on numpy >= 2,
+    # some 15 ms of a cold run; the orbit census groups its supports
+    # through return_inverse instead
+    code = "\n".join((
+        "import sys, numpy",
+        "if 'numpy.ma' in sys.modules:",
+        "    sys.exit(3)",
+        "from comitant.verify import run_verifications",
+        "rep = run_verifications(only=['09-quintic-image-fibers'])",
+        "print(rep.exit_code, 'numpy.ma' in sys.modules)"))
+    src = str(Path(comitant.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=dict(os.environ, PYTHONPATH=path))
+    if run.returncode == 3:
+        pytest.skip("import numpy loads numpy.ma itself (numpy 1.x)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "False"]

@@ -24,7 +24,7 @@ from comitant.invariants import (
     random_substitution,
     substituted_form,
 )
-from comitant.linalg import Matrix
+from comitant.linalg import Matrix, int_nullspace_mod_p
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import GF, QQ, rational_to_fp
 
@@ -92,6 +92,113 @@ def test_no_elimination_over_qq(monkeypatch):
     assert got == [1, 2, 3, 2, 3]
 
 
+def test_kernel_widths_of_the_benchmark_spaces(monkeypatch):
+    # one column per chi-isotypic orbit sum, against 103, 73, 58, 55 and
+    # 86 balanced monomials
+    widths = []
+    kernel = invariants.modular_nullspace
+
+    def record(rows, ncols, certify):
+        widths.append(ncols)
+        return kernel(rows, ncols, certify)
+
+    monkeypatch.setattr(invariants, "modular_nullspace", record)
+    for space in ((3, 3, 6), (2, 5, 8), (2, 6, 6), (2, 4, 10), (2, 4, 12)):
+        find_invariants(*space)
+    assert widths == [28, 44, 39, 38, 57]
+
+
+def _cayley_sylvester(d, r):
+    """N(w) - N(w-1), w = rd/2, where N(w) counts the partitions of w into
+    at most r parts, each at most d: the coefficients of the Gaussian
+    binomial prod_{i=1..r} (1 - q^(d+i)) / (1 - q^i), to degree rd."""
+    if r * d % 2:
+        return 0
+    c = [1] + [0] * (r * d)
+    for i in range(1, r + 1):
+        for s in range(len(c) - 1, d + i - 1, -1):   # times 1 - q^(d+i)
+            c[s] -= c[s - d - i]
+        for s in range(i, len(c)):                   # over 1 - q^i
+            c[s] += c[s - i]
+    w = r * d // 2
+    return c[w] - (c[w - 1] if w else 0)
+
+
+def test_binary_bases_match_cayley_sylvester():
+    # every (2, d, r) with d <= 8 and r <= 42 that the guard admits: all of
+    # them for d >= 3, the first 43 degrees for the line and the conic
+    checked = 0
+    for d in range(1, 9):
+        for r in range(43):
+            if comb(d + r, r) > invariants._SIZE_LIMIT:
+                break
+            assert len(find_invariants(2, d, r)) == _cayley_sylvester(d, r), \
+                (d, r)
+            checked += 1
+    assert checked == 198
+
+
+def test_odd_weight_invariant_is_antisymmetric(monkeypatch):
+    # the degree-18 invariant of the binary quintic has weight 45, so x<->y
+    # negates it: it lives on the sign orbit sums alone
+    monkeypatch.setattr(invariants, "_SIZE_LIMIT", 40000)
+    (inv,) = find_invariants(2, 5, 18)
+    assert len(inv.formula.terms) == 848
+    assert _cayley_sylvester(5, 18) == 1
+    # with chi = 1 the columns are the symmetric orbit sums, which hold no
+    # invariant of odd weight
+    columns = invariants._orbit_columns
+    monkeypatch.setattr(invariants, "_orbit_columns",
+                        lambda space, candidates, w: columns(space,
+                                                             candidates, 0))
+    assert find_invariants(2, 5, 18) == []
+
+
+def _full_width_kernel_dim(n, d, r):
+    """The kernel dimension mod 2^31 - 1 of the simple raising operators
+    on every balanced monomial, with no symmetry used."""
+    space = invariants._space(n, d)
+    candidates = invariants._balanced_monomials(space, r)
+    rows = []
+    for i in range(n - 1):
+        images = [invariants._image(space.derivation(i, i + 1), {e: 1})
+                  for e in candidates]
+        for e in set().union(*images):
+            rows.append([image.get(e, 0) for image in images])
+    return len(int_nullspace_mod_p(rows, len(candidates), 2**31 - 1))
+
+
+def test_ternary_bases_match_the_full_width_kernel():
+    checked = 0
+    for d in range(1, 7):
+        space = invariants._space(3, d)
+        for r in range(13):
+            if comb(len(space.monomials) + r - 1, r) > invariants._SIZE_LIMIT:
+                break
+            if not invariants._balanced_monomials(space, r):
+                continue
+            assert (len(find_invariants(3, d, r))
+                    == _full_width_kernel_dim(3, d, r)), (d, r)
+            checked += 1
+    assert checked == 26
+
+
+@pytest.mark.parametrize("space", [(2, 4, 12), (2, 6, 10), (2, 8, 8),
+                                   (3, 4, 6)])
+def test_bases_are_reduced_echelon_in_candidate_order(space, monkeypatch):
+    # distinct trailing monomials, in candidate order, each absent from
+    # the other polynomials: the one such basis of the kernel
+    monkeypatch.setattr(invariants, "_SIZE_LIMIT", 40000)
+    n, d, r = space
+    candidates = invariants._balanced_monomials(invariants._space(n, d), r)
+    position = {e: i for i, e in enumerate(candidates)}
+    basis = [b.formula for b in find_invariants(*space)]
+    trailing = [max(map(position.get, p.terms)) for p in basis]
+    assert len(basis) > 1 and trailing == sorted(set(trailing))
+    for p, t in zip(basis, trailing):
+        assert all(candidates[t] not in q.terms for q in basis if q is not p)
+
+
 def test_refused_proof_stops_at_the_hadamard_bound(monkeypatch):
     monkeypatch.setattr(invariants, "_is_invariant", lambda space, p: False)
     with pytest.raises(InvariantError, match="Hadamard bound"):
@@ -106,7 +213,7 @@ def test_is_invariant_on_binary_quartics():
     # balanced, so the torus fixes them, but the raising operators do not
     assert not invariants._is_invariant(space, a0 * a4 - 4 * a1 * a3)
     assert not invariants._is_invariant(space, a2**2)
-    # denominators are cleared before the integer check
+    # a rational multiple is checked exactly too
     assert invariants._is_invariant(space, i2.scale_div(3))
     assert invariants._is_invariant(space, Poly.zero(space.names, QQ))
 

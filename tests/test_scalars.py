@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add, mul, sub, truediv
 
 import numpy as np
 import pytest
@@ -39,6 +40,40 @@ def test_zero_has_no_inverse():
 def test_cross_modulus_rejected():
     with pytest.raises(RingMismatchError):
         Fp(1, 7) + Fp(1, 11)
+
+
+@pytest.mark.parametrize("op, want", [(add, 0), (sub, 6), (mul, 5)])
+@pytest.mark.parametrize("k", [4, np.int64(4), np.int8(4), Fp(4, 7)])
+def test_fp_operators_take_any_integer_in_both_orders(op, want, k):
+    a = Fp(3, 7)
+    for got, expect in ((op(a, k), want), (op(k, a), op(4, 3))):
+        assert type(got) is Fp and type(got.val) is int
+        assert got == Fp(expect, 7)
+    assert a == np.int64(10) and a != np.int64(4)
+
+
+@pytest.mark.parametrize("op", [add, sub, mul])
+def test_fp_operators_defer_to_a_poly(op):
+    # Fp op Poly used to raise RingMismatchError; now the Poly answers
+    y = Poly.variable("y", ("y",), GF(7))
+    three = Poly.constant(3, ("y",), GF(7))
+    assert op(Fp(3, 7), y) == op(three, y)
+    assert op(y, Fp(3, 7)) == op(y, three)
+
+
+@pytest.mark.parametrize("op", [add, sub, mul, truediv])
+def test_fp_operators_refuse_other_scalars(op):
+    a = Fp(3, 7)
+    for other in (Fraction(1, 2), Fp(1, 11)):
+        for left, right in ((a, other), (other, a)):
+            with pytest.raises(RingMismatchError):
+                op(left, right)
+    # a float is no scalar of the package: a plain TypeError, not a ring
+    # mismatch
+    for left, right in ((a, 0.5), (0.5, a)):
+        with pytest.raises(TypeError) as err:
+            op(left, right)
+        assert err.type is TypeError
 
 
 def test_ring_tags():
