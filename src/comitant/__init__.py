@@ -20,7 +20,7 @@ from .invariants import (InvariantDescriptor, InvariantError,
                          evaluate_invariant, find_invariants, invariant_I2,
                          invariant_I3, invariant_S, invariant_T,
                          named_invariant, quintic_invariants)
-from .linalg import LinearSubstitution, Matrix, poly_det
+from .linalg import LinearSubstitution, poly_det
 from .maps import (MapError, RationalMapP1, compose, descend_map,
                    hesse_cover, hesse_self_map, quartic_cover,
                    quartic_self_map)
@@ -36,7 +36,7 @@ __all__ = [
     "AssociatedFormError", "AssociatedFormResult", "Conic", "FiberCensus",
     "FiberError", "Form", "FormError", "Fp", "GF", "GeometryError",
     "InvariantDescriptor", "InvariantError", "LinearSubstitution",
-    "MapError", "Matrix", "ParseError", "PointPair", "Poly",
+    "MapError", "ParseError", "PointPair", "Poly",
     "ProjectivePoint", "QQ", "QuarticError", "RationalMapP1",
     "VerificationReport", "associated_form", "associated_selfmap_degree",
     "associated_slice_map", "clebsch_covariant", "clebsch_pencil",

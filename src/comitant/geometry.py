@@ -11,11 +11,12 @@ no root extraction and no division but `scalars.exact_div`."""
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import combinations, permutations
 
 from .linalg import poly_det
 from .maps import normalize_point
-from .poly import Poly, poly_ring, unwrap
+from .poly import Poly, divexact, poly_ring, univariate_gcd, unwrap
 from .scalars import GF, QQ, Fp, as_scalar, exact_div, ring_one
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
@@ -109,12 +110,17 @@ class PointPair:
         raise TypeError("unhashable (projective equality)")
 
     def normalized(self) -> "PointPair":
-        """The canonical representative of `maps.normalize_point`
-        (scalar-only pairs; a parametric pair comes back as it is)."""
-        if self.params:
-            return self
-        return PointPair(*normalize_point(self.coefficients(), self.ring),
-                         self.vars, self.ring)
+        """A scalar pair: the canonical representative of
+        `maps.normalize_point`.  A pair in one parameter: the triple over
+        the `univariate_gcd` of its coefficients, which it then lacks.  A
+        pair in two or more parameters comes back as it is."""
+        coeffs = self.coefficients()
+        if not self.params:
+            coeffs = normalize_point(coeffs, self.ring)
+        elif len(self.params) == 1:
+            g = reduce(univariate_gcd, [c for c in coeffs if c])
+            coeffs = [divexact(c, g) for c in coeffs]
+        return PointPair(*coeffs, self.vars, self.ring)
 
     def __repr__(self):
         return f"PointPair({self.poly})"

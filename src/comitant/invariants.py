@@ -38,7 +38,7 @@ from math import comb, lcm
 import random
 
 from .comitants import Form, transvectant
-from .linalg import LinearSubstitution, Matrix, modular_nullspace
+from .linalg import LinearSubstitution, modular_nullspace, nullspace
 from .poly import Poly, constant_ratio, poly_ring, unwrap
 from .scalars import QQ, exact_div
 
@@ -265,9 +265,10 @@ def _orbit_columns(space: _FormSpace, candidates, w: int) -> list:
 def _reduced_basis(vectors) -> list:
     """Up to scale, the one basis of span(vectors) with distinct trailing
     positions, each vector zero at the others': the reduced-echelon
-    nullspace basis in these coordinates (see Matrix.nullspace), ordered
-    by trailing position.  The vectors are independent integer lists, and
-    the elimination is fraction-free."""
+    nullspace basis in these coordinates (the convention of
+    `linalg.int_nullspace_mod_p`), ordered by trailing position.  The
+    vectors are independent integer lists, and the elimination is
+    fraction-free."""
     basis: dict = {}        # trailing position -> vector
     for v in vectors:
         for t, b in basis.items():
@@ -563,7 +564,8 @@ def _check_independent(descs, seed=1729):
         for d in descs:
             rows.append([d.formula.partial(v).evaluate(point)
                          for v in range(nvars)])
-        if Matrix(rows, QQ).rank() == len(descs):
+        # no kernel on the gradients as columns: rank len(descs)
+        if not nullspace(list(zip(*rows)), len(descs)):
             return
     raise InvariantError("invariants look algebraically dependent")
 
@@ -593,11 +595,11 @@ def random_substitution(n, rng, unimodular=False) -> LinearSubstitution:
         rows = [[rng.randint(-5, 5) for _ in range(n)]
                 for _ in range(n)]
         try:
-            g = LinearSubstitution(Matrix(rows, QQ))
+            g = LinearSubstitution(rows)
         except ValueError:  # a singular draw
             continue
         if not unimodular or g.det in (1, -1):
             return g
         # rescale one row to force det = 1
         rows[0] = [exact_div(c, g.det) for c in rows[0]]
-        return LinearSubstitution(Matrix(rows, QQ))
+        return LinearSubstitution(rows)

@@ -1,17 +1,16 @@
 """Exact dense linear algebra over QQ and GF(p), plus polynomial matrices.
 
-Each entry representation has one Gauss-Jordan kernel.  `_gauss_jordan`
-works on QQ/Fp entries (a pivot is inverted by `scalars.exact_div`, so int
-entries divide exactly too): it yields the reduced echelon form and the
-pivot columns behind `rref`, `rank`, `nullspace` and `inverse`.
-`int_nullspace_mod_p` eliminates residues mod a word-size prime in one
-numpy int64 array, which is exact while (p-1)^2 < 2^63.  Both make the
-same pivot choices, and nullspace bases follow the reduced-echelon
-convention, so results are deterministic.  `modular_nullspace` gets a
-kernel over QQ without QQ elimination: kernels mod several word-size
-primes, combined by CRT, lifted by rational reconstruction and proved by
-the caller.  `poly_det` is the one determinant: division-free (Laplace
-expansion memoized over column subsets), on Poly and scalar entries alike.
+There is one elimination kernel, `int_nullspace_mod_p`: the residues of
+an integer matrix mod a prime in one numpy array, int64 while
+(p-1)^2 < 2^63 and Python ints past that, read off in the
+reduced-echelon convention, so results are deterministic.
+`modular_nullspace` gets a kernel over QQ without QQ elimination:
+kernels mod several word-size primes, combined by CRT, lifted by
+rational reconstruction and proved by the caller.  `nullspace` is the
+kernel of a matrix of scalars over QQ or GF(p), through one of the two;
+over QQ its proof is A v = 0, exactly.  `poly_det` is the one
+determinant: division-free (Laplace expansion memoized over column
+subsets), on Poly and scalar entries alike.
 `smith_form` diagonalizes a small integer matrix by unimodular row and
 column operations, for the torus lattices of `comitant.fibers`.
 """
@@ -19,108 +18,30 @@ column operations, for the torus lattices of `comitant.fibers`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import numpy as np
 
 from .poly import Poly
-from .scalars import (QQ, as_scalar, exact_div, is_prime,
-                      rational_reconstruct, ring_one, ring_zero)
-
-
-class Matrix:
-    """Rectangular matrix over one exact scalar ring."""
-
-    def __init__(self, entries, ring=QQ):
-        self.entries = [[as_scalar(c, ring) for c in row] for row in entries]
-        self.ring = ring
-        self.rows = len(self.entries)
-        self.cols = len(self.entries[0]) if self.rows else 0
-        for row in self.entries:
-            if len(row) != self.cols:
-                raise ValueError("ragged matrix")
-
-    @classmethod
-    def identity(cls, n, ring=QQ):
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)],
-                   ring)
-
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
-    def transpose(self) -> "Matrix":
-        return Matrix([[self.entries[i][j] for i in range(self.rows)]
-                       for j in range(self.cols)], self.ring)
-
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            if self.cols != other.rows:
-                raise ValueError("dimension mismatch in matrix product")
-            return Matrix(
-                [[sum((self.entries[i][k] * other.entries[k][j]
-                       for k in range(self.cols)), ring_zero(self.ring))
-                  for j in range(other.cols)] for i in range(self.rows)],
-                self.ring)
-        # matrix * vector
-        if self.cols != len(other):
-            raise ValueError("dimension mismatch in matrix-vector product")
-        return [sum((self.entries[i][k] * as_scalar(other[k], self.ring)
-                     for k in range(self.cols)), ring_zero(self.ring))
-                for i in range(self.rows)]
-
-    def rref(self):
-        """Reduced row echelon form; returns (new Matrix, pivot columns)."""
-        out = Matrix.__new__(Matrix)
-        out.entries = [row[:] for row in self.entries]
-        out.ring = self.ring
-        out.rows = self.rows
-        out.cols = self.cols
-        return out, _gauss_jordan(out.entries, self.cols)
-
-    def rank(self) -> int:
-        return len(self.rref()[1])
-
-    def nullspace(self) -> list:
-        """Basis of the right kernel, reduced-echelon convention.
-
-        One basis vector per free column, with a 1 in the free position and
-        the pivot entries filled from the echelon form; order follows the
-        free columns left to right.
-        """
-        red, pivots = self.rref()
-        return _kernel_basis(red.entries, pivots, self.cols,
-                             ring_zero(self.ring), ring_one(self.ring))
-
-    def inverse(self) -> "Matrix":
-        if self.rows != self.cols:
-            raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        aug = Matrix([self.entries[i] + Matrix.identity(n, self.ring).entries[i]
-                      for i in range(n)], self.ring)
-        red, pivots = aug.rref()
-        if pivots != list(range(n)):
-            raise ValueError("matrix is singular")
-        return Matrix([red.entries[i][n:] for i in range(n)], self.ring)
-
-    def __repr__(self):
-        return f"Matrix({self.entries!r})"
+from .scalars import (QQ, Fp, as_scalar, is_prime, rational_reconstruct,
+                      ring_one)
 
 
 class LinearSubstitution:
     """An invertible linear change of variables x -> M x."""
 
     def __init__(self, matrix, ring=QQ):
-        self.matrix = Matrix(matrix, ring) if not isinstance(matrix, Matrix) \
-            else matrix
-        if self.matrix.rows != self.matrix.cols:
+        self.matrix = [[as_scalar(c, ring) for c in row] for row in matrix]
+        self.ring = ring
+        if any(len(row) != len(self.matrix) for row in self.matrix):
             raise ValueError("substitution matrix must be square")
-        self.det = poly_det(self.matrix.entries)
+        self.det = poly_det(self.matrix)
         if not self.det:
             raise ValueError("substitution matrix is singular")
 
     @property
     def n(self):
-        return self.matrix.rows
+        return len(self.matrix)
 
     def apply(self, p: Poly, indices=None) -> Poly:
         """Substitute variables (a subset, by position) by rows of M x.
@@ -138,7 +59,7 @@ class LinearSubstitution:
         unit = [tuple(int(k == j) for k in range(nv)) for j in range(nv)]
         images = [Poly(p.vars, {unit[i]: ring_one(p.ring)}, p.ring)
                   for i in range(nv)]
-        for row, i in zip(self.matrix.entries, indices):
+        for row, i in zip(self.matrix, indices):
             images[i] = Poly(p.vars, {unit[j]: as_scalar(c, p.ring)
                                       for c, j in zip(row, indices) if c},
                              p.ring)
@@ -245,20 +166,20 @@ def smith_form(rows: list, ncols: int) -> tuple:
 
 
 def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
-    """Nullspace basis of an integer matrix mod p, eliminated in int64.
+    """Nullspace basis of an integer matrix mod a prime p, as Python ints.
 
-    Same reduced-echelon convention as Matrix.nullspace (one basis vector
-    per free column, pivot entries filled in, free entry = 1), so the two
-    paths are interchangeable; entries come back as Python ints.  rows may
-    be empty; entries need not be reduced mod p on input and may exceed
-    int64.  Products of residues stay below 2^63, so 2 <= p and
-    (p-1)^2 < 2^63 are required.
+    The reduced-echelon convention: one basis vector per free column, left
+    to right, with a 1 in the free position and the pivot entries filled
+    from the echelon form.  rows may be empty; entries need not be reduced
+    mod p on input and may exceed int64.  The residues are eliminated in
+    one numpy array, int64 while (p-1)^2 < 2^63 so that no product wraps,
+    and of Python ints past that.
     """
-    if p < 2 or (p - 1) ** 2 >= 2**63:
-        raise ValueError(f"modulus {p} is out of range: int64 elimination "
-                         "needs p >= 2 and (p-1)^2 < 2^63")
+    if p < 2:
+        raise ValueError(f"modulus {p} is out of range: need p >= 2")
+    dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
     m = np.array([[c % p for c in row] for row in rows],
-                 dtype=np.int64).reshape(len(rows), ncols)
+                 dtype=dtype).reshape(len(rows), ncols)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
@@ -277,7 +198,15 @@ def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
         m[hit, c:] = (m[hit, c:] - m[hit, c][:, None] * m[r, c:]) % p
         pivots.append(c)
     # Python ints: callers combine residues by CRT past 2^63
-    return _kernel_basis(m[:len(pivots)].tolist(), pivots, ncols, p=p)
+    echelon = m[:len(pivots)].tolist()
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        v = [0] * ncols
+        v[fc] = 1
+        for row, pc in zip(echelon, pivots):
+            v[pc] = -row[fc] % p
+        basis.append(v)
+    return basis
 
 
 def modular_nullspace(rows: list, ncols: int, certify):
@@ -288,8 +217,8 @@ def modular_nullspace(rows: list, ncols: int, certify):
     by CRT and lifted by rational reconstruction; the first lift that
     certify(basis) proves exactly is returned.  Rank mod p is at most the
     rank over QQ, so that basis spans the QQ kernel.  It is in the
-    reduced-echelon convention of Matrix.nullspace when a kept prime is
-    lucky; a prime that keeps the rank but moves the pivots can, rarely,
+    reduced-echelon convention of `int_nullspace_mod_p` when a kept prime
+    is lucky; a prime that keeps the rank but moves the pivots can, rarely,
     give a proved basis on other free columns.  Returns None once the
     product of the kept primes passes 2 H^2, H the Hadamard bound of rows:
     by then every kept prime is lucky and every lift exact, so that only
@@ -321,45 +250,34 @@ def modular_nullspace(rows: list, ncols: int, certify):
     return None
 
 
-# -- the elimination kernel ---------------------------------------------
+def nullspace(rows: list, ncols: int, ring=QQ) -> list:
+    """Basis of the right kernel of a matrix over QQ or GF(p), given by its
+    rows of scalars; rows may be empty.
 
-def _gauss_jordan(m: list, ncols: int):
-    """Bring the rows m of QQ or Fp entries to reduced row echelon form,
-    in place; returns the pivot columns.
+    Over GF(p) the residues go to `int_nullspace_mod_p` and come back as
+    Fp.  Over QQ each row is scaled to integers by the lcm of its
+    denominators and the kernel comes from `modular_nullspace`, certified
+    by A v = 0 exactly; its entries are QQ scalars.  Either way the basis
+    is in the reduced-echelon convention, over QQ whenever a kept prime is
+    lucky.
     """
-    nrows = len(m)
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        inv = exact_div(1, m[r][c])
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            f = m[i][c]
-            if i == r or not f:
-                continue
-            m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    return pivots
+    if ring != QQ:
+        p = ring[1]
+        residues = [[as_scalar(c, ring).val for c in row] for row in rows]
+        return [[Fp(c, p) for c in v]
+                for v in int_nullspace_mod_p(residues, ncols, p)]
+    ints = []
+    for row in rows:
+        row = [as_scalar(c, QQ) for c in row]
+        den = lcm(*(c.denominator for c in row))
+        ints.append([c.numerator * (den // c.denominator) for c in row])
 
+    def certify(basis):
+        return not any(sum(a * x for a, x in zip(row, v))
+                       for v in basis for row in ints)
 
-def _kernel_basis(m: list, pivots: list, ncols: int, zero=0, one=1, p=None):
-    """Kernel basis read off a reduced echelon form (see Matrix.nullspace);
-    entries are negated mod p when p is given."""
-    pivset = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivset:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc] if p is None else -m[r][fc] % p
-        basis.append(v)
+    basis = modular_nullspace(ints, ncols, certify)
+    if basis is None:
+        raise ArithmeticError("modular kernel passed its Hadamard bound "
+                              "without a certificate")
     return basis

@@ -15,7 +15,7 @@ from .comitants import Form, hessian, jacobian, transvectant
 from .invariants import (evaluate_invariant, hesse_pencil, invariant_I2,
                          invariant_I3, invariant_S, invariant_T,
                          quartic_pencil)
-from .linalg import Matrix
+from .linalg import nullspace
 from .poly import Poly, constant_ratio, divexact, poly_ring, univariate_gcd
 from .scalars import (QQ, as_scalar, exact_div, rational_content, ring_one,
                       ring_zero)
@@ -198,7 +198,7 @@ def descend_map(cover: RationalMapP1, composite: RationalMapP1,
                 i = row_of[e] = len(rows)
                 rows.append([ring_zero(ring)] * len(cols))
             rows[i][j] = c
-    kernel = Matrix(rows, ring).nullspace() if rows else []
+    kernel = nullspace(rows, len(cols), ring)
     if not kernel:
         raise MapError("composite does not factor through the cover")
     if len(kernel) > 1:

@@ -23,8 +23,9 @@ from .comitants import DUAL_VARS, Form, FormError, polar, restrict_to_line
 from .invariants import (_check_characteristic, coefficient_values,
                          evaluate_invariant, generic_form, invariant_I2,
                          invariant_S, invariant_S_quartic)
-from .linalg import LinearSubstitution
+from .linalg import LinearSubstitution, poly_det
 from .poly import Poly, divexact
+from .scalars import exact_div
 
 
 class QuarticError(ValueError):
@@ -139,5 +140,14 @@ def clebsch_pencil(F: Form, c, c2) -> Form:
 
 
 def contragredient(g: LinearSubstitution) -> LinearSubstitution:
-    """The inverse-transpose substitution, acting on dual variables."""
-    return LinearSubstitution(g.matrix.inverse().transpose())
+    """The inverse-transpose substitution, acting on dual variables: the
+    cofactor matrix of g divided by det(g)."""
+    m, n = g.matrix, g.n
+
+    def cofactor(i, j):
+        minor = [row[:j] + row[j + 1:] for row in m[:i] + m[i + 1:]]
+        return (-1) ** (i + j) * poly_det(minor) if minor else 1
+
+    return LinearSubstitution(
+        [[exact_div(cofactor(i, j), g.det) for j in range(n)]
+         for i in range(n)], g.ring)

@@ -36,6 +36,15 @@ from comitant.verify import (FAIL, NOTED, OUT_OF_SCOPE, PASS,
 CANONICAL_SHA256 = (
     "a91c8789c574129141d4c4a99fa8eabbb925cd8f30dadb78c146490f3972082f")
 
+# the same at seeds 1-5, the other parameters at their defaults
+CANONICAL_SHA256_AT_SEED = {
+    1: "dcbd807eced1977f43142e598ff147cda2f7bb3d4d809324b7fea780b8fc4c08",
+    2: "2e4523f140c524e901aea99eb781cd0d246e79781e9303a2525110a96f477a61",
+    3: "e49943ef57a094b2e42a50278eec318d6ae719f11bb1e12da481e3bf87bd0e3d",
+    4: "89da268574c49ed52068d56deedb01f2da56f653b1381ea3aa7f5400c15e8f4e",
+    5: "a3dd090413419ca264146bc7e4d82d6710c5ebc207d6d6a6ca34b436585114cc",
+}
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -231,3 +240,10 @@ def test_no_registry_failures_and_runtime_budget(registry):
 def test_canonical_report_is_byte_identical(report):
     digest = hashlib.sha256(report.canonical().encode("utf-8")).hexdigest()
     assert digest == CANONICAL_SHA256
+
+
+@pytest.mark.parametrize("seed", sorted(CANONICAL_SHA256_AT_SEED))
+def test_canonical_report_is_byte_identical_at_seed(seed):
+    canonical = run_verifications(seed=seed).canonical()
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert digest == CANONICAL_SHA256_AT_SEED[seed]

@@ -87,6 +87,22 @@ def test_normalized_representative():
         ).coefficients() == (-1, 0, 3)
 
 
+def test_normalized_divides_a_one_parameter_pair_by_its_gcd():
+    (a,) = poly_ring(("a",), QQ)
+    g = (a**2 + 1) * (a - 2)
+    q = P(g * a, g * 3, g * 0).normalized()
+    assert q.coefficients() == (a, 3 * a**0, 0 * a)
+    assert P(g * 0, g, g * 0).normalized().coefficients() == (0 * a, a**0,
+                                                             0 * a)
+    (b,) = poly_ring(("a",), GF(7))
+    assert P(b * b, b * 3, b * 0).normalized().coefficients() == (
+        b, 3 * b**0, 0 * b)
+    # two parameters: the pair comes back as it is
+    a, c = poly_ring(("a", "c"), QQ)
+    q = P(a * c, a * c * 3, a * 0)
+    assert q.normalized().coefficients() == q.coefficients()
+
+
 def test_harmonic_pairing_values():
     # {0, oo} against {1, -1}: harmonic
     assert harmonic_pairing(P(0, 1, 0), P(1, 0, -1)) == 0
@@ -404,8 +420,14 @@ def test_parametric_sigma_specialises_to_the_scalar_map():
     out = sigma_map([P(one, one, -a), P(2 * one, -one, -one),
                      P(one, 3 * one, one)])
     assert all(p.params == ("a",) for p in out)
-    at = [P(*(c.evaluate([1]) for c in p.coefficients())) for p in out]
-    assert at == list(sigma_map(sigma_probe()))
+    # each pair is divided by the gcd of its coefficients (of degree 18, 8
+    # and 8 before)
+    assert [tuple(c.total_degree() if c else None for c in p.coefficients())
+            for p in out] == [(None, 2, 3), (1, 1, None), (1, 1, 1)]
+    for a0 in (1, 3, -4):
+        at = [P(*(c.evaluate([a0]) for c in p.coefficients())) for p in out]
+        assert at == list(sigma_map([P(1, 1, -a0), P(2, -1, -1),
+                                     P(1, 3, 1)]))
 
 
 def test_sigma_commutes_with_reparametrization():

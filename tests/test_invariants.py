@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from comitant import invariants
+from comitant import invariants, linalg
 from comitant.grammar import parse_poly
 from comitant.comitants import Form
 from comitant.invariants import (
@@ -24,9 +24,9 @@ from comitant.invariants import (
     random_substitution,
     substituted_form,
 )
-from comitant.linalg import Matrix, int_nullspace_mod_p
+from comitant.linalg import int_nullspace_mod_p
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import GF, QQ, rational_to_fp
+from comitant.scalars import GF, QQ, is_prime, rational_to_fp
 
 
 # ----------------------------------------------------------- space dimensions
@@ -81,14 +81,24 @@ def test_binary_octic_degree_six_dimension():
 
 
 def test_no_elimination_over_qq(monkeypatch):
-    def refuse(self):
-        raise AssertionError("find_invariants reached QQ elimination")
+    # every kernel the finder takes is an int_nullspace_mod_p of its whole
+    # operator, mod a word-size prime: nothing is eliminated over QQ
+    calls = []
+    kernel = linalg.int_nullspace_mod_p
 
-    monkeypatch.setattr(Matrix, "nullspace", refuse)
-    monkeypatch.setattr(Matrix, "rref", refuse)
-    # the spaces of the invariant-search benchmark
-    got = [len(find_invariants(*space)) for space in
-           ((3, 3, 6), (2, 5, 8), (2, 6, 6), (2, 4, 10), (2, 4, 12))]
+    def spy(rows, ncols, p):
+        calls.append((ncols, p))
+        return kernel(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "int_nullspace_mod_p", spy)
+    # the spaces of the invariant-search benchmark, and their widths
+    got = []
+    for space, width in zip(((3, 3, 6), (2, 5, 8), (2, 6, 6), (2, 4, 10),
+                             (2, 4, 12)), (28, 44, 39, 38, 57)):
+        calls.clear()
+        got.append(len(find_invariants(*space)))
+        assert calls and all(ncols == width and p < 2**31 and is_prime(p)
+                             for ncols, p in calls)
     assert got == [1, 2, 3, 2, 3]
 
 

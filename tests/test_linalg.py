@@ -5,41 +5,50 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+import gauss_jordan
 from comitant import linalg
-from comitant.linalg import (LinearSubstitution, Matrix, int_nullspace_mod_p,
-                             modular_nullspace, poly_det, smith_form)
+from comitant.linalg import (LinearSubstitution, int_nullspace_mod_p,
+                             modular_nullspace, nullspace, poly_det,
+                             smith_form)
 from comitant.poly import Poly, poly_ring
+from comitant.quartic import contragredient
 from comitant.scalars import GF, QQ, Fp, as_scalar, is_prime, ring_zero
 
 
-def _m(rows):
-    return Matrix([[Fraction(v) for v in r] for r in rows], QQ)
-
-
-def test_rank_and_rref():
-    m = _m([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
-    assert m.rank() == 2
+def test_nullspace_reads_the_rank():
+    # rank 2: one kernel vector, over QQ and mod 7 alike
+    rows = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
+    assert nullspace(rows, 3) == [[-1, -1, 1]]
+    assert nullspace(rows, 3, GF(7)) == [[Fp(-1, 7), Fp(-1, 7), Fp(1, 7)]]
 
 
 def test_det_inverse_roundtrip():
-    m = _m([[2, 1], [5, 3]])
-    assert poly_det(m.entries) == 1
-    inv = m.inverse()
-    assert (m * inv).entries == Matrix.identity(2, QQ).entries
+    rows = [[2, 1], [5, 3]]
+    g = LinearSubstitution(rows)
+    assert poly_det(rows) == g.det == 1
+    # the contragredient is the inverse transpose: M^T g^-T = 1
+    transposed = [list(col) for col in zip(*rows)]
+    assert _int_product(transposed, contragredient(g).matrix) == [[1, 0],
+                                                                  [0, 1]]
 
 
 def test_nullspace_dimension():
-    m = _m([[1, 2, 3], [2, 4, 6]])
-    basis = m.nullspace()
-    assert len(basis) == 2
-    for v in basis:
-        assert all(sum(m[(i, j)] * v[j] for j in range(3)) == 0
-                   for i in range(2))
+    # rank 1 over QQ, and mod 5, where 2/3 = 4
+    for rows, ring in (([[1, Fraction(2, 3), 3], [2, Fraction(4, 3), 6]], QQ),
+                       ([[1, 4, 3], [2, 3, 1]], GF(5))):
+        basis = nullspace(rows, 3, ring)
+        assert len(basis) == 2
+        for v in basis:
+            assert all(sum(a * x for a, x in zip(row, v)) == 0
+                       for row in rows)
 
 
 def test_singular_inverse_rejected():
-    with pytest.raises(ValueError):
-        _m([[1, 1], [2, 2]]).inverse()
+    # a singular matrix has no inverse, so it is no substitution
+    with pytest.raises(ValueError, match="singular"):
+        LinearSubstitution([[1, 1], [2, 2]])
+    with pytest.raises(ValueError, match="square"):
+        LinearSubstitution([[1, 1]])
 
 
 def test_poly_det_matches_scalar_det():
@@ -78,7 +87,7 @@ def test_linear_substitution_apply_and_compose():
     assert g.apply(x**2 + y) == y**2 + x
     h = LinearSubstitution([[1, 1], [0, 1]])
     # the matrix product composes substitutions: the left factor acts first
-    gh = LinearSubstitution(g.matrix * h.matrix)
+    gh = LinearSubstitution(_int_product(g.matrix, h.matrix))
     assert gh.apply(x) == h.apply(g.apply(x))
     assert gh.apply(y) == h.apply(g.apply(y))
 
@@ -87,7 +96,8 @@ def test_linear_substitution_inverse():
     g = LinearSubstitution([[2, 1], [1, 1]])
     x, y = poly_ring(("x", "y"), QQ)
     p = x**3 - y
-    assert LinearSubstitution(g.matrix.inverse()).apply(g.apply(p)) == p
+    inverse = gauss_jordan.inverse(g.matrix)
+    assert LinearSubstitution(inverse).apply(g.apply(p)) == p
 
 
 def test_substitution_on_selected_indices():
@@ -104,13 +114,15 @@ def _sparse_ints(bound):
     return st.one_of(st.just(0), st.just(0), st.integers(-bound, bound))
 
 
-# the largest prime with (p-1)^2 < 2^63, and the next prime
+# the largest prime with (p-1)^2 < 2^63, where int64 elimination ends,
+# and the next prime
 P_TOP, P_PAST = 3037000493, 3037000507
 
 
 @st.composite
 def _int_matrices(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1, P_TOP]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 101, 2**31 - 1, P_TOP, P_PAST,
+                              2**61 - 1]))
     ncols = draw(st.integers(1, 6))
     # entries past int64 must be reduced before they reach the array
     entry = st.one_of(_sparse_ints(3 * p), st.integers(-2**70, 2**70))
@@ -125,26 +137,55 @@ def _int_matrices(draw):
 @example(([[0, 7, -14]], 3, 7))      # zero mod p
 @example(([[2**64 + 1, -2**63 - 5, 1], [P_TOP - 1, 1, 0]], 3, P_TOP))
 @example(([[0, 1, 2], [0, 2, 4], [1, 0, 1]], 3, 101))  # swaps, zero column
+@example(([[2**64 + 1, -2**63 - 5, 1], [P_PAST - 1, 1, 0]], 3, P_PAST))
 def test_int_nullspace_matches_matrix_nullspace(case):
     rows, ncols, p = case
-    # a matrix without rows has the kernel of a zero row
-    as_matrix = Matrix(rows or [[0] * ncols], GF(p))
-    expected = [[c.val for c in v] for v in as_matrix.nullspace()]
+    expected = gauss_jordan.nullspace(rows, ncols, GF(p))
     got = int_nullspace_mod_p(rows, ncols, p)
-    assert got == expected
+    assert got == [[c.val for c in v] for v in expected]
     # Python ints: np.int64 would wrap in the CRT of modular_nullspace
     assert all(type(c) is int for v in got for c in v)
 
 
 def test_int_nullspace_modulus_bounds():
-    # residues near P_TOP: every product is close to (P_TOP - 1)^2 < 2^63
-    rows = [[2, P_TOP - 1, P_TOP - 2], [P_TOP - 3, P_TOP - 5, P_TOP - 1]]
-    expected = Matrix(rows, GF(P_TOP)).nullspace()
-    assert int_nullspace_mod_p(rows, 3, P_TOP) == [[c.val for c in v]
+    # residues near p: every product is close to (p - 1)^2, below 2^63 at
+    # P_TOP and past it from P_PAST on, where the residues are Python ints
+    for p in (P_TOP, P_PAST, 2**61 - 1):
+        rows = [[2, p - 1, p - 2], [p - 3, p - 5, p - 1]]
+        expected = gauss_jordan.nullspace(rows, 3, GF(p))
+        assert int_nullspace_mod_p(rows, 3, p) == [[c.val for c in v]
                                                    for v in expected]
-    for p in (P_PAST, 2**61 - 1, 1, 0, -7):
+    for p in (1, 0, -7):
         with pytest.raises(ValueError, match="out of range"):
             int_nullspace_mod_p(rows, 3, p)
+
+
+@st.composite
+def _scalar_matrices(draw):
+    ring = draw(st.sampled_from([QQ, GF(2), GF(7), GF(P_PAST)]))
+    ncols = draw(st.integers(1, 5))
+    if ring == QQ:
+        entry = st.one_of(st.just(0), st.builds(
+            Fraction, st.integers(-2**40, 2**40), st.integers(1, 2**20)))
+    else:
+        entry = st.builds(Fp, _sparse_ints(10), st.just(ring[1]))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=4))
+    return rows, ncols, ring
+
+
+@settings(max_examples=120, deadline=None)
+@given(_scalar_matrices())
+@example(([], 2, QQ))
+@example(([[Fraction(1, 3), Fraction(1, 2)], [2, 3]], 2, QQ))  # rank 1
+def test_nullspace_matches_the_oracle(case):
+    # QQ rows are scaled to integers row by row; GF(p) residues come back
+    # as Fp, past int64 too
+    rows, ncols, ring = case
+    got = nullspace(rows, ncols, ring)
+    assert got == gauss_jordan.nullspace(rows, ncols, ring)
+    assert all(as_scalar(c, ring) == c and type(as_scalar(c, ring)) is type(c)
+               for v in got for c in v)
 
 
 def _leibniz(rows, ring):
@@ -186,7 +227,7 @@ def test_det_matches_leibniz(case):
     # poly_det on scalar entries, in the entries' ring
     rows, ring = case
     assume(rows)
-    entries = Matrix(rows, ring).entries
+    entries = [[as_scalar(c, ring) for c in row] for row in rows]
     got, want = poly_det(entries), _leibniz(entries, ring)
     assert got == want and type(got) is type(as_scalar(want, ring))
 
@@ -196,17 +237,17 @@ def test_det_matches_leibniz(case):
 @example(([[0, 1], [1, 0]], QQ))
 @example(([[0, 0], [0, 0]], GF(5)))                # every Laplace term dies
 def test_scalar_poly_det_matches_matrix_det(case):
-    # poly_det agrees with Matrix elimination: zero exactly when the rank
-    # drops, and otherwise the inverse has the reciprocal determinant
+    # poly_det agrees with Gauss-Jordan elimination: zero exactly when the
+    # rank drops, and otherwise the inverse has the reciprocal determinant
     rows, ring = case
     assume(rows)
-    m = Matrix(rows, ring)
-    got = poly_det(m.entries)
+    entries = [[as_scalar(c, ring) for c in row] for row in rows]
+    got = poly_det(entries)
     assert type(got) is type(as_scalar(got, ring))
-    if m.rank() < m.rows:
+    if gauss_jordan.rank(rows, len(rows), ring) < len(rows):
         assert got == 0
     else:
-        assert got * poly_det(m.inverse().entries) == 1
+        assert got * poly_det(gauss_jordan.inverse(rows, ring)) == 1
 
 
 # -- the multi-modular kernel ----------------------------------------------
@@ -217,14 +258,14 @@ P1, P2, P3 = 2**31 - 1, 2147483629, 2147483587   # the first primes below 2^31
 def _modular_kernel(rows, ncols, certify=None):
     """modular_nullspace with the exact check A v = 0 over QQ by default;
     returns (basis, primes tried, bases offered to the check)."""
-    m = Matrix(rows, QQ)
     offered = []
 
     def check(basis):
         offered.append(basis)
         if certify is not None:
             return certify(basis)
-        return all(not any(m * v) for v in basis)
+        return not any(sum(a * x for a, x in zip(row, v))
+                       for v in basis for row in rows)
 
     with mock.patch.object(linalg, "int_nullspace_mod_p",
                            wraps=linalg.int_nullspace_mod_p) as spy:
@@ -257,7 +298,7 @@ def _wide_int_matrices(draw):
 def test_modular_nullspace_matches_matrix_nullspace(case):
     rows, ncols = case
     basis, _, _ = _modular_kernel(rows, ncols)
-    assert basis == Matrix(rows, QQ).nullspace()
+    assert basis == gauss_jordan.nullspace(rows, ncols)
 
 
 def test_modular_nullspace_combines_primes():
@@ -281,7 +322,7 @@ def test_modular_nullspace_combines_primes():
 ])
 def test_modular_nullspace_drops_unlucky_prime(rows, kernel):
     basis, asked, offered = _modular_kernel(rows, 3)
-    assert basis == kernel == Matrix(rows, QQ).nullspace()
+    assert basis == kernel == gauss_jordan.nullspace(rows, 3)
     assert asked[0] == P1
     # what P1 gave is refused, and no later basis carries a trace of it:
     # combining it would have changed the shape or the entries

@@ -165,6 +165,23 @@ def test_descend_over_gfp_matches_reduced_qq_quotient():
         == reduce(quotient)
 
 
+def test_descend_over_a_prime_past_int64_products():
+    # (p - 1)^2 >= 2^63: the kernel is eliminated on Python-int residues
+    ring = GF(2**61 - 1)
+
+    def reduce(m):
+        gens = poly_ring(m.num.vars, ring)
+        return RationalMapP1(m.num.substitute(gens), m.den.substitute(gens))
+
+    composite = compose(quartic_cover(), quartic_self_map())
+    got = descend_map(reduce(quartic_cover()), reduce(composite), 2)
+    assert got == reduce(descend_map(quartic_cover(), composite, 2))
+    t0, t1 = poly_ring(("t0", "t1"), ring)
+    assert got == RationalMapP1(
+        t0**2, t0**2 * 1451827079875288784
+        + t0 * t1 * 2305843009213693947 + t1**2 * 108)
+
+
 def test_descend_failure_modes():
     with pytest.raises(MapError, match="does not factor"):
         descend_map(quartic_cover(), quartic_self_map(), 1)

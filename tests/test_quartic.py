@@ -5,11 +5,12 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gauss_jordan
 from comitant import quartic
 from comitant.comitants import Form, FormError
 from comitant.invariants import (generic_form, random_substitution,
                                  substituted_form)
-from comitant.linalg import LinearSubstitution, Matrix
+from comitant.linalg import LinearSubstitution
 from comitant.poly import Poly, poly_ring
 from comitant.quartic import (
     QuarticError,
@@ -234,11 +235,12 @@ def test_dual_form_validation():
 
 
 def test_contragredient_is_inverse_transpose():
-    from fractions import Fraction
-    m = Matrix([[Fraction(1), Fraction(2), Fraction(0)],
-                [Fraction(0), Fraction(1), Fraction(0)],
-                [Fraction(1), Fraction(0), Fraction(3)]], QQ)
-    g = LinearSubstitution(m)
-    gd = contragredient(g)
-    prod = m.transpose() * gd.matrix
-    assert prod.entries == Matrix.identity(3, QQ).entries
+    rows = [[1, 2, 0], [0, 1, 0], [1, 0, 3]]
+    want = [list(col) for col in zip(*gauss_jordan.inverse(rows))]
+    assert contragredient(LinearSubstitution(rows)).matrix == want
+    # over GF(7) too, and on a random integer matrix
+    assert contragredient(LinearSubstitution(rows, GF(7))).matrix == [
+        list(col) for col in zip(*gauss_jordan.inverse(rows, GF(7)))]
+    g = random_substitution(3, random.Random(5))
+    assert contragredient(g).matrix == [
+        list(col) for col in zip(*gauss_jordan.inverse(g.matrix))]

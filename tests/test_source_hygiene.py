@@ -13,9 +13,10 @@ A fifth check keeps floats out: integral rationals circulate as Python
 ints, and `/` on two ints is a float, so the package divides only through
 `scalars.exact_div` and no `/` or `/=` may appear anywhere else.
 
-A sixth keeps `geometry.py` field-generic: it names neither `Matrix` (a
-QQ-only matrix) nor `Fraction`, so its constructions run unchanged over
-QQ, GF(p) and parameter rings.
+A sixth keeps `geometry.py` field-generic: it names no `Fraction`, so its
+constructions run unchanged over QQ, GF(p) and parameter rings.  No module
+names `Matrix` or `_gauss_jordan` either: the package's one elimination is
+`linalg.int_nullspace_mod_p`.
 """
 
 import ast
@@ -193,8 +194,11 @@ def test_no_division_outside_exact_div():
 
 
 def test_geometry_names_no_matrix_and_no_fraction():
-    used = _names_used(_modules()["geometry.py"], {"Matrix", "Fraction"})
+    used = _names_used(_modules()["geometry.py"], {"Fraction"})
     assert not used, f"geometry.py names a QQ-only type: {used}"
+    used = [f"{name}:{hit}" for name, tree in _modules().items()
+            for hit in _names_used(tree, {"Matrix", "_gauss_jordan"})]
+    assert not used, f"a second elimination kernel: {used}"
 
 
 def test_the_checks_catch_a_leftover():
