@@ -113,18 +113,6 @@ class _FormSpace:
         self.index = {e: i for i, e in enumerate(self.monomials)}
         self.form_vars = BINARY_VARS if n == 2 else TERNARY_VARS
 
-    def generic_poly(self) -> Poly:
-        vars = self.names + self.form_vars
-        acc = Poly.zero(vars, QQ)
-        k = len(self.names)
-        for i, (e, w) in enumerate(zip(self.monomials, self.weights)):
-            exp = [0] * len(vars)
-            exp[i] = 1
-            for pos, power in enumerate(e):
-                exp[k + pos] = power
-            acc = acc + Poly.monomial(w, tuple(exp), vars, QQ)
-        return acc
-
     def derivation(self, i, j) -> dict:
         """Coefficient derivation induced by x_j -> x_j + eps * x_i.
 
@@ -165,7 +153,31 @@ def _space(n, d) -> _FormSpace:
 
 def generic_form(n: int, d: int) -> Poly:
     """Universal form: binomial-weighted basis for n=2, plain for n=3."""
-    return _space(n, d).generic_poly()
+    return generic_forms((n, d))[0].poly
+
+
+def generic_forms(*spaces) -> list:
+    """Universal forms on the spaces V(n, d), all of one n, in one ring:
+    the coefficient variables of each space in turn, the i-th space's
+    lettered "abc..."[i] in place of "a", then the form variables."""
+    blocks = [_space(*s) for s in spaces]
+    if len({b.n for b in blocks}) != 1:
+        raise InvariantError("generic forms must share their variables")
+    names = tuple(chr(ord("a") + i) + name[1:]
+                  for i, b in enumerate(blocks) for name in b.names)
+    vars = names + blocks[0].form_vars
+    k = len(names)
+    out = []
+    start = 0
+    for b in blocks:
+        terms = {}
+        for i, (e, w) in enumerate(zip(b.monomials, b.weights)):
+            exp = [0] * k
+            exp[start + i] = 1
+            terms[tuple(exp) + e] = w
+        out.append(Form(Poly(vars, terms, QQ), b.d, range(k, k + b.n)))
+        start += len(b.names)
+    return out
 
 
 def _apply_derivation(deriv: dict, mono):
@@ -419,6 +431,90 @@ def coefficient_values(form: Form, extra=()) -> list:
     return values
 
 
+class GenericComitant:
+    """A polynomial in the coefficients of universal forms, compiled once
+    and then specialised at concrete forms over QQ in integers.
+
+    `formula` lives over QQ in the coefficient variables of
+    `generic_forms(*spaces)`, in their order, followed by output variables
+    (those of the forms, or any others).  Each term becomes the multiset
+    of its coefficient indices and one integer, its coefficient over the
+    binomial weights of those indices times the common denominator
+    `denominator`.  A term of coefficient degree below the top one, R, is
+    padded with a slot that holds the forms' common denominator L, so a
+    specialisation is integer multiply-adds and one `exact_div` by
+    denominator * L^R per output monomial.  Substitution is a ring map,
+    so the value at f is the formula's, exactly.
+    """
+
+    def __init__(self, formula: Poly, spaces):
+        self.spaces = [_space(*s) for s in spaces]
+        k = sum(len(s.names) for s in self.spaces)
+        if formula.ring != QQ or len(formula.vars) < k:
+            raise InvariantError("a generic comitant is a QQ polynomial in "
+                                 "the coefficient variables of its forms")
+        weights = [w for s in self.spaces for w in s.weights]
+        top = max((sum(e[:k]) for e in formula.terms), default=0)
+        compiled = []
+        for e, c in formula.terms.items():
+            slots = ()
+            scale = 1
+            for i, m in enumerate(e[:k]):
+                if m:
+                    slots += (i,) * m
+                    scale *= weights[i] ** m
+            compiled.append((e[k:], slots + (k,) * (top - len(slots)),
+                             c if scale == 1 else exact_div(c, scale)))
+        self.denominator = lcm(*(q.denominator for _, _, q in compiled))
+        grouped: dict = {}
+        for out, slots, q in compiled:
+            grouped.setdefault(out, []).append(
+                (slots, q.numerator * (self.denominator // q.denominator)))
+        self._terms = list(grouped.items())
+        self.term_count = len(compiled)
+        self._top = top
+        self.vars = formula.vars[k:]
+
+    def __call__(self, *forms) -> Poly:
+        """The formula at these forms, one per space, as a Poly in the
+        output variables.  A form over GF(p) or with parameter variables
+        is refused."""
+        if len(forms) != len(self.spaces):
+            raise InvariantError(f"one form per space: expected "
+                                 f"{len(self.spaces)}, got {len(forms)}")
+        values = []
+        for f, space in zip(forms, self.spaces):
+            form = _as_form(f, space.n, space.d)
+            if form.poly.ring != QQ:
+                raise InvariantError("a generic comitant is specialised "
+                                     "over QQ only")
+            if form.params:
+                raise InvariantError(
+                    f"cannot specialise at a form in parameters "
+                    f"{form.params}")
+            terms = form.poly.terms
+            if form.indices != tuple(range(space.n)):
+                terms = {tuple(e[i] for i in form.indices): c
+                         for e, c in terms.items()}
+            values.extend(terms.get(m, 0) for m in space.monomials)
+        common = lcm(*(c.denominator for c in values))
+        if common != 1:
+            values = [c.numerator * (common // c.denominator)
+                      for c in values]
+        values.append(common)  # the padding slot
+        den = self.denominator * common**self._top
+        out = {}
+        for e, terms in self._terms:
+            acc = 0
+            for slots, c in terms:
+                for i in slots:
+                    c *= values[i]
+                acc += c
+            if acc:
+                out[e] = exact_div(acc, den)
+        return Poly(self.vars, out, QQ)
+
+
 # ---------------------------------------------------------------------------
 # pencils with known values, used to pin scalars
 
@@ -530,8 +626,7 @@ def quintic_invariants():
     sl_2 operators, and Jacobian rank 3 at a sample point.
     """
     space = _space(2, 5)
-    k = len(space.names)
-    f = Form(space.generic_poly(), 5, (k, k + 1))
+    (f,) = generic_forms((2, 5))
     i = transvectant(f, f, 4)
     j = transvectant(f, i, 2)
     m = transvectant(j, j, 2)

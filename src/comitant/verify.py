@@ -34,26 +34,26 @@ from itertools import combinations_with_replacement
 from .associated import (DUAL_BINARY, associated_form,
                          associated_selfmap_degree, associated_slice_map,
                          congruence_holds)
-from .comitants import DUAL_VARS, Form, hessian, transvectant
+from . import comitants, maps, quartic
+from .comitants import DUAL_VARS, Form, hessian
 from .fibers import FiberError, check_census, sample_report
 from .geometry import (GeometryError, PointPair, ProjectivePoint, bracket,
                        coble_identity_check, coble_matrix, conic_through,
                        is_tangency_pair, pair_triples_match, pair_vertex,
                        q_construction, richelot_forward, richelot_inverse,
                        symbolic_conic)
-from .invariants import (canonical_quartic, det_weight, evaluate_invariant,
-                         hesse_pencil, invariant_I2, invariant_I3,
-                         invariant_S, invariant_T, quartic_pencil,
-                         quintic_invariants, random_substitution,
-                         substituted_form)
+from .invariants import (GenericComitant, canonical_quartic, det_weight,
+                         evaluate_invariant, generic_forms, hesse_pencil,
+                         invariant_I2, invariant_I3, invariant_S,
+                         invariant_T, quartic_pencil, quintic_invariants,
+                         random_substitution, substituted_form)
 from .linalg import LinearSubstitution
-from .maps import (PENCIL_VARS, c35_jacobian, compose, descend_map,
+from .maps import (PENCIL_VARS, compose, descend_map,
                    hammond_image_polys, hammond_path_comparison,
                    hammond_relations_symbolic, hesse_cover, hesse_self_map,
                    quartic_cover, quartic_self_map)
 from .poly import Poly, constant_ratio, poly_ring
-from .quartic import (clebsch_covariant, contragredient, generic_salmon,
-                      salmon_contravariant)
+from .quartic import generic_salmon, salmon_contravariant
 from .scalars import QQ, is_prime
 
 PASS = "pass"
@@ -126,7 +126,8 @@ def _covariance_series(rng, probes, n, degree, comitant, arity=1,
     """Measure the determinant weight once, then assert it exactly on
     `probes` fresh probes.  A probe draws `arity` random forms f and a
     substitution g, and checks comitant(g.f, ...) == det(g)^w *
-    act_out(g, comitant(f, ...)).  Returns (weight, probes)."""
+    act_out(g, comitant(f, ...)), the comitant a `GenericComitant`
+    specialised at f and at g.f.  Returns (weight, probes)."""
     names = ("x", "y") if n == 2 else ("X", "Y", "Z")
     weight = None
     checked = 0
@@ -206,9 +207,9 @@ def _c_hesse_map_degrees(ctx):
 
 
 def _c_quartic_calibration(ctx):
-    quartic = canonical_quartic()
-    i2 = evaluate_invariant(invariant_I2(), quartic)
-    i3 = evaluate_invariant(invariant_I3(), quartic)
+    form = canonical_quartic()
+    i2 = evaluate_invariant(invariant_I2(), form)
+    i3 = evaluate_invariant(invariant_I3(), form)
     (alpha,) = poly_ring(("alpha",), QQ)
     if i2 != alpha**2 * 3 + 1 or i3 != alpha - alpha**3:
         return FAIL, f"I2 -> {i2}, I3 -> {i3}"
@@ -328,8 +329,15 @@ def _c_six_point_conic_table(ctx):
 # equivariance claims
 
 
+def _generic(comitant, *spaces) -> GenericComitant:
+    """comitant (a Poly-valued map of Forms) on the universal forms of the
+    spaces, compiled for the probes; built anew on every run."""
+    return GenericComitant(comitant(*generic_forms(*spaces)), spaces)
+
+
 def _c_equivariance_hessian(ctx):
-    w, n = _covariance_series(ctx.rng(), ctx.trials, 3, 3, hessian)
+    he = _generic(lambda F: comitants.hessian(F.poly, F.indices), (3, 3))
+    w, n = _covariance_series(ctx.rng(), ctx.trials, 3, 3, he)
     return PASS, (f"He(g.F) == det(g)^{w} * g.He(F) for {n} random "
                   "substitutions on random ternary cubics, exact")
 
@@ -339,9 +347,9 @@ def _c_equivariance_transvectant(ctx):
     probes = (ctx.trials + 1) // 2
     series = []
     for k in (2, 4):
-        def comitant(f, h):
-            return transvectant(Form(f, 4), Form(h, 4), k).poly
-        series.append(_covariance_series(rng, probes, 2, 4, comitant, arity=2))
+        tk = _generic(lambda f, h: comitants.transvectant(f, h, k).poly,
+                      (2, 4), (2, 4))
+        series.append(_covariance_series(rng, probes, 2, 4, tk, arity=2))
     (w2, n2), (w4, n4) = series
     return PASS, (f"(g.f, g.h)_k == det(g)^k * g.(f,h)_k exactly: "
                   f"{n2} probes at k=2 (weight {w2}), "
@@ -349,27 +357,24 @@ def _c_equivariance_transvectant(ctx):
 
 
 def _c_equivariance_quintic_covariant(ctx):
-    def comitant(p):
-        return c35_jacobian(Form(p, 5)).poly
-    w, n = _covariance_series(ctx.rng(), ctx.trials, 2, 5, comitant)
+    c35 = _generic(lambda f: maps.c35_jacobian(f).poly, (2, 5))
+    w, n = _covariance_series(ctx.rng(), ctx.trials, 2, 5, c35)
     return PASS, (f"J(g.f, (g.f, g.f)_4) == det(g)^{w} * g.J(f, (f,f)_4) "
                   f"for {n} random substitutions on full binary quintics")
 
 
 def _c_equivariance_clebsch_quartic(ctx):
-    def comitant(p):
-        return clebsch_covariant(Form(p, 4)).poly
-    w, n = _covariance_series(ctx.rng(), ctx.trials, 3, 4, comitant)
+    cov = _generic(lambda F: quartic.clebsch_covariant(F).poly, (3, 4))
+    w, n = _covariance_series(ctx.rng(), ctx.trials, 3, 4, cov)
     return PASS, (f"degree-4 covariant of ternary quartics transforms with "
                   f"det(g)^{w} on {n} random substitutions, exact")
 
 
 def _c_equivariance_salmon_dual(ctx):
-    def comitant(p):
-        return salmon_contravariant(Form(p, 4)).poly
+    omega = GenericComitant(quartic.generic_salmon().poly, [(3, 4)])
     w, n = _covariance_series(
-        ctx.rng(), ctx.trials, 3, 4, comitant,
-        act_out=lambda g, p: contragredient(g).apply(p))
+        ctx.rng(), ctx.trials, 3, 4, omega,
+        act_out=lambda g, p: quartic.contragredient(g).apply(p))
     return PASS, (f"Omega(g.F) == det(g)^{w} * Omega(F) o g^(-T) for "
                   f"{n} random substitutions: the dual form "
                   "transforms contragrediently, exact")

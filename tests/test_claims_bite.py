@@ -1,28 +1,35 @@
 """Negative controls: a claim that passes must also be able to fail.
 
 Each row breaks one name in the module that defines it (`comitant.geometry`,
-`comitant.maps`, `comitant.invariants` or `comitant.quartic`) and runs its
-claim alone.  A name imported into `comitant.verify` keeps the original
-object there, so the mutation reaches a claim only where the package's own
-code looks the name up in its home module.  `via_exception` records whether
-the claim fails through a mathematical witness or through an exception
-raised by the package's own check, so a row that comes to fail differently
-shows up.
-
-Claim 17 does not move: `verify` binds `contragredient` at import, so a
-mutant in `comitant.quartic` never reaches it.  Its row is a strict xfail
-that says so, and that turns into a failure once the mutation bites.
+`comitant.comitants`, `comitant.maps`, `comitant.invariants` or
+`comitant.quartic`) and runs its claim alone.  A name imported into
+`comitant.verify` keeps the original object there, so the mutation reaches
+a claim only where the package's own code looks the name up in its home
+module; the equivariance claims 13-17 look up every helper they test that
+way, and build their generic comitant anew on every run.  `via_exception`
+records whether the claim fails through a mathematical witness or through
+an exception raised by the package's own check, so a row that comes to
+fail differently shows up.
 """
+
+from math import factorial
 
 import pytest
 
-from comitant import geometry, invariants, linalg, maps, quartic
+from comitant import comitants, geometry, invariants, linalg, maps, quartic
+from comitant.comitants import Form
 from comitant.linalg import LinearSubstitution
+from comitant.poly import Poly
+from comitant.scalars import exact_div
 from comitant.verify import FAIL, PASS, run_verifications
 
 
 _original_bracket = geometry.bracket
 _original_partner = geometry.harmonic_partner
+_original_hessian = comitants.hessian
+_original_transvectant = comitants.transvectant
+_original_c35 = maps.c35_jacobian
+_original_clebsch = quartic.clebsch_covariant
 
 
 def _bracket_transposed(m, i, j, k):
@@ -41,6 +48,44 @@ def _polar_transposed(pt):
 
 def _pole_with_a_sign_slip(line):
     return (line[2] * 2, line[1], line[0] * 2)
+
+
+def _hessian_plus_cube(p, indices=None):
+    # He(F) + (dF/dX)^3: of the right coefficient degree, but no covariant
+    first = 0 if indices is None else indices[0]
+    return _original_hessian(p, indices) + p.partial(first) ** 3
+
+
+def _transvectant_sign_slip(f, g, k):
+    # (f, g)_k with the sign of its i = 1 term flipped: add twice that term
+    ix, iy = f.indices
+    df, dg = f.poly.partial(iy), g.poly.partial(ix)
+    for _ in range(k - 1):
+        df, dg = df.partial(ix), dg.partial(iy)
+    m, n = f.degree, g.degree
+    scale = exact_div(2 * k * factorial(m - k) * factorial(n - k),
+                      factorial(m) * factorial(n))
+    t = _original_transvectant(f, g, k)
+    return Form(t.poly + df * dg * scale, t.degree, t.indices)
+
+
+def _c35_plus_form(form):
+    # 2 J + f: a quintic in (x, y), of mixed degree in the coefficients
+    return Form(_original_c35(form).poly * 2 + form.poly, 5, form.indices)
+
+
+def _clebsch_xy_swapped(F):
+    # the covariant with X and Y exchanged in its output
+    cov = _original_clebsch(F)
+    i, j = cov.indices[:2]
+
+    def swap(e):
+        e = list(e)
+        e[i], e[j] = e[j], e[i]
+        return tuple(e)
+
+    terms = {swap(e): c for e, c in cov.poly.terms.items()}
+    return Form(Poly(cov.poly.vars, terms, cov.poly.ring), 4, cov.indices)
 
 
 def _plain_transpose(g):
@@ -69,8 +114,16 @@ MUTATIONS = [
      False),
     ("12-six-point-conic-table", geometry, "harmonic_partner",
      _partner_swapped, False),
+    ("13-equivariance-hessian", comitants, "hessian", _hessian_plus_cube,
+     True),
+    ("14-equivariance-transvectant", comitants, "transvectant",
+     _transvectant_sign_slip, True),
+    ("15-equivariance-quintic-covariant", maps, "c35_jacobian",
+     _c35_plus_form, True),
+    ("16-equivariance-clebsch-quartic", quartic, "clebsch_covariant",
+     _clebsch_xy_swapped, True),
     ("17-equivariance-salmon-dual", quartic, "contragredient",
-     _plain_transpose, False),
+     _plain_transpose, True),
     ("18-quintic-invariant-basis", invariants, "nullspace",
      _kernel_never_empty, True),
     ("21-richelot-roundtrip", geometry, "polar_line", _polar_transposed,
@@ -78,16 +131,6 @@ MUTATIONS = [
     ("22-richelot-tangency-duality", geometry, "line_pole",
      _pole_with_a_sign_slip, False),
 ]
-# claim id -> why its mutation does not reach it: a strict xfail
-UNREACHED = {"17-equivariance-salmon-dual":
-             "verify binds contragredient at import"}
-
-
-def _rows():
-    for m in MUTATIONS:
-        why = UNREACHED.get(m[0])
-        marks = [pytest.mark.xfail(strict=True, reason=why)] if why else []
-        yield pytest.param(*m, id=m[0], marks=marks)
 
 
 @pytest.fixture
@@ -105,7 +148,7 @@ def test_the_controlled_claims_pass_unmutated():
 
 
 @pytest.mark.parametrize("claim_id, module, name, mutant, via_exception",
-                         _rows())
+                         MUTATIONS, ids=[m[0] for m in MUTATIONS])
 def test_a_mutation_makes_the_claim_fail(monkeypatch, fresh_quintic_invariants,
                                          claim_id, module, name, mutant,
                                          via_exception):

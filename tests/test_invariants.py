@@ -1,21 +1,26 @@
 """Invariant-basis computation and the named calibrated invariants."""
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from comitant import invariants, linalg
 from comitant.grammar import parse_poly
-from comitant.comitants import Form
+from comitant.comitants import Form, hessian, transvectant
 from comitant.invariants import (
+    GenericComitant,
     InvariantError,
     canonical_quartic,
     det_weight,
     evaluate_invariant,
     find_invariants,
     generic_form,
+    generic_forms,
     hesse_pencil,
     invariant_S_quartic,
     named_invariant,
@@ -25,7 +30,10 @@ from comitant.invariants import (
     substituted_form,
 )
 from comitant.linalg import int_nullspace_mod_p
+from comitant.maps import c35_jacobian
 from comitant.poly import Poly, poly_ring
+from comitant.quartic import (clebsch_covariant, generic_salmon,
+                              salmon_contravariant)
 from comitant.scalars import GF, QQ, is_prime, rational_to_fp
 
 
@@ -446,3 +454,96 @@ def test_ternary_quartic_degree_three_invariant():
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
     fermat = Form(X**4 + Y**4 + Z**4, 4)
     assert evaluate_invariant(inv, fermat) != 0
+
+
+# ------------------------------------------- generic comitants, specialised
+
+# name -> (spaces, the comitant of the universal Forms, the same comitant of
+# Polys in the form variables, terms of the generic formula, denominator D)
+GENERIC = {
+    "hessian": (((3, 3),), lambda F: hessian(F.poly, F.indices), hessian,
+                73, 1),
+    "transvectant-2": (((2, 4), (2, 4)),
+                       lambda f, h: transvectant(f, h, 2).poly,
+                       lambda f, h: transvectant(Form(f, 4), Form(h, 4),
+                                                 2).poly,
+                       19, 24),
+    "transvectant-4": (((2, 4), (2, 4)),
+                       lambda f, h: transvectant(f, h, 4).poly,
+                       lambda f, h: transvectant(Form(f, 4), Form(h, 4),
+                                                 4).poly,
+                       5, 12),
+    "c35": (((2, 5),), lambda f: c35_jacobian(f).poly,
+            lambda f: c35_jacobian(Form(f, 5)).poly, 34, 25),
+    "clebsch": (((3, 4),), lambda F: clebsch_covariant(F).poly,
+                lambda f: clebsch_covariant(Form(f, 4)).poly, 678, 81),
+    "salmon": (((3, 4),), lambda F: generic_salmon().poly,
+               lambda f: salmon_contravariant(Form(f, 4)).poly, 63, 12),
+}
+
+
+@lru_cache(maxsize=None)
+def _compiled(name) -> GenericComitant:
+    spaces, build = GENERIC[name][:2]
+    return GenericComitant(build(*generic_forms(*spaces)), spaces)
+
+
+_COEFFICIENTS = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9))
+
+
+@st.composite
+def _form(draw, n, d):
+    names = ("x", "y") if n == 2 else ("X", "Y", "Z")
+    terms = {}
+    for combo in combinations_with_replacement(range(n), d):
+        c = draw(_COEFFICIENTS)
+        if type(c) is Fraction and c.denominator == 1:
+            c = c.numerator  # an integral QQ coefficient is an int
+        terms[tuple(combo.count(i) for i in range(n))] = c
+    return Poly(names, terms, QQ)
+
+
+@pytest.mark.parametrize("name", GENERIC)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_generic_comitant_matches_the_direct_comitant(name, data):
+    spaces, direct = GENERIC[name][0], GENERIC[name][2]
+    forms = [data.draw(_form(n, d)) for n, d in spaces]
+    assert _compiled(name)(*forms) == direct(*forms)
+
+
+@pytest.mark.parametrize("name", GENERIC)
+def test_generic_comitant_sizes(name):
+    terms, denominator = GENERIC[name][3:]
+    gc = _compiled(name)
+    assert (gc.term_count, gc.denominator) == (terms, denominator)
+
+
+def test_generic_comitant_of_mixed_coefficient_degree():
+    # 2 J + f pads f's terms with the forms' common denominator
+    spaces, _, direct = GENERIC["c35"][:3]
+    (f,) = generic_forms(*spaces)
+    gc = GenericComitant(c35_jacobian(f).poly * 2 + f.poly, spaces)
+    x, y = poly_ring(("x", "y"), QQ)
+    p = x**5 * Fraction(1, 3) - x**2 * y**3 + y**5 * Fraction(5, 2)
+    assert gc(p) == direct(p) * 2 + p
+    # the form variables are read in the order of the Form's indices
+    q = Poly(p.vars, {e[::-1]: c for e, c in p.terms.items()}, QQ)
+    assert gc(Form(q, 5, (1, 0))) == gc(p)
+
+
+def test_generic_comitant_refuses_a_prime_field_and_parameters():
+    gc = _compiled("clebsch")
+    X, Y, Z = poly_ring(("X", "Y", "Z"), GF(7))
+    with pytest.raises(InvariantError, match="over QQ only"):
+        gc(X**4 + Y**4 + Z**4)
+    t, X, Y, Z = poly_ring(("t", "X", "Y", "Z"), QQ)
+    with pytest.raises(InvariantError, match="parameter"):
+        gc(Form(X**4 + t * Y**4 + Z**4, 4, (1, 2, 3)))
+    with pytest.raises(InvariantError,
+                       match="one form per space: expected 1, got 0"):
+        gc()
+    with pytest.raises(InvariantError, match="share their variables"):
+        generic_forms((2, 4), (3, 3))
