@@ -18,12 +18,15 @@ sums, about half as wide as the balanced monomials are many.
 Its kernel is taken modulo word-size primes, eliminated in int64, combined
 by CRT and lifted back to QQ by rational reconstruction.  Each lift is
 mapped back onto the balanced monomials, brought to the reduced-echelon
-basis in their order, which is unique, and *proved*: every off-diagonal
-derivation is applied to it exactly and must give zero.  Primes are added
-until the proof holds.  The basis is complete: every invariant lies in the
-chi-isotypic part, and rank mod p is at most the rank over QQ, so the
-kernel mod p is at least as large as the invariant space and a proved
-basis that large spans it.  No elimination over QQ is ever run.
+basis in their order, which is unique, and *proved*: the generators of
+sl_n, D_01 and D_10 and for n = 3 also D_12 and D_21, are applied to it
+exactly and must give zero.  The brackets [D_01, D_12] = -D_02 and
+[D_21, D_10] = -D_20, checked on every coefficient variable once per
+space, carry that to D_02 and D_20.  Primes are added until the proof
+holds.  The basis is complete: every invariant lies in the chi-isotypic
+part, and rank mod p is at most the rank over QQ, so the kernel mod p is
+at least as large as the invariant space and a proved basis that large
+spans it.  No elimination over QQ is ever run.
 
 Named invariants (I2, I3, S, T) are single-dimensional kernels pinned to a
 specific scalar by evaluating on a pencil with known values; no literature
@@ -98,9 +101,7 @@ class _FormSpace:
             raise InvariantError("degree must be positive")
         self.n = n
         self.d = d
-        self.monomials = sorted(
-            (e for e in _exponents(n, d)),
-            key=lambda e: (sum(e), e), reverse=True)
+        self.monomials = sorted(_exponents(n, d), reverse=True)
         if n == 2:
             self.names = tuple(f"a{e[1]}" for e in self.monomials)
             self.weights = tuple(comb(d, e[1]) for e in self.monomials)
@@ -112,6 +113,11 @@ class _FormSpace:
             self.basis = "monomial"
         self.index = {e: i for i, e in enumerate(self.monomials)}
         self.form_vars = BINARY_VARS if n == 2 else TERNARY_VARS
+        if n == 3 and not self._brackets_hold():
+            raise InvariantError("derivation tables break the sl_3 brackets")
+        # D01, D10 (and D12, D21 for n = 3): generators of sl_n
+        self.generators = [self.derivation(i, j) for i, j in
+                           ((0, 1), (1, 0), (1, 2), (2, 1))[:2 * n - 2]]
 
     def derivation(self, i, j) -> dict:
         """Coefficient derivation induced by x_j -> x_j + eps * x_i.
@@ -131,12 +137,27 @@ class _FormSpace:
             out[t].append((s, self.weights[s] * m[j] // self.weights[t]))
         return out
 
+    def _brackets_hold(self) -> bool:
+        """Whether [D01, D12] = -D02 and [D21, D10] = -D20 on each coefficient
+        variable, so on the ring: a bracket of derivations is one."""
+        table = {ij: self.derivation(*ij) for ij in permutations(range(3), 2)}
+
+        def act(ij, linear, out):   # out + D_ij(linear), linear {index: c}
+            for t, c in linear.items():
+                for s, k in table[ij][t]:
+                    out[s] = out.get(s, 0) + c * k
+            return out
+        # A B a_t - B A a_t + C a_t vanishes for [A, B] = -C
+        return not any(any(act(a, act(b, {t: 1}, {}), act(
+            b, act(a, {t: -1}, {}), act(c, {t: 1}, {}))).values())
+            for a, b, c in (((0, 1), (1, 2), (0, 2)), ((2, 1), (1, 0), (2, 0)))
+            for t in range(len(self.monomials)))
+
 
 def _exponents(n, d):
     if n == 2:
         return [(d - i, i) for i in range(d + 1)]
-    return [(d - i - j, i, j) for i in range(d + 1) for j in range(d + 1 - i)
-            if d - i - j >= 0]
+    return [(d - i - j, i, j) for i in range(d + 1) for j in range(d + 1 - i)]
 
 
 _cached_space = lru_cache(maxsize=None)(_FormSpace)
@@ -180,67 +201,60 @@ def generic_forms(*spaces) -> list:
     return out
 
 
-def _apply_derivation(deriv: dict, mono):
-    """Leibniz rule on one coefficient monomial; yields (monomial, integer)."""
-    for v, k in enumerate(mono):
-        if k == 0:
-            continue
-        for s, c in deriv[v]:
-            e = list(mono)
-            e[v] -= 1
-            e[s] += 1
-            yield tuple(e), k * c
-
-
 def _image(deriv: dict, terms: dict) -> dict:
     """The image under a derivation of the coefficient polynomial with
-    these terms, as monomial -> coefficient; what cancels stays, as 0."""
+    these terms, each monomial packed in an int, `bits` bits per exponent,
+    2^bits > the top degree: no move carries.  What cancels stays, as 0."""
+    bits = max(map(sum, terms), default=0).bit_length()
+    # D(a_t) = sum c a_s takes a_t^k to k c a_t^(k-1) a_s
+    moves = [(t, (1 << bits * s) - (1 << bits * t), c)
+             for t, sources in deriv.items() for s, c in sources]
     out: dict = {}
-    for e, c in terms.items():
-        for e2, k in _apply_derivation(deriv, e):
-            out[e2] = out.get(e2, 0) + k * c
+    for e, coef in terms.items():
+        key = sum(k << bits * v for v, k in enumerate(e) if k)
+        for t, shift, c in moves:
+            if e[t]:
+                out[key + shift] = out.get(key + shift, 0) + e[t] * c * coef
     return out
 
 
 def _is_invariant(space: _FormSpace, p: Poly) -> bool:
-    """Whether every off-diagonal derivation kills the coefficient poly p,
-    exactly."""
-    n = space.n
-    return not any(any(_image(space.derivation(i, j), p.terms).values())
-                   for i in range(n) for j in range(n) if i != j)
+    """Whether the generators of sl_n kill the coefficient poly p, exactly."""
+    return not any(any(_image(deriv, p.terms).values())
+                   for deriv in space.generators)
 
 
 def _balanced_monomials(space: _FormSpace, r: int):
     """Exponent vectors of the degree-r coefficient monomials of torus
-    weight (w, .., w), w = r d / n, sorted by (degree, exponents) descending.
+    weight (w, .., w), w = r d / n, sorted descending.
 
-    Indices are chosen depth-first in nondecreasing order; a branch is cut
+    Indices are picked depth-first in nondecreasing order; a branch is cut
     as soon as some coordinate's remaining weight leaves 0..left*d, which
-    the `left` monomials still to choose could not fill.  The monomials are
-    sorted by first exponent, descending, which caps the first coordinate
-    further."""
-    n, d = space.n, space.d
-    if (r * d) % n:
-        return []
-    monomials = space.monomials
+    the `left` monomials still to pick could not fill, and the last pick is
+    the weight still owed.  The monomials are sorted by first exponent,
+    descending, so the scan stops at the first that cannot cover it."""
+    n, d, size = space.n, space.d, len(space.monomials)
+    if (r * d) % n or not r:
+        return [] if r else [(0,) * size]
     out = []
-    # (first index allowed, monomials left, weight still owed, exponents)
-    stack = [(0, r, (r * d // n,) * n, (0,) * len(monomials))]
+    # (first index allowed, monomials left, weight still owed, picks)
+    stack = [(0, r, (r * d // n,) * n, ())]
     while stack:
-        start, left, need, e = stack.pop()
-        if not left:
-            out.append(e)
+        start, left, need, picks = stack.pop()
+        if left == 1:
+            v = space.index.get(need, -1)
+            if v >= start:
+                out.append(tuple(map((picks + (v,)).count, range(size))))
             continue
         cap = (left - 1) * d
-        for v in range(start, len(monomials)):
-            m = monomials[v]
+        for v in range(start, size):
+            m = space.monomials[v]
+            if need[0] > left * m[0]:
+                break
             rest = tuple(a - b for a, b in zip(need, m))
-            # the later picks are v or after it: first exponent at most m[0]
-            if (0 <= rest[0] <= (left - 1) * m[0]
-                    and all(0 <= a <= cap for a in rest[1:])):
-                stack.append((v, left - 1, rest,
-                              e[:v] + (e[v] + 1,) + e[v + 1:]))
-    out.sort(key=lambda e: (sum(e), e), reverse=True)
+            if rest[0] >= 0 and all(0 <= a <= cap for a in rest[1:]):
+                stack.append((v, left - 1, rest, picks + (v,)))
+    out.sort(reverse=True)
     return out
 
 
@@ -302,8 +316,8 @@ def find_invariants(n: int, d: int, r: int) -> list:
     for n = 3), chi = sign^w with w = r d / n; the rows are the image of
     D_01.  The kernel is taken modulo word-size primes, combined by CRT
     and lifted by rational reconstruction (`linalg.modular_nullspace`)
-    until every lifted polynomial is proved invariant against every
-    off-diagonal derivation, exactly.  The basis is the reduced-echelon
+    until every lifted polynomial is proved invariant against the
+    generators of sl_n, exactly.  The basis is the reduced-echelon
     one in the order of the balanced monomials: each polynomial has a
     trailing monomial of its own that the others lack, and each is
     primitive with a positive leading coefficient.
@@ -321,17 +335,11 @@ def find_invariants(n: int, d: int, r: int) -> list:
     if not columns:
         return []
     # on the chi-isotypic subspace D_01 is conjugate to every D_ij
-    raising = space.derivation(0, 1)
-    row_of: dict = {}
-    ops: list = []
+    ops: dict = {}      # monomial -> row, D_01 being the first generator
     for col, orbit in enumerate(columns):
-        for e, c in _image(raising, orbit).items():
+        for e, c in _image(space.generators[0], orbit).items():
             if c:
-                i = row_of.get(e)
-                if i is None:
-                    i = row_of[e] = len(ops)
-                    ops.append([0] * len(columns))
-                ops[i][col] = c
+                ops.setdefault(e, [0] * len(columns))[col] = c
     position = {e: i for i, e in enumerate(candidates)}
 
     basis = []      # the polynomials of the last lift certify saw
@@ -351,7 +359,7 @@ def find_invariants(n: int, d: int, r: int) -> list:
         return all(_is_invariant(space, p) for p in basis)
 
     # modular_nullspace returns the lift of certify's last, accepting call
-    if modular_nullspace(ops, len(columns), certify) is None:
+    if modular_nullspace(list(ops.values()), len(columns), certify) is None:
         raise InvariantError(
             "modular kernel passed its Hadamard bound without a proof")
     return [

@@ -18,7 +18,7 @@ column operations, for the torus lattices of `comitant.fibers`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import lcm
 
 import numpy as np
 
@@ -178,24 +178,26 @@ def int_nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
     if p < 2:
         raise ValueError(f"modulus {p} is out of range: need p >= 2")
     dtype = np.int64 if (p - 1) ** 2 < 2**63 else object
-    m = np.array([[c % p for c in row] for row in rows],
-                 dtype=dtype).reshape(len(rows), ncols)
+    try:
+        m = np.array(rows, dtype=dtype) % p
+    except OverflowError:           # an entry past int64: reduce it first
+        m = np.array([[c % p for c in row] for row in rows], dtype=dtype)
+    m = m.reshape(len(rows), ncols)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == len(rows):
             break
-        below = np.flatnonzero(m[r:, c])
-        if not below.size:
+        hit = m[:, c].nonzero()[0]
+        k = int(hit.searchsorted(r))    # the first row from r on is the pivot
+        if k == hit.size:
             continue
-        pr = r + int(below[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        # the pivot row is zero left of c, so only columns c.. change
-        m[r, c:] = m[r, c:] * pow(int(m[r, c]), p - 2, p) % p
-        hit = np.flatnonzero(m[:, c])
-        hit = hit[hit != r]
-        m[hit, c:] = (m[hit, c:] - m[hit, c][:, None] * m[r, c:]) % p
+        pr = int(hit[k])
+        # rows from r on are zero left of c, so only columns c.. change
+        row = m[pr, c:] * pow(int(m[pr, c]), -1, p) % p
+        m[pr] = m[r]        # row r, zero at c unless it is the pivot row
+        m[hit, c:] = (m[hit, c:] - np.multiply.outer(m[hit, c], row)) % p
+        m[r, c:] = row
         pivots.append(c)
     # Python ints: callers combine residues by CRT past 2^63
     echelon = m[:len(pivots)].tolist()
@@ -220,11 +222,11 @@ def modular_nullspace(rows: list, ncols: int, certify):
     reduced-echelon convention of `int_nullspace_mod_p` when a kept prime
     is lucky; a prime that keeps the rank but moves the pivots can, rarely,
     give a proved basis on other free columns.  Returns None once the
-    product of the kept primes passes 2 H^2, H the Hadamard bound of rows:
-    by then every kept prime is lucky and every lift exact, so that only
-    happens when certify refuses a true kernel.
+    product of the kept primes passes 2^(1 + sum of bit lengths of |row|^2)
+    >= 2 H^2 (Hadamard): then every kept prime is lucky and every lift
+    exact, so that only happens when certify refuses a true kernel.
     """
-    bound = 2 * prod(filter(None, (sum(c * c for c in row) for row in rows)))
+    bits = 1 + sum(sum(c * c for c in row).bit_length() for row in rows)
     best = None             # (kernel dimension, pivots) of the kept primes
     for p in filter(is_prime, range(2**31 - 1, 2, -2)):
         basis = int_nullspace_mod_p(rows, ncols, p)
@@ -245,7 +247,7 @@ def modular_nullspace(rows: list, ncols: int, certify):
                   for v in residues]
         if not any(None in v for v in lifted) and certify(lifted):
             return lifted
-        if modulus > bound:
+        if modulus >> bits:
             return None
     return None
 

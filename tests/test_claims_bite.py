@@ -9,7 +9,9 @@ module; the equivariance claims 13-17 look up every helper they test that
 way, and build their generic comitant anew on every run.  `via_exception`
 records whether the claim fails through a mathematical witness or through
 an exception raised by the package's own check, so a row that comes to
-fail differently shows up.
+fail differently shows up.  The process-wide caches that a claim reads
+(the quintic trio, the generic Omega) are cleared around each row, so a
+mutant is always built cold.
 """
 
 from math import factorial
@@ -30,6 +32,7 @@ _original_hessian = comitants.hessian
 _original_transvectant = comitants.transvectant
 _original_c35 = maps.c35_jacobian
 _original_clebsch = quartic.clebsch_covariant
+_original_omega = quartic._omega_in_chart
 
 
 def _bracket_transposed(m, i, j, k):
@@ -88,6 +91,11 @@ def _clebsch_xy_swapped(F):
     return Form(Poly(cov.poly.vars, terms, cov.poly.ring), 4, cov.indices)
 
 
+def _omega_doubled(F, chart):
+    # twice Omega in every chart: the charts still agree with each other
+    return _original_omega(F, chart) * 2
+
+
 def _plain_transpose(g):
     # the transpose where the inverse transpose belongs
     return LinearSubstitution([list(col) for col in zip(*g.matrix)], g.ring)
@@ -130,16 +138,21 @@ MUTATIONS = [
      False),
     ("22-richelot-tangency-duality", geometry, "line_pole",
      _pole_with_a_sign_slip, False),
+    ("24-salmon-fermat-values", quartic, "_omega_in_chart", _omega_doubled,
+     False),
 ]
 
 
 @pytest.fixture
-def fresh_quintic_invariants():
-    # the proved trio is cached: a mutant must neither read the original's
-    # proof nor leave its own behind
-    invariants.quintic_invariants.cache_clear()
+def fresh_caches():
+    # the proved quintic trio and the generic Omega are cached for the
+    # process: a mutant must neither read the original's nor leave its own
+    caches = (invariants.quintic_invariants, quartic.generic_salmon)
+    for cached in caches:
+        cached.cache_clear()
     yield
-    invariants.quintic_invariants.cache_clear()
+    for cached in caches:
+        cached.cache_clear()
 
 
 def test_the_controlled_claims_pass_unmutated():
@@ -149,9 +162,8 @@ def test_the_controlled_claims_pass_unmutated():
 
 @pytest.mark.parametrize("claim_id, module, name, mutant, via_exception",
                          MUTATIONS, ids=[m[0] for m in MUTATIONS])
-def test_a_mutation_makes_the_claim_fail(monkeypatch, fresh_quintic_invariants,
-                                         claim_id, module, name, mutant,
-                                         via_exception):
+def test_a_mutation_makes_the_claim_fail(monkeypatch, fresh_caches, claim_id,
+                                         module, name, mutant, via_exception):
     monkeypatch.setattr(module, name, mutant)
     (entry,) = run_verifications(only=[claim_id]).entries
     assert entry.status == FAIL, entry.witness

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import comb
 
 import pytest
@@ -124,6 +124,27 @@ def test_kernel_widths_of_the_benchmark_spaces(monkeypatch):
     for space in ((3, 3, 6), (2, 5, 8), (2, 6, 6), (2, 4, 10), (2, 4, 12)):
         find_invariants(*space)
     assert widths == [28, 44, 39, 38, 57]
+
+
+def test_finder_work_counters_on_the_benchmark_spaces(monkeypatch):
+    # the shape of every modular kernel, and the primes each space takes:
+    # a wider operator or one more prime shows up here as a diff
+    shapes = []
+    kernel = linalg.int_nullspace_mod_p
+
+    def spy(rows, ncols, p):
+        shapes.append((len(rows), ncols))
+        return kernel(rows, ncols, p)
+
+    monkeypatch.setattr(linalg, "int_nullspace_mod_p", spy)
+    primes = []
+    for space in ((3, 3, 6), (2, 5, 8), (2, 6, 6), (2, 4, 10), (2, 4, 12)):
+        before = len(shapes)
+        find_invariants(*space)
+        primes.append(len(shapes) - before)
+    assert primes == [1, 1, 2, 2, 2]
+    assert shapes == [(93, 28), (71, 44), (55, 39), (55, 39), (53, 38),
+                      (53, 38), (83, 57), (83, 57)]
 
 
 def _cayley_sylvester(d, r):
@@ -265,6 +286,94 @@ def test_derivation_table_is_integral(n):
                     m = space.monomials[s]
                     assert type(c) is int and c * w[t] == w[s] * m[j]
                     assert c == (m[i] + 1 if n == 2 else m[j]), (d, i, j, m)
+
+
+def _applied(table, p: Poly) -> Poly:
+    """A derivation given by its table on the coefficient poly p, by the
+    chain rule: sum over t of dp/da_t times D(a_t)."""
+    out = Poly.zero(p.vars, QQ)
+    for t in {t for e in p.terms for t, k in enumerate(e) if k}:
+        for s, c in table[t]:
+            out = out + p.partial(t) * _variable(s, p.vars) * c
+    return out
+
+
+def _variable(s, vars) -> Poly:
+    # by position: from d = 11 on two ternary names coincide ("a1010")
+    return Poly.monomial(1, tuple(int(i == s) for i in range(len(vars))),
+                         vars, QQ)
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_sl3_brackets_on_every_coefficient_variable(d):
+    # [D01, D12] = -D02 and [D21, D10] = -D20 on each a_t, so the four
+    # generators kill whatever D02 and D20 would have to
+    space = invariants._space(3, d)
+    for a, b, c in (((0, 1), (1, 2), (0, 2)), ((2, 1), (1, 0), (2, 0))):
+        A, B, C = (space.derivation(*ij) for ij in (a, b, c))
+        for t in range(len(space.names)):
+            a_t = _variable(t, space.names)
+            ab = _applied(A, _applied(B, a_t))
+            ba = _applied(B, _applied(A, a_t))
+            assert ab - ba == _applied(C, a_t) * -1, (d, a, b, t)
+    assert space.generators == [space.derivation(*ij) for ij in
+                                ((0, 1), (1, 0), (1, 2), (2, 1))]
+
+
+def test_a_table_that_breaks_the_brackets_is_refused(monkeypatch):
+    # the four generators certify only through the brackets: a D02 table
+    # with one image dropped leaves the space unusable
+    derivation = invariants._FormSpace.derivation
+
+    def broken(self, i, j):
+        table = derivation(self, i, j)
+        if (i, j) == (0, 2):
+            table[next(t for t in table if table[t])] = []
+        return table
+
+    monkeypatch.setattr(invariants._FormSpace, "derivation", broken)
+    with pytest.raises(InvariantError, match="sl_3 brackets"):
+        invariants._FormSpace(3, 3)
+
+
+_SL3_SPACES = [(3, 2, 3), (3, 3, 4), (3, 3, 6), (3, 4, 3)]
+
+
+@lru_cache(maxsize=None)
+def _sl3_families(n, d, r):
+    """The degree-r invariants; the balanced polynomials that one opposite
+    pair of generators kills, D01 and D10 or D12 and D21; the balanced
+    monomials."""
+    space = invariants._space(n, d)
+    monomials = invariants._balanced_monomials(space, r)
+    halves = []
+    for pair in (((0, 1), (1, 0)), ((1, 2), (2, 1))):
+        rows = []
+        for ij in pair:
+            images = [invariants._image(space.derivation(*ij), {e: 1})
+                      for e in monomials]
+            rows += [[image.get(k, 0) for image in images]
+                     for k in set().union(*images)]
+        halves += [Poly(space.names, dict(zip(monomials, v)), QQ)
+                   for v in linalg.nullspace(rows, len(monomials))]
+    return ([b.formula for b in find_invariants(n, d, r)], halves,
+            [Poly(space.names, {e: 1}, QQ) for e in monomials])
+
+
+@settings(max_examples=80, deadline=None)
+@given(space=st.sampled_from(_SL3_SPACES), data=st.data())
+def test_generators_certify_as_all_six_derivations_do(space, data):
+    # sums of invariants, of polynomials that half the generators kill and
+    # of balanced monomials: the four generators must judge each as the
+    # six off-diagonal derivations do
+    sp = invariants._space(*space[:2])
+    p = Poly.zero(sp.names, QQ)
+    for family in _sl3_families(*space):
+        for q in data.draw(st.lists(st.sampled_from(family), max_size=2)):
+            p = p + q * data.draw(st.integers(-3, 3))
+    six = all(_applied(sp.derivation(i, j), p).is_zero()
+              for i, j in permutations(range(3), 2))
+    assert invariants._is_invariant(sp, p) == six
 
 
 def _balanced_by_brute_force(space, r):
