@@ -547,12 +547,6 @@ def _map_polys(m):
     raise FiberError(f"cannot read {type(m).__name__} as a coordinate map")
 
 
-def fiber_count(m, target, p: int) -> int:
-    """Points of P^k(F_p) outside the vanishing locus mapping to target."""
-    census = FiberCensus(_map_polys(m), p)
-    return census.fiber_size(target)
-
-
 def sample_report(m, p: int, samples: int, seed: int) -> dict:
     """Census plus fiber sizes at the images of seeded random source points.
 

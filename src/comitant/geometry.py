@@ -17,7 +17,8 @@ from itertools import combinations, permutations
 from .linalg import poly_det
 from .maps import normalize_point
 from .poly import Poly, divexact, poly_ring, univariate_gcd, unwrap
-from .scalars import GF, QQ, Fp, as_scalar, exact_div, ring_one
+from .scalars import (GF, QQ, Fp, as_scalar, exact_div, rational_content,
+                      ring_one)
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
 
@@ -112,14 +113,23 @@ class PointPair:
     def normalized(self) -> "PointPair":
         """A scalar pair: the canonical representative of
         `maps.normalize_point`.  A pair in one parameter: the triple over
-        the `univariate_gcd` of its coefficients, which it then lacks.  A
-        pair in two or more parameters comes back as it is."""
+        the `univariate_gcd` of its coefficients, which it then lacks,
+        scaled by `normalize_point`'s conventions: over QQ[a] coprime
+        integers with the last nonzero coefficient's lead term positive,
+        over GF(p)[a] that lead term 1.  A pair in two or more parameters
+        comes back as it is."""
         coeffs = self.coefficients()
         if not self.params:
             coeffs = normalize_point(coeffs, self.ring)
         elif len(self.params) == 1:
             g = reduce(univariate_gcd, [c for c in coeffs if c])
             coeffs = [divexact(c, g) for c in coeffs]
+            _, last = next(c for c in reversed(coeffs) if c).lead_term()
+            if self.ring == QQ:
+                content = rational_content([t for c in coeffs
+                                            for t in c.terms.values()])
+                last = content if last > 0 else -content
+            coeffs = [c.scale_div(last) for c in coeffs]
         return PointPair(*coeffs, self.vars, self.ring)
 
     def __repr__(self):
@@ -136,10 +146,6 @@ def harmonic_pairing(b1: PointPair, b2: PointPair):
     A2, B2, C2 = b2.coefficients()
     half = exact_div(ring_one(b1.ring), 2)
     return A * C2 + A2 * C - B * B2 * half
-
-
-def is_harmonic(b1: PointPair, b2: PointPair) -> bool:
-    return not harmonic_pairing(b1, b2)
 
 
 def harmonic_partner(pair: PointPair, pt):

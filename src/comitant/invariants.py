@@ -107,7 +107,10 @@ class _FormSpace:
             self.weights = tuple(comb(d, e[1]) for e in self.monomials)
             self.basis = "binomial"
         else:
-            self.names = tuple("a" + "".join(map(str, e))
+            # an exponent of 10 or more needs a separator: a1010 would be
+            # both (10, 1, 0) and (1, 0, 10)
+            sep = "_" if d >= 10 else ""
+            self.names = tuple("a" + sep.join(map(str, e))
                                for e in self.monomials)
             self.weights = tuple(1 for _ in self.monomials)
             self.basis = "monomial"

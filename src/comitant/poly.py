@@ -216,10 +216,9 @@ class Poly:
         exponent shift, and a zero image makes the integer 0, which drops
         the term.  One pass over each term's nonzero exponents does the fold
         and the denominator.  Only images with two or more terms (linear
-        forms, polar coefficients) are multiplied as polynomials: cached
-        powers of them, and cached products of shared exponent prefixes
-        indexed over their positions alone; the last nonzero factor is
-        multiplied straight into the accumulator, at the term's shift.
+        forms, polar coefficients) are multiplied as polynomials, from
+        cached powers of them; the last nonzero factor is multiplied
+        straight into the accumulator.
         Every surviving monomial becomes num // L when L divides num, one
         Fraction(num, L) otherwise (or one Fp) at the end.
         """
@@ -302,11 +301,8 @@ class Poly:
                 pw.append(_packed_mul(pw[-1], pw[1], p))
             return pw[k]
 
-        # prefix[em[:j]] = prod over the first j multi-term images of
-        # N_i^k_i, shared by every term whose exponents there start with
-        # em[:j]; a term's last nonzero factor is multiplied straight into
-        # the accumulator
-        prefix = {(): {0: 1}}
+        # a term's last nonzero factor is multiplied straight into the
+        # accumulator
         acc: dict = {}
         get = acc.get
         for em, num, den, shift in terms:
@@ -317,21 +313,12 @@ class Poly:
             if not last:
                 acc[shift] = get(shift, 0) + mult
                 continue
-            head = em[:last - 1]
-            prod = prefix.get(head)
-            if prod is None:
-                j = last - 2
-                while em[:j] not in prefix:
-                    j -= 1
-                prod = prefix[em[:j]]
-                for i in range(j, last - 1):
-                    if em[i]:
-                        prod = _packed_mul(prod, power(i, em[i]), p)
-                    prefix[em[:i + 1]] = prod
+            prod = {shift: mult}
+            for i in range(last - 1):
+                if em[i]:
+                    prod = _packed_mul(prod, power(i, em[i]), p)
             factor = power(last - 1, em[last - 1])
             for ea, ca in prod.items():
-                ca *= mult
-                ea += shift
                 for eb, cb in factor.items():
                     key = ea + eb
                     acc[key] = get(key, 0) + ca * cb

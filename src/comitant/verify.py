@@ -31,30 +31,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .associated import (DUAL_BINARY, associated_form,
-                         associated_selfmap_degree, associated_slice_map,
-                         congruence_holds)
-from . import comitants, maps, quartic
-from .comitants import DUAL_VARS, Form, hessian
-from .fibers import FiberError, check_census, sample_report
-from .geometry import (GeometryError, PointPair, ProjectivePoint, bracket,
-                       coble_identity_check, coble_matrix, conic_through,
-                       is_tangency_pair, pair_triples_match, pair_vertex,
-                       q_construction, richelot_forward, richelot_inverse,
-                       symbolic_conic)
-from .invariants import (GenericComitant, canonical_quartic, det_weight,
-                         evaluate_invariant, generic_forms, hesse_pencil,
-                         invariant_I2, invariant_I3, invariant_S,
-                         invariant_T, quartic_pencil, quintic_invariants,
-                         random_substitution, substituted_form)
-from .linalg import LinearSubstitution
-from .maps import (PENCIL_VARS, compose, descend_map,
-                   hammond_image_polys, hammond_path_comparison,
-                   hammond_relations_symbolic, hesse_cover, hesse_self_map,
-                   quartic_cover, quartic_self_map)
-from .poly import Poly, constant_ratio, poly_ring
-from .quartic import generic_salmon, salmon_contravariant
-from .scalars import QQ, is_prime
+from . import (associated, comitants, fibers, geometry, invariants, maps,
+               poly, quartic, scalars)
+from .associated import DUAL_BINARY
+from .comitants import DUAL_VARS, Form
+from .fibers import FiberError
+from .geometry import GeometryError, PointPair, ProjectivePoint
+from .invariants import GenericComitant
+from .maps import PENCIL_VARS
+from .poly import Poly
+from .scalars import QQ
 
 PASS = "pass"
 FAIL = "fail"
@@ -116,13 +102,13 @@ def _nonsquare_substitution(n: int, rng: random.Random):
     """A random substitution whose det is not 0 or +-1, so that the
     determinant weight is pinned by a single probe."""
     while True:
-        g = random_substitution(n, rng)
+        g = invariants.random_substitution(n, rng)
         if abs(g.det) not in (0, 1):
             return g
 
 
 def _covariance_series(rng, probes, n, degree, comitant, arity=1,
-                       act_out=LinearSubstitution.apply):
+                       act_out=lambda g, p: g.apply(p)):
     """Measure the determinant weight once, then assert it exactly on
     `probes` fresh probes.  A probe draws `arity` random forms f and a
     substitution g, and checks comitant(g.f, ...) == det(g)^w *
@@ -137,12 +123,13 @@ def _covariance_series(rng, probes, n, degree, comitant, arity=1,
         if base.is_zero():
             continue
         g = (_nonsquare_substitution(n, rng) if weight is None
-             else random_substitution(n, rng))
+             else invariants.random_substitution(n, rng))
         moved = comitant(*(g.apply(f) for f in forms))
         target = act_out(g, base)
         if weight is None:
-            ratio = constant_ratio(target, moved)
-            weight = None if ratio is None else det_weight(g.det, ratio)
+            ratio = poly.constant_ratio(target, moved)
+            weight = (None if ratio is None
+                      else invariants.det_weight(g.det, ratio))
             if weight is None:
                 raise VerifyError(f"the probe is not a power of det {g.det} "
                                   "times the transformed comitant")
@@ -157,9 +144,9 @@ def _covariance_series(rng, probes, n, degree, comitant, arity=1,
 
 
 def _c_hesse_hessian(ctx):
-    pencil = hesse_pencil()
-    he = hessian(pencil.poly, pencil.indices)
-    t0, t1, X, Y, Z = poly_ring(pencil.poly.vars, QQ)
+    pencil = invariants.hesse_pencil()
+    he = comitants.hessian(pencil.poly, pencil.indices)
+    t0, t1, X, Y, Z = poly.poly_ring(pencil.poly.vars, QQ)
     target = (t0 * t1**2 * (X**3 + Y**3 + Z**3)
               - (t0**3 + t1**3 * 2) * X * Y * Z) * -216
     if he != target:
@@ -169,10 +156,10 @@ def _c_hesse_hessian(ctx):
 
 
 def _c_aronhold_calibration(ctx):
-    pencil = hesse_pencil()
-    s_val = evaluate_invariant(invariant_S(), pencil)
-    t_val = evaluate_invariant(invariant_T(), pencil)
-    t0, t1 = poly_ring(PENCIL_VARS, QQ)
+    pencil = invariants.hesse_pencil()
+    s_val = invariants.evaluate_invariant(invariants.invariant_S(), pencil)
+    t_val = invariants.evaluate_invariant(invariants.invariant_T(), pencil)
+    t0, t1 = poly.poly_ring(PENCIL_VARS, QQ)
     s_want = t0**3 * t1 - t1**4
     t_want = t0**6 - t0**3 * t1**3 * 20 - t1**6 * 8
     if s_val != s_want or t_val != t_want:
@@ -184,16 +171,16 @@ def _c_aronhold_calibration(ctx):
 def _map_degrees(ctx, selfmap, cover, degree, cover_degree):
     """Self-map and cover degrees, exact descent of the composite, and a
     fiber bound from one sampled census."""
-    comp = compose(cover, selfmap)
+    comp = maps.compose(cover, selfmap)
     want = (degree, cover_degree, degree * cover_degree)
     if (selfmap.degree, cover.degree, comp.degree) != want:
         return FAIL, (f"degrees: self-map {selfmap.degree}, cover "
                       f"{cover.degree}, composite {comp.degree}")
-    down = descend_map(cover, comp, degree)
-    if down.degree != degree or compose(down, cover) != comp:
+    down = maps.descend_map(cover, comp, degree)
+    if down.degree != degree or maps.compose(down, cover) != comp:
         return FAIL, f"descent gave degree {down.degree}"
     p = ctx.primes[1]
-    census = sample_report(selfmap, p, samples=1, seed=ctx.seed)
+    census = fibers.sample_report(selfmap, p, samples=1, seed=ctx.seed)
     if census["max_fiber"] > degree:
         return FAIL, f"a fiber of size {census['max_fiber']} over F_{p}"
     return PASS, (f"self-map degree {degree}, invariant cover degree "
@@ -203,14 +190,14 @@ def _map_degrees(ctx, selfmap, cover, degree, cover_degree):
 
 
 def _c_hesse_map_degrees(ctx):
-    return _map_degrees(ctx, hesse_self_map(), hesse_cover(), 3, 12)
+    return _map_degrees(ctx, maps.hesse_self_map(), maps.hesse_cover(), 3, 12)
 
 
 def _c_quartic_calibration(ctx):
-    form = canonical_quartic()
-    i2 = evaluate_invariant(invariant_I2(), form)
-    i3 = evaluate_invariant(invariant_I3(), form)
-    (alpha,) = poly_ring(("alpha",), QQ)
+    form = invariants.canonical_quartic()
+    i2 = invariants.evaluate_invariant(invariants.invariant_I2(), form)
+    i3 = invariants.evaluate_invariant(invariants.invariant_I3(), form)
+    (alpha,) = poly.poly_ring(("alpha",), QQ)
     if i2 != alpha**2 * 3 + 1 or i3 != alpha - alpha**3:
         return FAIL, f"I2 -> {i2}, I3 -> {i3}"
     return PASS, ("on x^4 + 6a*x^2*y^2 + y^4: I2 = 1 + 3a^2, "
@@ -218,13 +205,14 @@ def _c_quartic_calibration(ctx):
 
 
 def _c_quartic_map_degrees(ctx):
-    return _map_degrees(ctx, quartic_self_map(), quartic_cover(), 2, 6)
+    return _map_degrees(ctx, maps.quartic_self_map(), maps.quartic_cover(),
+                        2, 6)
 
 
 def _c_quartic_hessian_middle_term(ctx):
-    pencil = quartic_pencil()
-    he = hessian(pencil.poly, pencil.indices)
-    t0, t1, x, y = poly_ring(pencil.poly.vars, QQ)
+    pencil = invariants.quartic_pencil()
+    he = comitants.hessian(pencil.poly, pencil.indices)
+    t0, t1, x, y = poly.poly_ring(pencil.poly.vars, QQ)
     computed = (t0 * t1 * (x**4 + y**4)
                 + (t0**2 - t1**2 * 3) * x**2 * y**2) * 144
     if he != computed:
@@ -240,7 +228,7 @@ def _c_quartic_hessian_middle_term(ctx):
 
 
 def _c_quintic_image_two_paths(ctx):
-    cmp = hammond_path_comparison()
+    cmp = maps.hammond_path_comparison()
     if cmp["scalar"] != 10 or cmp["flipped"] not in ((), ((1, 4),)):
         return FAIL, (f"paths relate by scalar {cmp['scalar']} with sign "
                       f"flips at {cmp['flipped']}")
@@ -255,7 +243,7 @@ def _c_quintic_image_two_paths(ctx):
 
 
 def _c_quintic_image_relations(ctx):
-    if not hammond_relations_symbolic():
+    if not maps.hammond_relations_symbolic():
         return FAIL, "a*c0 + f*c5 or e*c4 - b*c1 is not identically zero"
     return PASS, ("a*c0 + f*c5 == 0 and e*c4 - b*c1 == 0 hold identically "
                   "in QQ[a,b,e,f]")
@@ -264,7 +252,8 @@ def _c_quintic_image_relations(ctx):
 def _c_quintic_image_fibers(ctx):
     p = ctx.primes[0]
     samples = max(100, ctx.trials * 5)
-    rep = sample_report(hammond_image_polys(), p, samples, ctx.seed)
+    rep = fibers.sample_report(maps.hammond_image_polys(), p, samples,
+                               ctx.seed)
     frac = rep["fraction_ones"]
     tenths = round(frac * 1000)  # of a percent, rounded exactly
     witness = (f"P^3(F_{p}) census: {samples} sampled image points, "
@@ -284,7 +273,7 @@ def _c_quintic_image_fibers(ctx):
 
 
 def _c_coble_bracket_identity(ctx):
-    if not coble_identity_check():
+    if not geometry.coble_identity_check():
         return FAIL, ("a minor misses its closed form, or "
                       "(123)(145)(246)(356) != (124)(135)(236)(456)")
     return PASS, ("(123)(145)(246)(356) == (124)(135)(236)(456) as an "
@@ -293,14 +282,14 @@ def _c_coble_bracket_identity(ctx):
 
 
 def _c_coble_extra_bracket(ctx):
-    m = coble_matrix()
-    lhs = (bracket(m, 1, 2, 3) * bracket(m, 1, 4, 5)
-           * bracket(m, 2, 4, 6) * bracket(m, 3, 5, 6))
-    rhs = (bracket(m, 1, 2, 4) * bracket(m, 1, 3, 5)
-           * bracket(m, 2, 3, 6) * bracket(m, 4, 5, 6))
+    m = geometry.coble_matrix()
+    lhs = (geometry.bracket(m, 1, 2, 3) * geometry.bracket(m, 1, 4, 5)
+           * geometry.bracket(m, 2, 4, 6) * geometry.bracket(m, 3, 5, 6))
+    rhs = (geometry.bracket(m, 1, 2, 4) * geometry.bracket(m, 1, 3, 5)
+           * geometry.bracket(m, 2, 3, 6) * geometry.bracket(m, 4, 5, 6))
     if lhs != rhs:
         return FAIL, "the balanced four-by-four identity itself fails"
-    if lhs == rhs * bracket(m, 1, 2, 3):
+    if lhs == rhs * geometry.bracket(m, 1, 2, 3):
         return FAIL, "the variant with an extra (123) factor also holds"
     return NOTED, ("the published right-hand product carries a fifth "
                    "factor (123); with it the two sides are provably "
@@ -309,8 +298,8 @@ def _c_coble_extra_bracket(ctx):
 
 
 def _c_six_point_conic_table(ctx):
-    pts = q_construction(symbolic_conic())
-    a, b, c, d, e, f = poly_ring(("a", "b", "c", "d", "e", "f"), QQ)
+    pts = geometry.q_construction(geometry.symbolic_conic())
+    a, b, c, d, e, f = poly.poly_ring(("a", "b", "c", "d", "e", "f"), QQ)
     zero = a * 0
     table = (ProjectivePoint((zero, f, -b)), ProjectivePoint((zero, -c, f)),
              ProjectivePoint((-c, zero, e)), ProjectivePoint((e, zero, -a)),
@@ -318,7 +307,7 @@ def _c_six_point_conic_table(ctx):
     for i, (got, want) in enumerate(zip(pts, table), start=1):
         if got != want:
             return FAIL, f"q{i} computed as {got}, table says {want}"
-    if not conic_through(pts):
+    if not geometry.conic_through(pts):
         return FAIL, "the six points do not lie on a common conic"
     return PASS, ("harmonic-partner construction reproduces the six-point "
                   "table q1=[0,f,-b] .. q6=[-b,d,0] projectively, and the "
@@ -332,7 +321,8 @@ def _c_six_point_conic_table(ctx):
 def _generic(comitant, *spaces) -> GenericComitant:
     """comitant (a Poly-valued map of Forms) on the universal forms of the
     spaces, compiled for the probes; built anew on every run."""
-    return GenericComitant(comitant(*generic_forms(*spaces)), spaces)
+    return GenericComitant(comitant(*invariants.generic_forms(*spaces)),
+                           spaces)
 
 
 def _c_equivariance_hessian(ctx):
@@ -386,21 +376,22 @@ def _c_equivariance_salmon_dual(ctx):
 
 def _c_quintic_invariant_basis(ctx):
     rng = ctx.rng()
-    trio = quintic_invariants()  # self-validates: degrees, sl2, rank 3
-    x, y = poly_ring(("x", "y"), QQ)
+    # self-validates: degrees, sl2, rank 3
+    trio = invariants.quintic_invariants()
+    x, y = poly.poly_ring(("x", "y"), QQ)
     x5 = Form(x**5, 5)
     for desc in trio:
-        if evaluate_invariant(desc, x5) != 0:
+        if invariants.evaluate_invariant(desc, x5) != 0:
             return FAIL, f"{desc.name} does not vanish on x^5"
     while True:
         sample = Form(_random_form(rng, ("x", "y"), 5), 5)
-        vals = [evaluate_invariant(d, sample) for d in trio]
+        vals = [invariants.evaluate_invariant(d, sample) for d in trio]
         if all(vals):
             break
     for _ in range(3):
-        g = random_substitution(2, rng, unimodular=True)
-        moved = substituted_form(sample, g)
-        got = [evaluate_invariant(d, moved) for d in trio]
+        g = invariants.random_substitution(2, rng, unimodular=True)
+        moved = invariants.substituted_form(sample, g)
+        got = [invariants.evaluate_invariant(d, moved) for d in trio]
         if got != vals:
             return FAIL, "a unimodular substitution changed an invariant"
     return PASS, ("I4, I8, I12 built by transvectant chain from (f,f)_4: "
@@ -415,16 +406,16 @@ def _c_quintic_invariant_basis(ctx):
 
 def _c_associated_form_values(ctx):
     rng = ctx.rng()
-    x, y = poly_ring(("x", "y"), QQ)
+    x, y = poly.poly_ring(("x", "y"), QQ)
     bform = Form(x**4 + y**4, 4)
-    bres = associated_form(bform)
-    u, v = poly_ring(DUAL_BINARY, QQ)
-    c2 = constant_ratio(u**2 * v**2, bres.form)
-    X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
+    bres = associated.associated_form(bform)
+    u, v = poly.poly_ring(DUAL_BINARY, QQ)
+    c2 = poly.constant_ratio(u**2 * v**2, bres.form)
+    X, Y, Z = poly.poly_ring(("X", "Y", "Z"), QQ)
     tform = Form(X**3 + Y**3 + Z**3, 3)
-    tres = associated_form(tform)
-    u3, v3, w3 = poly_ring(DUAL_VARS, QQ)
-    c3 = constant_ratio(u3 * v3 * w3, tres.form)
+    tres = associated.associated_form(tform)
+    u3, v3, w3 = poly.poly_ring(DUAL_VARS, QQ)
+    c3 = poly.constant_ratio(u3 * v3 * w3, tres.form)
     if c2 is None or c3 is None:
         return FAIL, (f"as(x^4+y^4) = {bres.form} and as(X^3+Y^3+Z^3) = "
                       f"{tres.form}: not both multiples of u^2*v^2, u*v*w")
@@ -434,7 +425,7 @@ def _c_associated_form_values(ctx):
             ell = tuple(rng.randint(-5, 5) for _ in range(n))
             if not any(ell):
                 continue
-            if not congruence_holds(res, form, ell):
+            if not associated.congruence_holds(res, form, ell):
                 return FAIL, (f"congruence failed for ell={ell} on the "
                               f"{n}-variable sample")
             done += 1
@@ -444,11 +435,11 @@ def _c_associated_form_values(ctx):
 
 
 def _c_associated_selfmap_degree(ctx):
-    m = associated_slice_map()
-    t0, t1 = poly_ring(PENCIL_VARS, QQ)
+    m = associated.associated_slice_map()
+    t0, t1 = poly.poly_ring(PENCIL_VARS, QQ)
     if m.num * (-t0) != m.den * (t1 * 3):
         return FAIL, f"slice map computed as [{m.num} : {m.den}]"
-    deg = associated_selfmap_degree()
+    deg = associated.associated_selfmap_degree()
     if deg != 1:
         return FAIL, f"descended degree {deg}"
     return PASS, ("slice map [3*t1 : -t0] (a -> -1/(3a)) on the canonical "
@@ -478,11 +469,11 @@ def _c_richelot_roundtrip(ctx):
     fixture = [PointPair(0, 1, 0, ("s", "t")),
                PointPair(1, 0, -1, ("s", "t")),
                PointPair(1, 0, -4, ("s", "t"))]
-    fwd = richelot_forward(fixture)
+    fwd = geometry.richelot_forward(fixture)
     expect = [PointPair(0, 1, 0, ("s", "t")),
               PointPair(1, 0, 4, ("s", "t")),
               PointPair(1, 0, 1, ("s", "t"))]
-    if not pair_triples_match(fwd, expect):
+    if not geometry.pair_triples_match(fwd, expect):
         return FAIL, f"fixture image computed as {[str(p) for p in fwd]}"
     done = 0
     attempts = 0
@@ -492,11 +483,11 @@ def _c_richelot_roundtrip(ctx):
             return FAIL, "could not draw enough nondegenerate inputs"
         pairs = _random_pair_triple(rng)
         try:
-            out = richelot_forward(pairs)
-            back = richelot_inverse(out)
+            out = geometry.richelot_forward(pairs)
+            back = geometry.richelot_inverse(out)
         except GeometryError:
             continue
-        if not pair_triples_match(pairs, back):
+        if not geometry.pair_triples_match(pairs, back):
             return FAIL, f"round-trip failed on {[str(p) for p in pairs]}"
         done += 1
     return PASS, (f"inverse(forward(pairs)) == pairs for {done} random "
@@ -514,18 +505,18 @@ def _c_richelot_tangency_duality(ctx):
             return FAIL, "could not draw enough nondegenerate inputs"
         pairs = _random_pair_triple(rng)
         try:
-            out = richelot_forward(pairs)
+            out = geometry.richelot_forward(pairs)
         except GeometryError:
             continue
         lines = [p.coefficients() for p in pairs]
         for i, q in enumerate(out):
-            vert = pair_vertex(q)
+            vert = geometry.pair_vertex(q)
             for j in range(3):
                 incid = sum(lines[j][k] * vert[k] for k in range(3))
                 if (j != i) != (not incid):
                     return FAIL, (f"vertex of output {i + 1} is not the "
                                   "intersection of the other two chords")
-            if not is_tangency_pair(vert, q):
+            if not geometry.is_tangency_pair(vert, q):
                 return FAIL, f"output {i + 1} is not a tangency pair"
         done += 1
     return PASS, (f"on {done} random valid triples: each output pair's "
@@ -538,7 +529,7 @@ def _c_richelot_tangency_duality(ctx):
 
 
 def _c_salmon_chart_consistency(ctx):
-    om = generic_salmon()  # asserts the three charts agree
+    om = quartic.generic_salmon()  # asserts the three charts agree
     groups = om.poly.coefficients_in(om.indices)
     if any(g.total_degree() != 2 for g in groups.values()):
         return FAIL, "dual form is not quadratic in the coefficients"
@@ -551,12 +542,12 @@ def _c_salmon_chart_consistency(ctx):
 
 
 def _c_salmon_fermat_values(ctx):
-    X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
-    u, v, w = poly_ring(DUAL_VARS, QQ)
-    om0 = salmon_contravariant(Form(X**4, 4))
+    X, Y, Z = poly.poly_ring(("X", "Y", "Z"), QQ)
+    u, v, w = poly.poly_ring(DUAL_VARS, QQ)
+    om0 = quartic.salmon_contravariant(Form(X**4, 4))
     if not om0.poly.is_zero():
         return FAIL, f"Omega(x^4) computed as {om0.poly}"
-    om1 = salmon_contravariant(Form(X**4 + Y**4 + Z**4, 4))
+    om1 = quartic.salmon_contravariant(Form(X**4 + Y**4 + Z**4, 4))
     if om1.poly != u**4 + v**4 + w**4:
         return FAIL, f"Omega(x^4+y^4+z^4) computed as {om1.poly}"
     if om1.poly.evaluate([0, 0, 1]) != 1:
@@ -570,9 +561,9 @@ def _c_salmon_fermat_values(ctx):
 
 
 def _c_sextic_display_exponent(ctx):
-    pencil = hesse_pencil()
-    t_val = evaluate_invariant(invariant_T(), pencil)
-    t0, t1 = poly_ring(PENCIL_VARS, QQ)
+    pencil = invariants.hesse_pencil()
+    t_val = invariants.evaluate_invariant(invariants.invariant_T(), pencil)
+    t0, t1 = poly.poly_ring(PENCIL_VARS, QQ)
     if t_val != t0**6 - t0**3 * t1**3 * 20 - t1**6 * 8:
         return FAIL, f"calibrated T evaluates to {t_val}"
     variant = t0**6 - t0 * t1**3 * 20 - t1**6 * 8
@@ -759,7 +750,8 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
     primes = tuple(primes)
     why = ""
     try:
-        ok = len(primes) >= 2 and all(p > 2 and is_prime(p) for p in primes)
+        ok = len(primes) >= 2 and all(p > 2 and scalars.is_prime(p)
+                                      for p in primes)
     except ValueError as exc:  # past the exact primality range
         ok, why = False, f" ({exc})"
     if not ok:
@@ -769,7 +761,7 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
     # P^1 at primes[1]: refuse a prime the census would refuse
     for k, p in ((3, primes[0]), (1, primes[1])):
         try:
-            check_census(k, p)
+            fibers.check_census(k, p)
         except FiberError as exc:
             raise VerifyError(f"census prime {p}: {exc}") from None
     if trials < 1:

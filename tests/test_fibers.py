@@ -27,11 +27,10 @@ from comitant.fibers import (
     _row_keys,
     _tally,
     check_census,
-    fiber_count,
     projective_points,
     sample_report,
 )
-from comitant.maps import RationalMapP1, hammond_image_polys, quartic_self_map
+from comitant.maps import hammond_image_polys, quartic_self_map
 from comitant.orbits import Torus, _howell, _Logs
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import GF, QQ, Fp
@@ -129,15 +128,17 @@ def test_census_accepts_gfp_polys():
 def test_fiber_count_hand_checked():
     # x = t0/t1 with x^2 = 4 over F_7 gives x = 2 and x = 5
     t0, t1 = poly_ring(("t0", "t1"), QQ)
-    assert fiber_count([t0**2, t1**2], (4, 1), 7) == 2
-    assert fiber_count(RationalMapP1(t0**2, t1**2), (4, 1), 7) == 2
+    assert FiberCensus([t0**2, t1**2], 7).fiber_size((4, 1)) == 2
 
 
 def test_fiber_count_accepts_rational_map():
+    # sample_report reads a RationalMapP1 as its [num, den]
     m = quartic_self_map()
     census = FiberCensus([m.num, m.den], 101)
     assert census.max_fiber <= m.degree
-    assert fiber_count(m, (0, 1), 101) == census.fiber_size((0, 1))
+    rep = sample_report(m, 101, samples=3, seed=0)
+    assert rep == sample_report([m.num, m.den], 101, samples=3, seed=0)
+    assert rep["max_fiber"] == census.max_fiber
 
 
 def test_target_validation():
@@ -151,7 +152,7 @@ def test_target_validation():
 
 def test_map_shape_guard():
     with pytest.raises(FiberError, match="cannot read"):
-        fiber_count(object(), (1, 1), 7)
+        sample_report(object(), 7, samples=1, seed=0)
     with pytest.raises(FiberError, match="at least one"):
         FiberCensus([], 7)
 
@@ -280,7 +281,7 @@ def test_census_rejects_composite_modulus():
     with pytest.raises(FiberError, match="not prime"):
         FiberCensus([t0, t1], 9)
     with pytest.raises(FiberError, match="not prime"):
-        fiber_count([t0, t1], (1, 1), 561)
+        FiberCensus([t0, t1], 561)
     # the size guards come first: is_prime never sees a p past its range
     with pytest.raises(FiberError, match="MAX_POINTS"):
         FiberCensus([t0, t1], 10**30)

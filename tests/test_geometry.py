@@ -19,7 +19,6 @@ from comitant.geometry import (
     conic_through,
     harmonic_pairing,
     harmonic_partner,
-    is_harmonic,
     is_tangency_pair,
     line_pole,
     pair_triples_match,
@@ -35,7 +34,7 @@ from comitant.geometry import (
     triple_invariants,
 )
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import GF, QQ, Fp, rational_to_fp
+from comitant.scalars import GF, QQ, Fp, rational_content, rational_to_fp
 
 P = PointPair
 
@@ -94,25 +93,41 @@ def test_normalized_divides_a_one_parameter_pair_by_its_gcd():
     assert q.coefficients() == (a, 3 * a**0, 0 * a)
     assert P(g * 0, g, g * 0).normalized().coefficients() == (0 * a, a**0,
                                                              0 * a)
+    # over GF(7)[a] the last nonzero coefficient's lead term becomes 1
     (b,) = poly_ring(("a",), GF(7))
     assert P(b * b, b * 3, b * 0).normalized().coefficients() == (
-        b, 3 * b**0, 0 * b)
+        5 * b, b**0, 0 * b)
     # two parameters: the pair comes back as it is
     a, c = poly_ring(("a", "c"), QQ)
     q = P(a * c, a * c * 3, a * 0)
     assert q.normalized().coefficients() == q.coefficients()
 
 
+def test_normalized_is_canonical_on_proportional_pairs():
+    # proportional one-parameter pairs share one triple: over QQ[a] coprime
+    # integers, the last nonzero coefficient's lead term positive
+    (a,) = poly_ring(("a",), QQ)
+    assert P(-3 * a, 3 * a, 3 * a**0).normalized().coefficients() == \
+        P(a, -a, -(a**0)).normalized().coefficients() == (-a, a, a**0)
+    base = P(a * a + 1, a * 0, a * 2 - 1)
+    for scale in (Fraction(-2, 3) * (a - 5), a**2 * 6, Fraction(1, 7) * a**0):
+        moved = P(*(c * scale for c in base.coefficients()))
+        assert moved.normalized().coefficients() == base.coefficients()
+    (b,) = poly_ring(("a",), GF(7))
+    base = P(b * 5, b * 3, b**0, ring=GF(7))
+    for scale in (3 * b**0, b * 4 + 1):
+        moved = P(*(c * scale for c in base.coefficients()))
+        assert moved.normalized().coefficients() == base.coefficients()
+
+
 def test_harmonic_pairing_values():
     # {0, oo} against {1, -1}: harmonic
     assert harmonic_pairing(P(0, 1, 0), P(1, 0, -1)) == 0
-    assert is_harmonic(P(0, 1, 0), P(1, 0, -1))
     # {0, oo} against itself: the pairing is -B*B'/2 = -1/2
     assert harmonic_pairing(P(0, 1, 0), P(0, 1, 0)) == Fraction(-1, 2)
-    assert not is_harmonic(P(0, 1, 0), P(0, 1, 0))
     # the same pairs over F_7, where 1/2 = 4
     F7 = [P(*c, ring=GF(7)) for c in ((0, 1, 0), (1, 0, -1))]
-    assert is_harmonic(*F7)
+    assert harmonic_pairing(*F7) == 0
     assert harmonic_pairing(F7[0], F7[0]) == Fp(-4, 7)
 
 
@@ -421,9 +436,14 @@ def test_parametric_sigma_specialises_to_the_scalar_map():
                      P(one, 3 * one, one)])
     assert all(p.params == ("a",) for p in out)
     # each pair is divided by the gcd of its coefficients (of degree 18, 8
-    # and 8 before)
+    # and 8 before), then by its integer content and sign
     assert [tuple(c.total_degree() if c else None for c in p.coefficients())
             for p in out] == [(None, 2, 3), (1, 1, None), (1, 1, 1)]
+    for p in out:
+        last = next(c for c in reversed(p.coefficients()) if c)
+        assert last.lead_term()[1] > 0
+        assert rational_content(
+            [t for c in p.coefficients() for t in c.terms.values()]) == 1
     for a0 in (1, 3, -4):
         at = [P(*(c.evaluate([a0]) for c in p.coefficients())) for p in out]
         assert at == list(sigma_map([P(1, 1, -a0), P(2, -1, -1),

@@ -288,6 +288,19 @@ def test_derivation_table_is_integral(n):
                     assert c == (m[i] + 1 if n == 2 else m[j]), (d, i, j, m)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_coefficient_names_are_distinct(n):
+    for d in range(1, 13):
+        names = invariants._space(n, d).names
+        assert len(set(names)) == len(names) == len(
+            invariants._space(n, d).monomials), (n, d)
+    # digits run together up to d = 9; from d = 10 a separator splits them,
+    # so (10, 1, 0) and (1, 0, 10) no longer both read a1010
+    assert invariants._space(3, 4).names[:3] == ("a400", "a310", "a301")
+    assert invariants._space(3, 9).names[0] == "a900"
+    assert invariants._space(3, 11).names[:2] == ("a11_0_0", "a10_1_0")
+
+
 def _applied(table, p: Poly) -> Poly:
     """A derivation given by its table on the coefficient poly p, by the
     chain rule: sum over t of dp/da_t times D(a_t)."""
@@ -299,7 +312,7 @@ def _applied(table, p: Poly) -> Poly:
 
 
 def _variable(s, vars) -> Poly:
-    # by position: from d = 11 on two ternary names coincide ("a1010")
+    # by position, as the derivation tables index the coefficients
     return Poly.monomial(1, tuple(int(i == s) for i in range(len(vars))),
                          vars, QQ)
 

@@ -17,6 +17,11 @@ A sixth keeps `geometry.py` field-generic: it names no `Fraction`, so its
 constructions run unchanged over QQ, GF(p) and parameter rings.  No module
 names `Matrix` or `_gauss_jordan` either: the package's one elimination is
 `linalg.int_nullspace_mod_p`.
+
+A seventh keeps `verify.py` free of aliases: it imports its siblings as
+modules and no sibling function by name, so a helper patched in its home
+module reaches every claim that calls it.  Classes, exception types and
+constants may still be imported by name.
 """
 
 import ast
@@ -132,6 +137,21 @@ def _names_used(tree, names) -> list:
     return found
 
 
+def _functions_imported_by_name(modules, name) -> list:
+    """Every module-level function of a sibling that module `name` binds
+    with `from .sibling import ...`."""
+    found = []
+    for node in ast.walk(modules[name]):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 \
+                and node.module:
+            home = modules[f"{node.module}.py"]
+            defs = {f.name for f in home.body
+                    if isinstance(f, ast.FunctionDef)}
+            found += [f"{node.module}.{a.name}:{node.lineno}"
+                      for a in node.names if a.name in defs]
+    return found
+
+
 def test_package_source_is_found():
     assert "poly.py" in _modules()
 
@@ -201,6 +221,11 @@ def test_geometry_names_no_matrix_and_no_fraction():
     assert not used, f"a second elimination kernel: {used}"
 
 
+def test_verify_imports_no_sibling_function_by_name():
+    aliases = _functions_imported_by_name(_modules(), "verify.py")
+    assert not aliases, f"verify.py binds a function by name: {aliases}"
+
+
 def test_the_checks_catch_a_leftover():
     # a module with one unused import and one dead private helper
     tree = ast.parse("from fractions import Fraction\n"
@@ -240,3 +265,14 @@ def test_the_checks_catch_a_leftover():
                      "doc = 'no Matrix, no Fraction'\n")
     assert sorted(_names_used(tree, {"Matrix", "Fraction"})) == [
         "Fraction:2", "Fraction:3", "Matrix:1"]
+    # a function imported by name is caught; a module, a constant and a
+    # class imported by name are not
+    modules = {"verify.py": ast.parse("from . import maps\n"
+                                      "from .maps import (PENCIL_VARS,\n"
+                                      "    RationalMapP1, compose)\n"),
+               "maps.py": ast.parse("PENCIL_VARS = ('t0', 't1')\n"
+                                    "class RationalMapP1:\n    pass\n"
+                                    "def compose(outer, inner):\n"
+                                    "    return outer\n")}
+    assert _functions_imported_by_name(modules, "verify.py") == [
+        "maps.compose:2"]

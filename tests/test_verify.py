@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from comitant import verify
+from comitant import fibers, verify
 from comitant.fibers import sample_report
 from comitant.maps import hammond_image_polys
 from comitant.verify import (
@@ -169,7 +169,7 @@ def test_census_gate_is_exact_at_95_percent(monkeypatch, percent, status):
                 "singleton_share": Fraction(percent, 100), "max_fiber": 2,
                 "indeterminate": 0}
 
-    monkeypatch.setattr(verify, "sample_report", census)
+    monkeypatch.setattr(fibers, "sample_report", census)
     (rec,) = run_verifications(only=["09-quintic-image-fibers"]).records()
     assert rec["status"] == status
     assert f"100 sampled image points, {ones}.0% with fiber size 1" \
