@@ -21,12 +21,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm, prod
 
-from .comitants import DUAL_VARS, Form, hessian
-from .invariants import _exponents, canonical_quartic
-from .linalg import poly_det
-from .maps import (PENCIL_VARS, RationalMapP1, compose, descend_map,
-                   quartic_cover)
-from .poly import Poly, unwrap
+from . import comitants, invariants, linalg, maps, poly
+from .comitants import DUAL_VARS, Form
+from .maps import PENCIL_VARS, RationalMapP1
+from .poly import Poly
 from .scalars import QQ
 
 
@@ -91,19 +89,19 @@ def _socle(f: Form):
     n = len(indices)
     d = _SPACES[n][0]
     N = n * (d - 2)
-    monomials = _exponents(n, N)
+    monomials = invariants._exponents(n, N)
 
     def vec(q):
-        return [unwrap(c)
+        return [poly.unwrap(c)
                 for c in Form(q, N, indices).coefficients(monomials)]
 
-    cols = [vec(hessian(p, indices))]
-    for mult in _exponents(n, N - (d - 1)):
+    cols = [vec(comitants.hessian(p, indices))]
+    for mult in invariants._exponents(n, N - (d - 1)):
         at = dict(zip(indices, mult))
         mono = Poly.monomial(1, [at.get(i, 0) for i in range(len(p.vars))],
                              p.vars, p.ring)
         cols += [vec(mono * p.partial(i)) for i in indices]
-    det = poly_det(cols)        # det M = det M^T: columns serve as rows
+    det = linalg.poly_det(cols)  # det M = det M^T: columns serve as rows
     if not det:
         raise AssociatedFormError(
             "socle determinant vanishes: J(f) does not have codimension 1 "
@@ -128,8 +126,8 @@ def _associated(f: Form):
     if params:
         cols = [[c.extend_to(ring_vars) for c in col] for col in cols]
     ell_n = [Poly.monomial(_multinomial(N, e), (0,) * len(params) + e,
-                           ring_vars, QQ) for e in _exponents(n, N)]
-    return poly_det([ell_n] + cols[1:]), det
+                           ring_vars, QQ) for e in invariants._exponents(n, N)]
+    return linalg.poly_det([ell_n] + cols[1:]), det
 
 
 def associated_form(form) -> AssociatedFormResult:
@@ -164,8 +162,8 @@ def congruence_holds(result: AssociatedFormResult, form, ell) -> bool:
     as_val = result.form.evaluate(ell)
     lhs = [result.scale * _multinomial(N, e)
            * prod(c**k for c, k in zip(ell, e)) - as_val * he
-           for e, he in zip(_exponents(n, N), cols[0])]
-    return not poly_det([lhs] + cols[1:])
+           for e, he in zip(invariants._exponents(n, N), cols[0])]
+    return not linalg.poly_det([lhs] + cols[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +178,10 @@ def associated_slice_map() -> RationalMapP1:
     output is asserted to be of the same canonical shape, then read off as
     a homogeneous degree-1 coordinate map.
     """
-    cq = canonical_quartic()          # vars (alpha, x, y), indices (1, 2)
+    cq = invariants.canonical_quartic()   # vars (alpha, x, y), indices (1, 2)
     as_poly, _ = _associated(cq)      # times a det in alpha; (alpha, u, v)
     c40, c31, c22, c13, c04 = Form(as_poly, 4, (1, 2)).coefficients(
-        _exponents(2, 4))
+        invariants._exponents(2, 4))
     if c40 != c04 or c31 or c13 or not c40:
         raise AssociatedFormError(
             "associated form of the canonical slice is not of canonical "
@@ -209,13 +207,13 @@ def associated_selfmap_degree() -> int:
     the cover degree; the descent itself is also performed as a check.
     """
     h = associated_slice_map()
-    cover = quartic_cover()
-    comp = compose(cover, h)
+    cover = maps.quartic_cover()
+    comp = maps.compose(cover, h)
     if comp.degree % cover.degree:
         raise AssociatedFormError(
             "composite degree is not a multiple of the cover degree")
     d = comp.degree // cover.degree
-    descended = descend_map(cover, comp, d)
+    descended = maps.descend_map(cover, comp, d)
     if descended.degree != d:
         raise AssociatedFormError("descent degree mismatch")
     return d

@@ -505,25 +505,3 @@ def sigma_map(pairs):
     return tuple(PointPair(u[1] * v[1], -(u[1] * v[0] + u[0] * v[1]),
                            u[0] * v[0], vars).normalized()
                  for u, v in (params[0:2], params[2:4], params[4:6]))
-
-
-def triple_invariants(pairs) -> tuple:
-    """Projective invariants of an ordered triple of pairs: the three
-    normalized mutual pairings and the normalized joint determinant.
-
-    Invariant under any common parameter substitution and any rescaling of
-    the individual quadratics; double points are rejected (zero
-    denominators).
-    """
-    pairs = list(pairs)
-    if len(pairs) != 3:
-        raise GeometryError("need exactly three pairs")
-    raws = [p.coefficients() for p in pairs]
-    discs = [r[1] * r[1] - r[0] * r[2] * 4 for r in raws]
-    if not all(discs):
-        raise GeometryError("double point pair has no normalized invariants")
-    mutual = (exact_div((harmonic_pairing(pairs[j], pairs[k]) * 2) ** 2,
-                        discs[j] * discs[k])
-              for j, k in ((1, 2), (0, 2), (0, 1)))
-    det = poly_det(raws)
-    return (*mutual, exact_div(det * det, discs[0] * discs[1] * discs[2]))

@@ -18,13 +18,16 @@ column operations, for the torus lattices of `comitant.fibers`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from itertools import product
+from math import lcm, prod
+from operator import add, getitem, mul
 
 import numpy as np
 
 from .poly import Poly
-from .scalars import (QQ, Fp, as_scalar, is_prime, rational_reconstruct,
-                      ring_one)
+from .scalars import (QQ, Fp, as_scalar, exact_div, is_prime,
+                      rational_reconstruct)
 
 
 class LinearSubstitution:
@@ -47,23 +50,130 @@ class LinearSubstitution:
         """Substitute variables (a subset, by position) by rows of M x.
 
         With indices=None all of p's variables transform; otherwise only the
-        listed positions do and the matrix must match their count.
+        listed positions y_0..y_(n-1) do, in that order, and the matrix
+        must match their count.  A repeated, negative or out-of-range
+        position is a ValueError.
+
+        The expansion is a Kronecker substitution (Harvey, J. Symb. Comput.
+        44 (2009)): every product of linear forms is one product of Python
+        ints.  M is scaled to integer numerators N = D M over one common
+        denominator D; over GF(p), N holds residues in [0, p) and D = 1.
+        p's terms are grouped by their untransformed exponents and their
+        degree k in the y.  A group's image is homogeneous of degree k, so
+        it is dehomogenized at y_(n-1): y^e sits at place
+        sum(e_j (k+1)^j, j < n-1), one-to-one as every e_j <= k, and the
+        row l_r = sum(N_rj y_j) is packed as the int l_r(2^(B place(y_j))).
+        A term c y^a becomes c' prod(l_r^a_r), from the powers of the
+        packed rows, with c' its numerator over the group's common
+        denominator L, and the group sums to one int.
+
+        Since |f g|_1 <= |f|_1 |g|_1, no coefficient of that sum passes
+        S = sum(|c'| prod(|N_r|_1^a_r)); B is bit_length(S) + 1 for the
+        largest S of degree k, so every coefficient is one signed B-bit
+        digit.  Adding 2^(B-1) at every place turns those digits into plain
+        B-bit ones that borrow from no neighbour, so each is read off on its
+        own, less 2^(B-1).  The last exponent is k minus the others, and
+        each coefficient is divided by D^k L once, through `exact_div` (an
+        int when integral).  Over GF(p) every digit is a sum of products of
+        residues, below 2^(B-1) and never negative, and is reduced mod p.
         """
-        if indices is None:
-            indices = list(range(len(p.vars)))
-        if self.n != len(indices):
-            raise ValueError(
-                f"substitution is {self.n}x{self.n} but {len(indices)} "
-                "variables were selected")
         nv = len(p.vars)
-        unit = [tuple(int(k == j) for k in range(nv)) for j in range(nv)]
-        images = [Poly(p.vars, {unit[i]: ring_one(p.ring)}, p.ring)
-                  for i in range(nv)]
-        for row, i in zip(self.matrix, indices):
-            images[i] = Poly(p.vars, {unit[j]: as_scalar(c, p.ring)
-                                      for c, j in zip(row, indices) if c},
-                             p.ring)
-        return p.substitute(images)
+        indices = tuple(range(nv)) if indices is None else tuple(indices)
+        n = self.n
+        if n != len(indices):
+            raise ValueError(
+                f"substitution is {n}x{n} but {len(indices)} "
+                "variables were selected")
+        if len(set(indices)) != n or not all(0 <= i < nv for i in indices):
+            raise ValueError(f"indices {indices} are not distinct positions "
+                             f"among {nv} variables")
+        ring = p.ring
+        mod = None if ring == QQ else ring[1]
+        rows = self.matrix
+        if ring != self.ring:
+            rows = [[as_scalar(c, ring) if c else 0 for c in row]
+                    for row in rows]
+        if mod is None:
+            den = lcm(*(c.denominator for row in rows for c in row))
+            rows = [[c.numerator * (den // c.denominator) for c in row]
+                    for row in rows]
+        else:
+            den = 1
+            rows = [[c.val if c else 0 for c in row] for row in rows]
+        norms = [sum(map(abs, row)) for row in rows]
+        # (k, untransformed exponents) -> [(y exponents, coefficient)]
+        groups: dict = {}
+        if indices == tuple(range(nv)):
+            rest = (0,) * nv
+            for e, c in p.terms.items():
+                groups.setdefault((sum(e), rest), []).append((e, c))
+        else:
+            keep = [int(i not in indices) for i in range(nv)]
+            for e, c in p.terms.items():
+                a = tuple(map(e.__getitem__, indices))
+                groups.setdefault((sum(a), tuple(map(mul, e, keep))),
+                                  []).append((a, c))
+        # each group's integer numerators over its denominator L; the
+        # largest bound S of the groups of degree k sets k's digit width
+        bounds: dict = {}
+        numerators = []
+        for (k, rest), terms in groups.items():
+            low = 1
+            if mod is not None:
+                terms = [(a, c.val) for a, c in terms]
+            elif any(type(c) is not int for _, c in terms):
+                low = lcm(*(c.denominator for _, c in terms))
+                terms = [(a, c.numerator * (low // c.denominator))
+                         for a, c in terms]
+            bound = sum(abs(c) * prod(map(pow, norms, a)) for a, c in terms)
+            bounds[k] = max(bounds.get(k, 0), bound)
+            numerators.append((k, rest, den ** k * low, terms))
+        packed = {}
+        for k, bound in bounds.items():
+            bits = bound.bit_length() + 1
+            shifts = [bits * (k + 1) ** j for j in range(n - 1)]
+            powers = []
+            for row in rows:
+                power = [1, sum(x << s for x, s in zip(row, shifts)) + row[-1]]
+                for _ in range(k - 1):
+                    power.append(power[-1] * power[1])
+                powers.append(power)
+            # 2^(B-1) at each of the (k+1)^(n-1) places
+            ones = ((1 << bits * (k + 1) ** (n - 1)) - 1) // ((1 << bits) - 1)
+            packed[k] = (bits, powers, ones << (bits - 1))
+        out = {}
+        for k, rest, div, terms in numerators:
+            bits, powers, offset = packed[k]
+            total = offset + sum(c * prod(map(getitem, powers, a))
+                                 for a, c in terms)
+            mask = (1 << bits) - 1
+            half = 1 << (bits - 1)
+            for place, e in _layout(nv, indices, k):
+                d = (total >> bits * place & mask) - half
+                if mod is not None:
+                    c = Fp(d, mod)
+                else:
+                    c = d if div == 1 else exact_div(d, div)
+                if c:
+                    out[tuple(map(add, e, rest)) if any(rest) else e] = c
+        return Poly(p.vars, out, ring)
+
+
+@lru_cache(maxsize=None)
+def _layout(nv: int, indices: tuple, k: int) -> tuple:
+    """(place, exponents) of every monomial of degree k in the variables
+    at `indices`, place = sum(e_j (k+1)^j, j < n-1) for the n indices."""
+    out = []
+    for place, high in enumerate(product(range(k + 1),
+                                         repeat=len(indices) - 1)):
+        ys = high[::-1]
+        left = k - sum(ys)
+        if left >= 0:
+            e = [0] * nv
+            for i, x in zip(indices, ys + (left,)):
+                e[i] = x
+            out.append((place, tuple(e)))
+    return tuple(out)
 
 
 # -- polynomial matrices -----------------------------------------------

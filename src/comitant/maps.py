@@ -11,14 +11,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .comitants import Form, hessian, jacobian, transvectant
-from .invariants import (evaluate_invariant, hesse_pencil, invariant_I2,
-                         invariant_I3, invariant_S, invariant_T,
-                         quartic_pencil)
-from .linalg import nullspace
-from .poly import Poly, constant_ratio, divexact, poly_ring, univariate_gcd
-from .scalars import (QQ, as_scalar, exact_div, rational_content, ring_one,
-                      ring_zero)
+from . import comitants, invariants, linalg, poly, scalars
+from .comitants import Form
+from .poly import Poly
+from .scalars import QQ
 
 PENCIL_VARS = ("t0", "t1")
 
@@ -32,7 +28,8 @@ def _joint_primitive(num: Poly, den: Poly):
     lead-positive, over GF(p) lead 1."""
     lead = (num if num.terms else den).lead_term()[1]
     if num.ring == QQ:
-        c = rational_content([*num.terms.values(), *den.terms.values()])
+        c = scalars.rational_content([*num.terms.values(),
+                                      *den.terms.values()])
         lead = c if lead > 0 else -c
     return num.scale_div(lead), den.scale_div(lead)
 
@@ -53,10 +50,11 @@ class RationalMapP1:
             raise MapError(
                 f"entry degrees differ: {num.total_degree()} vs "
                 f"{den.total_degree()}")
-        g = univariate_gcd(num, den)
-        if g.total_degree() > 0 or g.lead_term()[1] != ring_one(num.ring):
-            num = divexact(num, g)
-            den = divexact(den, g)
+        g = poly.univariate_gcd(num, den)
+        if (g.total_degree() > 0
+                or g.lead_term()[1] != scalars.ring_one(num.ring)):
+            num = poly.divexact(num, g)
+            den = poly.divexact(den, g)
         self.num, self.den = _joint_primitive(num, den)
 
     @property
@@ -85,14 +83,14 @@ class RationalMapP1:
 
 def normalize_point(coords, ring):
     """Canonical projective representative; all-zero passes through."""
-    coords = [as_scalar(c, ring) for c in coords]
+    coords = [scalars.as_scalar(c, ring) for c in coords]
     if not any(coords):
         return tuple(coords)
     last = next(c for c in reversed(coords) if c)
     if ring == QQ:
-        g = rational_content(coords)
+        g = scalars.rational_content(coords)
         last = g if last > 0 else -g
-    return tuple(exact_div(c, last) for c in coords)
+    return tuple(scalars.exact_div(c, last) for c in coords)
 
 
 def compose(outer: RationalMapP1, inner: RationalMapP1) -> RationalMapP1:
@@ -137,32 +135,34 @@ def _pencil_reading(hess: Poly, b0_exps, b1_exp) -> RationalMapP1:
 @lru_cache(maxsize=None)
 def hesse_self_map() -> RationalMapP1:
     """Pencil coordinates of the Hessian of the Hesse pencil member."""
-    pencil = hesse_pencil()
-    hess = hessian(pencil.poly, pencil.indices)
+    pencil = invariants.hesse_pencil()
+    hess = comitants.hessian(pencil.poly, pencil.indices)
     return _pencil_reading(hess, [(3, 0, 0), (0, 3, 0), (0, 0, 3)], (1, 1, 1))
 
 
 @lru_cache(maxsize=None)
 def quartic_self_map() -> RationalMapP1:
     """Pencil coordinates of the Hessian of the canonical quartic pencil."""
-    pencil = quartic_pencil()
-    hess = hessian(pencil.poly, pencil.indices)
+    pencil = invariants.quartic_pencil()
+    hess = comitants.hessian(pencil.poly, pencil.indices)
     return _pencil_reading(hess, [(4, 0), (0, 4)], (2, 2))
 
 
 @lru_cache(maxsize=None)
 def hesse_cover() -> RationalMapP1:
     """[S^3 : T^2] on the Hesse pencil: the degree-12 quotient cover."""
-    s = evaluate_invariant(invariant_S(), hesse_pencil())
-    t = evaluate_invariant(invariant_T(), hesse_pencil())
+    pencil = invariants.hesse_pencil()
+    s = invariants.evaluate_invariant(invariants.invariant_S(), pencil)
+    t = invariants.evaluate_invariant(invariants.invariant_T(), pencil)
     return RationalMapP1(s**3, t**2)
 
 
 @lru_cache(maxsize=None)
 def quartic_cover() -> RationalMapP1:
     """[I2^3 : I3^2] on the canonical quartic pencil: the degree-6 cover."""
-    i2 = evaluate_invariant(invariant_I2(), quartic_pencil())
-    i3 = evaluate_invariant(invariant_I3(), quartic_pencil())
+    pencil = invariants.quartic_pencil()
+    i2 = invariants.evaluate_invariant(invariants.invariant_I2(), pencil)
+    i3 = invariants.evaluate_invariant(invariants.invariant_I3(), pencil)
     return RationalMapP1(i2**3, i3**2)
 
 
@@ -196,9 +196,9 @@ def descend_map(cover: RationalMapP1, composite: RationalMapP1,
             i = row_of.get(e)
             if i is None:
                 i = row_of[e] = len(rows)
-                rows.append([ring_zero(ring)] * len(cols))
+                rows.append([scalars.ring_zero(ring)] * len(cols))
             rows[i][j] = c
-    kernel = nullspace(rows, len(cols), ring)
+    kernel = linalg.nullspace(rows, len(cols), ring)
     if not kernel:
         raise MapError("composite does not factor through the cover")
     if len(kernel) > 1:
@@ -229,7 +229,7 @@ def hammond_image_polys() -> tuple:
     c5 = (af-5be)a, c4 = (5af-9be)b, c3 = 8b^2 f, c2 = -8a e^2,
     c1 = (5af-9be)e, c0 = -(af-5be)f.
     """
-    a, b, e, f = poly_ring(HAMMOND_VARS, QQ)
+    a, b, e, f = poly.poly_ring(HAMMOND_VARS, QQ)
     k1 = a * f - b * e * 5
     k2 = a * f * 5 - b * e * 9
     return (k1 * a, k2 * b, b * b * f * 8, -(a * e * e * 8), k2 * e,
@@ -240,8 +240,8 @@ def c35_jacobian(form: Form) -> Form:
     """The quintic covariant J(f, (f,f)_4), defined on all of V(2,5)."""
     if form.degree != 5:
         raise MapError("this covariant is defined on binary quintics")
-    t4 = transvectant(form, form, 4)
-    jac = jacobian([form.poly, t4.poly], form.indices)
+    t4 = comitants.transvectant(form, form, 4)
+    jac = comitants.jacobian([form.poly, t4.poly], form.indices)
     return Form(jac, 5, form.indices)
 
 
@@ -270,11 +270,11 @@ def hammond_path_comparison() -> dict:
     carries the flip as a noted discrepancy.
     """
     vars = HAMMOND_VARS + PENCIL_VARS
-    a, b, e, f, t0, t1 = poly_ring(vars, QQ)
+    a, b, e, f, t0, t1 = poly.poly_ring(vars, QQ)
     slice_poly = (t0**5 * a + t0**4 * t1 * (b * 5) + t0 * t1**4 * (e * 5)
                   + t1**5 * f)
     path2 = c35_jacobian(Form(slice_poly, 5, (4, 5)))
-    ratios = [constant_ratio(c1, c2) for c1, c2 in zip(
+    ratios = [poly.constant_ratio(c1, c2) for c1, c2 in zip(
         hammond_image_polys(), path2.coefficients(_T_MONOMIAL_EXPS))]
     if None in ratios or len({abs(r) for r in ratios}) != 1:
         raise MapError("C_{3,5} paths disagree beyond a scalar "
@@ -290,6 +290,6 @@ def hammond_path_comparison() -> dict:
 def hammond_relations_symbolic() -> bool:
     """The relations a*c0 + f*c5 = 0 and e*c4 - b*c1 = 0 as polynomial
     identities in (a, b, e, f)."""
-    a, b, e, f = poly_ring(HAMMOND_VARS, QQ)
+    a, b, e, f = poly.poly_ring(HAMMOND_VARS, QQ)
     c5, c4, c3, c2, c1, c0 = hammond_image_polys()
     return (a * c0 + f * c5).is_zero() and (e * c4 - b * c1).is_zero()

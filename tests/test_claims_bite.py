@@ -2,9 +2,13 @@
 
 Each row breaks one name in a module of the package (`comitant.associated`,
 `comitant.comitants`, `comitant.geometry`, `comitant.invariants`,
-`comitant.maps` or `comitant.quartic`, never `comitant.verify`) and runs
-its claim alone.  `comitant.verify` calls every helper through its home
-module, so the mutation reaches every claim that calls it.  A
+`comitant.linalg`, `comitant.maps` or `comitant.quartic`, never
+`comitant.verify`) and runs its claim alone.  `comitant.verify`,
+`comitant.maps` and `comitant.associated` call every helper through its
+home module, so the mutation reaches every claim that calls it: the
+Hessian mutant of claim 13 also breaks the pencil self-maps of claims 03
+and 05 and the socle of claims 19 and 20
+(`test_a_hessian_mutant_reaches_the_pencil_maps_and_the_socle`).  A
 discrepancy-noted claim (06, 07, 11, 25) must move to fail as a passing
 one does.  `via_exception` records whether the claim fails through a
 mathematical witness or through an exception raised by the package's own
@@ -54,6 +58,7 @@ _original_pin = invariants._pin_scalar
 _original_slice = maps.hammond_image_polys
 _original_coble = geometry.coble_matrix
 _original_associated = associated._associated
+_original_nullspace = linalg.nullspace
 
 
 def _bracket_transposed(m, i, j, k):
@@ -183,7 +188,7 @@ def _kernel_with_q_negated(rows, ncols, ring):
     # each descent vector (P | Q) becomes (P | -Q), i.e. R = [P : -Q]
     half = ncols // 2
     return [v[:half] + [-c for c in v[half:]]
-            for v in linalg.nullspace(rows, ncols, ring)]
+            for v in _original_nullspace(rows, ncols, ring)]
 
 
 def _kernel_never_empty(rows, ncols, ring=None):
@@ -195,11 +200,11 @@ MUTATIONS = [
     ("01-hesse-hessian", comitants, "hessian", _hessian_doubled, False),
     ("02-aronhold-calibration", invariants, "_pin_scalar", _pinned_to_twice,
      False),
-    ("03-hesse-map-degrees", maps, "nullspace", _kernel_with_q_negated,
+    ("03-hesse-map-degrees", linalg, "nullspace", _kernel_with_q_negated,
      True),
     ("04-quartic-calibration", invariants, "canonical_quartic",
      _canonical_quartic_with_2, True),
-    ("05-quartic-map-degrees", maps, "nullspace", _kernel_with_q_negated,
+    ("05-quartic-map-degrees", linalg, "nullspace", _kernel_with_q_negated,
      True),
     ("06-quartic-hessian-middle-term", comitants, "hessian",
      _hessian_doubled, False),
@@ -281,6 +286,20 @@ def test_a_mutation_makes_the_claim_fail(monkeypatch, fresh_caches, claim_id,
     assert entry.status == FAIL, entry.witness
     crashed = entry.witness.split(":")[0].endswith("Error")
     assert crashed == via_exception, entry.witness
+
+
+@pytest.mark.parametrize("claim_id", [
+    "03-hesse-map-degrees", "05-quartic-map-degrees",
+    "19-associated-form-values", "20-associated-selfmap-degree"])
+def test_a_hessian_mutant_reaches_the_pencil_maps_and_the_socle(
+        monkeypatch, fresh_caches, claim_id):
+    # He(F) + (dF/dX)^3 is not homogeneous, so the Form that the pencil
+    # reading or the socle builds from it refuses it
+    monkeypatch.setattr(comitants, "hessian", _hessian_plus_cube)
+    (entry,) = run_verifications(only=[claim_id]).entries
+    assert entry.status == FAIL, entry.witness
+    assert entry.witness.startswith(
+        "FormError: polynomial is not homogeneous"), entry.witness
 
 
 def test_a_harmless_mutation_leaves_the_claim_standing(monkeypatch,

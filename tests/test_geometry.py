@@ -31,10 +31,9 @@ from comitant.geometry import (
     sigma_map,
     symbolic_conic,
     tangency_pair,
-    triple_invariants,
 )
 from comitant.poly import Poly, poly_ring
-from comitant.scalars import GF, QQ, Fp, rational_content, rational_to_fp
+from comitant.scalars import GF, QQ, Fp, rational_content
 
 P = PointPair
 
@@ -451,16 +450,18 @@ def test_parametric_sigma_specialises_to_the_scalar_map():
 
 
 def test_sigma_commutes_with_reparametrization():
+    # sigma reads its output in the frame of its own chord triangle, so a
+    # common change of parameter leaves the output pairs as they are
     t0, t1 = poly_ring(("t0", "t1"), QQ)
 
     def reparam(p, a, b, c, d):
         q = p.poly.substitute([t0 * a + t1 * b, t0 * c + t1 * d])
         return PointPair.from_form(Form(q, 2, (0, 1)))
 
-    base = triple_invariants(sigma_map(sigma_probe()))
+    base = sigma_map(sigma_probe())
     for g in ((1, 2, 1, -1), (0, 1, 1, 0), (3, 1, 5, 2)):
         moved = [reparam(p, *g) for p in sigma_probe()]
-        assert triple_invariants(sigma_map(moved)) == base
+        assert sigma_map(moved) == base
 
 
 def test_sigma_rejects_degenerate_input():
@@ -468,23 +469,6 @@ def test_sigma_rejects_degenerate_input():
     ps = [P(0, 1, 0), P(1, 0, -1), P(1, 0, -4)]
     with pytest.raises(GeometryError, match="degenerates"):
         sigma_map(ps)
-
-
-def test_triple_invariants_are_invariant():
-    ps = sigma_probe()
-    base = triple_invariants(ps)
-    scaled = [P(*(c * Fraction(5, 3) for c in p.coefficients()))
-              for p in ps]
-    assert triple_invariants(scaled) == base
-    with pytest.raises(GeometryError, match="double point"):
-        triple_invariants([P(1, 2, 1), P(1, 0, -1), P(0, 1, 0)])
-
-
-def test_triple_invariants_over_gf7_reduce_the_rational_ones():
-    ps = sigma_probe()
-    f7 = [P(*(Fp(c, 7) for c in p.coefficients())) for p in ps]
-    assert triple_invariants(f7) == tuple(
-        rational_to_fp(v, 7) for v in triple_invariants(ps))
 
 
 @settings(max_examples=60, deadline=None)

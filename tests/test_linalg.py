@@ -107,6 +107,102 @@ def test_substitution_on_selected_indices():
     assert g.apply(p, indices=(1, 2)) == a * y**2 + x
 
 
+@pytest.mark.parametrize("indices", [(1, 1), (-1, 2), (1, 3)],
+                         ids=["repeated", "negative", "out-of-range"])
+def test_substitution_refuses_bad_indices(indices):
+    # each was once read silently (16*a*x^2 + y, a*x^2 + 4*y) or raised a
+    # bare IndexError
+    g = LinearSubstitution([[1, 2], [3, 4]])
+    a, x, y = poly_ring(("a", "x", "y"), QQ)
+    with pytest.raises(ValueError, match="not distinct positions"):
+        g.apply(a * x**2 + y, indices=indices)
+
+
+# -- the Kronecker kernel of apply, differentially -----------------------
+
+def _substitute_oracle(g, p, indices):
+    """f(Mx) as apply computed it before its Kronecker kernel: the image
+    linear forms built as Polys, then one Poly.substitute."""
+    gens = poly_ring(p.vars, p.ring)
+    images = list(gens)
+    for row, i in zip(g.matrix, indices):
+        images[i] = sum((gens[j] * as_scalar(c, p.ring)
+                         for c, j in zip(row, indices) if c),
+                        Poly.zero(p.vars, p.ring))
+    return p.substitute(images)
+
+
+@st.composite
+def _substitutions(draw):
+    ring = draw(st.sampled_from([QQ, QQ, GF(2), GF(7), GF(2**61 - 1)]))
+    n = draw(st.integers(1, 3))
+    nv = n + draw(st.integers(0, 2))        # the others are parameters
+    indices = tuple(draw(st.permutations(range(nv)))[:n])
+    entry = _sparse_ints(5)
+    if ring == QQ:
+        entry = st.one_of(entry, st.builds(Fraction, st.integers(-5, 5),
+                                           st.integers(1, 4)))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    # an integer matrix acts over GF(p) from QQ or from its own field
+    try:
+        g = LinearSubstitution(rows, draw(st.sampled_from([QQ, ring])))
+    except ValueError:
+        assume(False)
+    if ring == QQ and draw(st.booleans()):
+        g = contragredient(g)
+    # coefficients past 2^200 load the digit width; the exponents are free,
+    # so the transformed part is rarely homogeneous
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-2**200, 2**200))
+    if ring == QQ:
+        coeff = st.one_of(coeff, st.builds(Fraction, coeff,
+                                           st.integers(1, 2**20)))
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * nv),
+                                 coeff, max_size=8))
+    vars = tuple(f"v{i}" for i in range(nv))
+    p = Poly(vars, {e: as_scalar(c, ring) for e, c in terms.items()}, ring)
+    return g, p, indices
+
+
+_X, _Y = poly_ring(("x", "y"), QQ)
+_T, _Z = poly_ring(("t", "z"), QQ)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_substitutions())
+@example((LinearSubstitution([[1, 2], [3, 4]]), Poly.zero(("x", "y")),
+          (0, 1)))                                       # zero
+@example((LinearSubstitution([[3]]), Poly.constant(5, ("t", "z")), (1,)))
+@example((LinearSubstitution([[-3]]), _T * _Z**4 * 2**200, (1,)))  # S tight
+@example((LinearSubstitution([[2, -1], [1, 1]]),
+          _X**3 * (2**200 - 1) - _X * _Y + 7, (1, 0)))  # mixed degrees
+@example((contragredient(LinearSubstitution([[1, 2], [3, 5]])),
+          _X**2 * Fraction(1, 3) + _Y, (0, 1)))
+@example((LinearSubstitution([[1, 1], [0, 1]], GF(2)),
+          Poly(("x", "y"), {(3, 0): Fp(1, 2), (1, 1): Fp(1, 2)}, GF(2)),
+          (0, 1)))
+def test_apply_matches_the_substitute_oracle(case):
+    g, p, indices = case
+    got = g.apply(p, indices)
+    want = _substitute_oracle(g, p, indices)
+    assert got == want
+    # the same scalar types: an int where the value is integral
+    assert {e: type(c) for e, c in got.terms.items()} == {
+        e: type(c) for e, c in want.terms.items()}
+
+
+def test_apply_builds_no_image_polys():
+    g = LinearSubstitution([[1, 2], [3, 4]])
+    p = _X**3 - _X * _Y * 5
+    with mock.patch.object(Poly, "substitute",
+                           side_effect=AssertionError) as substitute, \
+            mock.patch("comitant.poly._packed_mul",
+                       side_effect=AssertionError) as packed_mul:
+        got = g.apply(p)
+    assert not substitute.called and not packed_mul.called
+    assert got == _substitute_oracle(g, p, (0, 1))
+
+
 # -- the elimination kernel, differentially ------------------------------
 
 def _sparse_ints(bound):

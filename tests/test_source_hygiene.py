@@ -18,10 +18,11 @@ constructions run unchanged over QQ, GF(p) and parameter rings.  No module
 names `Matrix` or `_gauss_jordan` either: the package's one elimination is
 `linalg.int_nullspace_mod_p`.
 
-A seventh keeps `verify.py` free of aliases: it imports its siblings as
-modules and no sibling function by name, so a helper patched in its home
-module reaches every claim that calls it.  Classes, exception types and
-constants may still be imported by name.
+A seventh keeps `verify.py`, `maps.py` and `associated.py` free of
+aliases: they import their siblings as modules and no sibling function by
+name, so a helper patched in its home module reaches every claim and every
+self-map that calls it.  Classes, exception types and constants may still
+be imported by name.
 """
 
 import ast
@@ -226,6 +227,13 @@ def test_verify_imports_no_sibling_function_by_name():
     assert not aliases, f"verify.py binds a function by name: {aliases}"
 
 
+def test_maps_and_associated_import_no_sibling_function_by_name():
+    modules = _modules()
+    aliases = [hit for name in ("maps.py", "associated.py")
+               for hit in _functions_imported_by_name(modules, name)]
+    assert not aliases, f"a sibling function bound by name: {aliases}"
+
+
 def test_the_checks_catch_a_leftover():
     # a module with one unused import and one dead private helper
     tree = ast.parse("from fractions import Fraction\n"
@@ -275,4 +283,19 @@ def test_the_checks_catch_a_leftover():
                                     "def compose(outer, inner):\n"
                                     "    return outer\n")}
     assert _functions_imported_by_name(modules, "verify.py") == [
+        "maps.compose:2"]
+    # the same in maps.py and associated.py: a Hessian and a composition
+    # bound by name are caught, the module imports beside them are not
+    modules = {"comitants.py": ast.parse("class Form:\n    pass\n"
+                                         "def hessian(p, indices):\n"
+                                         "    return p\n"),
+               "maps.py": ast.parse("from . import comitants\n"
+                                    "from .comitants import Form, hessian\n"
+                                    "def compose(outer, inner):\n"
+                                    "    return outer\n"),
+               "associated.py": ast.parse("from . import maps\n"
+                                          "from .maps import compose\n")}
+    assert _functions_imported_by_name(modules, "maps.py") == [
+        "comitants.hessian:2"]
+    assert _functions_imported_by_name(modules, "associated.py") == [
         "maps.compose:2"]
