@@ -12,8 +12,8 @@ from .comitants import (Form, FormError, hessian, jacobian, polar,
 from .fibers import FiberCensus, FiberError, sample_report
 from .geometry import (Conic, GeometryError, PointPair, ProjectivePoint,
                        coble_identity_check, conic_fit, conic_through,
-                       harmonic_pairing, harmonic_partner, q_construction,
-                       richelot_forward, richelot_inverse, sigma_map)
+                       harmonic_partner, q_construction, richelot_forward,
+                       richelot_inverse, sigma_map)
 from .grammar import ParseError, parse_poly, parse_poly_file
 from .invariants import (InvariantDescriptor, InvariantError,
                          evaluate_invariant, find_invariants, invariant_I2,
@@ -40,12 +40,11 @@ __all__ = [
     "associated_selfmap_degree", "associated_slice_map", "clebsch_covariant",
     "clebsch_pencil", "coble_identity_check", "compose", "congruence_holds",
     "conic_fit", "conic_through", "descend_map", "evaluate_invariant",
-    "find_invariants", "harmonic_pairing", "harmonic_partner", "hesse_cover",
-    "hesse_self_map", "hessian", "invariant_I2", "invariant_I3",
-    "invariant_S", "invariant_T", "jacobian", "named_invariant", "parse_poly",
-    "parse_poly_file", "polar", "poly_det", "poly_ring", "q_construction",
-    "quartic_cover", "quartic_self_map", "quintic_invariants",
-    "restrict_to_line", "richelot_forward", "richelot_inverse",
-    "run_verifications", "salmon_contravariant", "sample_report", "sigma_map",
-    "transvectant",
+    "find_invariants", "harmonic_partner", "hesse_cover", "hesse_self_map",
+    "hessian", "invariant_I2", "invariant_I3", "invariant_S", "invariant_T",
+    "jacobian", "named_invariant", "parse_poly", "parse_poly_file", "polar",
+    "poly_det", "poly_ring", "q_construction", "quartic_cover",
+    "quartic_self_map", "quintic_invariants", "restrict_to_line",
+    "richelot_forward", "richelot_inverse", "run_verifications",
+    "salmon_contravariant", "sample_report", "sigma_map", "transvectant",
 ]

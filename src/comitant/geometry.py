@@ -17,8 +17,7 @@ from itertools import combinations, permutations
 from .linalg import poly_det
 from .maps import normalize_point
 from .poly import Poly, divexact, poly_ring, univariate_gcd, unwrap
-from .scalars import (GF, QQ, Fp, as_scalar, exact_div, rational_content,
-                      ring_one)
+from .scalars import GF, QQ, Fp, as_scalar, rational_content
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
 
@@ -134,18 +133,6 @@ class PointPair:
 
     def __repr__(self):
         return f"PointPair({self.poly})"
-
-
-def harmonic_pairing(b1: PointPair, b2: PointPair):
-    """alpha*gamma' - 2*beta*beta' + alpha'*gamma, exactly.
-
-    In the raw coefficients (A, B, C) = (alpha, 2*beta, gamma) this is
-    A*C' + A'*C - B*B'/2.
-    """
-    A, B, C = b1.coefficients()
-    A2, B2, C2 = b2.coefficients()
-    half = exact_div(ring_one(b1.ring), 2)
-    return A * C2 + A2 * C - B * B2 * half
 
 
 def harmonic_partner(pair: PointPair, pt):

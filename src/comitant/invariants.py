@@ -35,7 +35,7 @@ formula is typed in anywhere.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from math import comb, lcm
 import random
@@ -43,7 +43,7 @@ import random
 from .comitants import Form, transvectant
 from .linalg import LinearSubstitution, modular_nullspace, nullspace
 from .poly import Poly, constant_ratio, poly_ring, unwrap
-from .scalars import QQ, exact_div
+from .scalars import QQ, Fp, exact_div
 
 _SIZE_LIMIT = 15000
 
@@ -58,28 +58,34 @@ class InvariantError(ValueError):
 class InvariantDescriptor:
     """A polynomial in the coefficients of the universal (n,d) form.
 
-    formula lives in the coefficient variables only, in the basis recorded
-    by `basis` ("binomial" for n=2, "monomial" for n=3).
+    formula lives in the coefficient variables of `generic_form(n, d)` only:
+    an invariant is a comitant of order zero, evaluated by `compiled`.
     """
 
-    def __init__(self, space, degree, name, formula, basis):
+    def __init__(self, space, degree, name, formula):
         self.space = tuple(space)
         self.degree = degree
         self.name = name
         self.formula = formula
-        self.basis = basis
         if not formula.is_homogeneous():
             raise InvariantError(f"{name}: formula is not homogeneous")
         if not formula.is_zero() and formula.total_degree() != degree:
             raise InvariantError(f"{name}: formula degree mismatch")
 
+    @cached_property
+    def compiled(self) -> "GenericComitant":
+        """The formula as a `GenericComitant` with no output variables,
+        compiled on first use: the finder's bases are mostly never
+        evaluated."""
+        return GenericComitant(self.formula, [self.space])
+
     def renamed(self, name) -> "InvariantDescriptor":
         return InvariantDescriptor(self.space, self.degree, name,
-                                   self.formula, self.basis)
+                                   self.formula)
 
     def rescaled(self, c) -> "InvariantDescriptor":
         return InvariantDescriptor(self.space, self.degree, self.name,
-                                   self.formula.scale_div(c), self.basis)
+                                   self.formula.scale_div(c))
 
     def weight(self) -> int:
         """Isobaric weight: evaluate(g . f) = det(g)^weight * evaluate(f)."""
@@ -105,7 +111,6 @@ class _FormSpace:
         if n == 2:
             self.names = tuple(f"a{e[1]}" for e in self.monomials)
             self.weights = tuple(comb(d, e[1]) for e in self.monomials)
-            self.basis = "binomial"
         else:
             # an exponent of 10 or more needs a separator: a1010 would be
             # both (10, 1, 0) and (1, 0, 10)
@@ -113,7 +118,6 @@ class _FormSpace:
             self.names = tuple("a" + sep.join(map(str, e))
                                for e in self.monomials)
             self.weights = tuple(1 for _ in self.monomials)
-            self.basis = "monomial"
         self.index = {e: i for i, e in enumerate(self.monomials)}
         self.form_vars = BINARY_VARS if n == 2 else TERNARY_VARS
         if n == 3 and not self._brackets_hold():
@@ -366,8 +370,7 @@ def find_invariants(n: int, d: int, r: int) -> list:
         raise InvariantError(
             "modular kernel passed its Hadamard bound without a proof")
     return [
-        InvariantDescriptor((n, d), r, f"inv({n},{d})deg{r}#{i}", p,
-                            space.basis)
+        InvariantDescriptor((n, d), r, f"inv({n},{d})deg{r}#{i}", p)
         for i, p in enumerate(basis)
     ]
 
@@ -396,16 +399,17 @@ def _as_form(f, n, d):
 
 
 def evaluate_invariant(inv: InvariantDescriptor, f):
-    """Substitute f's coefficients into the descriptor's formula.
+    """The descriptor's formula at f's coefficients, through its compiled
+    `GenericComitant`.
 
     f may carry parameter variables; the result is then a polynomial in
     those parameters, otherwise a scalar.  Over GF(p) the QQ formula is
-    reduced by `Poly.substitute` itself.
+    read mod p.
     """
     form = _as_form(f, *inv.space)
     _check_characteristic(form.poly.ring, inv.formula, inv.name,
                           weights=_space(*inv.space).weights)
-    return unwrap(inv.formula.substitute(coefficient_values(form)))
+    return unwrap(inv.compiled(form))
 
 
 def _check_characteristic(ring, formula: Poly, what, error=InvariantError,
@@ -425,37 +429,22 @@ def _check_characteristic(ring, formula: Poly, what, error=InvariantError,
                         f"{p} divides the {kind} {bad}")
 
 
-def coefficient_values(form: Form, extra=()) -> list:
-    """The values at `form` of the coefficient variables of
-    `generic_form(n, d)`, in their order, binomial weights divided out.
-
-    Each value is a Poly in the form's parameters followed by the variable
-    names `extra`, which must not be among the form's variables.
-    """
-    space = _space(len(form.indices), form.degree)
-    rest = form.params + tuple(extra)
-    values = []
-    for c, w in zip(form.coefficients(space.monomials), space.weights):
-        if extra:
-            c = c.extend_to(rest)
-        values.append(c if w == 1 else c.scale_div(w))
-    return values
-
-
 class GenericComitant:
     """A polynomial in the coefficients of universal forms, compiled once
-    and then specialised at concrete forms over QQ in integers.
+    and then specialised at concrete forms: the one evaluator of
+    coefficient formulas, an invariant being a comitant of order zero.
 
     `formula` lives over QQ in the coefficient variables of
     `generic_forms(*spaces)`, in their order, followed by output variables
-    (those of the forms, or any others).  Each term becomes the multiset
-    of its coefficient indices and one integer, its coefficient over the
-    binomial weights of those indices times the common denominator
-    `denominator`.  A term of coefficient degree below the top one, R, is
-    padded with a slot that holds the forms' common denominator L, so a
-    specialisation is integer multiply-adds and one `exact_div` by
-    denominator * L^R per output monomial.  Substitution is a ring map,
-    so the value at f is the formula's, exactly.
+    (those of the forms, or any others, or none).  Each term's coefficient
+    is divided by the binomial weights of its coefficient variables, so it
+    reads a form's plain coefficients, and becomes one integer over the
+    common denominator `denominator` and the multiset of its coefficient
+    indices.  A term of coefficient degree below the top one, R, is padded
+    with a slot that holds the forms' common denominator L (1 over GF(p)),
+    so a specialisation at scalar forms is integer multiply-adds and one
+    `exact_div` by denominator * L^R per output monomial.  Substitution is
+    a ring map, so the value at f is the formula's, exactly.
     """
 
     def __init__(self, formula: Poly, spaces):
@@ -466,6 +455,7 @@ class GenericComitant:
                                  "the coefficient variables of its forms")
         weights = [w for s in self.spaces for w in s.weights]
         top = max((sum(e[:k]) for e in formula.terms), default=0)
+        divided = {}
         compiled = []
         for e, c in formula.terms.items():
             slots = ()
@@ -474,44 +464,62 @@ class GenericComitant:
                 if m:
                     slots += (i,) * m
                     scale *= weights[i] ** m
-            compiled.append((e[k:], slots + (k,) * (top - len(slots)),
-                             c if scale == 1 else exact_div(c, scale)))
+            q = divided[e] = c if scale == 1 else exact_div(c, scale)
+            compiled.append((e[k:], slots + (k,) * (top - len(slots)), q))
         self.denominator = lcm(*(q.denominator for _, _, q in compiled))
         grouped: dict = {}
         for out, slots, q in compiled:
             grouped.setdefault(out, []).append(
                 (slots, q.numerator * (self.denominator // q.denominator)))
         self._terms = list(grouped.items())
+        self._divided = Poly(formula.vars, divided, QQ)
         self.term_count = len(compiled)
         self._top = top
         self.vars = formula.vars[k:]
 
     def __call__(self, *forms) -> Poly:
-        """The formula at these forms, one per space, as a Poly in the
-        output variables.  A form over GF(p) or with parameter variables
-        is refused."""
+        """The formula at these forms, one per space, as a Poly in their
+        parameters followed by the output variables.  The forms share one
+        ring, QQ or GF(p) with p not dividing `denominator`, and one list
+        of parameters.  Forms with parameters take one `Poly.substitute`
+        of their coefficients into the weight-divided formula: the integer
+        kernel would multiply Polys term by term there, which is slower."""
         if len(forms) != len(self.spaces):
             raise InvariantError(f"one form per space: expected "
                                  f"{len(self.spaces)}, got {len(forms)}")
+        forms = [_as_form(f, s.n, s.d) for f, s in zip(forms, self.spaces)]
+        ring, params = forms[0].poly.ring, forms[0].params
+        if any(f.poly.ring != ring or f.params != params for f in forms):
+            raise InvariantError("the forms must share one ring and one "
+                                 "list of parameters")
+        p = None if ring == QQ else ring[1]
+        if p is not None and self.denominator % p == 0:
+            raise InvariantError(f"denominator {self.denominator} is "
+                                 f"undefined in characteristic {p}")
+        if params:
+            if set(params) & set(self.vars):
+                raise InvariantError(f"parameters {params} collide with the "
+                                     f"output variables {self.vars}")
+            rest = params + self.vars
+            return self._divided.substitute(
+                [c.extend_to(rest) for f, s in zip(forms, self.spaces)
+                 for c in f.coefficients(s.monomials)]
+                + [Poly.variable(v, rest, ring) for v in self.vars])
         values = []
-        for f, space in zip(forms, self.spaces):
-            form = _as_form(f, space.n, space.d)
-            if form.poly.ring != QQ:
-                raise InvariantError("a generic comitant is specialised "
-                                     "over QQ only")
-            if form.params:
-                raise InvariantError(
-                    f"cannot specialise at a form in parameters "
-                    f"{form.params}")
+        for form, space in zip(forms, self.spaces):
             terms = form.poly.terms
             if form.indices != tuple(range(space.n)):
                 terms = {tuple(e[i] for i in form.indices): c
                          for e, c in terms.items()}
             values.extend(terms.get(m, 0) for m in space.monomials)
-        common = lcm(*(c.denominator for c in values))
-        if common != 1:
-            values = [c.numerator * (common // c.denominator)
-                      for c in values]
+        if p is None:
+            common = lcm(*(c.denominator for c in values))
+            if common != 1:
+                values = [c.numerator * (common // c.denominator)
+                          for c in values]
+        else:
+            values = [c.val if c else 0 for c in values]
+            common = 1
         values.append(common)  # the padding slot
         den = self.denominator * common**self._top
         out = {}
@@ -522,8 +530,8 @@ class GenericComitant:
                     c *= values[i]
                 acc += c
             if acc:
-                out[e] = exact_div(acc, den)
-        return Poly(self.vars, out, QQ)
+                out[e] = exact_div(acc if p is None else Fp(acc, p), den)
+        return Poly(self.vars, out, ring)
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +664,7 @@ def quintic_invariants():
             raise InvariantError(f"{name}: chain produced a wrong degree")
         if not _is_invariant(space, p):
             raise InvariantError(f"{name}: chain output is not invariant")
-        out.append(InvariantDescriptor((2, 5), degs[name], name, p, "binomial"))
+        out.append(InvariantDescriptor((2, 5), degs[name], name, p))
     _check_independent(out)
     return tuple(out)
 

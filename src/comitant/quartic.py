@@ -8,7 +8,7 @@ Two constructions, both reductions to already-calibrated invariants:
   evaluated on the quartic's restriction to the universal line, computed
   once per process on the generic quartic in all three affine charts of
   the dual plane, glued by exact division, and then specialised to each
-  quartic by substituting its coefficients.
+  quartic by `GenericComitant`.
 
 Both refuse, up front, a prime field whose characteristic divides a
 denominator of the polynomial they substitute into (S, Omega): GF(2) and
@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .comitants import DUAL_VARS, Form, FormError, polar, restrict_to_line
-from .invariants import (_check_characteristic, coefficient_values,
+from .invariants import (GenericComitant, _check_characteristic,
                          evaluate_invariant, generic_form, invariant_I2,
                          invariant_S, invariant_S_quartic)
 from .linalg import LinearSubstitution, poly_det
@@ -107,8 +107,8 @@ def generic_salmon() -> Form:
 def salmon_contravariant(F: Form) -> Form:
     """The order-4 contravariant: I2 of the restriction to a moving line.
 
-    F's coefficients are substituted into `generic_salmon()`, whose three
-    chart computations agree verbatim.  Substitution is a ring map, so
+    `generic_salmon()`, whose three chart computations agree verbatim, is
+    specialised at F by `GenericComitant`.  Substitution is a ring map, so
     that agreement holds for every specialisation.  The result lives in
     F's parameters followed by (u, v, w).
     """
@@ -117,13 +117,11 @@ def salmon_contravariant(F: Form) -> Form:
     for v in DUAL_VARS:
         if v in F.poly.vars:
             raise FormError(f"variable {v!r} collides with the form's ring")
-    _check_characteristic(F.poly.ring, generic_salmon().poly,
-                          "salmon_contravariant", QuarticError)
-    values = coefficient_values(F, DUAL_VARS)
-    out = values[0].vars
-    omega = generic_salmon().poly.substitute(
-        values + [Poly.variable(v, out, F.poly.ring) for v in DUAL_VARS])
-    n = len(out) - 3
+    generic = generic_salmon().poly
+    _check_characteristic(F.poly.ring, generic, "salmon_contravariant",
+                          QuarticError)
+    omega = GenericComitant(generic, [(3, 4)])(F)
+    n = len(omega.vars) - 3
     return Form(omega, 4, (n, n + 1, n + 2))
 
 
@@ -134,7 +132,7 @@ def clebsch_pencil(F: Form, c, c2) -> Form:
     """
     cov = clebsch_covariant(F)
     # S4(F) as a Poly in F.params, in no variables when there are none
-    s4 = invariant_S_quartic().formula.substitute(coefficient_values(F))
+    s4 = invariant_S_quartic().compiled(F)
     base = F.poly.extend_to(cov.poly.vars) * s4.extend_to(cov.poly.vars)
     return Form(cov.poly * c + base * c2, 4, cov.indices)
 

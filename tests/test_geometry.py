@@ -17,7 +17,6 @@ from comitant.geometry import (
     coble_matrix,
     conic_fit,
     conic_through,
-    harmonic_pairing,
     harmonic_partner,
     is_tangency_pair,
     line_pole,
@@ -117,17 +116,6 @@ def test_normalized_is_canonical_on_proportional_pairs():
     for scale in (3 * b**0, b * 4 + 1):
         moved = P(*(c * scale for c in base.coefficients()))
         assert moved.normalized().coefficients() == base.coefficients()
-
-
-def test_harmonic_pairing_values():
-    # {0, oo} against {1, -1}: harmonic
-    assert harmonic_pairing(P(0, 1, 0), P(1, 0, -1)) == 0
-    # {0, oo} against itself: the pairing is -B*B'/2 = -1/2
-    assert harmonic_pairing(P(0, 1, 0), P(0, 1, 0)) == Fraction(-1, 2)
-    # the same pairs over F_7, where 1/2 = 4
-    F7 = [P(*c, ring=GF(7)) for c in ((0, 1, 0), (1, 0, -1))]
-    assert harmonic_pairing(*F7) == 0
-    assert harmonic_pairing(F7[0], F7[0]) == Fp(-4, 7)
 
 
 def test_harmonic_partner():

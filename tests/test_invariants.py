@@ -31,10 +31,10 @@ from comitant.invariants import (
 )
 from comitant.linalg import int_nullspace_mod_p
 from comitant.maps import c35_jacobian
-from comitant.poly import Poly, poly_ring
+from comitant.poly import Poly, poly_ring, unwrap
 from comitant.quartic import (clebsch_covariant, generic_salmon,
                               salmon_contravariant)
-from comitant.scalars import GF, QQ, is_prime, rational_to_fp
+from comitant.scalars import GF, QQ, as_scalar, is_prime, rational_to_fp
 
 
 # ----------------------------------------------------------- space dimensions
@@ -654,16 +654,129 @@ def test_generic_comitant_of_mixed_coefficient_degree():
     # the form variables are read in the order of the Form's indices
     q = Poly(p.vars, {e[::-1]: c for e, c in p.terms.items()}, QQ)
     assert gc(Form(q, 5, (1, 0))) == gc(p)
+    # over GF(7) the padding slot is 1: the value is the QQ one mod 7
+    p7 = Poly(p.vars, {e: rational_to_fp(c, 7) for e, c in p.terms.items()},
+              GF(7))
+    assert gc(p7).terms == {e: rational_to_fp(c, 7)
+                            for e, c in gc(p).terms.items()
+                            if rational_to_fp(c, 7)}
 
 
-def test_generic_comitant_refuses_a_prime_field_and_parameters():
+# The formulas of the oracle test: the six generic comitants above and two
+# invariants, comitants of order zero, compiled by their descriptors
+ORACLE = dict({name: GENERIC[name][0] for name in GENERIC},
+              S=((3, 3),), I3=((2, 4),))
+_PARAMS = ("s", "t")
+
+
+def _evaluator(name):
+    if name in GENERIC:
+        return _compiled(name)
+    return named_invariant(name, ORACLE[name][0]).compiled
+
+
+@lru_cache(maxsize=None)
+def _oracle_formula(name) -> Poly:
+    if name in GENERIC:
+        return GENERIC[name][1](*generic_forms(*ORACLE[name]))
+    return named_invariant(name, ORACLE[name][0]).formula
+
+
+def _coefficient_oracle(name, forms):
+    """The formula at the forms as it was evaluated before `GenericComitant`
+    took every form: each form's coefficients over their binomial weights,
+    in the forms' parameters followed by the output variables, then one
+    `Poly.substitute` into the formula."""
+    formula = _oracle_formula(name)
+    spaces = [invariants._space(*s) for s in ORACLE[name]]
+    out = formula.vars[sum(len(s.names) for s in spaces):]
+    rest = forms[0].params + out
+    values = []
+    for f, space in zip(forms, spaces):
+        for c, w in zip(f.coefficients(space.monomials), space.weights):
+            c = c.extend_to(rest)
+            values.append(c if w == 1 else c.scale_div(w))
+    ring = forms[0].poly.ring
+    return formula.substitute(
+        values + [Poly.variable(v, rest, ring) for v in out])
+
+
+@st.composite
+def _oracle_case(draw, name):
+    """Forms on the name's spaces over QQ or GF(p), p >= 5 and not dividing
+    the formula's denominator, with zero, one or two parameters in a shared
+    list, placed anywhere among the form variables."""
+    gc = _evaluator(name)
+    ring = draw(st.sampled_from(
+        [QQ] + [GF(p) for p in (5, 7, 101, 2**61 - 1)
+                if gc.denominator % p]))
+    params = _PARAMS[:draw(st.integers(0, 2))]
+    n = ORACLE[name][0][0]
+    names = ("x", "y") if n == 2 else ("X", "Y", "Z")
+    vars = tuple(draw(st.permutations(params + names)))
+    indices = tuple(vars.index(v) for v in names)
+    coeff = st.integers(-30, 30)
+    if ring == QQ:
+        coeff = st.one_of(coeff, st.fractions(-4, 4, max_denominator=9))
+    forms = []
+    for _, d in ORACLE[name]:
+        terms = {}
+        for combo in combinations_with_replacement(range(n), d):
+            # a coefficient is a small polynomial in the parameters
+            for a in draw(st.lists(st.tuples(*[st.integers(0, 2)]
+                                             * len(params)),
+                                   min_size=1, max_size=2, unique=True)):
+                e = [0] * len(vars)
+                for v, k in zip(params, a):
+                    e[vars.index(v)] = k
+                for i in range(n):
+                    e[indices[i]] = combo.count(i)
+                terms[tuple(e)] = as_scalar(draw(coeff), ring)
+        forms.append(Form(Poly(vars, terms, ring), d, indices))
+    return forms
+
+
+@pytest.mark.parametrize("name", ORACLE)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_generic_comitant_matches_the_substitute_oracle(name, data):
+    # GF(p) forms take the integer kernel with a padding slot of 1, forms
+    # with parameters one Poly.substitute: both against the route that
+    # evaluate_invariant and the quartic comitants took before
+    forms = data.draw(_oracle_case(name))
+    got = _evaluator(name)(*forms)
+    assert got == _coefficient_oracle(name, forms)
+    assert got.ring == forms[0].poly.ring
+    if name not in GENERIC:
+        desc = named_invariant(name, ORACLE[name][0])
+        value = evaluate_invariant(desc, forms[0])
+        assert value == (got if forms[0].params else unwrap(got))
+
+
+def test_generic_comitant_refuses_a_dividing_prime_and_mixed_parameters():
     gc = _compiled("clebsch")
-    X, Y, Z = poly_ring(("X", "Y", "Z"), GF(7))
-    with pytest.raises(InvariantError, match="over QQ only"):
+    # the denominator 81 = 3^4 is not inverted in characteristic 3
+    assert gc.denominator == 81
+    X, Y, Z = poly_ring(("X", "Y", "Z"), GF(3))
+    with pytest.raises(InvariantError, match="characteristic 3"):
         gc(X**4 + Y**4 + Z**4)
-    t, X, Y, Z = poly_ring(("t", "X", "Y", "Z"), QQ)
-    with pytest.raises(InvariantError, match="parameter"):
-        gc(Form(X**4 + t * Y**4 + Z**4, 4, (1, 2, 3)))
+    # the forms of a transvectant share one ring and one parameter list
+    tv = _compiled("transvectant-2")
+    s, x, y = poly_ring(("s", "x", "y"), QQ)
+    t, xt, yt = poly_ring(("t", "x", "y"), QQ)
+    f = Form(x**4 + s * y**4, 4, (1, 2))
+    with pytest.raises(InvariantError, match="one list of parameters"):
+        tv(f, Form(xt**4 + t * yt**4, 4, (1, 2)))
+    xq, yq = poly_ring(("x", "y"), QQ)
+    with pytest.raises(InvariantError, match="one list of parameters"):
+        tv(f, xq**4 + yq**4)
+    x7, y7 = poly_ring(("x", "y"), GF(7))
+    with pytest.raises(InvariantError, match="one ring"):
+        tv(xq**4 + yq**4, x7**4 + y7**4)
+    # a parameter may not take the name of an output variable
+    u, X, Y, Z = poly_ring(("u", "X", "Y", "Z"), QQ)
+    with pytest.raises(InvariantError, match="collide"):
+        _compiled("salmon")(Form(X**4 + u * Y**4 + Z**4, 4, (1, 2, 3)))
     with pytest.raises(InvariantError,
                        match="one form per space: expected 1, got 0"):
         gc()

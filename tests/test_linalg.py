@@ -138,17 +138,26 @@ def _substitutions(draw):
     n = draw(st.integers(1, 3))
     nv = n + draw(st.integers(0, 2))        # the others are parameters
     indices = tuple(draw(st.permutations(range(nv)))[:n])
+    # an integer matrix acts over GF(p) from QQ or from its own field
+    mring = draw(st.sampled_from([QQ, ring]))
     entry = _sparse_ints(5)
+    # a pivot is nonzero in mring: odd over GF(2), and |pivot| < 7
+    pivot = st.sampled_from([1, -1, 3, -3, 5, -5] if mring == GF(2)
+                            else [1, -1, 2, -2, 3, -3, 4, -4, 5, -5])
     if ring == QQ:
         entry = st.one_of(entry, st.builds(Fraction, st.integers(-5, 5),
                                            st.integers(1, 4)))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
-                         min_size=n, max_size=n))
-    # an integer matrix acts over GF(p) from QQ or from its own field
-    try:
-        g = LinearSubstitution(rows, draw(st.sampled_from([QQ, ring])))
-    except ValueError:
-        assume(False)
+        pivot = st.one_of(pivot, st.builds(Fraction, pivot,
+                                           st.integers(1, 4)))
+    # invertible by construction, as P L U: a row permutation, a unit
+    # lower-triangular L and an upper-triangular U with nonzero pivots
+    lower = [[1 if i == j else draw(entry) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(pivot) if i == j else draw(entry) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    lu = _int_product(lower, upper)
+    g = LinearSubstitution([lu[i] for i in draw(st.permutations(range(n)))],
+                           mring)
     if ring == QQ and draw(st.booleans()):
         g = contragredient(g)
     # coefficients past 2^200 load the digit width; the exponents are free,
