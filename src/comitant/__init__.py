@@ -24,8 +24,7 @@ from .maps import (MapError, RationalMapP1, compose, descend_map,
                    hesse_cover, hesse_self_map, quartic_cover,
                    quartic_self_map)
 from .poly import Poly, poly_ring
-from .quartic import (QuarticError, clebsch_covariant, clebsch_pencil,
-                      salmon_contravariant)
+from .quartic import QuarticError, clebsch_covariant, salmon_contravariant
 from .scalars import GF, QQ, Fp
 from .verify import VerificationReport, run_verifications
 
@@ -38,7 +37,7 @@ __all__ = [
     "ParseError", "PointPair", "Poly", "ProjectivePoint", "QQ", "QuarticError",
     "RationalMapP1", "VerificationReport", "associated_form",
     "associated_selfmap_degree", "associated_slice_map", "clebsch_covariant",
-    "clebsch_pencil", "coble_identity_check", "compose", "congruence_holds",
+    "coble_identity_check", "compose", "congruence_holds",
     "conic_fit", "conic_through", "descend_map", "evaluate_invariant",
     "find_invariants", "harmonic_partner", "hesse_cover", "hesse_self_map",
     "hessian", "invariant_I2", "invariant_I3", "invariant_S", "invariant_T",

@@ -19,13 +19,12 @@ rank-3 torus diag(a, b, e, f) with af = be: P^3(F_101) is 114 orbits,
 p - 1 of full support (one per value of af/(be)) and one for each of the
 14 other support strata, where it is 1,040,604 points.
 
-L is the kernel of at most k independent differences, read off their
-Smith normal form (`linalg.smith_form`; Cohen 1993, §2.4.4).  The orbits
-themselves, in discrete-log coordinates mod p - 1, are the work of
-`comitant.orbits` (`Torus`), imported by the first census that has a
-torus: one representative of each orbit of P^k, its size, and for each
-image the canonical normalized row of its target orbit T·y, keyed like
-any other row (below).  The fiber of y is the sum of |O| over the source
+The census collects independent differences and stops at k, which leave
+the scalars alone, as P^0 has; fewer go to `comitant.orbits` (`Torus`),
+imported by the first census that has a torus, where all lattice work
+happens: L, one representative of each orbit of P^k in discrete-log
+coordinates mod p - 1, its size, and for each image the canonical
+normalized row of its target orbit T·y, keyed like any other row (below).  The fiber of y is the sum of |O| over the source
 orbits O keyed to T·y, divided by |T·y|; a census raises FiberError
 unless every such sum divides exactly and the orbit sizes add up to the
 points of P^k.  Lookups (`fiber_size`) key their target the same way.
@@ -85,7 +84,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import smith_form
 from .poly import Poly
 from .scalars import GF, QQ, Fp, is_prime, rational_to_fp
 
@@ -345,11 +343,13 @@ def _torus(terms, k: int, p: int):
     L is the integer kernel of the exponent differences inside each
     coordinate (a zero coordinate imposes nothing).  It is read only when
     every term of every coordinate has one degree, so that the scalars lie
-    in L and F is a map of P^k; otherwise the torus is the scalars.  The
-    differences then span at most k dimensions, and L is the kernel of k
-    independent ones (`smith_form`), so the scan stops there: a map with
-    many terms pays for few of them."""
-    if len({sum(e) for poly_terms in terms for e, _ in poly_terms}) != 1:
+    in L and F is a map of P^k; otherwise, and on P^0, the torus is the
+    scalars.  The differences then span at most k dimensions, and k
+    independent ones leave the scalars alone, so the scan stops there: a
+    map with many terms pays for few of them.  Fewer leave L of rank at
+    least 2, which `comitant.orbits` reads off them (`Torus`)."""
+    if k == 0 or len({sum(e) for poly_terms in terms
+                      for e, _ in poly_terms}) != 1:
         return None
     basis = []      # independent differences, in echelon order of insertion
     for poly_terms in terms:
@@ -362,14 +362,9 @@ def _torus(terms, k: int, p: int):
                 basis.append((next(j for j, x in enumerate(row) if x), row))
                 if len(basis) == k:
                     return None
-    d, _, v = smith_form([row for _, row in basis], k + 1)
-    rank = sum(1 for x in d if x)
-    kernel = [[v[i][j] for i in range(k + 1)] for j in range(rank, k + 1)]
-    if len(kernel) < 2:
-        return None
     # the orbit machinery is loaded by the first census that needs it
     from .orbits import Torus
-    return Torus(kernel, terms, p)
+    return Torus([row for _, row in basis], k, terms, p)
 
 
 def _tally(keys, weights=None, sizes=None):

@@ -607,12 +607,6 @@ def invariant_T() -> InvariantDescriptor:
                        t0**6 - t0**3 * t1**3 * 20 - t1**6 * 8, "T")
 
 
-@lru_cache(maxsize=None)
-def invariant_S_quartic() -> InvariantDescriptor:
-    """The degree-3 invariant of ternary quartics (1-dimensional space)."""
-    return _single(find_invariants(3, 4, 3), "S4").renamed("S4")
-
-
 NAMED_INVARIANTS = {
     ("I2", (2, 4)): invariant_I2,
     ("I3", (2, 4)): invariant_I3,

@@ -1,12 +1,12 @@
 """Torus orbits over F_p, in discrete-log coordinates, for the fiber census.
 
-`comitant.fibers` reads a torus T off a map P^k -> P^m: the image of a
+`comitant.fibers` hands a map P^k -> P^m and independent exponent
+differences D inside its coordinates to `Torus`, which reads off them the
 lattice L of diagonal one-parameter subgroups for which every coordinate
-is homogeneous, coordinate j of weight chi_j(l) = l·e for any of its terms
-e.  `Torus` walks the orbits of T on P^k(F_p) and names the orbit of T on
-P^m of each image, so that a census counts fibers over orbits instead of
-points.  The census imports this module on the first map that has a torus
-larger than the scalars.
+is homogeneous, the integer kernel of D (`_int_kernel`), coordinate j of
+weight chi_j(l) = l·e for any of its terms e.  `Torus` walks the orbits
+of the image T of L on P^k(F_p) and names the orbit of T on P^m of each
+image, so that a census counts fibers over orbits instead of points.
 
 Everything happens in discrete-log coordinates v = log_g x mod n = p - 1:
 g is a primitive root, found by factoring p - 1, and logs are taken by
@@ -18,8 +18,7 @@ representative per orbit.  The target orbit T·y of an image y is a coset
 of the span of [chi restricted to supp(y) | 1] (the 1 for the projective
 scalars): reducing the logs of y by its Howell form gives a canonical
 normalized row of the orbit.  A Howell form is an echelon form over Z/n,
-a handful of rows as long as the support, where a Smith form's transform
-would be a square of that length.
+a handful of rows as long as the support; over Z (n = 0) L is read off it.
 """
 
 from __future__ import annotations
@@ -102,8 +101,13 @@ def _howell(rows, n: int):
     column, the rows live there are merged into one by unimodular 2 x 2
     steps of Euclid's algorithm, scaled so that its entry is
     g = gcd(entry, n), and (n / g) times it, zero there, joins the rest.
+    n = 0 means over Z: the row is scaled by its sign and nothing joins, so
+    the rows are an echelon basis of H with positive pivots.
     """
-    todo = [[x % n for x in row] for row in rows]
+    def red(row):
+        return [x % n for x in row] if n else row
+
+    todo = [red(row) for row in rows]
     out = []
     for col in range(len(todo[0]) if todo else 0):
         todo = [row for row in todo if any(row)]
@@ -115,40 +119,53 @@ def _howell(rows, n: int):
         for row in live[1:]:
             a, b = piv[col], row[col]
             g, s, t = _xgcd(a, b)
-            todo.append([(b // g * x - a // g * y) % n
-                         for x, y in zip(piv, row)])
-            piv = [(s * x + t * y) % n for x, y in zip(piv, row)]
+            todo.append(red([b // g * x - a // g * y
+                             for x, y in zip(piv, row)]))
+            piv = red([s * x + t * y for x, y in zip(piv, row)])
         g = math.gcd(piv[col], n)
-        todo.append([n // g * x % n for x in piv])
-        w = pow(piv[col] // g, -1, n // g)
-        out.append((col, g, [w * x % n for x in piv]))
+        unit = piv[col] // g
+        if n:
+            todo.append([n // g * x % n for x in piv])
+            unit = pow(unit, -1, n // g)
+        out.append((col, g, red([unit * x for x in piv])))
     return out
 
 
 def _xgcd(a: int, b: int):
-    """(g, s, t) with s·a + t·b = g = gcd(a, b), for a, b >= 0."""
+    """(g, s, t) with s·a + t·b = g = gcd(a, b) >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
     while b:
         q = a // b
         a, b = b, a - q * b
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
-    return a, s0, t0
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def _int_kernel(rows, ncols: int):
+    """A basis of {v in Z^ncols : rows·v = 0}: the identity part of the rows
+    of `_howell([rows^T | I], 0)` zero on rows^T.  Its steps are unimodular,
+    so they span the whole kernel (Cohen 1993, §2.4)."""
+    r = len(rows)
+    return [row[r:] for col, _, row in _howell(
+        [[d[i] for d in rows] + [int(i == j) for j in range(ncols)]
+         for i in range(ncols)], 0) if col >= r]
 
 
 class Torus:
     """The torus T of a map whose coordinates are homogeneous for the
     diagonal one-parameter subgroups in L, in discrete-log coordinates
-    v = log x mod n = p - 1 (see the module docstring).
+    v = log x mod n = p - 1 (see the module docstring).  L, `basis`, is
+    the `_int_kernel` of the exponent differences of the map on P^k.
 
     T acts on the points of P^k of support S by adding the span of L
     restricted to S to their logs, and on the image coordinates by adding
     the span of the characters, chi_j(l) = l·e for any term e of
     coordinate j, plus the scalars."""
 
-    def __init__(self, basis, terms, p: int):
+    def __init__(self, differences, k: int, terms, p: int):
         self.p, self.n = p, p - 1
-        self.basis = basis
+        basis = self.basis = _int_kernel(differences, k + 1)
         self.terms = terms
         self.chars = [[sum(b * e for b, e in zip(row, poly_terms[0][0]))
                        if poly_terms else 0 for poly_terms in terms]

@@ -547,8 +547,10 @@ def univariate_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd of two effectively-univariate polynomials.
 
     Binary homogeneous forms are handled by stripping shared variable powers
-    and running the Euclidean algorithm on the dehomogenization.  The result
-    is primitive-integer over QQ and monic over a prime field.
+    and running the Euclidean algorithm on the dehomogenization; in two
+    active variables both inputs must be homogeneous in them, else
+    ValueError.  The result is primitive-integer over QQ and monic over a
+    prime field.
     """
     p._compat(q)
     if p.is_zero() and q.is_zero():
@@ -575,6 +577,9 @@ def univariate_gcd(p: Poly, q: Poly) -> Poly:
                                     homogenize_at=None)
     else:
         i, j = used
+        if any(len({e[i] + e[j] for e in f.terms}) > 1 for f in (p1, q1)):
+            raise ValueError("gcd in two variables needs forms homogeneous "
+                             "in them")
         u = _dehomogenize(p1, i)
         v = _dehomogenize(q1, i)
         g = _euclid(u, v, p.ring)

@@ -22,7 +22,7 @@ from functools import lru_cache
 from .comitants import DUAL_VARS, Form, FormError, polar, restrict_to_line
 from .invariants import (GenericComitant, _check_characteristic,
                          evaluate_invariant, generic_form, invariant_I2,
-                         invariant_S, invariant_S_quartic)
+                         invariant_S)
 from .linalg import LinearSubstitution, poly_det
 from .poly import Poly, divexact
 from .scalars import exact_div
@@ -85,9 +85,9 @@ def _omega_in_chart(F: Form, chart: int) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def generic_salmon() -> Form:
-    """Omega of the generic ternary quartic, over its 15 coefficient
-    variables followed by the dual variables (u, v, w).
+def _generic_salmon():
+    """(Omega of the generic ternary quartic, over its 15 coefficient
+    variables followed by (u, v, w); Omega as a `GenericComitant`).
 
     Built once per process, independently in the three dual charts; their
     verbatim agreement is the correctness certificate.
@@ -101,40 +101,38 @@ def generic_salmon() -> Form:
     if not (w0 == w1 and w1 == w2):
         raise QuarticError("cross-chart disagreement in the line "
                            "restriction invariant")
-    return Form(w2, 4, tuple(w2.vars.index(v) for v in DUAL_VARS))
+    return (Form(w2, 4, tuple(w2.vars.index(v) for v in DUAL_VARS)),
+            GenericComitant(w2, [(3, 4)]))
+
+
+def generic_salmon() -> Form:
+    """Omega of the generic ternary quartic (see `_generic_salmon`)."""
+    return _generic_salmon()[0]
+
+
+# one cache holds Omega and its compiled comitant: clearing it drops both
+generic_salmon.cache_clear = _generic_salmon.cache_clear
 
 
 def salmon_contravariant(F: Form) -> Form:
     """The order-4 contravariant: I2 of the restriction to a moving line.
 
     `generic_salmon()`, whose three chart computations agree verbatim, is
-    specialised at F by `GenericComitant`.  Substitution is a ring map, so
-    that agreement holds for every specialisation.  The result lives in
-    F's parameters followed by (u, v, w).
+    specialised at F by its `GenericComitant`, compiled once with it.  A
+    substitution is a ring map: agreement holds for every specialisation.
+    The result lives in F's parameters followed by (u, v, w).
     """
     if F.degree != 4 or len(F.indices) != 3:
         raise QuarticError("expected a ternary quartic")
     for v in DUAL_VARS:
         if v in F.poly.vars:
             raise FormError(f"variable {v!r} collides with the form's ring")
-    generic = generic_salmon().poly
-    _check_characteristic(F.poly.ring, generic, "salmon_contravariant",
+    generic, compiled = _generic_salmon()
+    _check_characteristic(F.poly.ring, generic.poly, "salmon_contravariant",
                           QuarticError)
-    omega = GenericComitant(generic, [(3, 4)])(F)
+    omega = compiled(F)
     n = len(omega.vars) - 3
     return Form(omega, 4, (n, n + 1, n + 2))
-
-
-def clebsch_pencil(F: Form, c, c2) -> Form:
-    """c * (covariant of F) + c2 * (degree-3 invariant of F) * F.
-
-    Members of the 2-dimensional space of degree-4, order-4 covariants.
-    """
-    cov = clebsch_covariant(F)
-    # S4(F) as a Poly in F.params, in no variables when there are none
-    s4 = invariant_S_quartic().compiled(F)
-    base = F.poly.extend_to(cov.poly.vars) * s4.extend_to(cov.poly.vars)
-    return Form(cov.poly * c + base * c2, 4, cov.indices)
 
 
 def contragredient(g: LinearSubstitution) -> LinearSubstitution:

@@ -256,7 +256,8 @@ def test_verify_only_subset(tmp_path, capsys):
     assert "01-hesse-hessian" in out
     assert "02-aronhold-calibration" in out
     assert "2 claims: 2 pass" in out
-    data = json.loads(open(report, encoding="utf-8").read())
+    with open(report, encoding="utf-8") as fh:
+        data = json.load(fh)
     assert [c["claim_id"] for c in data["claims"]] == [
         "01-hesse-hessian", "02-aronhold-calibration"]
     assert all(c["status"] == "pass" for c in data["claims"])

@@ -5,14 +5,15 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import comitant
+import gauss_jordan
 from comitant import fibers
 from comitant.fibers import (
     BLOCK_POINTS,
@@ -30,8 +31,9 @@ from comitant.fibers import (
     projective_points,
     sample_report,
 )
+from comitant.linalg import poly_det
 from comitant.maps import hammond_image_polys, quartic_self_map
-from comitant.orbits import Torus, _howell, _Logs
+from comitant.orbits import Torus, _howell, _int_kernel, _Logs, _xgcd
 from comitant.poly import Poly, poly_ring
 from comitant.scalars import GF, QQ, Fp
 
@@ -783,6 +785,35 @@ def test_howell_reduction_picks_one_vector_per_coset(case):
         base = next(iter(members))
         assert members == {tuple((a + b) % n for a, b in zip(base, h))
                            for h in group}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda c: st.tuples(
+    st.lists(st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+             max_size=3), st.just(c))))
+@example(([[2, -2, 0, 0]], 4))
+@example(([[2, -2, 0, 0], [0, 0, 3, -3], [4, 0, -6, 2]], 4))
+@example(([], 3))
+def test_int_kernel_is_a_saturated_basis(case):
+    # k+1 - rank D vectors, each killed by D, whose maximal minors are
+    # coprime: they span the whole integer kernel, not a sublattice of it
+    rows, ncols = case
+    kernel = _int_kernel(rows, ncols)
+    assert len(kernel) == ncols - gauss_jordan.rank(rows, ncols)
+    assert all(sum(a * b for a, b in zip(row, v)) == 0
+               for row in rows for v in kernel)
+    if kernel:
+        minors = [poly_det([[v[j] for j in cols] for v in kernel])
+                  for cols in combinations(range(ncols), len(kernel))]
+        assert math.gcd(*minors) == 1
+
+
+@pytest.mark.parametrize("a, b", [(12, -18), (-12, 18), (-12, -18),
+                                  (-4, 6), (0, -5), (-5, 0), (7, 0), (0, 0)])
+def test_xgcd_takes_signed_arguments(a, b):
+    g, s, t = _xgcd(a, b)
+    assert g == math.gcd(a, b)
+    assert s * a + t * b == g
 
 
 def test_claim_09_leaves_numpy_ma_unimported():

@@ -22,7 +22,6 @@ from comitant.invariants import (
     generic_form,
     generic_forms,
     hesse_pencil,
-    invariant_S_quartic,
     named_invariant,
     quartic_pencil,
     quintic_invariants,
@@ -571,7 +570,7 @@ def test_evaluate_over_a_larger_prime_reduces_the_rational_value(p):
 
 
 def test_ternary_quartic_degree_three_invariant():
-    inv = invariant_S_quartic()
+    (inv,) = find_invariants(3, 4, 3)
     assert inv.degree == 3 and inv.space == (3, 4)
     X, Y, Z = poly_ring(("X", "Y", "Z"), QQ)
     fermat = Form(X**4 + Y**4 + Z**4, 4)

@@ -8,8 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import gauss_jordan
 from comitant import linalg
 from comitant.linalg import (LinearSubstitution, int_nullspace_mod_p,
-                             modular_nullspace, nullspace, poly_det,
-                             smith_form)
+                             modular_nullspace, nullspace, poly_det)
 from comitant.poly import Poly, poly_ring
 from comitant.quartic import contragredient
 from comitant.scalars import GF, QQ, Fp, as_scalar, is_prime, ring_zero
@@ -457,39 +456,3 @@ def test_poly_det_takes_int_and_mixed_entries():
 def _int_product(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
             for row in a]
-
-
-def _assert_smith(rows, ncols):
-    d, u, v = smith_form(rows, ncols)
-    m = len(rows)
-    diag = [[d[i] if i == j and i < len(d) else 0 for j in range(ncols)]
-            for i in range(m)]
-    if m:
-        assert _int_product(_int_product(u, rows), v) == diag
-        assert poly_det(u) in (1, -1)
-    assert poly_det(v) in (1, -1)
-    assert len(d) == min(m, ncols)
-    assert all(x >= 0 for x in d)
-    # d_i | d_(i+1); a zero is divisible by everything, divides only zero
-    assert all(b % a == 0 if a else b == 0 for a, b in zip(d, d[1:]))
-    return d
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.tuples(
-    st.lists(st.lists(st.integers(-12, 12), min_size=n, max_size=n),
-             max_size=6), st.just(n))))
-def test_smith_form_is_a_unimodular_diagonalization(case):
-    rows, ncols = case
-    _assert_smith(rows, ncols)
-
-
-def test_smith_form_invariant_factors():
-    # diag(2, 3) ~ diag(1, 6); the exponent differences of [t0^2 + t1^2]
-    # span 2(1, -1): invariant factor 2, not 1
-    assert _assert_smith([[2, 0], [0, 3]], 2) == [1, 6]
-    assert _assert_smith([[2, -2]], 2) == [2]
-    assert _assert_smith([[0, 0, 0]], 3) == [0]
-    assert _assert_smith([[4, 6], [6, 9]], 2) == [1, 0]
-    # no rows: V is the identity and spans the whole kernel
-    assert smith_form([], 3) == ([], [], [[1, 0, 0], [0, 1, 0], [0, 0, 1]])

@@ -184,6 +184,16 @@ def test_univariate_gcd():
     assert divexact(g, x - y).total_degree() == 0
 
 
+def test_univariate_gcd_refuses_two_variables_out_of_homogeneity():
+    # dehomogenizing at x reads each pair as having gcd x + y; the gcds
+    # are x + y^2, x*y + 1 and x + 1
+    x, y = poly_ring(("x", "y"), QQ)
+    for f, g in [(x + y**2, x + y**2), (x * y + 1, x * y + 1),
+                 ((x + 1) * (y + 2), (x + 1) * (y + 3))]:
+        with pytest.raises(ValueError, match="homogeneous"):
+            univariate_gcd(f, g)
+
+
 def test_str_ordering_is_stable():
     x, y = poly_ring(("x", "y"), QQ)
     p = y**2 - x * y + x**2 * Fraction(1, 3)

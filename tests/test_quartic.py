@@ -8,15 +8,14 @@ from hypothesis import given, settings, strategies as st
 import gauss_jordan
 from comitant import quartic
 from comitant.comitants import Form, FormError
-from comitant.invariants import (generic_form, random_substitution,
-                                 substituted_form)
+from comitant.invariants import (GenericComitant, generic_form,
+                                 random_substitution, substituted_form)
 from comitant.linalg import LinearSubstitution
 from comitant.poly import Poly, poly_ring
 from comitant.quartic import (
     QuarticError,
     _omega_in_chart,
     clebsch_covariant,
-    clebsch_pencil,
     contragredient,
     generic_salmon,
     salmon_contravariant,
@@ -70,19 +69,6 @@ def test_clebsch_covariance_spot_check():
             ratio = w
             break
     assert ratio == 4
-
-
-def test_clebsch_pencil_shape():
-    F = perturbed()
-    cov = clebsch_covariant(F)
-    member = clebsch_pencil(F, 3, 2)
-    assert member.degree == 4
-    # c2 = 0 gives a multiple of the covariant, c = 0 one of F itself
-    assert clebsch_pencil(F, 1, 0).poly == cov.poly
-    only_f = clebsch_pencil(F, 0, 1)
-    from comitant.poly import divexact
-    ratio = divexact(only_f.poly, F.poly.extend_to(only_f.poly.vars))
-    assert ratio.total_degree() == 0
 
 
 # ------------------------------------------------------------- contravariant
@@ -193,6 +179,28 @@ def test_salmon_builds_the_charts_once_per_process(monkeypatch):
     # claim 17 specialises the generic Omega, claim 24 makes two Salmon
     # calls: one generic build
     assert sorted(calls) == [0, 1, 2]
+
+
+def test_salmon_compiles_omega_once_per_build(monkeypatch):
+    compiled = []
+
+    def counted(*args):
+        compiled.append(args)
+        return GenericComitant(*args)
+
+    monkeypatch.setattr(quartic, "GenericComitant", counted)
+    generic_salmon.cache_clear()
+    try:
+        salmon_contravariant(fermat())
+        salmon_contravariant(perturbed())
+        assert len(compiled) == 1
+        # clearing the generic Omega drops its compiled comitant too
+        generic_salmon.cache_clear()
+        assert salmon_contravariant(fermat()).poly == (
+            salmon_contravariant(fermat()).poly)
+    finally:
+        generic_salmon.cache_clear()
+    assert len(compiled) == 2
 
 
 # ------------------------------------------------------ small characteristics
