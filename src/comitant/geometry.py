@@ -16,8 +16,9 @@ from itertools import combinations, permutations
 
 from .linalg import poly_det
 from .maps import normalize_point
-from .poly import Poly, divexact, poly_ring, univariate_gcd, unwrap
-from .scalars import GF, QQ, Fp, as_scalar, rational_content
+from .poly import (Poly, divexact, normalize_jointly, poly_ring,
+                   univariate_gcd, unwrap)
+from .scalars import GF, QQ, Fp, as_scalar
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
 
@@ -113,22 +114,17 @@ class PointPair:
         """A scalar pair: the canonical representative of
         `maps.normalize_point`.  A pair in one parameter: the triple over
         the `univariate_gcd` of its coefficients, which it then lacks,
-        scaled by `normalize_point`'s conventions: over QQ[a] coprime
-        integers with the last nonzero coefficient's lead term positive,
-        over GF(p)[a] that lead term 1.  A pair in two or more parameters
-        comes back as it is."""
+        scaled by `normalize_jointly` at the last nonzero coefficient, as
+        `normalize_point` scales: over QQ[a] coprime integers with that
+        coefficient's lead term positive, over GF(p)[a] that lead term 1.
+        A pair in two or more parameters comes back as it is."""
         coeffs = self.coefficients()
         if not self.params:
             coeffs = normalize_point(coeffs, self.ring)
         elif len(self.params) == 1:
             g = reduce(univariate_gcd, [c for c in coeffs if c])
-            coeffs = [divexact(c, g) for c in coeffs]
-            _, last = next(c for c in reversed(coeffs) if c).lead_term()
-            if self.ring == QQ:
-                content = rational_content([t for c in coeffs
-                                            for t in c.terms.values()])
-                last = content if last > 0 else -content
-            coeffs = [c.scale_div(last) for c in coeffs]
+            last = max(i for i, c in enumerate(coeffs) if c)
+            coeffs = normalize_jointly([divexact(c, g) for c in coeffs], last)
         return PointPair(*coeffs, self.vars, self.ring)
 
     def __repr__(self):

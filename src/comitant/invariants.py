@@ -41,7 +41,8 @@ from math import comb, lcm
 import random
 
 from .comitants import Form, transvectant
-from .linalg import LinearSubstitution, modular_nullspace, nullspace
+from .linalg import (LinearSubstitution, modular_nullspace, nullspace,
+                     rows_of)
 from .poly import Poly, constant_ratio, poly_ring, unwrap
 from .scalars import QQ, Fp, exact_div
 
@@ -341,12 +342,9 @@ def find_invariants(n: int, d: int, r: int) -> list:
     columns = _orbit_columns(space, candidates, r * d // n)
     if not columns:
         return []
-    # on the chi-isotypic subspace D_01 is conjugate to every D_ij
-    ops: dict = {}      # monomial -> row, D_01 being the first generator
-    for col, orbit in enumerate(columns):
-        for e, c in _image(space.generators[0], orbit).items():
-            if c:
-                ops.setdefault(e, [0] * len(columns))[col] = c
+    # on the chi-isotypic subspace D_01 is conjugate to every D_ij: the
+    # rows are the monomials of the images of the columns under it
+    rows = rows_of([_image(space.generators[0], orbit) for orbit in columns])
     position = {e: i for i, e in enumerate(candidates)}
 
     basis = []      # the polynomials of the last lift certify saw
@@ -366,7 +364,7 @@ def find_invariants(n: int, d: int, r: int) -> list:
         return all(_is_invariant(space, p) for p in basis)
 
     # modular_nullspace returns the lift of certify's last, accepting call
-    if modular_nullspace(list(ops.values()), len(columns), certify) is None:
+    if modular_nullspace(rows, len(columns), certify) is None:
         raise InvariantError(
             "modular kernel passed its Hadamard bound without a proof")
     return [

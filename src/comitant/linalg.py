@@ -302,6 +302,18 @@ def modular_nullspace(rows: list, ncols: int, certify):
     return None
 
 
+def rows_of(columns: list) -> list:
+    """The rows of the matrix whose columns are `columns`, each a mapping
+    key -> scalar: one row per key that some column holds nonzero, in
+    order of first appearance, with 0 where a column lacks the key."""
+    rows: dict = {}
+    for j, col in enumerate(columns):
+        for key, c in col.items():
+            if c:
+                rows.setdefault(key, [0] * len(columns))[j] = c
+    return list(rows.values())
+
+
 def nullspace(rows: list, ncols: int, ring=QQ) -> list:
     """Basis of the right kernel of a matrix over QQ or GF(p), given by its
     rows of scalars; rows may be empty.

@@ -23,17 +23,6 @@ class MapError(ValueError):
     pass
 
 
-def _joint_primitive(num: Poly, den: Poly):
-    """Scale the pair by one constant: over QQ integer, coprime and
-    lead-positive, over GF(p) lead 1."""
-    lead = (num if num.terms else den).lead_term()[1]
-    if num.ring == QQ:
-        c = scalars.rational_content([*num.terms.values(),
-                                      *den.terms.values()])
-        lead = c if lead > 0 else -c
-    return num.scale_div(lead), den.scale_div(lead)
-
-
 class RationalMapP1:
     """[num : den] with homogeneous entries of equal degree in (t0, t1)."""
 
@@ -51,11 +40,12 @@ class RationalMapP1:
                 f"entry degrees differ: {num.total_degree()} vs "
                 f"{den.total_degree()}")
         g = poly.univariate_gcd(num, den)
-        if (g.total_degree() > 0
-                or g.lead_term()[1] != scalars.ring_one(num.ring)):
+        if g.total_degree() > 0:
             num = poly.divexact(num, g)
             den = poly.divexact(den, g)
-        self.num, self.den = _joint_primitive(num, den)
+        # one constant scales both: num's lead term, or den's if num = 0
+        self.num, self.den = poly.normalize_jointly([num, den],
+                                                    0 if num else 1)
 
     @property
     def degree(self) -> int:
@@ -189,27 +179,15 @@ def descend_map(cover: RationalMapP1, composite: RationalMapP1,
         images.append(npow[d - i] * dpow[i])
     cols = ([im * composite.den for im in images]
             + [-(im * composite.num) for im in images])
-    row_of: dict = {}
-    rows: list = []
-    for j, col in enumerate(cols):
-        for e, c in col.terms.items():
-            i = row_of.get(e)
-            if i is None:
-                i = row_of[e] = len(rows)
-                rows.append([scalars.ring_zero(ring)] * len(cols))
-            rows[i][j] = c
-    kernel = linalg.nullspace(rows, len(cols), ring)
+    kernel = linalg.nullspace(linalg.rows_of([c.terms for c in cols]),
+                              len(cols), ring)
     if not kernel:
         raise MapError("composite does not factor through the cover")
     if len(kernel) > 1:
         raise MapError(f"descent is not unique ({len(kernel)}-dimensional "
                        "solution space)")
-    vec = kernel[0]
-    basis = [Poly.monomial(1, (d - i, i), vars, ring) for i in range(d + 1)]
-    p = sum((b * c for b, c in zip(basis, vec[:d + 1])),
-            Poly.zero(vars, ring))
-    q = sum((b * c for b, c in zip(basis, vec[d + 1:])),
-            Poly.zero(vars, ring))
+    p, q = (Poly(vars, {(d - i, i): c for i, c in enumerate(half)}, ring)
+            for half in (kernel[0][:d + 1], kernel[0][d + 1:]))
     result = RationalMapP1(p, q)
     if compose(result, cover) != composite:
         raise MapError("descent round-trip failed")

@@ -533,67 +533,55 @@ def divexact(p: Poly, d: Poly) -> Poly:
     return Poly(p.vars, out, p.ring)
 
 
-def _strip_var_powers(p: Poly):
-    """Factor out the largest monomial dividing p; returns (exps, cofactor)."""
-    n = len(p.vars)
-    mins = [min(e[i] for e in p.terms) for i in range(n)]
-    if not any(mins):
-        return tuple(mins), p
-    out = {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()}
-    return tuple(mins), Poly(p.vars, out, p.ring)
-
-
 def univariate_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd of two effectively-univariate polynomials.
 
-    Binary homogeneous forms are handled by stripping shared variable powers
-    and running the Euclidean algorithm on the dehomogenization; in two
-    active variables both inputs must be homogeneous in them, else
-    ValueError.  The result is primitive-integer over QQ and monic over a
+    The Euclidean algorithm runs once, on the coefficient lists in the
+    first active variable x_i.  With a second active variable x_j both
+    inputs must be homogeneous in (x_i, x_j), else ValueError: setting
+    x_j = 1 loses k degrees of each form, k its power of x_j, so the gcd
+    is x_j^min(k) times the homogenized Euclidean gcd.  The result goes
+    through `normalize_jointly`: primitive-integer over QQ, monic over a
     prime field.
     """
     p._compat(q)
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if p.is_zero():
-        return _gcd_normalize(q)
-    if q.is_zero():
-        return _gcd_normalize(p)
-    used = sorted({i for e in list(p.terms) + list(q.terms)
+    if not (p and q):
+        return normalize_jointly([p or q])[0]
+    used = sorted({i for f in (p, q) for e in f.terms
                    for i, k in enumerate(e) if k})
     if len(used) > 2:
         raise ValueError("gcd supports at most two active variables")
-    pm, p1 = _strip_var_powers(p)
-    qm, q1 = _strip_var_powers(q)
-    shared = tuple(min(a, b) for a, b in zip(pm, qm))
-    if len(used) <= 1:
-        core = Poly.constant(1, p.vars, p.ring)
-        if used:
-            i = used[0]
-            u = _dehomogenize(p1, i)
-            v = _dehomogenize(q1, i)
-            g = _euclid(u, v, p.ring)
-            core = _from_univariate(g, i, len(p.vars), p.vars, p.ring,
-                                    homogenize_at=None)
-    else:
-        i, j = used
-        if any(len({e[i] + e[j] for e in f.terms}) > 1 for f in (p1, q1)):
+    if not used:
+        return Poly.constant(1, p.vars, p.ring)
+    i, j = used[0], used[-1]
+    lost = 0
+    if j != i:
+        if not (p.is_homogeneous(used) and q.is_homogeneous(used)):
             raise ValueError("gcd in two variables needs forms homogeneous "
                              "in them")
-        u = _dehomogenize(p1, i)
-        v = _dehomogenize(q1, i)
-        g = _euclid(u, v, p.ring)
-        core = _from_univariate(g, i, len(p.vars), p.vars, p.ring,
-                                homogenize_at=j)
-    mono = Poly.monomial(1, shared, p.vars, p.ring)
-    return _gcd_normalize(mono * core)
+        lost = min(f.degree_in(used) - f.degree_in([i]) for f in (p, q))
+    g = _euclid(_dehomogenize(p, i), _dehomogenize(q, i), p.ring)
+    terms = {}
+    for k, c in enumerate(g):
+        e = [0] * len(p.vars)
+        e[j] = len(g) - 1 - k + lost    # overwritten when j == i
+        e[i] = k
+        terms[tuple(e)] = c
+    return normalize_jointly([Poly(p.vars, terms, p.ring)])[0]
 
 
-def _gcd_normalize(p: Poly) -> Poly:
-    if p.ring == QQ:
-        return p.primitive()
-    _, lc = p.lead_term()
-    return p.scale_div(lc)
+def normalize_jointly(polys: list, lead: int = 0) -> list:
+    """The polynomials divided by one constant: the one that makes the
+    leading coefficient of polys[lead] 1 over GF(p), and over QQ makes it
+    positive and every coefficient of every entry an integer, all of them
+    coprime."""
+    c = polys[lead].lead_term()[1]
+    if polys[lead].ring == QQ:
+        g = rational_content([x for f in polys for x in f.terms.values()])
+        c = g if c > 0 else -g
+    return [f.scale_div(c) for f in polys]
 
 
 def _dehomogenize(p: Poly, i: int) -> list:
@@ -604,20 +592,6 @@ def _dehomogenize(p: Poly, i: int) -> list:
     for e, c in p.terms.items():
         out[e[i]] = out[e[i]] + c
     return out
-
-
-def _from_univariate(coeffs, i, n, vars, ring, homogenize_at):
-    deg = len(coeffs) - 1
-    terms = {}
-    for k, c in enumerate(coeffs):
-        if not c:
-            continue
-        e = [0] * n
-        e[i] = k
-        if homogenize_at is not None:
-            e[homogenize_at] = deg - k
-        terms[tuple(e)] = c
-    return Poly(tuple(vars), terms, ring)
 
 
 def _trim(u):

@@ -110,6 +110,11 @@ def generic_salmon() -> Form:
     return _generic_salmon()[0]
 
 
+def compiled_salmon() -> GenericComitant:
+    """Omega compiled once with `generic_salmon()`, in the same cache."""
+    return _generic_salmon()[1]
+
+
 # one cache holds Omega and its compiled comitant: clearing it drops both
 generic_salmon.cache_clear = _generic_salmon.cache_clear
 

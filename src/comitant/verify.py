@@ -361,9 +361,8 @@ def _c_equivariance_clebsch_quartic(ctx):
 
 
 def _c_equivariance_salmon_dual(ctx):
-    omega = GenericComitant(quartic.generic_salmon().poly, [(3, 4)])
     w, n = _covariance_series(
-        ctx.rng(), ctx.trials, 3, 4, omega,
+        ctx.rng(), ctx.trials, 3, 4, quartic.compiled_salmon(),
         act_out=lambda g, p: quartic.contragredient(g).apply(p))
     return PASS, (f"Omega(g.F) == det(g)^{w} * Omega(F) o g^(-T) for "
                   f"{n} random substitutions: the dual form "

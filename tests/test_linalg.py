@@ -292,6 +292,50 @@ def test_nullspace_matches_the_oracle(case):
                for v in got for c in v)
 
 
+# -- rows from columns of terms --------------------------------------------
+
+KEYS = range(6)
+
+
+@st.composite
+def _columns(draw):
+    # sparse columns key -> scalar over a small key set: zero entries,
+    # keys held by one column only, and keys held only as 0 all occur
+    ring = draw(st.sampled_from([QQ, GF(7), GF(101)]))
+    if ring == QQ:
+        entry = st.one_of(st.just(0), st.builds(
+            Fraction, st.integers(-9, 9), st.integers(1, 4)))
+    else:
+        entry = st.builds(Fp, _sparse_ints(10), st.just(ring[1]))
+    columns = draw(st.lists(st.dictionaries(st.sampled_from(KEYS), entry,
+                                            max_size=4),
+                            min_size=1, max_size=5))
+    return columns, ring
+
+
+@settings(max_examples=150, deadline=None)
+@given(_columns())
+@example(([{0: 1, 1: 0}, {1: 0, 2: 3}], QQ))     # key 1 only ever 0
+@example(([{0: Fp(2, 7)}, {}, {5: Fp(0, 7)}], GF(7)))
+def test_rows_of_columns_keep_the_kernel(case):
+    columns, ring = case
+    rows = linalg.rows_of(columns)
+    held = {k for col in columns for k, c in col.items() if c}
+    # one row per key held nonzero somewhere, none for a key held as 0
+    assert len(rows) == len(held)
+    assert all(len(row) == len(columns) and any(row) for row in rows)
+    # every key of KEYS is a row of the dense matrix, zero rows included
+    dense = [[col.get(k, 0) for col in columns] for k in KEYS]
+    assert nullspace(rows, len(columns), ring) == gauss_jordan.nullspace(
+        dense, len(columns), ring)
+
+
+def test_rows_of_orders_keys_by_first_appearance():
+    assert linalg.rows_of([{"b": 2, "z": 0}, {"a": 1, "b": 3}]) == [
+        [2, 3], [0, 1]]
+    assert linalg.rows_of([{"z": 0}]) == []
+
+
 def _leibniz(rows, ring):
     total = ring_zero(ring)
     for perm in permutations(range(len(rows))):

@@ -537,7 +537,8 @@ def test_substitute_reaches_the_packing_radix():
 
 def _to_sympy(sympy, poly, syms):
     return sympy.Add(*[
-        sympy.Rational(c.numerator, c.denominator)
+        (sympy.Integer(c.val) if isinstance(c, Fp)
+         else sympy.Rational(c.numerator, c.denominator))
         * sympy.Mul(*[s**k for s, k in zip(syms, e)])
         for e, c in poly.terms.items()])
 
@@ -587,14 +588,22 @@ def test_mul_matches_sympy():
 @st.composite
 def _gcd_cases(draw):
     # f = a*c and g = b*c share the factor c; binary forms are homogeneous
-    vars = draw(st.sampled_from([("x",), ("x", "y")]))
+    # in their two active variables, and the idle variable "a" sits before
+    # or between the active ones
+    vars = draw(st.sampled_from([("x",), ("x", "y"), ("a", "x"),
+                                 ("x", "a", "y")]))
+    ring = draw(st.sampled_from([QQ, GF(5), GF(7), GF(101)]))
+    active = [i for i, v in enumerate(vars) if v != "a"]
 
     def form(deg):
-        cs = draw(st.lists(_coefficients(QQ), min_size=deg + 1,
+        cs = draw(st.lists(_coefficients(ring), min_size=deg + 1,
                            max_size=deg + 1))
-        exps = [(i,) if len(vars) == 1 else (deg - i, i)
-                for i in range(deg + 1)]
-        return Poly(vars, dict(zip(exps, cs)), QQ)
+        exps = []
+        for i in range(deg + 1):
+            e = [0] * len(vars)
+            e[active[0]], e[active[-1]] = deg - i, i    # one active: e = i
+            exps.append(tuple(e))
+        return Poly(vars, dict(zip(exps, cs)), ring)
 
     a, b, c = (form(draw(st.integers(0, 3))) for _ in range(3))
     return a * c, b * c
@@ -603,7 +612,7 @@ def _gcd_cases(draw):
 def test_univariate_gcd_matches_sympy():
     sympy = pytest.importorskip("sympy")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(_gcd_cases())
     def check(pair):
         f, g = pair
@@ -612,10 +621,18 @@ def test_univariate_gcd_matches_sympy():
                 univariate_gcd(f, g)
             return
         syms = sympy.symbols(f.vars)
-        want = sympy.gcd(_to_sympy(sympy, f, syms), _to_sympy(sympy, g, syms))
-        # primitive: integer coefficients, content 1, positive leading term
-        assert univariate_gcd(f, g) == Poly(
-            f.vars, _from_sympy(sympy, want, syms)).primitive()
+        fs, gs = _to_sympy(sympy, f, syms), _to_sympy(sympy, g, syms)
+        if f.ring == QQ:
+            # primitive: integer coefficients, content 1, positive lead
+            want = Poly(f.vars, _from_sympy(sympy, sympy.gcd(fs, gs), syms)
+                        ).primitive()
+        else:
+            p = f.ring[1]
+            monic = sympy.Poly(sympy.gcd(fs, gs, modulus=p), *syms,
+                               modulus=p).monic()
+            want = Poly(f.vars, {e: Fp(int(c), p)
+                                 for e, c in monic.as_dict().items()}, f.ring)
+        assert univariate_gcd(f, g) == want
 
     check()
 

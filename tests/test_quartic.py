@@ -203,6 +203,26 @@ def test_salmon_compiles_omega_once_per_build(monkeypatch):
     assert len(compiled) == 2
 
 
+def test_claim_17_reuses_the_compiled_omega(monkeypatch):
+    # counted at the class, so a compile anywhere shows, whatever binds it
+    compiled = []
+    init = GenericComitant.__init__
+
+    def counted(self, formula, spaces):
+        compiled.append(formula)
+        init(self, formula, spaces)
+
+    monkeypatch.setattr(GenericComitant, "__init__", counted)
+    generic_salmon.cache_clear()
+    try:
+        for _ in range(2):
+            report = run_verifications(only=["17-equivariance-salmon-dual"])
+            assert [e.status for e in report.entries] == [PASS]
+        assert compiled == [generic_salmon().poly]
+    finally:
+        generic_salmon.cache_clear()
+
+
 # ------------------------------------------------------ small characteristics
 
 def _quartic_mod(p):

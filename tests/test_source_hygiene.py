@@ -16,7 +16,9 @@ ints, and `/` on two ints is a float, so the package divides only through
 A sixth keeps `geometry.py` field-generic: it names no `Fraction`, so its
 constructions run unchanged over QQ, GF(p) and parameter rings.  No module
 names `Matrix` or `_gauss_jordan` either: the package's one elimination is
-`linalg.int_nullspace_mod_p`.
+`linalg.int_nullspace_mod_p`.  And only `scalars.py`, `poly.py` and
+`maps.py` name `rational_content`: a tuple of polynomials is scaled by
+`poly.normalize_jointly` and a scalar point by `maps.normalize_point`.
 
 A seventh keeps `verify.py`, `maps.py` and `associated.py` free of
 aliases: they import their siblings as modules and no sibling function by
@@ -138,6 +140,12 @@ def _names_used(tree, names) -> list:
     return found
 
 
+def _named_outside(modules, names, homes=()) -> list:
+    """Every use of one of `names` in a module not listed in `homes`."""
+    return [f"{name}:{hit}" for name, tree in modules.items()
+            if name not in homes for hit in _names_used(tree, names)]
+
+
 def _functions_imported_by_name(modules, name) -> list:
     """Every module-level function of a sibling that module `name` binds
     with `from .sibling import ...`."""
@@ -217,9 +225,16 @@ def test_no_division_outside_exact_div():
 def test_geometry_names_no_matrix_and_no_fraction():
     used = _names_used(_modules()["geometry.py"], {"Fraction"})
     assert not used, f"geometry.py names a QQ-only type: {used}"
-    used = [f"{name}:{hit}" for name, tree in _modules().items()
-            for hit in _names_used(tree, {"Matrix", "_gauss_jordan"})]
+    used = _named_outside(_modules(), {"Matrix", "_gauss_jordan"})
     assert not used, f"a second elimination kernel: {used}"
+
+
+def test_rational_content_is_named_only_where_scaling_lives():
+    # polynomials scale through `poly.normalize_jointly`, scalar points
+    # through `maps.normalize_point`; no third copy of the rule
+    used = _named_outside(_modules(), {"rational_content"},
+                          {"scalars.py", "poly.py", "maps.py"})
+    assert not used, f"rational_content outside its homes: {used}"
 
 
 def test_verify_imports_no_sibling_function_by_name():
@@ -273,6 +288,13 @@ def test_the_checks_catch_a_leftover():
                      "doc = 'no Matrix, no Fraction'\n")
     assert sorted(_names_used(tree, {"Matrix", "Fraction"})) == [
         "Fraction:2", "Fraction:3", "Matrix:1"]
+    # a scaling rule copied into geometry.py is caught, poly.py's is not
+    modules = {"poly.py": ast.parse("from .scalars import rational_content\n"),
+               "geometry.py": ast.parse(
+                   "from .scalars import QQ, rational_content\n"
+                   "c = rational_content([1, 2])\n")}
+    assert _named_outside(modules, {"rational_content"}, {"poly.py"}) == [
+        "geometry.py:rational_content:1", "geometry.py:rational_content:2"]
     # a function imported by name is caught; a module, a constant and a
     # class imported by name are not
     modules = {"verify.py": ast.parse("from . import maps\n"
