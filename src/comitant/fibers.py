@@ -27,7 +27,8 @@ coordinates mod p - 1, its size, and for each image the canonical
 normalized row of its target orbit T·y, keyed like any other row (below).  The fiber of y is the sum of |O| over the source
 orbits O keyed to T·y, divided by |T·y|; a census raises FiberError
 unless every such sum divides exactly and the orbit sizes add up to the
-points of P^k.  Lookups (`fiber_size`) key their target the same way.
+points of P^k.  Lookups (`fiber_sizes`) key their targets the same way,
+all of them in one pass; `fiber_size` is the lookup of one target.
 
 The scalar torus walks the points themselves, once (canonical
 representatives: first nonzero coordinate = 1), in blocks of at most
@@ -48,7 +49,7 @@ the six-coordinate P^3(F_101) census); the keys sort in lexicographic row
 order, so one int64 sort counts every fiber.  Wider rows fall back to the
 row's big-endian int64 bytes as one void key, whose bytewise order is the
 same lexicographic order.  A census builds its key dtype once, and a
-lookup on a census without a torus computes an int64 key in Python.
+lookup keys its targets with it, one array of rows, one search.
 
 Residues on the grid are held in the narrowest safe integer width, worked
 out from p and the map alone (`_residue_dtype`): int32 when a product of
@@ -328,15 +329,6 @@ def _row_keys(rows: np.ndarray, p: int, dtype: np.dtype) -> np.ndarray:
     return rows @ p ** np.arange(m - 1, -1, -1, dtype=np.int64)
 
 
-def _row_key(row, p: int) -> int:
-    """The int64 key of _row_keys for one row of Python ints, when
-    p^m < 2^63, as a Python int: no one-row array to build."""
-    key = 0
-    for v in row:
-        key = key * p + v
-    return key
-
-
 def _torus(terms, k: int, p: int):
     """The torus of the map, or None when it is the scalars alone.
 
@@ -497,19 +489,25 @@ class FiberCensus:
         return row
 
     def fiber_size(self, target) -> int:
-        row = self.normalize_target(target)
-        if self._torus is None and self._key_dtype.kind != "V":
-            key = _row_key(row, self.p)
-        else:
-            vals = np.array([row], dtype=np.int64)
-            if self._torus is not None:
-                support = tuple(j for j, c in enumerate(row) if c)
-                vals = self._torus.canonical(support, vals)[0]
-            key = _row_keys(vals, self.p, self._key_dtype)[0]
-        i = self._uniq.searchsorted(key)
-        if i < self._uniq.size and self._uniq[i] == key:
-            return int(self._counts[i])
-        return 0
+        return self.fiber_sizes([target])[0]
+
+    def fiber_sizes(self, targets) -> list:
+        """The fiber size at each target, as ints: each target is
+        normalized, then all of them are put in canonical form (on a
+        torus), keyed and searched in one pass."""
+        rows = [self.normalize_target(t) for t in targets]
+        if not rows:
+            return []
+        vals = np.array(rows, dtype=np.int64)
+        if self._torus is not None:
+            vals = self._torus.canonical_rows(vals)[0]
+        keys = _row_keys(vals, self.p, self._key_dtype)
+        i = self._uniq.searchsorted(keys)
+        hit = i < self._uniq.size
+        hit[hit] = self._uniq[i[hit]] == keys[hit]
+        sizes = np.zeros(len(rows), dtype=np.int64)
+        sizes[hit] = self._counts[i[hit]]
+        return sizes.tolist()
 
     def image_of(self, source_point):
         """Map value at one source point; None if indeterminate there."""
@@ -561,8 +559,7 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
                          "an image")
     rng = random.Random(seed)
     k = census.source_dim
-    lines = []
-    ones = 0
+    images = []
     for _ in range(samples):
         while True:
             pt = [rng.randrange(p) for _ in range(k + 1)]
@@ -571,14 +568,15 @@ def sample_report(m, p: int, samples: int, seed: int) -> dict:
             img = census.image_of(pt)
             if img is not None:
                 break
-        n = census.fiber_size(img)
-        ones += 1 if n == 1 else 0
-        lines.append("target=[%s] fiber=%d" % (",".join(map(str, img)), n))
+        images.append(img)
+    sizes = census.fiber_sizes(images)
+    lines = ["target=[%s] fiber=%d" % (",".join(map(str, img)), n)
+             for img, n in zip(images, sizes)]
     return {
         "lines": lines,
         "max_fiber": census.max_fiber,
         "indeterminate": census.indeterminate,
-        "fraction_ones": Fraction(ones, samples),
+        "fraction_ones": Fraction(sizes.count(1), samples),
         "singleton_share": Fraction(
             int(census._sizes[census._counts == 1].sum()),
             census.total - census.indeterminate),

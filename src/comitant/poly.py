@@ -10,11 +10,15 @@ deterministic and byte-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
+from math import gcd
 from math import lcm as _lcm
 from numbers import Integral
+from operator import add, ge, mul, sub
 
 from .scalars import (GF, QQ, Fp, RingMismatchError, as_scalar, exact_div,
-                      rational_content, rational_to_fp, ring_one, ring_zero)
+                      is_prime, rational_content, rational_to_fp, ring_one,
+                      ring_zero)
 
 
 # the operators' scalar operands (int ahead of the slower abstract check);
@@ -362,18 +366,46 @@ class Poly:
         return Poly(vars, out, self.ring)
 
     def evaluate(self, values: list):
-        """Full evaluation at scalars (one value per variable).
+        """Full evaluation at scalars (one value per variable), term by term
+        on plain integers.
 
-        `substitute` on constant images in no variables, with the constant
-        read back.  The values are taken in this polynomial's ring, or in
-        GF(p) when one of them is an Fp: a QQ polynomial then reduces mod p,
-        as it does under `substitute`.
+        The values are taken in this polynomial's ring, or in GF(p) when one
+        of them is an Fp: a QQ polynomial then reduces mod p, as it does
+        under `substitute`.  Over QQ each term is an integer over an
+        integer, the terms are summed over the lcm of those, and the value
+        is an int when integral.
         """
         if len(values) != len(self.vars):
             raise ValueError("value count mismatch")
         ring = next((GF(v.p) for v in values if isinstance(v, Fp)), self.ring)
-        return unwrap(self.substitute([Poly.constant(v, (), ring)
-                                       for v in values]))
+        values = [as_scalar(v, ring) for v in values]
+        if ring != QQ:
+            p = ring[1]
+            values = [v.val for v in values]
+            acc = 0
+            for e, c in self.terms.items():
+                c = (rational_to_fp(c, p) if self.ring == QQ
+                     else as_scalar(c, ring)).val
+                for v, k in zip(values, e):
+                    if k:
+                        c = c * pow(v, k, p) % p
+                acc += c
+            return Fp(acc, p)
+        fracs = [(v.numerator, v.denominator) for v in values]
+        terms = []
+        common = 1
+        for e, c in self.terms.items():
+            num, den = c.numerator, c.denominator
+            for (a, b), k in zip(fracs, e):
+                if k:
+                    num *= a ** k
+                    if b != 1:
+                        den *= b ** k
+            if num:
+                terms.append((num, den))
+                common = _lcm(common, den)
+        return exact_div(sum(num * (common // den) for num, den in terms),
+                         common)
 
     # -- coefficient extraction -----------------------------------------
 
@@ -515,32 +547,67 @@ def constant_ratio(reference: Poly, value: Poly):
 # -- exact division and gcd ------------------------------------------------
 
 def divexact(p: Poly, d: Poly) -> Poly:
-    """Exact multivariate division; raises ValueError if d does not divide p."""
+    """Exact multivariate division; raises ValueError if d does not divide p.
+
+    One pass in graded lex order.  An exponent e is keyed by one int,
+    sum(e) as its top digit over its entries, in radix B = 1 + max(deg p,
+    deg d).  No remainder term has total degree past deg p, so no digit
+    passes B - 1, the key of a product is the sum of the keys, and the int
+    order is the graded lex order.  The remainder is one dict, with a heap
+    of its keys, largest first.  A popped term that survived cancellation
+    must be divisible by d's lead; it gives one quotient term, and that
+    term times d's tail is subtracted in place.  A key is pushed when it
+    enters the dict, always below the one just popped, so it is pushed
+    once.  The quotient is the one Poly built.
+    """
     p._compat(d)
     if d.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
+    radix = 1 + max(p.total_degree(), d.total_degree())
+    weights = [radix**i for i in range(len(p.vars), -1, -1)]
+
+    def key(e):
+        return sum(map(mul, (sum(e), *e), weights))
+
     de, dc = d.lead_term()
-    rem = p
-    out: dict = {}
-    while rem.terms:
-        re, rc = rem.lead_term()
-        qe = tuple(a - b for a, b in zip(re, de))
-        if any(k < 0 for k in qe):
+    dkey = key(de)
+    tail = [(key(e), e, c) for e, c in d.terms.items() if e != de]
+    exps = {key(e): e for e in p.terms}
+    rem = dict(zip(exps, p.terms.values()))
+    heap = [-k for k in rem]
+    heapify(heap)
+    out = {}
+    while heap:
+        k = -heappop(heap)
+        rc = rem.pop(k)
+        e = exps.pop(k)
+        if not rc:
+            continue
+        if not all(map(ge, e, de)):
             raise ValueError("inexact polynomial division")
-        qc = exact_div(rc, dc)
-        out[qe] = qc
-        rem = rem - Poly.monomial(qc, qe, p.vars, p.ring) * d
+        qe = tuple(map(sub, e, de))
+        qc = out[qe] = exact_div(rc, dc)
+        qkey = k - dkey
+        for tkey, te, tc in tail:
+            k = qkey + tkey
+            s = rem.get(k)
+            if s is None:
+                rem[k] = -qc * tc
+                exps[k] = tuple(map(add, qe, te))
+                heappush(heap, -k)
+            else:
+                rem[k] = s - qc * tc
     return Poly(p.vars, out, p.ring)
 
 
 def univariate_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd of two effectively-univariate polynomials.
 
-    The Euclidean algorithm runs once, on the coefficient lists in the
-    first active variable x_i.  With a second active variable x_j both
+    The gcd runs once, on the coefficient lists in the first active
+    variable x_i (`_euclid`).  With a second active variable x_j both
     inputs must be homogeneous in (x_i, x_j), else ValueError: setting
     x_j = 1 loses k degrees of each form, k its power of x_j, so the gcd
-    is x_j^min(k) times the homogenized Euclidean gcd.  The result goes
+    is x_j^min(k) times the homogenized univariate gcd.  The result goes
     through `normalize_jointly`: primitive-integer over QQ, monic over a
     prime field.
     """
@@ -594,27 +661,115 @@ def _dehomogenize(p: Poly, i: int) -> list:
     return out
 
 
+# The moduli of the gcd over QQ: the eight largest primes below 2^62,
+# descending.  `_moduli` goes on below them when a gcd needs more.
+_MODULI = tuple(2**62 - k for k in (57, 87, 117, 143, 153, 167, 171, 195))
+
+
+def _moduli():
+    yield from _MODULI
+    q = _MODULI[-1] - 2
+    while True:
+        if is_prime(q):
+            yield q
+        q -= 2
+
+
+def _euclid(u: list, v: list, ring) -> list:
+    """Gcd, up to a unit, of two nonzero coefficient lists (lowest degree
+    first) over the ring.
+
+    Over GF(p) it is Euclid on the residues mod p.  Over QQ it is Brown's
+    modular gcd (Geddes, Czapor and Labahn, Algorithms for Computer
+    Algebra, 1992, Sec. 7.4) on u and v scaled to primitive integer lists.
+    A modulus q from `_moduli` that divides neither leading coefficient
+    gives deg gcd_q >= deg gcd, so a constant image proves u and v coprime.
+    Otherwise each image is scaled to lead with gamma = gcd(lc u, lc v),
+    images of one degree are joined by CRT, and a lower degree restarts
+    them.  The symmetric lift's primitive part is returned once it divides
+    u and v exactly; by Gauss's lemma that is division in Z[x], and a
+    divisor of u and v whose degree bounds the gcd's is the gcd.
+    """
+    if ring != QQ:
+        p = ring[1]
+        g = _euclid_mod([c.val for c in u], [c.val for c in v], p)
+        return [Fp(c, p) for c in g]
+    u, v = _primitive(_integral(u)), _primitive(_integral(v))
+    if len(u) == 1 or len(v) == 1:
+        return [1]
+    gamma = gcd(u[-1], v[-1])
+    image = modulus = None
+    for q in _moduli():
+        if not (u[-1] % q and v[-1] % q):
+            continue
+        g = _euclid_mod(u, v, q)
+        if len(g) == 1:
+            return [1]
+        if image is not None and len(g) > len(image):
+            continue
+        g = [c * gamma % q for c in g]
+        if image is None or len(g) < len(image):
+            image, modulus = g, q
+        else:
+            # the residue mod modulus * q that is a mod modulus and b mod q
+            t = pow(modulus, -1, q)
+            image = [a + modulus * ((b - a) * t % q)
+                     for a, b in zip(image, g)]
+            modulus *= q
+        half = modulus // 2
+        lifted = _primitive([c - modulus if c > half else c for c in image])
+        if _divides(lifted, u) and _divides(lifted, v):
+            return lifted
+
+
+def _euclid_mod(u: list, v: list, q: int) -> list:
+    """Monic gcd of two int lists (lowest degree first) mod the prime q,
+    neither of them zero mod q."""
+    u = _trim([c % q for c in u])
+    v = _trim([c % q for c in v])
+    while v:
+        inv = pow(v[-1], -1, q)
+        dv = len(v) - 1
+        while len(u) > dv:
+            f = u.pop() * inv % q
+            if f:
+                shift = len(u) - dv
+                for k in range(dv):
+                    u[shift + k] = (u[shift + k] - f * v[k]) % q
+        u, v = v, _trim(u)
+    inv = pow(u[-1], -1, q)
+    return [c * inv % q for c in u]
+
+
 def _trim(u):
     while u and not u[-1]:
         u.pop()
     return u
 
 
-def _euclid(u: list, v: list, ring) -> list:
-    """Euclidean gcd of univariate coefficient lists over a field."""
-    u = _trim(list(u))
-    v = _trim(list(v))
-    while v:
-        inv = exact_div(1, v[-1])
-        r = list(u)
-        dv = len(v) - 1
-        while r and len(r) - 1 >= dv:
-            f = r[-1] * inv
-            shift = len(r) - 1 - dv
-            for k in range(len(v)):
-                r[shift + k] = r[shift + k] - f * v[k]
-            _trim(r)
-        u, v = v, r
-    if not u:
-        return [ring_one(ring)]
-    return u
+def _integral(u: list) -> list:
+    """A list of rationals times the lcm of their denominators."""
+    den = _lcm(*(c.denominator for c in u))
+    return [c.numerator * (den // c.denominator) for c in u]
+
+
+def _primitive(u: list) -> list:
+    """A nonzero int list divided by the gcd of its entries."""
+    g = gcd(*u)
+    return u if g == 1 else [c // g for c in u]
+
+
+def _divides(g: list, u: list) -> bool:
+    """Whether the int list g divides u in Z[x] (lowest degree first)."""
+    r = list(u)
+    dg = len(g) - 1
+    lead = g[-1]
+    for top in range(len(r) - 1, dg - 1, -1):
+        f, rest = divmod(r[top], lead)
+        if rest:
+            return False
+        if f:
+            shift = top - dg
+            for k in range(dg):
+                r[shift + k] -= f * g[k]
+    return not any(r[:dg])

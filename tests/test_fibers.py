@@ -24,7 +24,6 @@ from comitant.fibers import (
     _int_terms,
     _key_dtype,
     _residue_dtype,
-    _row_key,
     _row_keys,
     _tally,
     check_census,
@@ -376,9 +375,10 @@ def test_row_key_matches_row_keys_at_the_int64_boundary(p, m):
     dtype = _key_dtype(m, p)
     keys = _row_keys(np.array(rows, dtype=np.int64), p, dtype)
     if (p, m) in _BELOW:
-        # the Python key of a scalar-path lookup is the census's int64 key
+        # the int64 key is the row's mixed-radix sum, v_i * p^(m-1-i)
         assert p**m < 2**63 and keys.dtype == np.int64
-        assert [_row_key(row, p) for row in rows] == keys.tolist()
+        assert [sum(v * p**(m - 1 - i) for i, v in enumerate(row))
+                for row in rows] == keys.tolist()
         assert max(keys.tolist()) == p**m - 1
     else:
         # wider rows: void keys, one per row, in lexicographic row order
@@ -399,6 +399,61 @@ def test_scalar_path_lookup_on_both_sides_of_the_int64_boundary(m):
     assert census._torus is None
     assert census._uniq.dtype.kind == ("i" if m == 22 else "V")
     assert census.max_fiber == 2
+
+
+def _squares_map(t0, t1, m=23):
+    """The m = 23 map of the test above: scalar path, void keys over F_7."""
+    polys = [t0 ** (2 * j) * t1 ** (2 * (m - 1 - j)) for j in range(m)]
+    polys[0] = polys[0] + t0 ** (2 * (m - 1))
+    return polys
+
+
+@pytest.mark.parametrize("build, p, torus, kind", [
+    # a binomial coordinate: the scalars alone, int64 keys
+    (lambda t0, t1: [t0**2 + t1**2, t0 * t1, t1**2], 11, False, "i"),
+    # monomials: the whole diagonal torus, int64 keys
+    (lambda t0, t1: [t0**2, t1**2], 7, True, "i"),
+    # 7^23 >= 2^63: void keys on the scalar path
+    (_squares_map, 7, False, "V"),
+    # seven monomials, 1009^7 >= 2^63: void keys on a torus
+    (lambda t0, t1: [t0 ** (6 - j) * t1**j for j in range(7)], 1009, True,
+     "V"),
+])
+def test_fiber_sizes_match_the_counter_oracle(build, p, torus, kind):
+    census = FiberCensus(build(*poly_ring(("t0", "t1"), QQ)), p)
+    assert (census._torus is not None) == torus
+    assert census._uniq.dtype.kind == kind
+    sizes = Counter(census.image_of(pt) for pt in census.source.tolist())
+    sizes.pop(None, None)
+    m = len(census.polys)
+    # the last normalized row of P^(m-1)(F_p): outside the image, and keyed
+    # past the census's last key (keys sort in lexicographic row order)
+    top = (1,) + (p - 1,) * (m - 1)
+    assert top not in sizes and top > max(sizes)
+    # a row outside the image keyed among the census's keys
+    outside = next(t for t in ((1, x) + (0,) * (m - 2) for x in range(p))
+                   if t not in sizes)
+    targets = list(sizes) + [top, outside]
+    want = [sizes[t] for t in targets]
+    assert census.fiber_sizes(targets) == want
+    assert [census.fiber_size(t) for t in targets] == want
+    # unnormalized targets, as a lookup takes them
+    assert census.fiber_sizes([[2 * c for c in t] for t in targets]) == want
+    assert census.fiber_sizes([]) == []
+
+
+def test_sample_report_looks_its_targets_up_at_once(monkeypatch):
+    calls = []
+    lookup = FiberCensus.fiber_sizes
+
+    def counting(self, targets):
+        calls.append(len(targets))
+        return lookup(self, targets)
+
+    monkeypatch.setattr(FiberCensus, "fiber_sizes", counting)
+    t0, t1 = poly_ring(("t0", "t1"), QQ)
+    rep = sample_report([t0**3 + t1**3, t0 * t1**2], 13, 25, seed=4)
+    assert calls == [25] and len(rep["lines"]) == 25
 
 
 @st.composite

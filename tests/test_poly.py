@@ -13,7 +13,8 @@ from comitant.linalg import poly_det
 from comitant.poly import (Poly, constant_ratio, divexact, poly_ring,
                            univariate_gcd)
 from comitant.quartic import generic_salmon, salmon_contravariant
-from comitant.scalars import GF, QQ, Fp, RingMismatchError, as_scalar, ring_zero
+from comitant.scalars import (GF, QQ, Fp, RingMismatchError, as_scalar,
+                              is_prime, ring_zero)
 
 
 def _reduce(p, ring):
@@ -594,10 +595,14 @@ def _gcd_cases(draw):
                                  ("x", "a", "y")]))
     ring = draw(st.sampled_from([QQ, GF(5), GF(7), GF(101)]))
     active = [i for i, v in enumerate(vars) if v != "a"]
+    # over QQ, sometimes integers past the moduli of the modular gcd, so
+    # images are joined by CRT
+    coefficient = (st.integers(-2**80, 2**80)
+                   if ring == QQ and draw(st.booleans())
+                   else _coefficients(ring))
 
     def form(deg):
-        cs = draw(st.lists(_coefficients(ring), min_size=deg + 1,
-                           max_size=deg + 1))
+        cs = draw(st.lists(coefficient, min_size=deg + 1, max_size=deg + 1))
         exps = []
         for i in range(deg + 1):
             e = [0] * len(vars)
@@ -635,6 +640,91 @@ def test_univariate_gcd_matches_sympy():
         assert univariate_gcd(f, g) == want
 
     check()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([GF(2), GF(7), GF(101)]).flatmap(
+    lambda ring: st.tuples(_polys(SOURCE, ring), _polys(SOURCE, ring))))
+def test_divexact_over_gfp_divides_products_back(pair):
+    f, g = pair
+    if g.is_zero():
+        return
+    assert divexact(f * g, g) == f
+    if g.total_degree() > 0:
+        with pytest.raises(ValueError, match="inexact"):
+            divexact(f * g + 1, g)
+
+
+def _moduli_used(monkeypatch):
+    """The moduli of every `_euclid_mod` call, in order."""
+    used = []
+    euclid_mod = poly_module._euclid_mod
+
+    def spy(u, v, q):
+        used.append(q)
+        return euclid_mod(u, v, q)
+
+    monkeypatch.setattr(poly_module, "_euclid_mod", spy)
+    return used
+
+
+def test_gcd_moduli_are_the_largest_primes_below_2_62():
+    moduli = poly_module._MODULI
+    assert list(moduli) == sorted(moduli, reverse=True)
+    assert all(map(is_prime, moduli))
+    assert not any(is_prime(q) for q in range(moduli[-1] + 1, 2**62)
+                   if q not in moduli)
+
+
+def test_gcd_discards_an_unlucky_prime(monkeypatch):
+    # mod q0, x + q0 is x: that image has degree 1, the next degree 0
+    used = _moduli_used(monkeypatch)
+    x, = poly_ring(("x",), QQ)
+    q0 = poly_module._MODULI[0]
+    assert univariate_gcd(x + q0, x) == Poly.constant(1, ("x",), QQ)
+    assert used == list(poly_module._MODULI[:2])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_gcd_joins_images_by_crt(monkeypatch, sign):
+    # 2^70 is past q0 / 2: one image lifts to a wrong candidate, which
+    # fails the division, and two images join to the gcd
+    used = _moduli_used(monkeypatch)
+    x, y = poly_ring(("x", "y"), QQ)
+    g = x + 2**70 * y
+    assert univariate_gcd(g * (x + sign * y), g * (x - 3 * y)) == g
+    assert used == list(poly_module._MODULI[:2])
+
+
+def test_gcd_skips_a_modulus_dividing_a_leading_coefficient(monkeypatch):
+    used = _moduli_used(monkeypatch)
+    x, = poly_ring(("x",), QQ)
+    q0 = poly_module._MODULI[0]
+    f = (q0 * x + 1) * (2 * x + 3)
+    assert univariate_gcd(f, (2 * x + 3) * (x - 5)) == 2 * x + 3
+    assert used[0] == poly_module._MODULI[1]
+    # over QQ the gcd is proved by division: x + 3 divides both
+    assert univariate_gcd(f * Fraction(1, 6), (x - 5) * 4) \
+        == Poly.constant(1, ("x",), QQ)
+
+
+def test_divexact_builds_only_the_quotient(monkeypatch):
+    x, y, z, w = poly_ring(("x", "y", "z", "w"), QQ)
+    q = (x + 2 * y - z + 3 * w + 1) ** 4
+    d = (x - y + Fraction(1, 2) * z - w + 3) ** 3
+    product = q * d
+    assert len(product.terms) > 300
+    built = []
+    init = Poly.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poly, "__init__", counting)
+    quotient = divexact(product, d)
+    assert len(built) == 1
+    assert quotient == q
 
 
 @st.composite
