@@ -16,8 +16,7 @@ from itertools import combinations, permutations
 
 from .linalg import poly_det
 from .maps import normalize_point
-from .poly import (Poly, divexact, normalize_jointly, poly_ring,
-                   univariate_gcd, unwrap)
+from .poly import Poly, gcd_cofactors, normalize_jointly, poly_ring, unwrap
 from .scalars import GF, QQ, Fp, as_scalar
 
 CONIC_COEFF_VARS = ("a", "b", "c", "d", "e", "f")
@@ -112,9 +111,10 @@ class PointPair:
 
     def normalized(self) -> "PointPair":
         """A scalar pair: the canonical representative of
-        `maps.normalize_point`.  A pair in one parameter: the triple over
-        the `univariate_gcd` of its coefficients, which it then lacks,
-        scaled by `normalize_jointly` at the last nonzero coefficient, as
+        `maps.normalize_point`.  A pair in one parameter: the triple of
+        its coefficients' cofactors against their gcd
+        (`poly.gcd_cofactors`), which it then lacks, scaled by
+        `normalize_jointly` at the last nonzero coefficient, as
         `normalize_point` scales: over QQ[a] coprime integers with that
         coefficient's lead term positive, over GF(p)[a] that lead term 1.
         A pair in two or more parameters comes back as it is."""
@@ -122,9 +122,11 @@ class PointPair:
         if not self.params:
             coeffs = normalize_point(coeffs, self.ring)
         elif len(self.params) == 1:
-            g = reduce(univariate_gcd, [c for c in coeffs if c])
+            g = reduce(lambda a, b: gcd_cofactors(a, b)[0],
+                       [c for c in coeffs if c])
             last = max(i for i, c in enumerate(coeffs) if c)
-            coeffs = normalize_jointly([divexact(c, g) for c in coeffs], last)
+            coeffs = normalize_jointly([gcd_cofactors(c, g)[1]
+                                        for c in coeffs], last)
         return PointPair(*coeffs, self.vars, self.ring)
 
     def __repr__(self):

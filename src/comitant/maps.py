@@ -39,10 +39,7 @@ class RationalMapP1:
             raise MapError(
                 f"entry degrees differ: {num.total_degree()} vs "
                 f"{den.total_degree()}")
-        g = poly.univariate_gcd(num, den)
-        if g.total_degree() > 0:
-            num = poly.divexact(num, g)
-            den = poly.divexact(den, g)
+        _, num, den = poly.gcd_cofactors(num, den)
         # one constant scales both: num's lead term, or den's if num = 0
         self.num, self.den = poly.normalize_jointly([num, den],
                                                     0 if num else 1)

@@ -10,15 +10,12 @@ deterministic and byte-reproducible.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd
 from math import lcm as _lcm
 from numbers import Integral
-from operator import add, ge, mul, sub
 
 from .scalars import (GF, QQ, Fp, RingMismatchError, as_scalar, exact_div,
-                      is_prime, rational_content, rational_to_fp, ring_one,
-                      ring_zero)
+                      rational_content, rational_to_fp, ring_one, ring_zero)
 
 
 # the operators' scalar operands (int ahead of the slower abstract check);
@@ -544,99 +541,59 @@ def constant_ratio(reference: Poly, value: Poly):
     return c
 
 
-# -- exact division and gcd ------------------------------------------------
+# -- gcd ------------------------------------------------------------------
 
-def divexact(p: Poly, d: Poly) -> Poly:
-    """Exact multivariate division; raises ValueError if d does not divide p.
-
-    One pass in graded lex order.  An exponent e is keyed by one int,
-    sum(e) as its top digit over its entries, in radix B = 1 + max(deg p,
-    deg d).  No remainder term has total degree past deg p, so no digit
-    passes B - 1, the key of a product is the sum of the keys, and the int
-    order is the graded lex order.  The remainder is one dict, with a heap
-    of its keys, largest first.  A popped term that survived cancellation
-    must be divisible by d's lead; it gives one quotient term, and that
-    term times d's tail is subtracted in place.  A key is pushed when it
-    enters the dict, always below the one just popped, so it is pushed
-    once.  The quotient is the one Poly built.
-    """
-    p._compat(d)
-    if d.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    radix = 1 + max(p.total_degree(), d.total_degree())
-    weights = [radix**i for i in range(len(p.vars), -1, -1)]
-
-    def key(e):
-        return sum(map(mul, (sum(e), *e), weights))
-
-    de, dc = d.lead_term()
-    dkey = key(de)
-    tail = [(key(e), e, c) for e, c in d.terms.items() if e != de]
-    exps = {key(e): e for e in p.terms}
-    rem = dict(zip(exps, p.terms.values()))
-    heap = [-k for k in rem]
-    heapify(heap)
-    out = {}
-    while heap:
-        k = -heappop(heap)
-        rc = rem.pop(k)
-        e = exps.pop(k)
-        if not rc:
-            continue
-        if not all(map(ge, e, de)):
-            raise ValueError("inexact polynomial division")
-        qe = tuple(map(sub, e, de))
-        qc = out[qe] = exact_div(rc, dc)
-        qkey = k - dkey
-        for tkey, te, tc in tail:
-            k = qkey + tkey
-            s = rem.get(k)
-            if s is None:
-                rem[k] = -qc * tc
-                exps[k] = tuple(map(add, qe, te))
-                heappush(heap, -k)
-            else:
-                rem[k] = s - qc * tc
-    return Poly(p.vars, out, p.ring)
-
-
-def univariate_gcd(p: Poly, q: Poly) -> Poly:
-    """Gcd of two effectively-univariate polynomials.
+def gcd_cofactors(p: Poly, q: Poly) -> tuple:
+    """(g, p/g, q/g) for two effectively-univariate polynomials, with
+    p == g * (p/g) and q == g * (q/g) exactly.
 
     The gcd runs once, on the coefficient lists in the first active
     variable x_i (`_euclid`).  With a second active variable x_j both
     inputs must be homogeneous in (x_i, x_j), else ValueError: setting
-    x_j = 1 loses k degrees of each form, k its power of x_j, so the gcd
-    is x_j^min(k) times the homogenized univariate gcd.  The result goes
-    through `normalize_jointly`: primitive-integer over QQ, monic over a
-    prime field.
+    x_j = 1 loses k degrees of each form, k its power of x_j, so g is
+    x_j^min(k) times the homogenized univariate gcd, and each cofactor
+    keeps the rest of its form's power.  g goes through
+    `normalize_jointly` (primitive-integer over QQ, monic over a prime
+    field) and the cofactors are multiplied by the same constant.  When
+    one side is zero, g is the other side normalized.
     """
     p._compat(q)
     if p.is_zero() and q.is_zero():
         raise ValueError("gcd(0, 0) is undefined")
-    if not (p and q):
-        return normalize_jointly([p or q])[0]
+    one = Poly.constant(1, p.vars, p.ring)
     used = sorted({i for f in (p, q) for e in f.terms
                    for i, k in enumerate(e) if k})
-    if len(used) > 2:
+    if not (p and q):
+        g, a, b = (p, one, q) if p else (q, p, one)
+    elif len(used) > 2:
         raise ValueError("gcd supports at most two active variables")
-    if not used:
-        return Poly.constant(1, p.vars, p.ring)
-    i, j = used[0], used[-1]
-    lost = 0
-    if j != i:
-        if not (p.is_homogeneous(used) and q.is_homogeneous(used)):
+    elif not used:
+        g, a, b = one, p, q
+    else:
+        i, j = used[0], used[-1]
+        if j != i and not (p.is_homogeneous(used)
+                           and q.is_homogeneous(used)):
             raise ValueError("gcd in two variables needs forms homogeneous "
                              "in them")
-        lost = min(f.degree_in(used) - f.degree_in([i]) for f in (p, q))
-    g = _euclid(_dehomogenize(p, i), _dehomogenize(q, i), p.ring)
-    terms = {}
-    for k, c in enumerate(g):
-        e = [0] * len(p.vars)
-        e[j] = len(g) - 1 - k + lost    # overwritten when j == i
-        e[i] = k
-        terms[tuple(e)] = c
-    return normalize_jointly([Poly(p.vars, terms, p.ring)])[0]
+        # each form's power of x_j, lost when x_j = 1 (0 when j == i)
+        kp, kq = (f.degree_in(used) - f.degree_in([i]) for f in (p, q))
+        lost = min(kp, kq)
+
+        def homogenized(u, power):
+            terms = {}
+            for k, c in enumerate(u):
+                e = [0] * len(p.vars)
+                e[j] = len(u) - 1 - k + power   # overwritten when j == i
+                e[i] = k
+                terms[tuple(e)] = c
+            return Poly(p.vars, terms, p.ring)
+
+        g, a, b = _euclid(_dehomogenize(p, i), _dehomogenize(q, i), p.ring)
+        g, a, b = (homogenized(g, lost), homogenized(a, kp - lost),
+                   homogenized(b, kq - lost))
+    n = normalize_jointly([g])[0]
+    c = exact_div(g.lead_term()[1], n.lead_term()[1])
+    return n, a * c, b * c
 
 
 def normalize_jointly(polys: list, lead: int = 0) -> list:
@@ -661,65 +618,55 @@ def _dehomogenize(p: Poly, i: int) -> list:
     return out
 
 
-# The moduli of the gcd over QQ: the eight largest primes below 2^62,
-# descending.  `_moduli` goes on below them when a gcd needs more.
-_MODULI = tuple(2**62 - k for k in (57, 87, 117, 143, 153, 167, 171, 195))
+def _euclid(u: list, v: list, ring) -> tuple:
+    """(g, u/g, v/g): g a gcd, up to a unit, of two nonzero coefficient
+    lists (lowest degree first) over the ring, with its two cofactors.
 
-
-def _moduli():
-    yield from _MODULI
-    q = _MODULI[-1] - 2
-    while True:
-        if is_prime(q):
-            yield q
-        q -= 2
-
-
-def _euclid(u: list, v: list, ring) -> list:
-    """Gcd, up to a unit, of two nonzero coefficient lists (lowest degree
-    first) over the ring.
-
-    Over GF(p) it is Euclid on the residues mod p.  Over QQ it is Brown's
-    modular gcd (Geddes, Czapor and Labahn, Algorithms for Computer
-    Algebra, 1992, Sec. 7.4) on u and v scaled to primitive integer lists.
-    A modulus q from `_moduli` that divides neither leading coefficient
-    gives deg gcd_q >= deg gcd, so a constant image proves u and v coprime.
-    Otherwise each image is scaled to lead with gamma = gcd(lc u, lc v),
-    images of one degree are joined by CRT, and a lower degree restarts
-    them.  The symmetric lift's primitive part is returned once it divides
-    u and v exactly; by Gauss's lemma that is division in Z[x], and a
-    divisor of u and v whose degree bounds the gcd's is the gcd.
+    Over GF(p) it is Euclid on the residues mod p.  Over QQ it is the
+    heuristic gcd GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7,
+    1989; Geddes, Czapor and Labahn, Algorithms for Computer Algebra,
+    1992, Sec. 7.7) on u and v written as rationals times primitive
+    integer lists U and V.  At an integer xi >= 2 min(|U|, |V|) + 2 the
+    balanced xi-adic digits of h = gcd(U(xi), V(xi)) are read back as a
+    polynomial, and its primitive part G is the gcd once it divides both
+    U and V in Z[x]; those two divisions give the cofactors.  Otherwise
+    xi grows; once it passes twice the gcd's largest coefficient times
+    the resultant of the cofactors, the candidate is the gcd.
     """
     if ring != QQ:
         p = ring[1]
-        g = _euclid_mod([c.val for c in u], [c.val for c in v], p)
-        return [Fp(c, p) for c in g]
-    u, v = _primitive(_integral(u)), _primitive(_integral(v))
-    if len(u) == 1 or len(v) == 1:
-        return [1]
-    gamma = gcd(u[-1], v[-1])
-    image = modulus = None
-    for q in _moduli():
-        if not (u[-1] % q and v[-1] % q):
-            continue
-        g = _euclid_mod(u, v, q)
-        if len(g) == 1:
-            return [1]
-        if image is not None and len(g) > len(image):
-            continue
-        g = [c * gamma % q for c in g]
-        if image is None or len(g) < len(image):
-            image, modulus = g, q
-        else:
-            # the residue mod modulus * q that is a mod modulus and b mod q
-            t = pow(modulus, -1, q)
-            image = [a + modulus * ((b - a) * t % q)
-                     for a, b in zip(image, g)]
-            modulus *= q
-        half = modulus // 2
-        lifted = _primitive([c - modulus if c > half else c for c in image])
-        if _divides(lifted, u) and _divides(lifted, v):
-            return lifted
+        u, v = [c.val for c in u], [c.val for c in v]
+        g = _euclid_mod(u, v, p)
+        return tuple([Fp(c, p) for c in f]
+                     for f in (g, _divide(u, g, p), _divide(v, g, p)))
+    cu, cv = rational_content(u), rational_content(v)
+    u = [c * cu.denominator // cu.numerator for c in u]
+    v = [c * cv.denominator // cv.numerator for c in v]
+    xi = 2 * min(max(map(abs, u)), max(map(abs, v))) + 2
+    while True:
+        h = gcd(_value(u, xi), _value(v, xi))
+        digits = []
+        while h:
+            d = h % xi
+            if 2 * d > xi:
+                d -= xi
+            digits.append(d)
+            h = (h - d) // xi
+        g = _primitive(digits)
+        a = _divide(u, g)
+        b = None if a is None else _divide(v, g)
+        if b is not None:
+            return (g, [as_scalar(c * cu, QQ) for c in a],
+                    [as_scalar(c * cv, QQ) for c in b])
+        xi = xi * 73794 // 27011    # the book's growth factor, about 2.73
+
+
+def _value(u: list, x: int) -> int:
+    """The int list u (lowest degree first) at x, by Horner's rule."""
+    out = 0
+    for c in reversed(u):
+        out = out * x + c
+    return out
 
 
 def _euclid_mod(u: list, v: list, q: int) -> list:
@@ -747,29 +694,31 @@ def _trim(u):
     return u
 
 
-def _integral(u: list) -> list:
-    """A list of rationals times the lcm of their denominators."""
-    den = _lcm(*(c.denominator for c in u))
-    return [c.numerator * (den // c.denominator) for c in u]
-
-
 def _primitive(u: list) -> list:
     """A nonzero int list divided by the gcd of its entries."""
     g = gcd(*u)
     return u if g == 1 else [c // g for c in u]
 
 
-def _divides(g: list, u: list) -> bool:
-    """Whether the int list g divides u in Z[x] (lowest degree first)."""
+def _divide(u: list, g: list, q: int = 0):
+    """The quotient u / g of int lists (lowest degree first) in Z[x], or
+    mod the prime q when q is given; None when g leaves a remainder."""
     r = list(u)
     dg = len(g) - 1
-    lead = g[-1]
+    inv = pow(g[-1], -1, q) if q else None
+    out = []
     for top in range(len(r) - 1, dg - 1, -1):
-        f, rest = divmod(r[top], lead)
-        if rest:
-            return False
+        if q:
+            f = r[top] * inv % q
+        else:
+            f, rest = divmod(r[top], g[-1])
+            if rest:
+                return None
+        out.append(f)
         if f:
             shift = top - dg
             for k in range(dg):
                 r[shift + k] -= f * g[k]
-    return not any(r[:dg])
+    if any(c % q if q else c for c in r[:dg]):
+        return None
+    return out[::-1]

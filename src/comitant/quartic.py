@@ -24,7 +24,7 @@ from .invariants import (GenericComitant, _check_characteristic,
                          evaluate_invariant, generic_form, invariant_I2,
                          invariant_S)
 from .linalg import LinearSubstitution, poly_det
-from .poly import Poly, divexact
+from .poly import Poly
 from .scalars import exact_div
 
 
@@ -73,15 +73,12 @@ def _omega_in_chart(F: Form, chart: int) -> Poly:
     restricted = restrict_to_line(F, chart)
     val = evaluate_invariant(invariant_I2(), restricted)
     pos = val.vars.index(DUAL_VARS[chart])
-    exps = [0] * len(val.vars)
-    exps[pos] = CHART_DIVISOR_POWER
-    divisor = Poly.monomial(1, tuple(exps), val.vars, val.ring)
-    try:
-        return divexact(val, divisor)
-    except ValueError as exc:
+    k = CHART_DIVISOR_POWER
+    if any(e[pos] < k for e in val.terms):
         raise QuarticError(
-            f"chart {chart}: dividing out "
-            f"{DUAL_VARS[chart]}^{CHART_DIVISOR_POWER} is not exact") from exc
+            f"chart {chart}: dividing out {DUAL_VARS[chart]}^{k} is not exact")
+    return Poly(val.vars, {e[:pos] + (e[pos] - k,) + e[pos + 1:]: c
+                           for e, c in val.terms.items()}, val.ring)
 
 
 @lru_cache(maxsize=None)

@@ -768,6 +768,8 @@ def run_verifications(only=None, seed: int = DEFAULT_SEED,
     selected = list(_REGISTRY)
     if only is not None:
         wanted = list(only)
+        if not wanted:
+            raise VerifyError("no claim ids selected")
         known = set(claim_ids())
         unknown = [w for w in wanted if w not in known]
         if unknown:

@@ -10,11 +10,10 @@ from comitant import poly as poly_module
 from comitant.comitants import Form
 from comitant.invariants import generic_form
 from comitant.linalg import poly_det
-from comitant.poly import (Poly, constant_ratio, divexact, poly_ring,
-                           univariate_gcd)
+from comitant.poly import Poly, constant_ratio, gcd_cofactors, poly_ring
 from comitant.quartic import generic_salmon, salmon_contravariant
 from comitant.scalars import (GF, QQ, Fp, RingMismatchError, as_scalar,
-                              is_prime, ring_zero)
+                              ring_zero)
 
 
 def _reduce(p, ring):
@@ -116,15 +115,6 @@ def test_to_ring_reduction():
     assert q == Poly.variable("y", ("x", "y"), GF(7)) * Fp(4, 7)
 
 
-def test_divexact_success_and_failure():
-    x, y = poly_ring(("x", "y"), QQ)
-    assert divexact(x**2 - y**2, x - y) == x + y
-    with pytest.raises(ValueError, match="inexact"):
-        divexact(x**2 + y**2, x - y)
-    with pytest.raises(ZeroDivisionError):
-        divexact(x, Poly.zero(("x", "y"), QQ))
-
-
 def test_zero_coefficients_are_dropped():
     zero = Poly(("x", "y"), {(0, 0): Fraction(0)})
     assert zero.is_zero() and not zero and zero == Poly.zero(("x", "y"))
@@ -181,8 +171,8 @@ def test_homogeneity_checks():
 
 def test_univariate_gcd():
     x, y = poly_ring(("x", "y"), QQ)
-    g = univariate_gcd((x - y) * (x + y), (x - y) * x)
-    assert divexact(g, x - y).total_degree() == 0
+    g, a, b = gcd_cofactors((x - y) * (x + y), (x - y) * x)
+    assert (g, a, b) == (x - y, x + y, x)
 
 
 def test_univariate_gcd_refuses_two_variables_out_of_homogeneity():
@@ -192,7 +182,7 @@ def test_univariate_gcd_refuses_two_variables_out_of_homogeneity():
     for f, g in [(x + y**2, x + y**2), (x * y + 1, x * y + 1),
                  ((x + 1) * (y + 2), (x + 1) * (y + 3))]:
         with pytest.raises(ValueError, match="homogeneous"):
-            univariate_gcd(f, g)
+            gcd_cofactors(f, g)
 
 
 def test_str_ordering_is_stable():
@@ -473,8 +463,6 @@ def test_mixed_int_fraction_coefficients_stay_exact(f, g, h, point, c):
         (f.scale_div(c), Fraction(value(f)) / c),
         (poly_det([[f, g], [h, f]]), value(f) ** 2 - value(g) * value(h)),
     ]
-    if g:
-        results.append((divexact(f * g, g), value(f)))
     for p, want in results:
         assert all(map(_exact, p.terms.values()))
         got = p.evaluate(point)
@@ -595,8 +583,8 @@ def _gcd_cases(draw):
                                  ("x", "a", "y")]))
     ring = draw(st.sampled_from([QQ, GF(5), GF(7), GF(101)]))
     active = [i for i, v in enumerate(vars) if v != "a"]
-    # over QQ, sometimes integers past the moduli of the modular gcd, so
-    # images are joined by CRT
+    # over QQ, sometimes integers up to 2^80, so the gcd evaluates at a
+    # large integer
     coefficient = (st.integers(-2**80, 2**80)
                    if ring == QQ and draw(st.booleans())
                    else _coefficients(ring))
@@ -615,6 +603,8 @@ def _gcd_cases(draw):
 
 
 def test_univariate_gcd_matches_sympy():
+    # gcd_cofactors: the gcd against sympy's, and both cofactors multiply
+    # back exactly, zero sides included
     sympy = pytest.importorskip("sympy")
 
     @settings(max_examples=120, deadline=None)
@@ -623,7 +613,7 @@ def test_univariate_gcd_matches_sympy():
         f, g = pair
         if f.is_zero() and g.is_zero():
             with pytest.raises(ValueError, match="undefined"):
-                univariate_gcd(f, g)
+                gcd_cofactors(f, g)
             return
         syms = sympy.symbols(f.vars)
         fs, gs = _to_sympy(sympy, f, syms), _to_sympy(sympy, g, syms)
@@ -637,94 +627,41 @@ def test_univariate_gcd_matches_sympy():
                                modulus=p).monic()
             want = Poly(f.vars, {e: Fp(int(c), p)
                                  for e, c in monic.as_dict().items()}, f.ring)
-        assert univariate_gcd(f, g) == want
+        d, a, b = gcd_cofactors(f, g)
+        assert d == want
+        assert d * a == f and d * b == g
 
     check()
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([GF(2), GF(7), GF(101)]).flatmap(
-    lambda ring: st.tuples(_polys(SOURCE, ring), _polys(SOURCE, ring))))
-def test_divexact_over_gfp_divides_products_back(pair):
-    f, g = pair
-    if g.is_zero():
-        return
-    assert divexact(f * g, g) == f
-    if g.total_degree() > 0:
-        with pytest.raises(ValueError, match="inexact"):
-            divexact(f * g + 1, g)
+def test_gcd_grows_the_evaluation_point(monkeypatch):
+    # at xi = 2 min(3, 1) + 2 = 4, gcd(-165, -20) = 5 reads back as x + 1,
+    # which divides the second input but not the first: xi must grow
+    points = []
+    value = poly_module._value
 
+    def spy(u, xi):
+        points.append(xi)
+        return value(u, xi)
 
-def _moduli_used(monkeypatch):
-    """The moduli of every `_euclid_mod` call, in order."""
-    used = []
-    euclid_mod = poly_module._euclid_mod
-
-    def spy(u, v, q):
-        used.append(q)
-        return euclid_mod(u, v, q)
-
-    monkeypatch.setattr(poly_module, "_euclid_mod", spy)
-    return used
-
-
-def test_gcd_moduli_are_the_largest_primes_below_2_62():
-    moduli = poly_module._MODULI
-    assert list(moduli) == sorted(moduli, reverse=True)
-    assert all(map(is_prime, moduli))
-    assert not any(is_prime(q) for q in range(moduli[-1] + 1, 2**62)
-                   if q not in moduli)
-
-
-def test_gcd_discards_an_unlucky_prime(monkeypatch):
-    # mod q0, x + q0 is x: that image has degree 1, the next degree 0
-    used = _moduli_used(monkeypatch)
+    monkeypatch.setattr(poly_module, "_value", spy)
     x, = poly_ring(("x",), QQ)
-    q0 = poly_module._MODULI[0]
-    assert univariate_gcd(x + q0, x) == Poly.constant(1, ("x",), QQ)
-    assert used == list(poly_module._MODULI[:2])
+    f, g = -3 * x**3 + 2 * x**2 - 2 * x + 3, -x**2 - x
+    assert gcd_cofactors(f, g) == (Poly.constant(1, ("x",), QQ), f, g)
+    assert points[0] == 4 and len(set(points)) > 1
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_gcd_joins_images_by_crt(monkeypatch, sign):
-    # 2^70 is past q0 / 2: one image lifts to a wrong candidate, which
-    # fails the division, and two images join to the gcd
-    used = _moduli_used(monkeypatch)
-    x, y = poly_ring(("x", "y"), QQ)
-    g = x + 2**70 * y
-    assert univariate_gcd(g * (x + sign * y), g * (x - 3 * y)) == g
-    assert used == list(poly_module._MODULI[:2])
-
-
-def test_gcd_skips_a_modulus_dividing_a_leading_coefficient(monkeypatch):
-    used = _moduli_used(monkeypatch)
-    x, = poly_ring(("x",), QQ)
-    q0 = poly_module._MODULI[0]
-    f = (q0 * x + 1) * (2 * x + 3)
-    assert univariate_gcd(f, (2 * x + 3) * (x - 5)) == 2 * x + 3
-    assert used[0] == poly_module._MODULI[1]
-    # over QQ the gcd is proved by division: x + 3 divides both
-    assert univariate_gcd(f * Fraction(1, 6), (x - 5) * 4) \
-        == Poly.constant(1, ("x",), QQ)
-
-
-def test_divexact_builds_only_the_quotient(monkeypatch):
-    x, y, z, w = poly_ring(("x", "y", "z", "w"), QQ)
-    q = (x + 2 * y - z + 3 * w + 1) ** 4
-    d = (x - y + Fraction(1, 2) * z - w + 3) ** 3
-    product = q * d
-    assert len(product.terms) > 300
-    built = []
-    init = Poly.__init__
-
-    def counting(self, *args, **kwargs):
-        built.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Poly, "__init__", counting)
-    quotient = divexact(product, d)
-    assert len(built) == 1
-    assert quotient == q
+def test_list_division_refuses_a_remainder():
+    divide = poly_module._divide
+    # lowest degree first: x^2 + 3x + 2 = (x + 1)(x + 2)
+    assert divide([2, 3, 1], [1, 1]) == [2, 1]
+    assert divide([1, 0, 1], [1, 1]) is None       # remainder 2
+    assert divide([1, 1], [2, 2]) is None          # quotient 1/2
+    assert divide([1], [1, 1]) is None             # degree too low
+    # mod 5, x^2 + 1 = (x + 2)(x + 3), but x + 1 leaves 2
+    assert divide([1, 0, 1], [2, 1], 5) == [3, 1]
+    assert divide([1, 0, 1], [1, 1], 5) is None
+    assert divide([1, 1], [2, 2], 5) == [3]
 
 
 @st.composite
@@ -745,32 +682,5 @@ def test_poly_det_matches_sympy():
                           for row in rows])
         want = _from_sympy(sympy, m.det(method="berkowitz"), syms)
         assert poly_det(rows).terms == want
-
-    check()
-
-
-def test_divexact_matches_sympy():
-    sympy = pytest.importorskip("sympy")
-
-    @settings(max_examples=60, deadline=None)
-    @given(_poly_pairs(max_exp=2))
-    def check(pair):
-        f, g = pair
-        if g.is_zero():
-            return
-        syms = sympy.symbols(f.vars)
-        F, G = _to_sympy(sympy, f, syms), _to_sympy(sympy, g, syms)
-        # a product sympy formed divides back to f
-        product = Poly(f.vars, _from_sympy(sympy, F * G, syms))
-        assert divexact(product, g) == f
-        # and f itself divides exactly when sympy leaves no remainder
-        q, r = sympy.div(sympy.Poly(F, *syms, domain="QQ"),
-                         sympy.Poly(G, *syms, domain="QQ"))
-        if r.is_zero:
-            assert divexact(f, g).terms == _from_sympy(sympy, q.as_expr(),
-                                                       syms)
-        else:
-            with pytest.raises(ValueError, match="inexact"):
-                divexact(f, g)
 
     check()

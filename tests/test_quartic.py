@@ -223,6 +223,18 @@ def test_claim_17_reuses_the_compiled_omega(monkeypatch):
         generic_salmon.cache_clear()
 
 
+def test_salmon_refuses_an_inexact_chart_division(monkeypatch):
+    # each chart value has a term of degree 4 in the chart variable, so
+    # its fifth power does not divide it
+    monkeypatch.setattr(quartic, "CHART_DIVISOR_POWER", 5)
+    generic_salmon.cache_clear()
+    try:
+        with pytest.raises(QuarticError, match="not exact"):
+            generic_salmon()
+    finally:
+        generic_salmon.cache_clear()
+
+
 # ------------------------------------------------------ small characteristics
 
 def _quartic_mod(p):

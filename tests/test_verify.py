@@ -60,6 +60,12 @@ def test_unknown_ids_rejected():
         run_verifications(only=["zzz"])
 
 
+def test_empty_claim_filter_rejected():
+    # an empty report would read ok with exit code 0
+    with pytest.raises(VerifyError, match="no claim ids"):
+        run_verifications(only=[])
+
+
 def test_parameter_validation():
     with pytest.raises(VerifyError, match="odd primes"):
         run_verifications(only=CHEAP[:1], primes=(101,))
