@@ -88,7 +88,10 @@ def _fractions(text: str, count: int) -> list:
     parts = text.split(",")
     if len(parts) != count:
         raise ValueError(f"expected {count} comma-separated values")
-    return [Fraction(p) for p in parts]
+    try:
+        return [Fraction(p) for p in parts]
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

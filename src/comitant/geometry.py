@@ -11,11 +11,9 @@ no root extraction and no division but `scalars.exact_div`."""
 
 from __future__ import annotations
 
-from functools import reduce
 from itertools import combinations, permutations
 
 from .linalg import poly_det
-from .maps import normalize_point
 from .poly import Poly, gcd_cofactors, normalize_jointly, poly_ring, unwrap
 from .scalars import GF, QQ, Fp, as_scalar
 
@@ -110,23 +108,19 @@ class PointPair:
         raise TypeError("unhashable (projective equality)")
 
     def normalized(self) -> "PointPair":
-        """A scalar pair: the canonical representative of
-        `maps.normalize_point`.  A pair in one parameter: the triple of
-        its coefficients' cofactors against their gcd
-        (`poly.gcd_cofactors`), which it then lacks, scaled by
-        `normalize_jointly` at the last nonzero coefficient, as
-        `normalize_point` scales: over QQ[a] coprime integers with that
-        coefficient's lead term positive, over GF(p)[a] that lead term 1.
-        A pair in two or more parameters comes back as it is."""
+        """The canonical representative of a pair in at most one
+        parameter: its coefficients, over a parameter ring first divided
+        by their gcd (the cofactors of `poly.gcd_cofactors`), scaled by
+        `poly.normalize_jointly` at the last nonzero coefficient.  Over
+        QQ or QQ[a] that gives coprime integers with that coefficient's
+        lead term positive, over GF(p) or GF(p)[a] that lead term 1.  A
+        pair in two or more parameters comes back as it is."""
         coeffs = self.coefficients()
-        if not self.params:
-            coeffs = normalize_point(coeffs, self.ring)
-        elif len(self.params) == 1:
-            g = reduce(lambda a, b: gcd_cofactors(a, b)[0],
-                       [c for c in coeffs if c])
+        if len(self.params) <= 1:
+            if self.params:
+                _, *coeffs = gcd_cofactors(*coeffs)
             last = max(i for i, c in enumerate(coeffs) if c)
-            coeffs = normalize_jointly([gcd_cofactors(c, g)[1]
-                                        for c in coeffs], last)
+            coeffs = normalize_jointly(coeffs, last)
         return PointPair(*coeffs, self.vars, self.ring)
 
     def __repr__(self):
@@ -171,7 +165,9 @@ class ProjectivePoint:
         raise TypeError("unhashable (projective equality)")
 
     def normalized(self) -> tuple:
-        return normalize_point(self.coords, _ring_of(self.coords))
+        coords = [as_scalar(c, _ring_of(self.coords)) for c in self.coords]
+        last = max(i for i, c in enumerate(coords) if c)
+        return tuple(normalize_jointly(coords, last))
 
     def __repr__(self):
         return f"ProjectivePoint{self.coords}"

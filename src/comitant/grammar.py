@@ -82,6 +82,9 @@ def parse_poly(text: str, variables, ring=QQ) -> Poly:
     """Parse text into a Poly over the declared variables."""
     variables = tuple(variables)
     var_index = {v: i for i, v in enumerate(variables)}
+    if len(var_index) < len(variables):
+        twice = next(v for i, v in enumerate(variables) if var_index[v] != i)
+        raise ValueError(f"variable {twice!r} declared twice")
     toks = _Tokens(text)
     result = Poly.zero(variables, ring)
 

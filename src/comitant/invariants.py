@@ -43,7 +43,7 @@ import random
 from .comitants import Form, transvectant
 from .linalg import (LinearSubstitution, modular_nullspace, nullspace,
                      rows_of)
-from .poly import Poly, constant_ratio, poly_ring, unwrap
+from .poly import Poly, constant_ratio, normalize_jointly, poly_ring, unwrap
 from .scalars import QQ, Fp, exact_div
 
 _SIZE_LIMIT = 15000
@@ -359,7 +359,8 @@ def find_invariants(n: int, d: int, r: int) -> list:
                 for e, chi in orbit.items():
                     vec[position[e]] = chi * c
             vectors.append(vec)
-        basis[:] = [Poly(space.names, dict(zip(candidates, v)), QQ).primitive()
+        basis[:] = [normalize_jointly([Poly(space.names,
+                                            dict(zip(candidates, v)), QQ)])[0]
                     for v in _reduced_basis(vectors)]
         return all(_is_invariant(space, p) for p in basis)
 
@@ -651,9 +652,9 @@ def quintic_invariants():
     for name, form in chain.items():
         # degree 0 in (x, y): a Poly in the coefficient names
         (p,) = form.coefficients([(0, 0)])
-        p = p.primitive()
         if p.is_zero() or p.total_degree() != degs[name]:
             raise InvariantError(f"{name}: chain produced a wrong degree")
+        p = normalize_jointly([p])[0]
         if not _is_invariant(space, p):
             raise InvariantError(f"{name}: chain output is not invariant")
         out.append(InvariantDescriptor((2, 5), degs[name], name, p))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from . import comitants, invariants, linalg, poly, scalars
+from . import comitants, invariants, linalg, poly
 from .comitants import Form
 from .poly import Poly
 from .scalars import QQ
@@ -62,22 +62,13 @@ class RationalMapP1:
         """Projective image of (p0, p1); (0, 0) marks indeterminacy.
 
         Over QQ the output is the coprime-integer representative with
-        positive last nonzero entry; over GF(p) the last nonzero entry is 1.
+        positive last nonzero entry; over GF(p), the map's ring or an F_p
+        point's, the last nonzero entry is 1 (`poly.normalize_jointly`).
         """
-        return normalize_point([f.evaluate(list(point))
-                                for f in (self.num, self.den)], self.num.ring)
-
-
-def normalize_point(coords, ring):
-    """Canonical projective representative; all-zero passes through."""
-    coords = [scalars.as_scalar(c, ring) for c in coords]
-    if not any(coords):
-        return tuple(coords)
-    last = next(c for c in reversed(coords) if c)
-    if ring == QQ:
-        g = scalars.rational_content(coords)
-        last = g if last > 0 else -g
-    return tuple(scalars.exact_div(c, last) for c in coords)
+        values = [f.evaluate(list(point)) for f in (self.num, self.den)]
+        if not any(values):
+            return tuple(values)
+        return tuple(poly.normalize_jointly(values, 1 if values[1] else 0))
 
 
 def compose(outer: RationalMapP1, inner: RationalMapP1) -> RationalMapP1:

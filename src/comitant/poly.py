@@ -422,22 +422,6 @@ class Poly:
             groups.setdefault(key, {})[sub] = c
         return {k: Poly(rest_vars, t, self.ring) for k, t in groups.items()}
 
-    # -- normalization ---------------------------------------------------
-
-    def content(self):
-        """Positive rational c with self/c integral and primitive (QQ only;
-        an int when integral)."""
-        if self.ring != QQ:
-            raise RingMismatchError("content is defined over QQ")
-        return rational_content(self.terms.values())
-
-    def primitive(self) -> "Poly":
-        """Scale to integer coefficients with gcd 1 and positive leading term."""
-        if not self.terms:
-            return self
-        c = self.content()
-        return self.scale_div(c if self.lead_term()[1] > 0 else -c)
-
     def lead_term(self):
         """(exponent, coefficient) that is maximal in graded lex order."""
         if not self.terms:
@@ -543,69 +527,79 @@ def constant_ratio(reference: Poly, value: Poly):
 
 # -- gcd ------------------------------------------------------------------
 
-def gcd_cofactors(p: Poly, q: Poly) -> tuple:
-    """(g, p/g, q/g) for two effectively-univariate polynomials, with
-    p == g * (p/g) and q == g * (q/g) exactly.
-
-    The gcd runs once, on the coefficient lists in the first active
-    variable x_i (`_euclid`).  With a second active variable x_j both
-    inputs must be homogeneous in (x_i, x_j), else ValueError: setting
-    x_j = 1 loses k degrees of each form, k its power of x_j, so g is
-    x_j^min(k) times the homogenized univariate gcd, and each cofactor
-    keeps the rest of its form's power.  g goes through
-    `normalize_jointly` (primitive-integer over QQ, monic over a prime
-    field) and the cofactors are multiplied by the same constant.  When
-    one side is zero, g is the other side normalized.
-    """
-    p._compat(q)
-    if p.is_zero() and q.is_zero():
+def gcd_cofactors(*polys) -> tuple:
+    """(g, f1/g, ..., fn/g) for two or more effectively-univariate
+    polynomials, not all zero, with fi == g * (fi/g) exactly: each
+    `_gcd_step` against the gcd so far multiplies its cofactor into the
+    cofactors already found.  g is normalized once, by `normalize_jointly`
+    (primitive-integer over QQ, monic over a prime field), and the
+    cofactors take the same constant when it is not 1."""
+    if not any(polys):
         raise ValueError("gcd(0, 0) is undefined")
+    g, *cofactors = _gcd_step(polys[0], polys[1])
+    for f in polys[2:]:
+        g, a, b = _gcd_step(g, f)
+        cofactors = [c * a for c in cofactors] + [b]
+    n = normalize_jointly([g])[0]
+    c = exact_div(g.lead_term()[1], n.lead_term()[1])
+    return (n, *(cofactors if c == 1 else (f * c for f in cofactors)))
+
+
+def _gcd_step(p: Poly, q: Poly) -> tuple:
+    """(g, p/g, q/g), g a gcd of p and q up to a unit, from one gcd on the
+    coefficient lists in the first active variable x_i (`_euclid`).  With
+    a second active variable x_j both inputs must be homogeneous in (x_i,
+    x_j), else ValueError: setting x_j = 1 loses k degrees of each form,
+    k its power of x_j, so g is x_j^min(k) times the homogenized
+    univariate gcd, and each cofactor keeps the rest of its form's power.
+    A zero side leaves g the other side, and its own cofactor is 0."""
+    p._compat(q)
     one = Poly.constant(1, p.vars, p.ring)
     used = sorted({i for f in (p, q) for e in f.terms
                    for i, k in enumerate(e) if k})
     if not (p and q):
-        g, a, b = (p, one, q) if p else (q, p, one)
-    elif len(used) > 2:
+        return (p, one, q) if p else (q, p, one)
+    if len(used) > 2:
         raise ValueError("gcd supports at most two active variables")
-    elif not used:
-        g, a, b = one, p, q
-    else:
-        i, j = used[0], used[-1]
-        if j != i and not (p.is_homogeneous(used)
-                           and q.is_homogeneous(used)):
-            raise ValueError("gcd in two variables needs forms homogeneous "
-                             "in them")
-        # each form's power of x_j, lost when x_j = 1 (0 when j == i)
-        kp, kq = (f.degree_in(used) - f.degree_in([i]) for f in (p, q))
-        lost = min(kp, kq)
+    if not used:
+        return one, p, q
+    i, j = used[0], used[-1]
+    if j != i and not (p.is_homogeneous(used) and q.is_homogeneous(used)):
+        raise ValueError("gcd in two variables needs forms homogeneous "
+                         "in them")
+    # each form's power of x_j, lost when x_j = 1 (0 when j == i)
+    kp, kq = (f.degree_in(used) - f.degree_in([i]) for f in (p, q))
+    lost = min(kp, kq)
 
-        def homogenized(u, power):
-            terms = {}
-            for k, c in enumerate(u):
-                e = [0] * len(p.vars)
-                e[j] = len(u) - 1 - k + power   # overwritten when j == i
-                e[i] = k
-                terms[tuple(e)] = c
-            return Poly(p.vars, terms, p.ring)
+    def homogenized(u, power):
+        terms = {}
+        for k, c in enumerate(u):
+            e = [0] * len(p.vars)
+            e[j] = len(u) - 1 - k + power   # overwritten when j == i
+            e[i] = k
+            terms[tuple(e)] = c
+        return Poly(p.vars, terms, p.ring)
 
-        g, a, b = _euclid(_dehomogenize(p, i), _dehomogenize(q, i), p.ring)
-        g, a, b = (homogenized(g, lost), homogenized(a, kp - lost),
-                   homogenized(b, kq - lost))
-    n = normalize_jointly([g])[0]
-    c = exact_div(g.lead_term()[1], n.lead_term()[1])
-    return n, a * c, b * c
+    g, a, b = _euclid(_dehomogenize(p, i), _dehomogenize(q, i), p.ring)
+    return (homogenized(g, lost), homogenized(a, kp - lost),
+            homogenized(b, kq - lost))
 
 
-def normalize_jointly(polys: list, lead: int = 0) -> list:
-    """The polynomials divided by one constant: the one that makes the
-    leading coefficient of polys[lead] 1 over GF(p), and over QQ makes it
-    positive and every coefficient of every entry an integer, all of them
-    coprime."""
-    c = polys[lead].lead_term()[1]
-    if polys[lead].ring == QQ:
-        g = rational_content([x for f in polys for x in f.terms.values()])
+def normalize_jointly(values: list, lead: int = 0) -> list:
+    """The entries, Polys or scalars, divided by one constant read off the
+    leading coefficient of values[lead] (a scalar is its own): an `Fp` is
+    divided by itself, so it becomes 1; over QQ the constant makes it
+    positive and every coefficient of every entry an integer, all coprime
+    (the unit-normal form of Geddes, Czapor and Labahn, 1992, ch. 2)."""
+    c = values[lead]
+    if isinstance(c, Poly):
+        c = c.lead_term()[1]
+    if not isinstance(c, Fp):
+        g = rational_content([x for f in values for x in (
+            f.terms.values() if isinstance(f, Poly) else (f,))])
         c = g if c > 0 else -g
-    return [f.scale_div(c) for f in polys]
+    return [f.scale_div(c) if isinstance(f, Poly) else exact_div(f, c)
+            for f in values]
 
 
 def _dehomogenize(p: Poly, i: int) -> list:

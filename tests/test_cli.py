@@ -60,6 +60,16 @@ def test_invariant_bad_space(tmp_path, capsys):
     assert "space must look like" in err
 
 
+def test_invariant_param_colliding_with_a_form_variable(tmp_path, capsys):
+    form = write(tmp_path, "f.txt", "x^4 + y^4")
+    for params in ("x", "t,t"):
+        code, out, err = run(capsys, "invariant", "--space", "2,4",
+                             "--name", "I2", "--form", form,
+                             "--params", params)
+        assert code == 2 and out == ""
+        assert "error:" in err and "declared twice" in err
+
+
 def test_missing_file(capsys):
     code, out, err = run(capsys, "invariant", "--space", "2,4",
                          "--name", "I2", "--form", "/nonexistent/f.txt")
@@ -174,6 +184,13 @@ def test_geometry_q_points(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "q1=[0,-3,1]"
     assert lines[5] == "q6=[-1,2,0]"
+
+
+def test_geometry_q_points_zero_denominator(capsys):
+    code, out, err = run(capsys, "geometry", "q-points",
+                         "--conic", "1/0,1,1,0,0,0")
+    assert code == 2
+    assert "error:" in err and "zero denominator" in err
 
 
 def test_geometry_coble_check(capsys):

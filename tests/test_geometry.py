@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from comitant import poly as poly_module
 from comitant.comitants import Form
 from comitant.geometry import (
     Conic,
@@ -101,6 +102,25 @@ def test_normalized_divides_a_one_parameter_pair_by_its_gcd():
     assert q.normalized().coefficients() == q.coefficients()
 
 
+def test_normalized_runs_two_gcds_on_three_nonzero_coefficients(
+        monkeypatch):
+    # one n-ary gcd_cofactors: two pairwise steps, where a gcd of the
+    # three and then each one's cofactor against it took five
+    calls = []
+    euclid = poly_module._euclid
+
+    def spy(u, v, ring):
+        calls.append((u, v))
+        return euclid(u, v, ring)
+
+    monkeypatch.setattr(poly_module, "_euclid", spy)
+    (a,) = poly_ring(("a",), QQ)
+    g = (a**2 + 1) * (a - 2)
+    q = P(g * a * Fraction(-1, 2), g * 3, -g * (a + 1)).normalized()
+    assert q.coefficients() == (a, -6 * a**0, 2 * a + 2)
+    assert len(calls) == 2
+
+
 def test_normalized_is_canonical_on_proportional_pairs():
     # proportional one-parameter pairs share one triple: over QQ[a] coprime
     # integers, the last nonzero coefficient's lead term positive
@@ -142,6 +162,9 @@ def test_projective_point_basics():
     assert ProjectivePoint((1, 0)) != ProjectivePoint((0, 1))
     assert ProjectivePoint((2, -4, 6)).normalized() == (1, -2, 3)
     assert ProjectivePoint((Fp(2, 7), 0, Fp(4, 7))).normalized() == (4, 0, 1)
+    # an int beside an Fp is read in GF(p), also as the last nonzero entry
+    assert ProjectivePoint((Fp(1, 7), 2)).normalized() == (Fp(4, 7),
+                                                           Fp(1, 7))
     with pytest.raises(GeometryError, match="all-zero"):
         ProjectivePoint((0, 0, 0))
     with pytest.raises(GeometryError, match="line or in the plane"):

@@ -44,6 +44,14 @@ def test_undeclared_variable():
         parse_poly("x + z", ("x", "y"))
 
 
+def test_variable_declared_twice():
+    # the name table would keep only the last position of x, so the
+    # first declaration would be silently ignored
+    for variables in (("x", "x", "y"), ("t", "t")):
+        with pytest.raises(ValueError, match="declared twice"):
+            parse_poly("x", variables)
+
+
 def test_zero_denominator():
     with pytest.raises(ParseError, match="zero denominator"):
         parse_poly("1/0*x", ("x",))

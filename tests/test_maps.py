@@ -14,7 +14,6 @@ from comitant.maps import (
     hammond_relations_symbolic,
     hesse_cover,
     hesse_self_map,
-    normalize_point,
     quartic_cover,
     quartic_self_map,
 )
@@ -75,12 +74,16 @@ def test_value_at_mod_p():
     assert v == (Fp(2, 7), Fp(1, 7))  # last coordinate normalized to 1
 
 
-def test_normalize_point():
-    assert normalize_point([Fraction(1, 2), Fraction(1, 3)], QQ) == (3, 2)
-    assert normalize_point([-2, -4], QQ) == (1, 2)
-    assert normalize_point([0, 0], QQ) == (0, 0)
-    assert normalize_point([Fp(3, 5), Fp(2, 5)], GF(5)) == (Fp(4, 5),
-                                                            Fp(1, 5))
+def test_value_at_an_fp_point_of_a_rational_map():
+    # the QQ map reduces mod 7 at an F_7 point: its QQ value (-24, 17)
+    # reduced, not a ring mismatch
+    m = hesse_self_map()
+    assert m.value_at((1, 2)) == (-24, 17)
+    assert m.value_at((Fp(1, 7), Fp(2, 7))) == (Fp(6, 7), Fp(1, 7))
+    # the last nonzero entry is the one made 1, not the first
+    t0, t1 = pencil()
+    assert RationalMapP1(t0, t1).value_at((Fp(3, 7), Fp(2, 7))) == (
+        Fp(5, 7), Fp(1, 7))
 
 
 def test_identity_and_compose_degrees():

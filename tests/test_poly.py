@@ -1,6 +1,7 @@
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from comitant import poly as poly_module
 from comitant.comitants import Form
 from comitant.invariants import generic_form
 from comitant.linalg import poly_det
-from comitant.poly import Poly, constant_ratio, gcd_cofactors, poly_ring
+from comitant.poly import (Poly, constant_ratio, gcd_cofactors,
+                           normalize_jointly, poly_ring)
 from comitant.quartic import generic_salmon, salmon_contravariant
 from comitant.scalars import (GF, QQ, Fp, RingMismatchError, as_scalar,
                               ring_zero)
@@ -123,19 +125,27 @@ def test_zero_coefficients_are_dropped():
     assert Poly(("x",), {(3,): Fp(7, 7)}, GF(7)).total_degree() == -1
 
 
-def test_content_and_primitive():
+def test_normalize_jointly():
+    # over QQ: one constant for the tuple, every coefficient a coprime
+    # integer, the lead entry's leading coefficient positive
     x, y = poly_ring(("x", "y"), QQ)
-    p = x * 6 + y * 9
-    assert p.primitive() == x * 2 + y * 3
-
-
-def test_content_of_the_zero_polynomial_is_one():
-    zero = Poly.zero(("x", "y"), QQ)
-    assert zero.content() == 1 and zero.primitive() == zero
-    x, y = poly_ring(("x", "y"), QQ)
-    assert (x * Fraction(-6, 5) + y * Fraction(9, 10)).content() \
-        == Fraction(3, 10)
-    assert (x * Fraction(-6, 5)).primitive() == x
+    assert normalize_jointly([x * 6 + y * 9]) == [x * 2 + y * 3]
+    assert normalize_jointly([x * Fraction(-6, 5) + y * Fraction(9, 10)]) \
+        == [x * 4 - y * 3]
+    assert normalize_jointly([x * Fraction(-6, 5)]) == [x]
+    assert normalize_jointly([x * 2, y * -4], 1) == [-x, y * 2]
+    # scalars are their own leading coefficients
+    assert normalize_jointly([Fraction(1, 2), Fraction(1, 3)], 1) == [3, 2]
+    assert normalize_jointly([-2, -4], 1) == [1, 2]
+    assert normalize_jointly([Fraction(-6, 5), 0, Fraction(9, 10)]) == [
+        4, 0, -3]
+    # over GF(p) the lead entry's leading coefficient becomes 1
+    assert normalize_jointly([Fp(3, 5), Fp(2, 5)], 1) == [Fp(4, 5),
+                                                          Fp(1, 5)]
+    assert normalize_jointly([0, Fp(3, 5)], 1) == [Fp(0, 5), Fp(1, 5)]
+    u, v = poly_ring(("x", "y"), GF(7))
+    assert normalize_jointly([u * 3 + v, v * 2]) == [u + v * 5, v * 3]
+    assert normalize_jointly([u * 3, v * 2], 1) == [u * 5, v]
 
 
 def test_constant_ratio():
@@ -598,38 +608,43 @@ def _gcd_cases(draw):
             exps.append(tuple(e))
         return Poly(vars, dict(zip(exps, cs)), ring)
 
-    a, b, c = (form(draw(st.integers(0, 3))) for _ in range(3))
-    return a * c, b * c
+    a, b, c, e = (form(draw(st.integers(0, 3))) for _ in range(4))
+    # the third entry is zero about half the time
+    return a * c, b * c, e * c * draw(st.integers(0, 1))
 
 
 def test_univariate_gcd_matches_sympy():
-    # gcd_cofactors: the gcd against sympy's, and both cofactors multiply
-    # back exactly, zero sides included
+    # gcd_cofactors on the first two entries and on all three: the gcd
+    # against sympy's, and every cofactor multiplies back exactly, zero
+    # entries included
     sympy = pytest.importorskip("sympy")
+
+    def oracle(polys):
+        f = polys[0]
+        syms = sympy.symbols(f.vars)
+        if f.ring == QQ:
+            g = reduce(sympy.gcd, [_to_sympy(sympy, h, syms) for h in polys])
+            # integer coefficients, content 1, positive lead
+            return normalize_jointly([Poly(f.vars,
+                                           _from_sympy(sympy, g, syms))])[0]
+        p = f.ring[1]
+        g = reduce(lambda u, v: sympy.gcd(u, v, modulus=p),
+                   [_to_sympy(sympy, h, syms) for h in polys])
+        monic = sympy.Poly(g, *syms, modulus=p).monic()
+        return Poly(f.vars, {e: Fp(int(c), p)
+                             for e, c in monic.as_dict().items()}, f.ring)
 
     @settings(max_examples=120, deadline=None)
     @given(_gcd_cases())
-    def check(pair):
-        f, g = pair
-        if f.is_zero() and g.is_zero():
-            with pytest.raises(ValueError, match="undefined"):
-                gcd_cofactors(f, g)
-            return
-        syms = sympy.symbols(f.vars)
-        fs, gs = _to_sympy(sympy, f, syms), _to_sympy(sympy, g, syms)
-        if f.ring == QQ:
-            # primitive: integer coefficients, content 1, positive lead
-            want = Poly(f.vars, _from_sympy(sympy, sympy.gcd(fs, gs), syms)
-                        ).primitive()
-        else:
-            p = f.ring[1]
-            monic = sympy.Poly(sympy.gcd(fs, gs, modulus=p), *syms,
-                               modulus=p).monic()
-            want = Poly(f.vars, {e: Fp(int(c), p)
-                                 for e, c in monic.as_dict().items()}, f.ring)
-        d, a, b = gcd_cofactors(f, g)
-        assert d == want
-        assert d * a == f and d * b == g
+    def check(case):
+        for polys in (case[:2], case):
+            if not any(polys):
+                with pytest.raises(ValueError, match="undefined"):
+                    gcd_cofactors(*polys)
+                continue
+            d, *cofactors = gcd_cofactors(*polys)
+            assert d == oracle(polys)
+            assert [d * c for c in cofactors] == list(polys)
 
     check()
 

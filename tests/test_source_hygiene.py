@@ -16,9 +16,10 @@ ints, and `/` on two ints is a float, so the package divides only through
 A sixth keeps `geometry.py` field-generic: it names no `Fraction`, so its
 constructions run unchanged over QQ, GF(p) and parameter rings.  No module
 names `Matrix` or `_gauss_jordan` either: the package's one elimination is
-`linalg.int_nullspace_mod_p`.  And only `scalars.py`, `poly.py` and
-`maps.py` name `rational_content`: a tuple of polynomials is scaled by
-`poly.normalize_jointly` and a scalar point by `maps.normalize_point`.
+`linalg.int_nullspace_mod_p`.  And only `scalars.py` and `poly.py` name
+`rational_content`: every projective tuple, of polynomials or of scalars,
+is scaled by `poly.normalize_jointly`, and no module defines a
+`normalize_point` beside it.
 
 A seventh keeps `verify.py`, `maps.py` and `associated.py` free of
 aliases: they import their siblings as modules and no sibling function by
@@ -230,11 +231,16 @@ def test_geometry_names_no_matrix_and_no_fraction():
 
 
 def test_rational_content_is_named_only_where_scaling_lives():
-    # polynomials scale through `poly.normalize_jointly`, scalar points
-    # through `maps.normalize_point`; no third copy of the rule
+    # polynomials and scalar points alike scale through
+    # `poly.normalize_jointly`; no second copy of the rule
     used = _named_outside(_modules(), {"rational_content"},
-                          {"scalars.py", "poly.py", "maps.py"})
+                          {"scalars.py", "poly.py"})
     assert not used, f"rational_content outside its homes: {used}"
+    defined = [f"{name}:{node.lineno}" for name, tree in _modules().items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == "normalize_point"]
+    assert not defined, f"normalize_point is defined again: {defined}"
 
 
 def test_verify_imports_no_sibling_function_by_name():
