@@ -18,7 +18,7 @@ from comitant.maps import (
     quartic_self_map,
 )
 from comitant.comitants import Form
-from comitant.poly import Poly, poly_ring
+from comitant.poly import Poly, normalize_jointly, poly_ring
 from comitant.scalars import GF, QQ, Fp
 
 
@@ -84,6 +84,16 @@ def test_value_at_an_fp_point_of_a_rational_map():
     t0, t1 = pencil()
     assert RationalMapP1(t0, t1).value_at((Fp(3, 7), Fp(2, 7))) == (
         Fp(5, 7), Fp(1, 7))
+
+
+def test_normalize_point():
+    # a point of P^1 is scaled at its last nonzero coordinate, as
+    # `value_at` and `ProjectivePoint.normalized` do
+    assert normalize_jointly([Fraction(1, 2), Fraction(1, 3)], 1) == [3, 2]
+    assert normalize_jointly([-2, -4], 1) == [1, 2]
+    assert normalize_jointly([0, 0], 1) == [0, 0]
+    assert normalize_jointly([Fp(3, 5), Fp(2, 5)], 1) == [Fp(4, 5),
+                                                          Fp(1, 5)]
 
 
 def test_identity_and_compose_degrees():

